@@ -10,9 +10,8 @@ Benches that measure a speedup additionally persist a machine-readable
 ``benchmarks/out/BENCH_<name>.json`` (``{"bench", "cells",
 "wall_seconds", "speedup"}``) alongside the prose — the CI
 benchmark-smoke job uploads both, so dashboards diff numbers instead
-of parsing tables.  Each ``BENCH_*.json`` is also mirrored to the
-repository root (``BENCH_<name>.json``), where the committed copies
-form the performance trajectory across PRs.
+of parsing tables.  The repository's benchmark proper is declared in
+``BENCHMARK.json`` and lives in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -26,10 +25,6 @@ import pytest
 from repro.core import ExperimentConfig
 
 OUT_DIR = Path(__file__).parent / "out"
-
-#: Repository root: committed BENCH_*.json copies live here so the
-#: perf trajectory is versioned next to the code that produced it.
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def env_workloads(default: tuple[str, ...]) -> tuple[str, ...]:
@@ -76,7 +71,6 @@ def artifacts():
             }
             payload = json.dumps(bench, sort_keys=True) + "\n"
             (OUT_DIR / f"BENCH_{name}.json").write_text(payload)
-            (REPO_ROOT / f"BENCH_{name}.json").write_text(payload)
         return path
 
     return write

@@ -3,7 +3,7 @@
 Usage::
 
     repro list
-    repro fig2 [--workloads G-PR,G-CC] [--csv]
+    repro fig2 --workloads G-PR,G-CC --csv
     repro fig5 --workloads G-CC,fotonik3d,swaptions --parallel
     repro table4
     repro scenario run G-CC:2 fotonik3d:2 swaptions:2 --llc-policy static
@@ -32,7 +32,7 @@ Usage::
     repro traffic gen --seed 0 --out day.json    # a seeded diurnal day
     repro traffic stats --trace diurnal:0 --json # per-hour arrival shape
     repro --store .repro-store traffic-replay --rate 8 --replan
-    repro --store .repro-store sched replay --traffic model.json
+    repro --store .repro-store sched replay --traffic model.json --hours 2
     repro --store .repro-store store ls --json   # scripted consumption
     repro --store .repro-store store stats       # per-artifact run/cache stats
     repro --store .repro-store campaign --workers 2 --telemetry  # record spans
@@ -47,6 +47,12 @@ fig5, table3, fig6, fig7, fig8, table4, plus the extension studies
 builds one :class:`~repro.session.session.Session`, so ``--parallel``
 (or ``--executor thread``) fans the independent sweep cells out with
 bit-identical results.
+
+Each verb and sub-verb has a parser of its own: ``repro <verb> [<sub>]
+--help`` lists only the flags it takes, and any other flag is a usage
+error (exit 2).  The flags every verb shares (``--store``,
+``--workloads``, ``--threads``, the executor knobs, ``-v`` ...) may go
+before or after the verb.
 
 With ``--store DIR`` the session reads measurements through the
 persistent :class:`~repro.store.store.ResultStore` and writes fresh
@@ -72,9 +78,10 @@ from pathlib import Path
 
 from repro.core import ExperimentConfig
 from repro.engine.interval import LLC_POLICIES
-from repro.errors import ReproError, StoreError
+from repro.errors import ReproError, SchedError, StoreError
 from repro.session import (
     ParallelExecutor,
+    Runner,
     Scenario,
     Session,
     ThreadExecutor,
@@ -83,15 +90,8 @@ from repro.session import (
     parse_way_mask,
     runner_names,
 )
+from repro.store import ResultStore
 from repro.workloads.calibration import APPLICATIONS, MINI_BENCHMARKS
-
-#: Non-artifact CLI commands sharing the experiment position
-#: ("scenario" doubles as a registered runner: bare `repro scenario`
-#: runs the default scenario, `repro scenario run ...` the subcommand).
-_COMMANDS = (
-    "list", "run-all", "campaign", "store", "scenario", "sched", "trace",
-    "serve", "traffic",
-)
 
 #: Shipped placement policies (mirrors repro.sched.policy.POLICIES;
 #: spelled out so parser construction stays import-light).
@@ -100,304 +100,334 @@ _POLICY_CHOICES = ("baseline", "interference")
 #: Artifacts that honour the --llc-policy/--smt engine overrides.
 _SCENARIO_ARTIFACTS = ("scenario", "consolidate-n", "scenario-set")
 
+#: The parsers declare every flag with ``default=SUPPRESS`` (a subparser
+#: copies each default it holds over the namespace, so a real default
+#: would erase the same flag given before the verb: ``repro --store S
+#: fig5``).  These are the real defaults, filled in after parsing, plus
+#: ``needs_store``: the verb named in the error when --store is missing.
+_DEFAULTS = {
+    "store": None, "workloads": None, "threads": 4, "repetitions": 3,
+    "seed": 0, "executor": None, "parallel": False, "workers": None,
+    "chunksize": None, "engine_batch": None, "telemetry": False,
+    "verbose": 0, "quiet": False, "csv": False, "json": False,
+    "llc_policy": None, "smt": False, "ways": None, "pin": None,
+    "dry_run": False, "shard": None, "manifest": None, "trace": None,
+    "traffic": None, "hours": None, "scale": None, "rate": None,
+    "policy": None, "machines": None, "slo": None, "cluster": None,
+    "replan": False, "host": "127.0.0.1", "port": 7453, "budget_s": None,
+    "no_replan": False, "solo_s": 1.0, "format": "chrome", "out": None,
+    "limit": None, "needs_store": None,
+}
+
+
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A parent parser for one group of flags (see :data:`_DEFAULTS`)."""
+    return argparse.ArgumentParser(
+        add_help=False, parents=parents, argument_default=argparse.SUPPRESS
+    )
+
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for tests)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-interference",
-        description="Regenerate figures/tables of the interference characterization paper.",
-        epilog=(
-            "Trace / traffic spec grammar for 'sched replay', 'serve drain' "
-            "and 'traffic' (--trace seed:S:N[:T[:D]] | diurnal:S[:H[:T]] | "
-            "FILE; --traffic MODEL.json): see docs/trace-format.md. "
-            "Subsystem map: docs/architecture.md."
-        ),
-    )
-    parser.add_argument(
-        "experiment",
-        choices=list(dict.fromkeys(runner_names() + list(_COMMANDS))),
-        help="artifact name from the runner registry, or list / run-all / store / scenario",
-    )
-    parser.add_argument(
-        "subargs",
-        nargs="*",
-        help="arguments for 'store' (ls | show <artifact-or-run-id> | gc | "
-        "diff <manifest-A> <manifest-B> | stats), 'scenario' "
-        "(run <app[:threads]> ... | ls), 'sched' "
-        "(replay | decide <app[:threads]>), 'trace' "
-        "(show | export | summary), 'serve' "
-        "(start | submit <app[:threads]> [id] | drain | stop | metrics) "
-        "and 'traffic' (gen | show | stats)",
-    )
-    parser.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        help="log to stderr: -v INFO, -vv DEBUG (default: warnings only)",
-    )
-    parser.add_argument(
-        "-q",
-        "--quiet",
-        action="store_true",
-        help="suppress warnings on stderr (errors only)",
-    )
-    parser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="record spans + metrics into <store>/telemetry during this "
-        "invocation (requires --store; inherited by campaign/pool "
-        "workers; never changes results — inspect with 'trace')",
-    )
-    parser.add_argument(
-        "--workloads",
-        help="comma-separated subset of applications (default: all 25)",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=4, help="threads per application (default 4)"
-    )
-    parser.add_argument(
-        "--repetitions", type=int, default=3, help="measurement repetitions (default 3)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="jitter seed")
-    parser.add_argument("--csv", action="store_true", help="CSV output where supported")
-    parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
+    """The CLI argument parser (exposed for tests): one subparser per
+    verb and sub-verb, each built from the flag groups it takes."""
+    common = _flags()
+    shared = common.add_argument_group("shared flags (before or after the verb)")
+    shared.add_argument(
+        "--store", metavar="DIR",
         help="persistent result store: read measurements through DIR, "
         "write fresh ones behind, stream records + index",
     )
-    parser.add_argument(
-        "--executor",
-        choices=("serial", "parallel", "thread"),
-        default=None,
+    shared.add_argument(
+        "--workloads", help="comma-separated subset of applications (default: all 25)"
+    )
+    shared.add_argument("--threads", type=int, help="threads per application (default 4)")
+    shared.add_argument("--repetitions", type=int, help="measurement repetitions (default 3)")
+    shared.add_argument("--seed", type=int, help="jitter seed (default 0)")
+    shared.add_argument(
+        "--executor", choices=("serial", "parallel", "thread"),
         help="sweep fan-out backend (default serial; 'parallel' = process "
         "pool, 'thread' = thread pool for hosts where fork dominates)",
     )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="shorthand for --executor parallel",
+    shared.add_argument(
+        "--parallel", action="store_true", help="shorthand for --executor parallel"
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
+    shared.add_argument(
+        "--workers", type=int,
         help="pool size for --executor parallel/thread (default: CPU count); "
         "for 'campaign': number of worker processes (default 2)",
     )
-    parser.add_argument(
-        "--chunksize",
-        type=int,
-        default=None,
+    shared.add_argument(
+        "--chunksize", type=int,
         help="tasks per worker dispatch for scenario fan-outs "
         "(default: automatic from task and worker counts)",
     )
-    parser.add_argument(
-        "--engine-batch",
-        action=argparse.BooleanOptionalAction,
-        default=None,
+    shared.add_argument(
+        "--engine-batch", action=argparse.BooleanOptionalAction,
         help="solve scenario sweeps through the stacked batch engine "
         "(default on; --no-engine-batch restores the per-cell scalar "
         "path — results are bit-identical; also settable via "
         "REPRO_ENGINE_BATCH=0)",
     )
-    parser.add_argument(
-        "--llc-policy",
-        choices=LLC_POLICIES,
-        default=None,
-        help="LLC sharing policy override for scenario / consolidate-n "
-        "(default: the engine's 'pressure' model)",
+    shared.add_argument(
+        "--telemetry", action="store_true",
+        help="record spans + metrics into <store>/telemetry during this "
+        "invocation (requires --store; inherited by campaign/pool "
+        "workers; never changes results — inspect with 'trace')",
     )
-    parser.add_argument(
-        "--smt",
-        action="store_true",
-        help="run scenarios on the SMT-enabled spec variant "
-        "(2 hardware threads per core)",
+    chatter = shared.add_mutually_exclusive_group()
+    chatter.add_argument(
+        "-v", "--verbose", action="count",
+        help="log to stderr: -v INFO, -vv DEBUG (default: warnings only)",
     )
-    parser.add_argument(
-        "--ways",
-        metavar="NAME:BITMAP",
-        nargs="+",
-        default=None,
-        help="per-app CAT LLC way masks for 'scenario run', e.g. "
-        "--ways G-CC:0xF0 Stream:0x0F (apps without a mask keep all ways)",
+    chatter.add_argument(
+        "-q", "--quiet", action="store_true",
+        help="suppress warnings on stderr (errors only)",
     )
-    parser.add_argument(
-        "--pin",
-        metavar="NAME:CORE[,CORE...]",
-        nargs="+",
-        default=None,
-        help="per-app core pinnings for 'scenario run', e.g. "
-        "--pin G-CC:0,1 Stream:0,1 (pinned cores are reserved; unpinned "
-        "apps schedule onto the remaining ones)",
+
+    csv = _flags()
+    csv.add_argument("--csv", action="store_true", help="CSV output")
+    as_json = _flags()
+    as_json.add_argument("--json", action="store_true", help="machine-readable JSON output")
+    out = _flags()
+    out.add_argument("--out", metavar="PATH", help="write to PATH instead of stdout")
+    manifest = _flags()
+    manifest.add_argument(
+        "--manifest", metavar="PATH",
+        help="manifest output path (default: <store>/manifest.json)",
     )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="for 'store gc': report what would be pruned without deleting",
+    overrides = _flags()
+    overrides.add_argument(
+        "--llc-policy", choices=LLC_POLICIES,
+        help="LLC sharing policy override (default: the engine's 'pressure' model)",
     )
-    parser.add_argument(
-        "--shard",
-        metavar="I/N",
-        default=None,
-        help="for 'run-all': run only round-robin shard I of N (1-based) "
-        "of the runner registry; launch all N shards against one --store "
-        "(concurrently is fine) for a sharded campaign",
+    overrides.add_argument(
+        "--smt", action="store_true",
+        help="run on the SMT-enabled spec variant (2 hardware threads per core)",
     )
-    parser.add_argument(
-        "--manifest",
-        metavar="PATH",
-        default=None,
-        help="manifest output path for run-all "
-        "(default: <store>/manifest.json, or ./manifest.json without --store)",
+    traffic = {
+        "metavar": "MODEL",
+        "help": "generate the arrival trace from a traffic-model JSON file "
+        "(curve + mix + rate; schema in docs/trace-format.md)",
+    }
+    hours = {
+        "type": float,
+        "help": "trace hours to generate (overrides a --traffic file's own; default 24)",
+    }
+    arrivals = _flags()
+    stream = arrivals.add_mutually_exclusive_group()
+    stream.add_argument(
+        "--trace", metavar="SPEC",
+        help="arrival trace: seed:S:N[:T[:D]] (synthetic), diurnal:S[:H[:T]] "
+        "(an open-loop diurnal day) or a trace JSON file (docs/trace-format.md)",
     )
-    parser.add_argument(
-        "--trace",
-        metavar="SPEC",
-        default=None,
-        help="for 'sched replay' / 'serve drain' / 'traffic show|stats': "
-        "arrival trace — seed:S:N[:T[:D]] (synthetic), diurnal:S[:H[:T]] "
-        "(an open-loop diurnal day) or a trace JSON file path "
-        "(default: a 10-arrival trace seeded from --seed); grammar in "
-        "docs/trace-format.md",
+    stream.add_argument("--traffic", **traffic)
+    arrivals.add_argument("--hours", **hours)
+    model = _flags()
+    model.add_argument("--traffic", **traffic)
+    model.add_argument("--hours", **hours)
+    day = _flags()
+    day.add_argument(
+        "--scale", type=float,
+        help="time scale factor: trace minutes per simulated minute (default 60)",
     )
-    parser.add_argument(
-        "--traffic",
-        metavar="MODEL",
-        default=None,
-        help="for 'traffic', 'traffic-replay', 'sched replay' and 'serve "
-        "drain': generate the arrival trace from a traffic-model JSON "
-        "file (curve + mix + rate; schema in docs/trace-format.md); "
-        "mutually exclusive with --trace",
+    day.add_argument(
+        "--rate", type=float, help="arrivals per trace hour at the diurnal peak (default 6)"
     )
-    parser.add_argument(
-        "--hours",
-        type=float,
-        default=None,
-        help="for 'traffic' / 'traffic-replay': trace hours to generate "
-        "(default 24, one full day)",
+    placement = _flags()
+    placement.add_argument(
+        "--policy", choices=_POLICY_CHOICES, action="append",
+        help="placement policy; replays take several, head to head "
+        "(default: both for replays, else interference)",
     )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="for 'traffic' / 'traffic-replay': time scale factor — trace "
-        "minutes per simulated minute (default 60: a 24h day in 1440 "
-        "simulated seconds)",
+    placement.add_argument("--machines", type=int, help="homogeneous cluster size (default 2)")
+    placement.add_argument(
+        "--slo", type=float,
+        help="per-tenant slowdown SLO (default: the paper's 1.5x victim threshold)",
     )
-    parser.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="for 'traffic' / 'traffic-replay': arrivals per trace hour at "
-        "the diurnal peak (default 6)",
+    replan = _flags()
+    replan.add_argument(
+        "--replan", action="store_true",
+        help="re-plan the vacated machine on every departure (logged as replan events)",
     )
-    parser.add_argument(
-        "--policy",
-        choices=_POLICY_CHOICES,
-        action="append",
-        default=None,
-        help="for 'sched': placement policy; repeat to replay several "
-        "head to head (default: baseline and interference)",
+    cluster = _flags()
+    cluster.add_argument(
+        "--cluster", metavar="PATH",
+        help="cluster state JSON (default: an empty homogeneous cluster of --machines)",
     )
-    parser.add_argument(
-        "--machines",
-        type=int,
-        default=None,
-        help="for 'sched': homogeneous cluster size (default 2)",
+    endpoint = _flags()
+    endpoint.add_argument("--host", help="daemon bind/connect address (default 127.0.0.1)")
+    endpoint.add_argument(
+        "--port", type=int,
+        help="daemon port (default 7453; 0 binds an ephemeral port, announced on stdout)",
     )
-    parser.add_argument(
-        "--slo",
-        type=float,
-        default=None,
-        help="for 'sched': per-tenant slowdown SLO (default: the paper's "
-        "1.5x victim threshold)",
+    replay = _flags(arrivals, placement, replan, as_json)
+    start = _flags(endpoint, placement, cluster)
+    start.add_argument(
+        "--budget-s", type=float,
+        help="per-arrival admission-latency budget in seconds; observability "
+        "only (overruns are flagged, decisions never change)",
     )
-    parser.add_argument(
-        "--cluster",
-        metavar="PATH",
-        default=None,
-        help="for 'sched decide': cluster state JSON (machines + resident "
-        "tenants; default: an empty homogeneous cluster of --machines)",
+    start.add_argument(
+        "--no-replan", action="store_true",
+        help="disable departure-time re-planning (on by default, unlike offline replay)",
     )
-    parser.add_argument(
-        "--replan",
-        action="store_true",
-        help="for 'sched replay': re-plan the vacated machine on every "
-        "departure (re-partitions / SLO-relief migrations land in the "
-        "decision log as replan events)",
+    inspect = _flags(arrivals, day, as_json)
+
+    parser = argparse.ArgumentParser(
+        prog="repro-interference",
+        description="Regenerate figures/tables of the interference characterization paper.",
+        epilog="'VERB [SUB] --help' lists the flags a verb takes.  Trace / traffic "
+        "spec grammar: docs/trace-format.md.  Subsystem map: docs/architecture.md.",
+        parents=[common],
     )
-    parser.add_argument(
-        "--host",
-        default=None,
-        help="for 'serve': daemon bind/connect address (default 127.0.0.1)",
+
+    def verb(verbs, name, func, *groups, help, **defaults):
+        sub = verbs.add_parser(
+            name, parents=[common, *groups], help=help, description=help,
+            argument_default=argparse.SUPPRESS,
+        )
+        sub.set_defaults(func=func, **defaults)
+        return sub
+
+    verbs = parser.add_subparsers(metavar="VERB", required=True)
+    for name in runner_names():
+        title = get_runner(name).title
+        if name == "traffic-replay":
+            verb(verbs, name, _traffic_replay, model, day, placement, replan, as_json, help=title)
+        elif name in _SCENARIO_ARTIFACTS:
+            verb(verbs, name, _scenario_artifact, csv, overrides, help=title, artifact=name)
+        else:
+            verb(verbs, name, _artifact, csv, help=title, artifact=name)
+    verb(verbs, "list", _list, help="list the artifacts, commands and workloads")
+    run_all = verb(
+        verbs, "run-all", _run_all, manifest,
+        help="run every registered artifact and freeze the campaign manifest",
     )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="for 'serve': daemon port (default 7453; 0 binds an "
-        "ephemeral port, announced on stdout)",
+    run_all.add_argument(
+        "--shard", metavar="I/N",
+        help="run only round-robin shard I of N (1-based) of the runner registry; "
+        "launch all N shards against one --store for a sharded campaign",
     )
-    parser.add_argument(
-        "--budget-s",
-        type=float,
-        default=None,
-        help="for 'serve start': per-arrival admission-latency budget in "
-        "seconds — observability only (responses/metrics flag overruns; "
-        "decisions never change)",
+    verb(
+        verbs, "campaign", _campaign, manifest, needs_store="campaign",
+        help="run-all across worker processes sharing one --store",
     )
-    parser.add_argument(
-        "--no-replan",
-        action="store_true",
-        help="for 'serve start': disable departure-time re-planning "
-        "(the daemon re-plans by default, unlike offline replay)",
+
+    subs = verb(
+        verbs, "store", _store_ls, as_json, needs_store="store",
+        help="inspect, prune and compare result stores (default: ls)",
+    ).add_subparsers(metavar="SUB")
+    verb(subs, "ls", _store_ls, as_json, help="list the records in --store")
+    show = verb(subs, "show", _store_show, csv, help="render one stored record")
+    show.add_argument("target", metavar="TARGET", help="artifact name or run id")
+    gc = verb(subs, "gc", _store_gc, help="prune cache shards no live engine config reads")
+    gc.add_argument(
+        "--dry-run", action="store_true", help="report what would be pruned, delete nothing"
     )
-    parser.add_argument(
-        "--solo-s",
-        type=float,
-        default=None,
-        help="for 'serve submit': the arrival's work in solo-execution "
-        "seconds (default 1.0)",
+    diff = verb(
+        subs, "diff", _store_diff, needs_store=None,
+        help="compare two campaign manifests cell by cell (exit 1 when they differ)",
     )
-    parser.add_argument(
-        "--format",
-        choices=("chrome", "csv", "json"),
-        default=None,
-        help="for 'trace export': chrome (Perfetto-loadable trace-event "
-        "JSON, the default), csv (per-span-name summary rows) or json "
-        "(raw spans + merged metrics)",
+    diff.add_argument("manifest_a", metavar="A", help="first manifest.json")
+    diff.add_argument("manifest_b", metavar="B", help="second manifest.json")
+    verb(subs, "stats", _store_stats, as_json, help="per-artifact runs, durations, hit rates")
+
+    subs = verbs.choices["scenario"].add_subparsers(metavar="SUB")
+    run = verb(subs, "run", _scenario_run, csv, overrides, help="run one N-way scenario")
+    run.add_argument(
+        "placements", metavar="APP[:T]", nargs="+",
+        help="co-located workloads, the first one measured, e.g. G-CC:2 fotonik3d:2",
     )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="for 'trace export' / 'traffic gen': write to PATH instead "
-        "of stdout",
+    run.add_argument(
+        "--ways", metavar="NAME:BITMAP", nargs="+",
+        help="per-app CAT LLC way masks, e.g. --ways G-CC:0xF0 Stream:0x0F "
+        "(apps without a mask keep all ways)",
     )
-    parser.add_argument(
-        "--limit",
-        type=int,
-        default=None,
-        help="for 'trace show': print at most N spans (default: all)",
+    run.add_argument(
+        "--pin", metavar="NAME:CORE[,CORE...]", nargs="+",
+        help="per-app core pinnings, e.g. --pin G-CC:0,1 Stream:0,1 (pinned cores "
+        "are reserved; unpinned apps schedule onto the remaining ones)",
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable JSON output for 'sched', 'serve', 'traffic', "
-        "'traffic-replay', 'store ls', 'store stats', 'scenario ls' and "
-        "'trace show/summary'",
+    verb(
+        subs, "ls", _scenario_ls, as_json, needs_store="scenario ls",
+        help="list the N-way scenarios persisted in --store",
     )
+
+    subs = verb(
+        verbs, "sched", _sched_replay, replay,
+        help="placement policies over a simulated cluster (default: replay)",
+    ).add_subparsers(metavar="SUB")
+    verb(
+        subs, "replay", _sched_replay, replay,
+        help="replay an arrival trace under each policy (default: 10 arrivals from --seed)",
+    )
+    decide = verb(
+        subs, "decide", _sched_decide, placement, cluster, as_json,
+        help="one admission what-if (exit 0 admit, 1 reject)",
+    )
+    decide.add_argument("arrival", metavar="APP[:T]", help="the arrival, e.g. G-CC:4")
+
+    subs = verb(
+        verbs, "trace", _trace_summary, as_json, needs_store="trace",
+        help="read the spans recorded with --telemetry (default: summary)",
+    ).add_subparsers(metavar="SUB")
+    show = verb(subs, "show", _trace_show, as_json, help="print the spans")
+    show.add_argument("--limit", type=int, help="print at most N spans (default: all)")
+    export = verb(subs, "export", _trace_export, out, help="export the spans")
+    export.add_argument(
+        "--format", choices=("chrome", "csv", "json"),
+        help="chrome (Perfetto-loadable trace events, the default), csv "
+        "(per-span-name summary rows) or json (raw spans + merged metrics)",
+    )
+    verb(subs, "summary", _trace_summary, as_json, help="where the wall time went, per span")
+
+    subs = verb(
+        verbs, "serve", _serve_start, start,
+        help="the scheduler as an admission daemon, and its client (default: start)",
+    ).add_subparsers(metavar="SUB")
+    verb(subs, "start", _serve_start, start, help="run the daemon until it is stopped")
+    submit = verb(
+        subs, "submit", _serve_submit, endpoint, as_json,
+        help="one live admission (exit 0 admit, 1 reject)",
+    )
+    submit.add_argument("arrival", metavar="APP[:T]", help="the arrival, e.g. G-CC:4")
+    submit.add_argument(
+        "tenant", metavar="ID", nargs="?", default=None,
+        help="tenant id (default: the arrival's label)",
+    )
+    submit.add_argument(
+        "--solo-s", type=float, help="the arrival's work in solo seconds (default 1.0)"
+    )
+    verb(
+        subs, "drain", _serve_drain, endpoint, arrivals, as_json,
+        help="replay a trace open-loop against the daemon (default: 10 arrivals from --seed)",
+    )
+    verb(subs, "stop", _serve_stop, endpoint, help="ask the daemon to shut down")
+    verb(subs, "metrics", _serve_metrics, endpoint, as_json, help="latency and cache counters")
+
+    subs = verb(
+        verbs, "traffic", _traffic_show, inspect,
+        help="generate and inspect open-loop diurnal arrival traces (default: show)",
+    ).add_subparsers(metavar="SUB")
+    verb(subs, "gen", _traffic_gen, inspect, out, help="write the trace as JSON")
+    verb(subs, "show", _traffic_show, inspect, help="print the trace event by event")
+    verb(subs, "stats", _traffic_stats, inspect, help="per-hour arrival shape")
     return parser
 
 
-def _list_text() -> str:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse a command line; flags not given take their defaults."""
+    args = build_parser().parse_args(argv)
+    for dest, default in _DEFAULTS.items():
+        vars(args).setdefault(dest, default)
+    return args
+
+
+def _list(args: argparse.Namespace) -> int:
+    """``repro list``: the artifacts, commands and workloads."""
     lines = ["experiments:"]
     for name in runner_names():
-        runner = get_runner(name)
-        lines.append(f"  {name:<12} {runner.title}")
+        lines.append(f"  {name:<12} {get_runner(name).title}")
     lines.append(
         "commands: run-all [--shard I/N] (campaign + manifest), "
         "campaign (multi-process run-all), store ls/show/gc/diff/stats, "
@@ -409,7 +439,8 @@ def _list_text() -> str:
     )
     lines.append("applications: " + ", ".join(APPLICATIONS))
     lines.append("mini-benchmarks: " + ", ".join(MINI_BENCHMARKS))
-    return "\n".join(lines)
+    print("\n".join(lines))
+    return 0
 
 
 def _resolve_executor_arg(args: argparse.Namespace):
@@ -421,106 +452,105 @@ def _resolve_executor_arg(args: argparse.Namespace):
     return None
 
 
-def _store_command(args: argparse.Namespace, config: ExperimentConfig) -> int:
-    """``repro store ls / show <target> / gc [--dry-run] / diff A B``."""
-    from repro.store import (
-        ResultStore,
-        diff_manifests,
-        live_engine_fingerprints,
-        load_manifest,
-        render_diff,
+def _session(args: argparse.Namespace) -> Session:
+    """The session every simulating verb runs through."""
+    return Session(
+        _build_config(args),
+        executor=_resolve_executor_arg(args),
+        store=args.store,
+        chunksize=args.chunksize,
+        engine_batch=args.engine_batch,
     )
 
-    sub = args.subargs[0] if args.subargs else "ls"
-    if sub == "diff":
-        # diff reads manifest files directly; no --store needed.
-        if len(args.subargs) < 3:
-            print("error: store diff needs two manifest paths", file=sys.stderr)
-            return 2
-        diff = diff_manifests(
-            load_manifest(args.subargs[1]), load_manifest(args.subargs[2])
-        )
-        print(render_diff(diff))
-        return 0 if not (diff["changed"] or diff["only_in_a"] or diff["only_in_b"]) else 1
-    if args.store is None:
-        print("error: 'store' requires --store DIR", file=sys.stderr)
-        return 2
+
+def _artifact(args: argparse.Namespace, **kwargs) -> int:
+    """``repro <artifact>``: run one registered runner and render it."""
+    record = _session(args).run(args.artifact, **kwargs)
+    print(get_runner(args.artifact).render(record.result, csv=args.csv))
+    return 0
+
+
+def _scenario_artifact(args: argparse.Namespace) -> int:
+    """A scenario-shaped artifact, with the engine overrides applied."""
+    return _artifact(args, llc_policy=args.llc_policy, smt=args.smt)
+
+
+def _store_ls(args: argparse.Namespace) -> int:
+    """``repro store ls [--json]``: the store's counts and records."""
     store = ResultStore(args.store)
-    if sub == "ls":
-        counts = store.describe()
-        if args.json:
-            from dataclasses import asdict
+    counts = store.describe()
+    if args.json:
+        from dataclasses import asdict
 
-            print(
-                json.dumps(
-                    {
-                        "store": str(store.root),
-                        "counts": counts,
-                        "records": [asdict(e) for e in store.query()],
-                    },
-                    sort_keys=True,
-                )
-            )
-            return 0
-        print(
-            f"store {store.root}: {counts['solo_entries']} solo, "
-            f"{counts['corun_entries']} co-run, "
-            f"{counts['scenario_entries']} scenario, "
-            f"{counts['records']} record(s), "
-            f"{counts['index_lines']} index line(s)"
-        )
-        for entry in store.query():
-            print(
-                f"  {entry.run_id:<32} {entry.artifact:<12} "
-                f"spec={entry.spec_fingerprint} {entry.path}"
-            )
-        return 0
-    if sub == "show":
-        if len(args.subargs) < 2:
-            print("error: store show needs an artifact name or run id", file=sys.stderr)
-            return 2
-        target = args.subargs[1]
-        record = (
-            store.latest(target) if target in runner_names() else store.load(target)
-        )
-        runner = get_runner(record.artifact)
-        from repro.session import Runner
-
-        if type(runner).decode is not Runner.decode:
-            # The runner rebuilds its result object from the payload, so
-            # the stored record renders exactly like a live run.
-            print(runner.render(record.result, csv=args.csv))
-        else:
-            # Default decode keeps the raw JSON payload: show it as-is.
-            print(json.dumps(record.result, indent=1, default=str))
-        print(json.dumps(record.provenance, indent=1))
-        return 0
-    if sub == "stats":
-        return _store_stats(args, store)
-    if sub == "gc":
-        live = live_engine_fingerprints(config.spec, config.engine_config)
-        summary = store.gc(live, dry_run=args.dry_run)
-        verb = "would prune" if summary["dry_run"] else "pruned"
-        print(
-            f"{verb} {summary['removed_entries']} cache entr(ies) in "
-            f"{len(summary['removed_dirs'])} orphaned shard(s); "
-            f"kept {summary['kept_entries']}"
-        )
-        for shard in summary["removed_dirs"]:
-            print(f"  {shard}")
+        records = [asdict(e) for e in store.query()]
+        payload = {"store": str(store.root), "counts": counts, "records": records}
+        print(json.dumps(payload, sort_keys=True))
         return 0
     print(
-        f"error: unknown store subcommand {sub!r}; use ls, show, gc, diff "
-        "or stats",
-        file=sys.stderr,
+        f"store {store.root}: {counts['solo_entries']} solo, "
+        f"{counts['corun_entries']} co-run, "
+        f"{counts['scenario_entries']} scenario, "
+        f"{counts['records']} record(s), "
+        f"{counts['index_lines']} index line(s)"
     )
-    return 2
+    for entry in store.query():
+        print(
+            f"  {entry.run_id:<32} {entry.artifact:<12} "
+            f"spec={entry.spec_fingerprint} {entry.path}"
+        )
+    return 0
 
 
-def _store_stats(args: argparse.Namespace, store) -> int:
+def _store_show(args: argparse.Namespace) -> int:
+    """``repro store show <artifact-or-run-id>``: render a stored record."""
+    store = ResultStore(args.store)
+    target = args.target
+    record = store.latest(target) if target in runner_names() else store.load(target)
+    runner = get_runner(record.artifact)
+    if type(runner).decode is not Runner.decode:
+        # The runner rebuilds its result object from the payload, so
+        # the stored record renders exactly like a live run.
+        print(runner.render(record.result, csv=args.csv))
+    else:
+        # Default decode keeps the raw JSON payload: show it as-is.
+        print(json.dumps(record.result, indent=1, default=str))
+    print(json.dumps(record.provenance, indent=1))
+    return 0
+
+
+def _store_gc(args: argparse.Namespace) -> int:
+    """``repro store gc [--dry-run]``: prune unreachable cache shards."""
+    from repro.store import live_engine_fingerprints
+
+    store = ResultStore(args.store)
+    config = _build_config(args)
+    live = live_engine_fingerprints(config.spec, config.engine_config)
+    summary = store.gc(live, dry_run=args.dry_run)
+    verb = "would prune" if summary["dry_run"] else "pruned"
+    print(
+        f"{verb} {summary['removed_entries']} cache entr(ies) in "
+        f"{len(summary['removed_dirs'])} orphaned shard(s); "
+        f"kept {summary['kept_entries']}"
+    )
+    for shard in summary["removed_dirs"]:
+        print(f"  {shard}")
+    return 0
+
+
+def _store_diff(args: argparse.Namespace) -> int:
+    """``repro store diff A B``: compare two manifest files cell by cell."""
+    from repro.store import diff_manifests, load_manifest, render_diff
+
+    diff = diff_manifests(load_manifest(args.manifest_a), load_manifest(args.manifest_b))
+    print(render_diff(diff))
+    return 0 if not (diff["changed"] or diff["only_in_a"] or diff["only_in_b"]) else 1
+
+
+def _store_stats(args: argparse.Namespace) -> int:
     """``repro store stats [--json]``: per-artifact run counts, total /
     mean durations and cache-tier hit rates, aggregated from the merged
     index (no record files are opened)."""
+    store = ResultStore(args.store)
     per: dict[str, dict] = {}
     for entry in store.query():
         agg = per.setdefault(
@@ -554,11 +584,7 @@ def _store_stats(args: argparse.Namespace, store) -> int:
             ),
         }
     if args.json:
-        print(
-            json.dumps(
-                {"store": str(store.root), "artifacts": stats}, sort_keys=True
-            )
-        )
+        print(json.dumps({"store": str(store.root), "artifacts": stats}, sort_keys=True))
         return 0
     from repro.core.report import ascii_table
 
@@ -607,173 +633,154 @@ def _by_name(specs, parse, flag: str) -> dict:
     return out
 
 
-def _scenario_command(args: argparse.Namespace, session: Session) -> int:
-    """``repro scenario run <app[:threads]> ...`` / ``repro scenario ls``."""
-    sub = args.subargs[0]
-    if sub == "ls":
-        if session.store is None:
-            print("error: 'scenario ls' requires --store DIR", file=sys.stderr)
-            return 2
-        entries = session.store.scenarios()
-        if args.json:
-            print(
-                json.dumps(
-                    {"store": str(session.store.root), "scenarios": entries},
-                    sort_keys=True,
-                )
-            )
-            return 0
-        print(f"{len(entries)} persisted N-way scenario(s) in {session.store.root}")
-        for e in entries:
-            payload = e["scenario"]
-            apps = "+".join(f"{name}:{threads}" for name, threads in payload["apps"])
-            policy = payload["llc_policy"] or "default"
-            smt = "on" if payload["smt"] else "off"
-            extras = ""
-            if payload.get("llc_ways"):
-                masks = "/".join(
-                    f"{m:#x}" if m is not None else "-"
-                    for m in payload["llc_ways"]
-                )
-                extras += f" ways={masks}"
-            if payload.get("pinning"):
-                pins = "/".join(
-                    ",".join(str(c) for c in p) if p is not None else "-"
-                    for p in payload["pinning"]
-                )
-                extras += f" pin={pins}"
-            print(
-                f"  {apps:<44} llc={policy:<8} smt={smt} "
-                f"engine={e['engine_fingerprint']}{extras}"
-            )
+def _scenario_ls(args: argparse.Namespace) -> int:
+    """``repro scenario ls [--json]``: the persisted N-way scenarios."""
+    store = ResultStore(args.store)
+    entries = store.scenarios()
+    if args.json:
+        print(json.dumps({"store": str(store.root), "scenarios": entries}, sort_keys=True))
         return 0
-    if sub == "run":
-        if len(args.subargs) < 2:
-            print(
-                "error: scenario run needs placements, e.g. "
-                "scenario run G-CC:2 fotonik3d:2 swaptions:2",
-                file=sys.stderr,
+    print(f"{len(entries)} persisted N-way scenario(s) in {store.root}")
+    for e in entries:
+        payload = e["scenario"]
+        apps = "+".join(f"{name}:{threads}" for name, threads in payload["apps"])
+        policy = payload["llc_policy"] or "default"
+        smt = "on" if payload["smt"] else "off"
+        extras = ""
+        if payload.get("llc_ways"):
+            masks = "/".join(
+                f"{m:#x}" if m is not None else "-"
+                for m in payload["llc_ways"]
             )
-            return 2
-        scenario = Scenario.of(
-            *args.subargs[1:],
-            threads=args.threads,
-            llc_policy=args.llc_policy,
-            smt=args.smt,
+            extras += f" ways={masks}"
+        if payload.get("pinning"):
+            pins = "/".join(
+                ",".join(str(c) for c in p) if p is not None else "-"
+                for p in payload["pinning"]
+            )
+            extras += f" pin={pins}"
+        print(
+            f"  {apps:<44} llc={policy:<8} smt={smt} "
+            f"engine={e['engine_fingerprint']}{extras}"
         )
-        if args.ways:
-            scenario = scenario.with_ways(
-                _by_name(args.ways, parse_way_mask, "--ways")
-            )
-        if args.pin:
-            scenario = scenario.with_pinning(
-                _by_name(args.pin, parse_pinning, "--pin")
-            )
-        record = session.run("scenario", scenario=scenario)
-        print(get_runner("scenario").render(record.result, csv=args.csv))
-        return 0
-    print(
-        f"error: unknown scenario subcommand {sub!r}; use run or ls",
-        file=sys.stderr,
+    return 0
+
+
+def _scenario_run(args: argparse.Namespace) -> int:
+    """``repro scenario run <app[:threads]> ... [--ways ...] [--pin ...]``."""
+    session = _session(args)
+    scenario = Scenario.of(
+        *args.placements,
+        threads=args.threads,
+        llc_policy=args.llc_policy,
+        smt=args.smt,
     )
-    return 2
+    if args.ways:
+        scenario = scenario.with_ways(_by_name(args.ways, parse_way_mask, "--ways"))
+    if args.pin:
+        scenario = scenario.with_pinning(_by_name(args.pin, parse_pinning, "--pin"))
+    record = session.run("scenario", scenario=scenario)
+    print(get_runner("scenario").render(record.result, csv=args.csv))
+    return 0
 
 
-def _traffic_trace(args: argparse.Namespace, session: Session):
-    """Resolve the arrival trace shared by the traffic-aware commands:
-    ``--traffic MODEL.json`` (generated; the file's own ``seed`` /
-    ``hours`` keys are honored unless ``--hours`` overrides), ``--trace
-    SPEC`` (incl. the ``diurnal:`` form), or a default diurnal day from
-    the session roster and the ``--seed/--hours/--scale/--rate`` knobs."""
-    from repro.sched.trace import parse_trace
-    from repro.traffic import (
-        DiurnalCurve,
-        TrafficModel,
-        WorkloadMix,
-        generate_from_file,
-    )
-    from repro.traffic.model import DEFAULT_RATE_PER_HOUR
-
+def _arrivals(args: argparse.Namespace, parse, default=lambda: None):
+    """The arrival stream of a replay or traffic verb, resolved the same
+    way for all of them: ``--traffic MODEL`` generates it (``--hours``
+    overriding the file's own), ``--trace SPEC`` goes through ``parse``,
+    and without either flag ``default()`` supplies it."""
     if args.traffic is not None:
+        from repro.traffic import generate_from_file
+
         return generate_from_file(args.traffic, hours=args.hours)
     if args.trace is not None:
-        return parse_trace(args.trace, session.config.workloads)
-    model = TrafficModel(
-        mix=WorkloadMix.uniform(session.config.workloads),
-        curve=DiurnalCurve.business_hours(
-            args.scale if args.scale is not None else 60.0
-        ),
-        rate_per_hour=(
-            args.rate if args.rate is not None else DEFAULT_RATE_PER_HOUR
-        ),
-    )
-    return model.generate(
-        seed=args.seed,
-        hours=args.hours if args.hours is not None else 24.0,
-    )
+        return parse(args.trace)
+    return default()
 
 
-def _traffic_command(args: argparse.Namespace, session: Session) -> int:
-    """``repro traffic gen [--out P] / show / stats`` — generate and
-    inspect open-loop diurnal arrival traces without replaying them."""
+def _traffic_day(args: argparse.Namespace):
+    """The trace a ``traffic`` sub-verb works on: the ``--traffic`` /
+    ``--trace`` stream, or a business-hours day over the roster shaped
+    by ``--seed/--hours/--scale/--rate``."""
+    from repro.sched.trace import parse_trace
+    from repro.traffic import DiurnalCurve, TrafficModel, WorkloadMix
+    from repro.traffic.model import DEFAULT_RATE_PER_HOUR
+
+    workloads = _build_config(args).workloads
+
+    def default_day():
+        model = TrafficModel(
+            mix=WorkloadMix.uniform(workloads),
+            curve=DiurnalCurve.business_hours(
+                args.scale if args.scale is not None else 60.0
+            ),
+            rate_per_hour=(
+                args.rate if args.rate is not None else DEFAULT_RATE_PER_HOUR
+            ),
+        )
+        return model.generate(
+            seed=args.seed,
+            hours=args.hours if args.hours is not None else 24.0,
+        )
+
+    return _arrivals(args, lambda spec: parse_trace(spec, workloads), default_day)
+
+
+def _traffic_gen(args: argparse.Namespace) -> int:
+    """``repro traffic gen [--out P]``: the trace as JSON."""
+    trace = _traffic_day(args)
+    if args.out is not None:
+        trace.to_json(args.out)
+        print(
+            f"wrote {len(trace.arrivals)} arrival(s) / "
+            f"{len(trace) - len(trace.arrivals)} departure(s) to "
+            f"{args.out} (trace {trace.fingerprint})"
+        )
+    else:
+        print(json.dumps(trace.payload(), indent=None if args.json else 1))
+    return 0
+
+
+def _traffic_show(args: argparse.Namespace) -> int:
+    """``repro traffic show``: the trace event by event."""
     from repro.core.report import ascii_table
+
+    trace = _traffic_day(args)
+    if args.json:
+        print(json.dumps(trace.payload(), sort_keys=True))
+        return 0
+    rows = [
+        [
+            f"{e.time_s:.3f}",
+            e.kind,
+            e.tenant,
+            e.workload or "-",
+            e.threads or "-",
+            f"{e.solo_s:.3f}" if e.kind == "arrival" else "-",
+            e.hint or "-",
+        ]
+        for e in trace
+    ]
+    print(
+        ascii_table(
+            ["time_s", "kind", "tenant", "workload", "threads", "solo_s", "hint"],
+            rows,
+            title=(
+                f"{len(trace.arrivals)} arrival(s), "
+                f"{len(trace) - len(trace.arrivals)} departure(s) "
+                f"(trace {trace.fingerprint})"
+            ),
+        ),
+        end="",
+    )
+    return 0
+
+
+def _traffic_stats(args: argparse.Namespace) -> int:
+    """``repro traffic stats``: the trace's per-hour arrival shape."""
     from repro.traffic import trace_stats
 
-    sub = args.subargs[0] if args.subargs else "show"
-    if len(args.subargs) > 1:
-        print(
-            f"error: unexpected argument(s): {' '.join(args.subargs[1:])}",
-            file=sys.stderr,
-        )
-        return 2
-    if sub not in ("gen", "show", "stats"):
-        print(
-            f"error: unknown traffic subcommand {sub!r}; use gen, show "
-            "or stats",
-            file=sys.stderr,
-        )
-        return 2
-    trace = _traffic_trace(args, session)
-    if sub == "gen":
-        if args.out is not None:
-            trace.to_json(args.out)
-            print(
-                f"wrote {len(trace.arrivals)} arrival(s) / "
-                f"{len(trace) - len(trace.arrivals)} departure(s) to "
-                f"{args.out} (trace {trace.fingerprint})"
-            )
-        else:
-            print(json.dumps(trace.payload(), indent=None if args.json else 1))
-        return 0
-    if sub == "show":
-        if args.json:
-            print(json.dumps(trace.payload(), sort_keys=True))
-            return 0
-        rows = [
-            [
-                f"{e.time_s:.3f}",
-                e.kind,
-                e.tenant,
-                e.workload or "-",
-                e.threads or "-",
-                f"{e.solo_s:.3f}" if e.kind == "arrival" else "-",
-                e.hint or "-",
-            ]
-            for e in trace
-        ]
-        print(
-            ascii_table(
-                ["time_s", "kind", "tenant", "workload", "threads", "solo_s", "hint"],
-                rows,
-                title=(
-                    f"{len(trace.arrivals)} arrival(s), "
-                    f"{len(trace) - len(trace.arrivals)} departure(s) "
-                    f"(trace {trace.fingerprint})"
-                ),
-            ),
-            end="",
-        )
-        return 0
+    trace = _traffic_day(args)
     bucket_s = 3600.0 / (args.scale if args.scale is not None else 60.0)
     stats = trace_stats(trace, bucket_s=bucket_s)
     if args.json:
@@ -783,380 +790,313 @@ def _traffic_command(args: argparse.Namespace, session: Session) -> int:
     return 0
 
 
-def _traffic_replay_command(args: argparse.Namespace, session: Session) -> int:
-    """``repro traffic-replay`` invoked directly: route the traffic
-    knobs into the registered runner (campaigns run its defaults)."""
-    kwargs: dict = {}
-    if args.traffic is not None:
-        kwargs["traffic"] = args.traffic
-    if args.hours is not None:
-        kwargs["hours"] = args.hours
-    if args.scale is not None:
-        kwargs["scale"] = args.scale
-    if args.rate is not None:
-        kwargs["rate"] = args.rate
-    if args.policy:
-        kwargs["policies"] = tuple(args.policy)
-    if args.machines is not None:
-        kwargs["machines"] = args.machines
-    if args.slo is not None:
-        kwargs["slo"] = args.slo
-    if args.replan:
-        kwargs["replan"] = True
-    record = session.run("traffic-replay", **kwargs)
-    runner = get_runner("traffic-replay")
+def _replay(args: argparse.Namespace, artifact: str, key: str, end: str, **knobs) -> int:
+    """Run a replay artifact with the knobs its flags set (the unset ones
+    keep the runner's defaults) and print it, or with ``--json`` its
+    payload under ``key`` plus the cache counters."""
+    session = _session(args)
+    knobs.update(
+        policies=tuple(args.policy) if args.policy else None,
+        machines=args.machines,
+        slo=args.slo,
+        replan=args.replan or None,
+    )
+    record = session.run(artifact, **{k: v for k, v in knobs.items() if v is not None})
+    runner = get_runner(artifact)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "replay": runner.encode(record.result),
-                    "cache": record.provenance["cache"],
-                },
-                sort_keys=True,
-            )
-        )
+        payload = {key: runner.encode(record.result), "cache": record.provenance["cache"]}
+        print(json.dumps(payload, sort_keys=True))
     else:
-        print(runner.render(record.result), end="")
+        print(runner.render(record.result), end=end)
     return 0
 
 
-def _sched_command(args: argparse.Namespace, session: Session) -> int:
-    """``repro sched replay [--trace ... --policy ...]`` /
-    ``repro sched decide <app[:threads]> [--cluster FILE]``."""
-    from repro.sched import Cluster, PlacementEvaluator, Tenant, get_policy
+def _traffic_replay(args: argparse.Namespace) -> int:
+    """``repro traffic-replay`` invoked directly: route the traffic
+    knobs into the registered runner (campaigns run its defaults)."""
+    return _replay(
+        args, "traffic-replay", "replay", "",
+        traffic=args.traffic, hours=args.hours, scale=args.scale, rate=args.rate,
+    )
+
+
+def _cluster(args: argparse.Namespace, spec):
+    """The cluster an admission starts from: the ``--cluster`` state
+    file, or an empty homogeneous cluster of ``--machines``."""
+    from repro.sched import Cluster
+
+    if args.cluster is None:
+        return Cluster.homogeneous(args.machines if args.machines is not None else 2, spec)
+    try:
+        payload = json.loads(Path(args.cluster).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SchedError(f"cannot read cluster {args.cluster}: {exc}") from None
+    return Cluster.from_payload(payload, spec)
+
+
+def _sched_replay(args: argparse.Namespace) -> int:
+    """``repro sched replay [--trace SPEC | --traffic MODEL] [--policy P ...]``."""
+    # The runner parses a --trace spec itself, so its record keeps the
+    # spec as given rather than the parsed trace.
+    trace = _arrivals(args, lambda spec: spec)
+    return _replay(args, "sched-replay", "comparison", "\n", trace=trace)
+
+
+def _sched_decide(args: argparse.Namespace) -> int:
+    """``repro sched decide <app[:threads]> [--cluster FILE]``: one
+    admission what-if; exit 0 admit, 1 reject."""
+    from repro.core.classify import VICTIM_THRESHOLD
+    from repro.sched import PlacementEvaluator, Tenant, get_policy
     from repro.session.scenario import parse_placement
 
-    sub = args.subargs[0] if args.subargs else "replay"
-    machines = args.machines if args.machines is not None else 2
-    if sub == "replay":
-        if len(args.subargs) > 1:
-            print(
-                f"error: unexpected argument(s): {' '.join(args.subargs[1:])}",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs: dict = {}
-        if args.trace is not None:
-            kwargs["trace"] = args.trace
-        elif args.traffic is not None:
-            from repro.traffic import generate_from_file
-
-            kwargs["trace"] = generate_from_file(args.traffic, hours=args.hours)
-        if args.policy:
-            kwargs["policies"] = tuple(args.policy)
-        if args.machines is not None:
-            kwargs["machines"] = machines
-        if args.slo is not None:
-            kwargs["slo"] = args.slo
-        if args.replan:
-            kwargs["replan"] = True
-        record = session.run("sched-replay", **kwargs)
-        runner = get_runner("sched-replay")
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "comparison": runner.encode(record.result),
-                        "cache": record.provenance["cache"],
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(runner.render(record.result))
-        return 0
-    if sub == "decide":
-        from repro.core.classify import VICTIM_THRESHOLD
-
-        if len(args.subargs) < 2:
-            print(
-                "error: sched decide needs an arrival, e.g. sched decide G-CC:4",
-                file=sys.stderr,
-            )
-            return 2
-        placement = parse_placement(args.subargs[1], default_threads=args.threads)
-        if args.cluster is not None:
-            try:
-                payload = json.loads(Path(args.cluster).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"error: cannot read cluster {args.cluster}: {exc}", file=sys.stderr)
-                return 2
-            cluster = Cluster.from_payload(payload, session.spec)
-        else:
-            cluster = Cluster.homogeneous(machines, session.spec)
-        tenant = Tenant(
-            tenant="arrival",
-            workload=placement.workload,
-            threads=placement.threads,
-            solo_s=1.0,
-        )
-        policy = get_policy((args.policy or ["interference"])[0])
-        slo = args.slo if args.slo is not None else VICTIM_THRESHOLD
-        decision, _ = policy.decide(
-            cluster, tenant, PlacementEvaluator(session), slo=slo
-        )
-        if args.json:
-            print(json.dumps(decision.payload(), sort_keys=True))
-        elif decision.admitted:
-            residents = ", ".join(decision.co_tenants) or "(empty machine)"
-            predicted = (
-                "; predicted slowdowns "
-                + ", ".join(f"{s:.3f}x" for s in decision.predicted)
-                if decision.predicted
-                else ""
-            )
-            print(
-                f"admit {placement.label} on {decision.machine} "
-                f"[{decision.variant}] with {residents}"
-                f"{predicted} ({decision.candidates} candidate(s), "
-                f"policy {decision.policy}, SLO {slo:.2f}x)"
-            )
-        else:
-            print(
-                f"reject {placement.label}: {decision.reason} "
-                f"({decision.candidates} candidate(s), policy "
-                f"{decision.policy}, SLO {slo:.2f}x)"
-            )
-        return 0 if decision.admitted else 1
-    print(
-        f"error: unknown sched subcommand {sub!r}; use replay or decide",
-        file=sys.stderr,
+    session = _session(args)
+    placement = parse_placement(args.arrival, default_threads=args.threads)
+    cluster = _cluster(args, session.spec)
+    tenant = Tenant(
+        tenant="arrival", workload=placement.workload, threads=placement.threads, solo_s=1.0
     )
-    return 2
+    policy = get_policy((args.policy or ["interference"])[0])
+    slo = args.slo if args.slo is not None else VICTIM_THRESHOLD
+    decision, _ = policy.decide(
+        cluster, tenant, PlacementEvaluator(session), slo=slo
+    )
+    if args.json:
+        print(json.dumps(decision.payload(), sort_keys=True))
+    elif decision.admitted:
+        residents = ", ".join(decision.co_tenants) or "(empty machine)"
+        predicted = (
+            "; predicted slowdowns "
+            + ", ".join(f"{s:.3f}x" for s in decision.predicted)
+            if decision.predicted
+            else ""
+        )
+        print(
+            f"admit {placement.label} on {decision.machine} "
+            f"[{decision.variant}] with {residents}"
+            f"{predicted} ({decision.candidates} candidate(s), "
+            f"policy {decision.policy}, SLO {slo:.2f}x)"
+        )
+    else:
+        print(
+            f"reject {placement.label}: {decision.reason} "
+            f"({decision.candidates} candidate(s), policy "
+            f"{decision.policy}, SLO {slo:.2f}x)"
+        )
+    return 0 if decision.admitted else 1
 
 
-def _serve_command(args: argparse.Namespace, session: Session) -> int:
-    """``repro serve start`` (the daemon) and its client subcommands:
-    ``submit <app[:threads]> [id]``, ``drain [--trace SPEC]``, ``stop``
-    and ``metrics``."""
+def _serve_start(args: argparse.Namespace) -> int:
+    """``repro serve start``: the daemon, until SIGTERM/SIGINT or
+    ``serve stop``."""
     import asyncio
 
-    from repro.serve import ServeClient, ServeDaemon, drain_trace
+    from repro.serve import ServeDaemon
 
-    sub = args.subargs[0] if args.subargs else "start"
-    host = args.host or "127.0.0.1"
-    port = args.port if args.port is not None else 7453
-    if sub == "start":
-        if len(args.subargs) > 1:
-            print(
-                f"error: unexpected argument(s): {' '.join(args.subargs[1:])}",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.sched import Cluster
-
-        cluster = None
-        machines = args.machines if args.machines is not None else 2
-        if args.cluster is not None:
-            try:
-                payload = json.loads(Path(args.cluster).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                print(
-                    f"error: cannot read cluster {args.cluster}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-            cluster = Cluster.from_payload(payload, session.spec)
-        daemon = ServeDaemon(
-            session,
-            host=host,
-            port=port,
-            cluster=cluster,
-            machines=machines,
-            policy=(args.policy or ["interference"])[0],
-            **({"slo": args.slo} if args.slo is not None else {}),
-            replan=not args.no_replan,
-            budget_s=args.budget_s,
-        )
-
-        def _announce(d: ServeDaemon) -> None:
-            budget = f", budget {d.budget_s * 1e3:.0f}ms" if d.budget_s else ""
-            print(
-                f"serve: listening on {d.host}:{d.port} "
-                f"(policy={d.scheduler.policy.name}, "
-                f"slo={d.scheduler.slo:.2f}x, "
-                f"replan={'on' if d.scheduler.replan else 'off'}, "
-                f"machines={len(list(d.scheduler.cluster))}{budget})",
-                flush=True,
-            )
-
-        asyncio.run(daemon.run(ready=_announce))
-        print("serve: stopped", flush=True)
-        return 0
-    client = ServeClient(host, port)
-    if sub == "submit":
-        from repro.session.scenario import parse_placement
-
-        if len(args.subargs) < 2:
-            print(
-                "error: serve submit needs an arrival, e.g. "
-                "serve submit G-CC:4 [tenant-id]",
-                file=sys.stderr,
-            )
-            return 2
-        placement = parse_placement(args.subargs[1], default_threads=args.threads)
-        tenant = args.subargs[2] if len(args.subargs) > 2 else placement.label
-        response = asyncio.run(
-            client.arrival(
-                tenant=tenant,
-                workload=placement.workload,
-                threads=placement.threads,
-                solo_s=args.solo_s if args.solo_s is not None else 1.0,
-            )
-        )
-        if args.json:
-            print(json.dumps(response, sort_keys=True))
-            return 0 if response["decision"]["admitted"] else 1
-        decision = response["decision"]
-        verb = (
-            f"admit on {decision['machine']} [{decision['variant']}]"
-            if decision["admitted"]
-            else f"reject ({decision['reason']})"
-        )
-        budget = (
-            ""
-            if response.get("within_budget") is None
-            else (" within budget" if response["within_budget"] else " OVER BUDGET")
-        )
-        print(
-            f"{tenant}: {verb} in {response['latency_s'] * 1e3:.2f}ms{budget}"
-        )
-        return 0 if decision["admitted"] else 1
-    if sub == "drain":
-        if len(args.subargs) > 1:
-            print(
-                f"error: unexpected argument(s): {' '.join(args.subargs[1:])}",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.sched import ArrivalTrace, parse_trace
-
-        if args.trace is not None:
-            trace = parse_trace(args.trace, session.config.workloads)
-        elif args.traffic is not None:
-            from repro.traffic import generate_from_file
-
-            trace = generate_from_file(args.traffic, hours=args.hours)
-        else:
-            trace = ArrivalTrace.synthetic(
-                session.config.workloads, seed=session.config.seed
-            )
-
-        async def _drain():
-            await client.wait_ready()
-            return await drain_trace(client, trace)
-
-        result = asyncio.run(_drain())
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "report": result.report.payload(),
-                        "latencies": result.latencies,
-                        "p50_latency_s": result.p50_latency_s,
-                        "p95_latency_s": result.p95_latency_s,
-                        "budget_misses": result.budget_misses,
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(result.render(), end="")
-        return 0
-    if sub == "stop":
-        asyncio.run(client.shutdown())
-        print(f"serve: asked {client.url} to stop")
-        return 0
-    if sub == "metrics":
-        payload = asyncio.run(client.metrics())
-        print(
-            json.dumps(payload, sort_keys=True)
-            if args.json
-            else json.dumps(payload, indent=1, sort_keys=True)
-        )
-        return 0
-    print(
-        f"error: unknown serve subcommand {sub!r}; use start, submit, "
-        "drain, stop or metrics",
-        file=sys.stderr,
+    session = _session(args)
+    daemon = ServeDaemon(
+        session,
+        host=args.host,
+        port=args.port,
+        cluster=_cluster(args, session.spec),
+        policy=(args.policy or ["interference"])[0],
+        **({"slo": args.slo} if args.slo is not None else {}),
+        replan=not args.no_replan,
+        budget_s=args.budget_s,
     )
-    return 2
+
+    def _announce(d: ServeDaemon) -> None:
+        budget = f", budget {d.budget_s * 1e3:.0f}ms" if d.budget_s else ""
+        print(
+            f"serve: listening on {d.host}:{d.port} "
+            f"(policy={d.scheduler.policy.name}, "
+            f"slo={d.scheduler.slo:.2f}x, "
+            f"replan={'on' if d.scheduler.replan else 'off'}, "
+            f"machines={len(list(d.scheduler.cluster))}{budget})",
+            flush=True,
+        )
+
+    asyncio.run(daemon.run(ready=_announce))
+    print("serve: stopped", flush=True)
+    return 0
 
 
-def _trace_command(args: argparse.Namespace) -> int:
-    """``repro trace show [--limit N] / export [--format F] [--out P] /
-    summary`` over ``<store>/telemetry`` (recorded with ``--telemetry``)."""
+def _client(args: argparse.Namespace):
+    from repro.serve import ServeClient
+
+    return ServeClient(args.host, args.port)
+
+
+def _serve_submit(args: argparse.Namespace) -> int:
+    """``repro serve submit <app[:threads]> [id]``: one live admission;
+    exit 0 admit, 1 reject."""
+    import asyncio
+
+    from repro.session.scenario import parse_placement
+
+    placement = parse_placement(args.arrival, default_threads=args.threads)
+    tenant = args.tenant if args.tenant is not None else placement.label
+    response = asyncio.run(
+        _client(args).arrival(
+            tenant=tenant,
+            workload=placement.workload,
+            threads=placement.threads,
+            solo_s=args.solo_s,
+        )
+    )
+    if args.json:
+        print(json.dumps(response, sort_keys=True))
+        return 0 if response["decision"]["admitted"] else 1
+    decision = response["decision"]
+    verb = (
+        f"admit on {decision['machine']} [{decision['variant']}]"
+        if decision["admitted"]
+        else f"reject ({decision['reason']})"
+    )
+    budget = (
+        ""
+        if response.get("within_budget") is None
+        else (" within budget" if response["within_budget"] else " OVER BUDGET")
+    )
+    print(
+        f"{tenant}: {verb} in {response['latency_s'] * 1e3:.2f}ms{budget}"
+    )
+    return 0 if decision["admitted"] else 1
+
+
+def _serve_drain(args: argparse.Namespace) -> int:
+    """``repro serve drain [--trace SPEC | --traffic MODEL]``: replay a
+    trace open-loop against the daemon."""
+    import asyncio
+
+    from repro.sched import ArrivalTrace, parse_trace
+    from repro.serve import drain_trace
+
+    config = _build_config(args)
+    trace = _arrivals(
+        args,
+        lambda spec: parse_trace(spec, config.workloads),
+        lambda: ArrivalTrace.synthetic(config.workloads, seed=config.seed),
+    )
+    client = _client(args)
+
+    async def _drain():
+        await client.wait_ready()
+        return await drain_trace(client, trace)
+
+    result = asyncio.run(_drain())
+    if args.json:
+        payload = {
+            "report": result.report.payload(),
+            "latencies": result.latencies,
+            "p50_latency_s": result.p50_latency_s,
+            "p95_latency_s": result.p95_latency_s,
+            "budget_misses": result.budget_misses,
+        }
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print(result.render(), end="")
+    return 0
+
+
+def _serve_stop(args: argparse.Namespace) -> int:
+    import asyncio
+
+    client = _client(args)
+    asyncio.run(client.shutdown())
+    print(f"serve: asked {client.url} to stop")
+    return 0
+
+
+def _serve_metrics(args: argparse.Namespace) -> int:
+    import asyncio
+
+    payload = asyncio.run(_client(args).metrics())
+    print(
+        json.dumps(payload, sort_keys=True)
+        if args.json
+        else json.dumps(payload, indent=1, sort_keys=True)
+    )
+    return 0
+
+
+def _with_spans(view):
+    """Run a ``trace`` view over the spans recorded in
+    ``<store>/telemetry`` (with ``--telemetry``); exit 1 when there are
+    none."""
+
+    def run(args: argparse.Namespace) -> int:
+        from repro.telemetry.export import read_spans
+
+        root = Path(args.store) / "telemetry"
+        spans = read_spans(root)
+        if not spans:
+            print(
+                f"no telemetry under {root} (record a run with --telemetry)",
+                file=sys.stderr,
+            )
+            return 1
+        return view(args, root, spans)
+
+    return run
+
+
+@_with_spans
+def _trace_show(args: argparse.Namespace, root: Path, spans: list) -> int:
+    """``repro trace show [--limit N]``."""
+    shown = spans if args.limit is None else spans[: args.limit]
+    if args.json:
+        for span in shown:
+            print(json.dumps(span, sort_keys=True))
+        return 0
+    base = spans[0]["ts"]
+    for span in shown:
+        tags = " ".join(
+            f"{k}={v}" for k, v in sorted((span.get("tags") or {}).items())
+        )
+        print(
+            f"+{span['ts'] - base:10.6f}s pid={span['pid']:<7} "
+            f"{span['dur_s'] * 1e3:9.3f}ms {span['name']:<22} {tags}"
+        )
+    if len(shown) < len(spans):
+        print(f"... {len(spans) - len(shown)} more span(s); raise --limit")
+    return 0
+
+
+@_with_spans
+def _trace_export(args: argparse.Namespace, root: Path, spans: list) -> int:
+    """``repro trace export [--format F] [--out P]``."""
     from repro.telemetry.export import (
         chrome_trace,
         metrics_snapshot,
-        read_spans,
-        render_summary,
         summarize,
         summary_rows,
     )
 
-    if args.store is None:
-        print("error: 'trace' requires --store DIR", file=sys.stderr)
-        return 2
-    root = Path(args.store) / "telemetry"
-    sub = args.subargs[0] if args.subargs else "summary"
-    if len(args.subargs) > 1:
-        print(
-            f"error: unexpected argument(s): {' '.join(args.subargs[1:])}",
-            file=sys.stderr,
+    fmt = args.format
+    if fmt == "chrome":
+        payload = json.dumps(chrome_trace(spans))
+    elif fmt == "json":
+        payload = json.dumps(
+            {"spans": spans, "metrics": metrics_snapshot(root)},
+            sort_keys=True,
         )
-        return 2
-    if sub not in ("show", "export", "summary"):
-        print(
-            f"error: unknown trace subcommand {sub!r}; use show, export "
-            "or summary",
-            file=sys.stderr,
+    else:
+        payload = "\n".join(
+            ",".join(row) for row in summary_rows(summarize(spans))
         )
-        return 2
-    spans = read_spans(root)
-    if not spans:
-        print(
-            f"no telemetry under {root} (record a run with --telemetry)",
-            file=sys.stderr,
-        )
-        return 1
-    if sub == "show":
-        shown = spans if args.limit is None else spans[: args.limit]
-        if args.json:
-            for span in shown:
-                print(json.dumps(span, sort_keys=True))
-        else:
-            base = spans[0]["ts"]
-            for span in shown:
-                tags = " ".join(
-                    f"{k}={v}" for k, v in sorted((span.get("tags") or {}).items())
-                )
-                print(
-                    f"+{span['ts'] - base:10.6f}s pid={span['pid']:<7} "
-                    f"{span['dur_s'] * 1e3:9.3f}ms {span['name']:<22} {tags}"
-                )
-            if len(shown) < len(spans):
-                print(f"... {len(spans) - len(shown)} more span(s); raise --limit")
-        return 0
-    if sub == "export":
-        fmt = args.format or "chrome"
-        if fmt == "chrome":
-            payload = json.dumps(chrome_trace(spans))
-        elif fmt == "json":
-            payload = json.dumps(
-                {"spans": spans, "metrics": metrics_snapshot(root)},
-                sort_keys=True,
-            )
-        else:
-            payload = "\n".join(
-                ",".join(row) for row in summary_rows(summarize(spans))
-            )
-        if args.out is not None:
-            Path(args.out).write_text(payload + "\n", encoding="utf-8")
-            print(f"wrote {len(spans)} span(s) to {args.out} [{fmt}]")
-        else:
-            print(payload)
-        return 0
+    if args.out is not None:
+        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        print(f"wrote {len(spans)} span(s) to {args.out} [{fmt}]")
+    else:
+        print(payload)
+    return 0
+
+
+@_with_spans
+def _trace_summary(args: argparse.Namespace, root: Path, spans: list) -> int:
+    """``repro trace summary [--json]``."""
+    from repro.telemetry.export import render_summary, summarize
+
     summary = summarize(spans)
     if args.json:
         print(json.dumps(summary, sort_keys=True))
@@ -1165,11 +1105,12 @@ def _trace_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_all(args: argparse.Namespace, session: Session) -> int:
+def _run_all(args: argparse.Namespace) -> int:
     """Execute every registered runner (or one ``--shard I/N`` slice of
     them) and freeze the campaign manifest."""
     from repro.store import parse_shard, shard_names, write_manifest
 
+    session = _session(args)
     names = None
     if args.shard is not None:
         index, count = parse_shard(args.shard)
@@ -1236,14 +1177,12 @@ def _run_all(args: argparse.Namespace, session: Session) -> int:
     return 0
 
 
-def _campaign_command(args: argparse.Namespace, config: ExperimentConfig) -> int:
+def _campaign(args: argparse.Namespace) -> int:
     """``repro campaign``: fork N workers over the runner registry, all
     sharing one store, with claim-file work stealing."""
     from repro.store import run_campaign
 
-    if args.store is None:
-        print("error: 'campaign' requires --store DIR", file=sys.stderr)
-        return 2
+    config = _build_config(args)
     workers = args.workers if args.workers is not None else 2
     inner = args.executor or ("parallel" if args.parallel else None)
     summary = run_campaign(
@@ -1318,215 +1257,41 @@ def _configure_logging(args: argparse.Namespace) -> None:
     )
 
 
+def _refuse(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point."""
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     if args.quiet and args.verbose:
-        print("error: --quiet and --verbose are mutually exclusive", file=sys.stderr)
-        return 2
+        # The parsers refuse -q -v on one side of the verb; this catches
+        # the pair split across it (``repro -q fig5 -v``).
+        return _refuse("--quiet and --verbose are mutually exclusive")
     _configure_logging(args)
-    if args.experiment == "list":
-        print(_list_text())
-        return 0
-    if (
-        args.experiment
-        not in ("store", "scenario", "sched", "trace", "serve", "traffic")
-        and args.subargs
-    ):
-        print(
-            f"error: unexpected argument(s): {' '.join(args.subargs)}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.experiment not in ("sched", "serve", "traffic") and (
-        args.trace is not None
-    ):
-        print(
-            "error: --trace only applies to 'sched', 'serve' and 'traffic' "
-            "(the replay artifacts run their seeded defaults)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.experiment not in ("sched", "serve", "traffic-replay") and (
-        args.policy
-        or args.machines is not None
-        or args.slo is not None
-    ):
-        print(
-            "error: --policy/--machines/--slo only apply to 'sched', "
-            "'serve' and 'traffic-replay'",
-            file=sys.stderr,
-        )
-        return 2
-    if args.cluster is not None and args.experiment not in ("sched", "serve"):
-        print(
-            "error: --cluster only applies to 'sched' and 'serve'",
-            file=sys.stderr,
-        )
-        return 2
-    if args.experiment not in ("sched", "serve", "traffic", "traffic-replay") and (
-        args.traffic is not None
-    ):
-        print(
-            "error: --traffic only applies to 'sched replay', 'serve drain', "
-            "'traffic' and 'traffic-replay'",
-            file=sys.stderr,
-        )
-        return 2
-    if args.trace is not None and args.traffic is not None:
-        print(
-            "error: --trace and --traffic are mutually exclusive "
-            "(one arrival stream per replay)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.experiment not in ("traffic", "traffic-replay") and (
-        args.hours is not None or args.scale is not None or args.rate is not None
-    ):
-        print(
-            "error: --hours/--scale/--rate only apply to 'traffic' and "
-            "'traffic-replay' (a --traffic model file carries its own knobs)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.experiment != "serve" and (
-        args.host is not None
-        or args.port is not None
-        or args.budget_s is not None
-        or args.no_replan
-        or args.solo_s is not None
-    ):
-        print(
-            "error: --host/--port/--budget-s/--no-replan/--solo-s only "
-            "apply to 'serve'",
-            file=sys.stderr,
-        )
-        return 2
-    if args.replan and args.experiment not in ("sched", "traffic-replay"):
-        print(
-            "error: --replan only applies to 'sched replay' and "
-            "'traffic-replay' (the serve daemon re-plans by default; "
-            "disable with --no-replan)",
-            file=sys.stderr,
-        )
-        return 2
-    json_ok = (
-        args.experiment in ("sched", "serve", "traffic", "traffic-replay")
-        or (
-            args.experiment == "store"
-            and (not args.subargs or args.subargs[0] in ("ls", "stats"))
-        )
-        or (args.experiment == "scenario" and args.subargs[:1] == ["ls"])
-        or (
-            args.experiment == "trace"
-            and (not args.subargs or args.subargs[0] in ("show", "summary"))
-        )
-    )
-    if args.json and not json_ok:
-        print(
-            "error: --json only applies to 'sched', 'serve', 'traffic', "
-            "'traffic-replay', 'store ls/stats', 'scenario ls' and "
-            "'trace show/summary' "
-            "(use 'trace export --format json' for raw spans)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.experiment != "trace" and (
-        args.format is not None or args.limit is not None
-    ):
-        print(
-            "error: --format/--limit only apply to 'trace'",
-            file=sys.stderr,
-        )
-        return 2
-    if args.out is not None and not (
-        args.experiment == "trace"
-        or (args.experiment == "traffic" and args.subargs[:1] == ["gen"])
-    ):
-        print(
-            "error: --out only applies to 'trace export' and 'traffic gen'",
-            file=sys.stderr,
-        )
-        return 2
-    if args.telemetry and args.store is None:
-        # The sink lives inside the store so traces travel with the
-        # campaign they describe; refuse a homeless --telemetry.
-        print("error: --telemetry requires --store DIR", file=sys.stderr)
-        return 2
-    if args.experiment not in _SCENARIO_ARTIFACTS and (
-        args.llc_policy is not None or args.smt
-    ):
-        # Refuse rather than silently simulate the default model: only
-        # the scenario-shaped artifacts honour these overrides.
-        print(
-            "error: --llc-policy/--smt only apply to 'scenario', "
-            "'consolidate-n' and 'scenario-set' (wrap other studies in a "
-            "scenario to vary them)",
-            file=sys.stderr,
-        )
-        return 2
-    if (args.ways or args.pin) and not (
-        args.experiment == "scenario" and args.subargs[:1] == ["run"]
-    ):
-        # Way masks / pinnings attach to explicit placements only.
-        print(
-            "error: --ways/--pin only apply to 'scenario run' "
-            "(cat-sweep sweeps its own mask allocations)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.shard is not None and args.experiment != "run-all":
-        print("error: --shard only applies to 'run-all'", file=sys.stderr)
-        return 2
-    if args.shard is not None and args.store is None:
-        # A shard without a shared store would freeze a silently partial
-        # manifest; sharding only makes sense against one --store DIR.
-        print("error: run-all --shard requires --store DIR", file=sys.stderr)
-        return 2
+    if args.store is None:
+        if args.telemetry:
+            # The sink lives inside the store so traces travel with the
+            # campaign they describe; refuse a homeless --telemetry.
+            return _refuse("--telemetry requires --store DIR")
+        if args.shard is not None:
+            # A shard without a shared store would freeze a silently
+            # partial manifest.
+            return _refuse("run-all --shard requires --store DIR")
+        if args.needs_store:
+            return _refuse(f"{args.needs_store!r} requires --store DIR")
     try:
-        if args.experiment == "trace":
-            return _trace_command(args)
         if args.telemetry:
             from repro.telemetry.tracer import enable as _telemetry_enable
 
             _telemetry_enable(Path(args.store) / "telemetry")
         try:
-            config = _build_config(args)
             if args.engine_batch is not None:
                 # Exported so campaign / pool workers building their own
                 # sessions resolve the same batch-vs-scalar choice.
                 os.environ["REPRO_ENGINE_BATCH"] = "1" if args.engine_batch else "0"
-            if args.experiment == "store":
-                return _store_command(args, config)
-            if args.experiment == "campaign":
-                return _campaign_command(args, config)
-            session = Session(
-                config,
-                executor=_resolve_executor_arg(args),
-                store=args.store,
-                chunksize=args.chunksize,
-                engine_batch=args.engine_batch,
-            )
-            if args.experiment == "run-all":
-                return _run_all(args, session)
-            if args.experiment == "scenario" and args.subargs:
-                return _scenario_command(args, session)
-            if args.experiment == "sched":
-                return _sched_command(args, session)
-            if args.experiment == "serve":
-                return _serve_command(args, session)
-            if args.experiment == "traffic":
-                return _traffic_command(args, session)
-            if args.experiment == "traffic-replay":
-                return _traffic_replay_command(args, session)
-            runner = get_runner(args.experiment)
-            kwargs = (
-                {"llc_policy": args.llc_policy, "smt": args.smt}
-                if args.experiment in _SCENARIO_ARTIFACTS
-                else {}
-            )
-            record = session.run(args.experiment, **kwargs)
-            print(runner.render(record.result, csv=args.csv))
+            return args.func(args)
         finally:
             if args.telemetry:
                 from repro.telemetry.tracer import disable as _telemetry_disable
@@ -1544,7 +1309,6 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -105,8 +105,11 @@ def _parse_headers(lines: "list[str]") -> dict[str, str]:
 async def _read_body(
     reader: asyncio.StreamReader, headers: dict[str, str]
 ) -> bytes:
-    length = int(headers.get("content-length", "0") or "0")
-    if length < 0 or length > MAX_BODY:
+    raw = headers.get("content-length", "0") or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        raise ServeError(f"malformed content-length {raw!r}")
+    length = int(raw)
+    if length > MAX_BODY:
         raise ServeError(f"unreasonable content-length {length}")
     if length == 0:
         return b""

@@ -112,18 +112,16 @@ class TestSchedDecideCli:
 
 
 class TestSchedCliGuards:
-    def test_sched_flags_refused_elsewhere(self, capsys):
+    def test_sched_flags_refused_elsewhere(self, usage_error):
         for flags in (["--trace", "seed:0:2"], ["--policy", "baseline"],
                       ["--machines", "2"], ["--slo", "1.4"]):
-            code, _, err = run(capsys, [
-                "fig5", *flags, "--workloads", ROSTER_ARG,
-            ])
-            assert code == 2
-            assert "sched" in err
+            usage_error(["fig5", *flags, "--workloads", ROSTER_ARG], flags[0])
+        # decide prices one arrival: no trace, no replan.
+        usage_error(["sched", "decide", "G-CC:4", "--trace", "seed:0:2"], "--trace")
+        usage_error(["sched", "decide", "G-CC:4", "--replan"], "--replan")
 
-    def test_unknown_subcommand(self, capsys):
-        code, _, err = run(capsys, ["sched", "frobnicate"])
-        assert code == 2
+    def test_unknown_subcommand(self, usage_error):
+        usage_error(["sched", "frobnicate"], "'frobnicate'")
 
     def test_unknown_policy_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):

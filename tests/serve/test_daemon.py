@@ -113,6 +113,22 @@ class TestEndpoints:
 
         with_daemon(test)
 
+    def test_malformed_content_length_is_400_not_a_dropped_connection(self):
+        async def test(daemon, client):
+            reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+            writer.write(
+                b"POST /arrivals HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n{}"
+            )
+            await writer.drain()
+            response = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n"), response
+            assert b"content-length" in response
+            assert await client.healthz() == {"ok": True}
+
+        with_daemon(test)
+
     def test_arrival_departure_and_decision_log(self):
         async def test(daemon, client):
             first = await submit(client, "a")

@@ -78,6 +78,19 @@ class TestReadRequest:
                 b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort"
             )
 
+    def test_malformed_content_length(self):
+        for value in (b"abc", b"-1", b"1.5", b"0x10", b"\xd9\xa3"):
+            with pytest.raises(ServeError, match="content-length"):
+                parse_request(
+                    b"POST / HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n{}"
+                )
+        with pytest.raises(ServeError, match="content-length"):
+            parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n{}")
+
+    def test_oversized_content_length(self):
+        with pytest.raises(ServeError, match="unreasonable"):
+            parse_request(b"POST / HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n")
+
     def test_bad_json_body_raises_on_decode(self):
         req = parse_request(
             b"POST / HTTP/1.1\r\nContent-Length: 4\r\n\r\nnope"

@@ -240,16 +240,14 @@ class TestCatMeasurement:
         ]) == 0
         assert "xalancbmk:1#0+Stream:1#0[smt]" in capsys.readouterr().out
 
-    def test_cli_rejects_ways_outside_scenario_run(self, capsys):
-        from repro.cli import main
-
-        assert main(["fig5", "--ways", "G-CC:0x3", "--workloads", "G-CC"]) == 2
-        assert "--ways/--pin" in capsys.readouterr().err
-        assert main(["cat-sweep", "--pin", "G-CC:0", "--workloads", "G-CC"]) == 2
-        assert "--ways/--pin" in capsys.readouterr().err
-        # Even bare `scenario` (no run subcommand) refuses them.
-        assert main(["scenario", "--ways", "G-CC:0x3", "--workloads", "G-CC"]) == 2
-        capsys.readouterr()
+    def test_cli_rejects_ways_outside_scenario_run(self, usage_error):
+        usage_error(["fig5", "--ways", "G-CC:0x3", "--workloads", "G-CC"], "--ways")
+        usage_error(["cat-sweep", "--pin", "G-CC:0", "--workloads", "G-CC"], "--pin")
+        # Even bare `scenario` (no run subcommand) refuses them; argparse
+        # reads the mask after the unknown flag as a would-be sub-verb.
+        usage_error(["scenario", "--ways", "G-CC:0x3"], "invalid choice: 'G-CC:0x3'")
+        usage_error(["scenario", "--workloads", "G-CC", "--ways=G-CC:0x3"], "--ways")
+        usage_error(["scenario", "ls", "--pin", "G-CC:0", "--store", "st"], "--pin")
 
     def test_cli_bad_mask_spec_is_an_error(self, capsys):
         from repro.cli import main

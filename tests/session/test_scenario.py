@@ -198,13 +198,10 @@ class TestNWayScenarios:
         assert session.stats.scenario_misses == 3  # pressure reused, not 4
         assert ablation[0].result is first.result
 
-    def test_cli_rejects_overrides_on_non_scenario_artifacts(self, capsys):
-        from repro.cli import main
-
-        assert main(["fig5", "--smt", "--workloads", "G-CC,swaptions"]) == 2
-        assert "--llc-policy/--smt" in capsys.readouterr().err
-        assert main(["run-all", "--llc-policy", "static"]) == 2
-        capsys.readouterr()
+    def test_cli_rejects_overrides_on_non_scenario_artifacts(self, usage_error):
+        usage_error(["fig5", "--smt", "--workloads", "G-CC,swaptions"], "--smt")
+        usage_error(["run-all", "--llc-policy", "static"], "--llc-policy")
+        usage_error(["scenario", "ls", "--smt", "--store", "st"], "--smt")
 
     def test_llc_policy_ablation_orders_slowdowns(self):
         session = Session(make_config())

@@ -274,9 +274,9 @@ class TestCampaignCli:
         assert main(["campaign"]) == 2
         assert "--store" in capsys.readouterr().err
 
-    def test_shard_only_applies_to_run_all(self, capsys):
-        assert main(["fig5", "--shard", "1/2", "--workloads", WORKLOADS_ARG]) == 2
-        assert "--shard" in capsys.readouterr().err
+    def test_shard_only_applies_to_run_all(self, usage_error):
+        usage_error(["fig5", "--shard", "1/2", "--workloads", WORKLOADS_ARG], "--shard")
+        usage_error(["campaign", "--shard", "1/2", "--store", "st"], "--shard")
 
     def test_shard_requires_store(self, capsys):
         # Without a shared store a shard would freeze a silently

@@ -376,13 +376,14 @@ class TestStoreCli:
         assert main(["store", "show", "table3", "--store", st]) == 0
         assert "fotonik3d" in capsys.readouterr().out
 
-    def test_stray_positional_rejected(self, capsys):
-        assert main(["table1", "bogus-extra", "--workloads", "swaptions"]) == 2
-        assert "unexpected argument" in capsys.readouterr().err
+    def test_stray_positional_rejected(self, usage_error):
+        usage_error(["table1", "bogus-extra", "--workloads", "swaptions"], "bogus-extra")
+        usage_error(["store", "ls", "bogus-extra", "--store", "st"], "bogus-extra")
+        usage_error(["store", "show", "fig5", "fig2", "--store", "st"], "fig2")
+        usage_error(["store", "show", "--store", "st"], "TARGET")
 
-    def test_store_show_unknown_subcommand(self, capsys, tmp_path):
-        assert main(["store", "frobnicate", "--store", str(tmp_path / "st")]) == 2
-        assert "unknown store subcommand" in capsys.readouterr().err
+    def test_store_show_unknown_subcommand(self, usage_error, tmp_path):
+        usage_error(["store", "frobnicate", "--store", str(tmp_path / "st")], "'frobnicate'")
 
     def test_single_artifact_warm_store(self, tmp_path, capsys):
         st = str(tmp_path / "st")

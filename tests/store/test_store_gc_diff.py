@@ -200,6 +200,7 @@ class TestStoreDiff:
             main_path.write_text("{not json")
             load_manifest(main_path)
 
-    def test_cli_diff_requires_two_paths(self, capsys):
-        assert main(["store", "diff", "just-one"]) == 2
-        assert "two manifest paths" in capsys.readouterr().err
+    def test_cli_diff_requires_two_paths(self, usage_error):
+        usage_error(["store", "diff", "just-one"], "required: B")
+        usage_error(["store", "diff"], "required: A, B")
+        usage_error(["store", "diff", "a", "b", "c"], "unrecognized arguments: c")

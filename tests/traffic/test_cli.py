@@ -82,9 +82,8 @@ class TestTrafficShowStats:
         trough = stats["hours"][stats["trough_hour"]]["arrivals"]
         assert trough == 0 or peak / trough >= 3.0
 
-    def test_unknown_subcommand(self, capsys):
-        code, _, err = run(capsys, ["traffic", "frobnicate"])
-        assert code == 2 and "unknown traffic subcommand" in err
+    def test_unknown_subcommand(self, usage_error):
+        usage_error(["traffic", "frobnicate"], "'frobnicate'")
 
 
 class TestTrafficReplayCli:
@@ -127,19 +126,18 @@ class TestTrafficReplayCli:
 
 class TestSchedAndServePlumbing:
     def test_sched_replay_accepts_traffic_file(self, model_file, tmp_path, capsys):
-        code, out, _ = run(capsys, [
-            "sched", "replay", "--store", str(tmp_path / "st"),
-            "--workloads", "G-CC,swaptions", "--traffic", model_file,
-            "--json",
-        ])
-        assert code == 0
-        comparison = json.loads(out)["comparison"]
-        trace = TrafficModel.from_payload(
-            json.loads((open(model_file)).read())
-        ).generate(seed=2, hours=2.0)
-        assert comparison["trace"] == json.loads(
-            json.dumps(trace.payload())
-        )
+        model = TrafficModel.from_payload(json.loads(open(model_file).read()))
+        # The file's own hours (2), then --hours overriding them.
+        for flags, hours in (([], 2.0), (["--hours", "1"], 1.0)):
+            code, out, err = run(capsys, [
+                "sched", "replay", "--store", str(tmp_path / "st"),
+                "--workloads", "G-CC,swaptions", "--traffic", model_file,
+                "--json", *flags,
+            ])
+            assert code == 0, err
+            comparison = json.loads(out)["comparison"]
+            trace = model.generate(seed=2, hours=hours)
+            assert comparison["trace"] == json.loads(json.dumps(trace.payload()))
 
     def test_sched_replay_accepts_diurnal_spec(self, tmp_path, capsys):
         code, out, _ = run(capsys, [
@@ -150,27 +148,30 @@ class TestSchedAndServePlumbing:
 
 
 class TestFlagGuards:
-    def test_traffic_knobs_only_for_traffic(self, capsys):
-        code, _, err = run(capsys, ["fig2", "--hours", "2"])
-        assert code == 2 and "--hours/--scale/--rate" in err
-        code, _, err = run(capsys, ["fig2", "--rate", "5"])
-        assert code == 2 and "--hours/--scale/--rate" in err
+    def test_traffic_knobs_only_for_traffic(self, usage_error):
+        for flag, value in (("--hours", "2"), ("--scale", "30"), ("--rate", "5")):
+            usage_error(["fig2", flag, value], flag)
+        # A replay's --hours only shapes a --traffic day; the default-day
+        # knobs belong to 'traffic' and 'traffic-replay'.
+        usage_error(["sched", "replay", "--rate", "5"], "--rate")
+        usage_error(["serve", "drain", "--scale", "30"], "--scale")
 
-    def test_traffic_file_only_for_traffic_surfaces(self, capsys):
-        code, _, err = run(capsys, ["fig2", "--traffic", "m.json"])
-        assert code == 2 and "--traffic only applies" in err
+    def test_traffic_file_only_for_traffic_surfaces(self, usage_error):
+        usage_error(["fig2", "--traffic", "m.json"], "--traffic")
+        usage_error(["sched", "decide", "G-CC:4", "--traffic", "m.json"], "--traffic")
 
-    def test_trace_and_traffic_are_exclusive(self, capsys):
-        code, _, err = run(capsys, [
-            "traffic", "show", "--trace", "diurnal:0", "--traffic", "m.json",
-        ])
-        assert code == 2 and "mutually exclusive" in err
+    def test_trace_and_traffic_are_exclusive(self, usage_error):
+        for verb in (["traffic", "show"], ["sched", "replay"], ["serve", "drain"]):
+            usage_error(
+                [*verb, "--trace", "diurnal:0", "--traffic", "m.json"],
+                "--traffic", "not allowed with argument --trace",
+            )
+        # traffic-replay generates its own day: a model file, never a trace.
+        usage_error(["traffic-replay", "--trace", "diurnal:0"], "--trace")
 
-    def test_out_rejected_for_traffic_show(self, capsys):
-        code, _, err = run(capsys, [
-            "traffic", "show", "--out", "x.json",
-        ])
-        assert code == 2 and "--out only applies" in err
+    def test_out_rejected_for_traffic_show(self, usage_error):
+        usage_error(["traffic", "show", "--out", "x.json"], "--out")
+        usage_error(["traffic", "stats", "--out", "x.json"], "--out")
 
     def test_replan_allowed_for_traffic_replay(self, tmp_path, capsys):
         code, _, err = run(capsys, [
@@ -180,6 +181,7 @@ class TestFlagGuards:
         ])
         assert code == 0, err
 
-    def test_replan_still_rejected_elsewhere(self, capsys):
-        code, _, err = run(capsys, ["fig2", "--replan"])
-        assert code == 2 and "--replan only applies" in err
+    def test_replan_still_rejected_elsewhere(self, usage_error):
+        usage_error(["fig2", "--replan"], "--replan")
+        # The daemon re-plans by default: it takes --no-replan instead.
+        usage_error(["serve", "start", "--replan"], "--replan")
