@@ -59,7 +59,6 @@ def test_sched_replay_store_as_warm_cache(benchmark, artifacts, tmp_path):
     # the policies score was persisted by the cold pass.
     cache = warm.provenance["cache"]
     assert cache.get("solo_misses", 0) == 0
-    assert cache.get("corun_misses", 0) == 0
     assert cache.get("scenario_misses", 0) == 0
 
     # The tentpole claim: interference-aware placement beats the naive
@@ -72,10 +71,7 @@ def test_sched_replay_store_as_warm_cache(benchmark, artifacts, tmp_path):
     )
 
     cold_cache = cold.provenance["cache"]
-    cells = sum(
-        cold_cache.get(k, 0)
-        for k in ("solo_misses", "corun_misses", "scenario_misses")
-    )
+    cells = cold_cache.get("solo_misses", 0) + cold_cache.get("scenario_misses", 0)
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     artifacts(
         "sched",

@@ -66,8 +66,8 @@ def test_store_cold_vs_warm_store_vs_warm_memory(
     assert warm_store.cells == cold.cells
     assert warm_memory.cells == cold.cells
     # The warm session never simulated: everything came from disk.
-    assert stats.solo_misses == 0 and stats.corun_misses == 0
-    assert stats.corun_disk_hits == 625
+    assert stats.solo_misses == 0 and stats.scenario_misses == 0
+    assert stats.scenario_disk_hits == 625
 
     # A cold process over a warm store must clearly beat re-simulating.
     assert warm_store_s < cold_s / 2, (warm_store_s, cold_s)
@@ -84,7 +84,7 @@ def test_store_cold_vs_warm_store_vs_warm_memory(
                 f"warm memory            : {warm_memory_s * 1e3:8.1f} ms"
                 f"  ({cold_s / warm_memory_s:6.1f}x vs cold)",
                 f"disk hits              : {stats.solo_disk_hits} solo, "
-                f"{stats.corun_disk_hits} co-run",
+                f"{stats.scenario_disk_hits} pair",
             ]
         ),
     )

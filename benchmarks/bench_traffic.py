@@ -72,14 +72,10 @@ def test_traffic_replay_store_as_warm_cache(benchmark, artifacts, tmp_path):
     # the policies scored was persisted by the cold pass.
     cache = warm.provenance["cache"]
     assert cache.get("solo_misses", 0) == 0
-    assert cache.get("corun_misses", 0) == 0
     assert cache.get("scenario_misses", 0) == 0
 
     cold_cache = cold.provenance["cache"]
-    cells = sum(
-        cold_cache.get(k, 0)
-        for k in ("solo_misses", "corun_misses", "scenario_misses")
-    )
+    cells = cold_cache.get("solo_misses", 0) + cold_cache.get("scenario_misses", 0)
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     artifacts(
         "traffic",

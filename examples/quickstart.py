@@ -5,7 +5,7 @@ Reproduces the paper's core workflow on the Session API:
 
 1. pick applications from the Table I roster;
 2. open a :class:`repro.Session` — the shared substrate holding the
-   machine spec, the cross-experiment solo/co-run caches and the
+   machine spec, the cross-experiment solo/scenario caches and the
    seeded jitter model;
 3. characterize the pair solo (runtime, bandwidth, scalability class);
 4. run the consolidation sweep for the pair (``session.run("fig5")``)
@@ -107,7 +107,7 @@ def main() -> None:
     print(f"\n== where does {FOREGROUND} lose its cycles? ==")
     # The fig5 sweep already ran this co-run; the session serves it
     # from the shared cache instead of re-simulating.
-    co = session.co_run(FOREGROUND, BACKGROUND, threads=4)
+    co = session.run_scenario(Scenario.pair(FOREGROUND, BACKGROUND, threads=4)).result
     solo = session.solo(FOREGROUND, threads=4)
     vtune = VtuneProfiler()
     print(vtune.report(co.fg))
@@ -145,8 +145,8 @@ def main() -> None:
         warm = fresh.run("fig5")
         print(
             f"warm run: {fresh.stats.solo_disk_hits} solo + "
-            f"{fresh.stats.corun_disk_hits} co-run disk hits, "
-            f"{fresh.stats.corun_misses} simulations; "
+            f"{fresh.stats.scenario_disk_hits} pair disk hits, "
+            f"{fresh.stats.scenario_misses} simulations; "
             f"cells identical: {warm.result.cells == matrix.cells}"
         )
         print(
@@ -157,8 +157,8 @@ def main() -> None:
     # --- scenarios: N-way co-runs and policy ablations ---
     # The paper stops at pairs; a Scenario places any number of apps
     # (first = measured foreground, the rest loop) with optional LLC
-    # policy / SMT overrides.  2-app scenarios reduce to the legacy
-    # co-run key, so they share the caches above bit-identically.
+    # policy / SMT overrides.  The fig5 pairs above are 2-app
+    # scenarios, so every shape shares one cache bit-identically.
     print("\n== scenarios: a 3-way co-run no pair API can express ==")
     session3 = Session(
         ExperimentConfig(workloads=(FOREGROUND, BACKGROUND, "swaptions"), jitter=0.0)
@@ -179,7 +179,7 @@ def main() -> None:
         )
     print(
         "(static = private-LLC idealization, so the victim recovers; "
-        "scenario results persist in the store's scenario/ tier)"
+        "scenario results persist in the store's scenario/ section)"
     )
 
     # --- CAT way masks: partition the LLC instead of sharing it ---
@@ -236,8 +236,7 @@ def main() -> None:
         warm = Session(sched_config, store=ResultStore(store_dir))
         warm.run("sched-replay")
         print(
-            f"  warm replay: {warm.stats.scenario_misses} scenario + "
-            f"{warm.stats.corun_misses} co-run simulations "
+            f"  warm replay: {warm.stats.scenario_misses} scenario simulations "
             "(the store answered everything)"
         )
 
@@ -337,8 +336,7 @@ def main() -> None:
         warm = Session(traffic_config, store=ResultStore(store_dir))
         warm.run("traffic-replay", **knobs)
         print(
-            f"  warm replay: {warm.stats.scenario_misses} scenario + "
-            f"{warm.stats.corun_misses} co-run simulations "
+            f"  warm replay: {warm.stats.scenario_misses} scenario simulations "
             "(the store answered the whole day)"
         )
 

@@ -19,10 +19,10 @@ Interference" (Xu, Song, Mao — arXiv:2303.15763), built as a library:
   per figure and table;
 * :mod:`repro.session` — the unified experiment substrate: a
   :class:`Session` owns the machine spec, cross-experiment solo and
-  co-run caches, the seeded jitter model, and a pluggable executor
-  that fans independent sweep cells out over a process or thread pool;
+  scenario caches, the seeded jitter model, and a pluggable executor
+  that shards batch solves over a process or thread pool;
 * :mod:`repro.store` — the persistent results database: a
-  fingerprint-keyed on-disk solo/co-run cache (warm stores make cold
+  fingerprint-keyed on-disk solo/scenario cache (warm stores make cold
   processes bit-identical and ~15x faster), streamed ``RunRecord``\\ s
   with an append-only index and query API, and the ``repro run-all``
   campaign manifest.
@@ -37,7 +37,7 @@ Quick start::
     matrix = record.result
     print(matrix.render_fig5())
     print(matrix.classify("G-CC", "fotonik3d").relationship)
-    session.run("table3")                   # solo/co-run caches shared
+    session.run("table3")                   # solo/pair caches shared
     record.to_json()                        # provenance + payload
 
 Scale up with ``Session(config, executor="parallel")`` (bit-identical

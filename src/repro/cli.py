@@ -108,7 +108,7 @@ _SCENARIO_ARTIFACTS = ("scenario", "consolidate-n", "scenario-set")
 _DEFAULTS = {
     "store": None, "workloads": None, "threads": 4, "repetitions": 3,
     "seed": 0, "executor": None, "parallel": False, "workers": None,
-    "chunksize": None, "engine_batch": None, "telemetry": False,
+    "telemetry": False,
     "verbose": 0, "quiet": False, "csv": False, "json": False,
     "llc_policy": None, "smt": False, "ways": None, "pin": None,
     "dry_run": False, "shard": None, "manifest": None, "trace": None,
@@ -155,18 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int,
         help="pool size for --executor parallel/thread (default: CPU count); "
         "for 'campaign': number of worker processes (default 2)",
-    )
-    shared.add_argument(
-        "--chunksize", type=int,
-        help="tasks per worker dispatch for scenario fan-outs "
-        "(default: automatic from task and worker counts)",
-    )
-    shared.add_argument(
-        "--engine-batch", action=argparse.BooleanOptionalAction,
-        help="solve scenario sweeps through the stacked batch engine "
-        "(default on; --no-engine-batch restores the per-cell scalar "
-        "path — results are bit-identical; also settable via "
-        "REPRO_ENGINE_BATCH=0)",
     )
     shared.add_argument(
         "--telemetry", action="store_true",
@@ -458,8 +446,6 @@ def _session(args: argparse.Namespace) -> Session:
         _build_config(args),
         executor=_resolve_executor_arg(args),
         store=args.store,
-        chunksize=args.chunksize,
-        engine_batch=args.engine_batch,
     )
 
 
@@ -1131,17 +1117,8 @@ def _run_all(args: argparse.Namespace) -> int:
     for name, record in records.items():
         prov = record.provenance
         cache = prov["cache"]
-        served = sum(
-            cache.get(k, 0)
-            for k in (
-                "solo_hits", "corun_hits", "scenario_hits",
-                "solo_disk_hits", "corun_disk_hits", "scenario_disk_hits",
-            )
-        )
-        simulated = sum(
-            cache.get(k, 0)
-            for k in ("solo_misses", "corun_misses", "scenario_misses")
-        )
+        served = sum(v for k, v in cache.items() if k.endswith("hits"))
+        simulated = sum(v for k, v in cache.items() if k.endswith("misses"))
         print(
             f"{name:<14} {prov['duration_s'] * 1e3:8.1f} ms   "
             f"cache: {served} served / {simulated} simulated"
@@ -1171,8 +1148,7 @@ def _run_all(args: argparse.Namespace) -> int:
     stats = session.stats
     print(
         f"{len(records)} artifacts -> {manifest_path}   "
-        f"disk hits: {stats.solo_disk_hits} solo / {stats.corun_disk_hits} co-run"
-        f" / {stats.scenario_disk_hits} scenario"
+        f"disk hits: {stats.solo_disk_hits} solo / {stats.scenario_disk_hits} scenario"
     )
     return 0
 
@@ -1191,7 +1167,6 @@ def _campaign(args: argparse.Namespace) -> int:
         workers=workers,
         manifest_path=args.manifest,
         executor=inner,
-        chunksize=args.chunksize,
     )
     for report in summary["workers"]:
         cache = report["cache"]
@@ -1208,11 +1183,7 @@ def _campaign(args: argparse.Namespace) -> int:
             f"from dead worker(s): {', '.join(summary['recovered'])}"
         )
     totals = summary["cache"]
-    disk = (
-        totals.get("solo_disk_hits", 0)
-        + totals.get("corun_disk_hits", 0)
-        + totals.get("scenario_disk_hits", 0)
-    )
+    disk = totals.get("solo_disk_hits", 0) + totals.get("scenario_disk_hits", 0)
     print(
         f"{len(summary['artifacts'])} artifacts -> {summary['manifest_path']}   "
         f"{workers} worker(s), {disk} disk hit(s) across the campaign"
@@ -1287,10 +1258,6 @@ def main(argv: list[str] | None = None) -> int:
 
             _telemetry_enable(Path(args.store) / "telemetry")
         try:
-            if args.engine_batch is not None:
-                # Exported so campaign / pool workers building their own
-                # sessions resolve the same batch-vs-scalar choice.
-                os.environ["REPRO_ENGINE_BATCH"] = "1" if args.engine_batch else "0"
             return args.func(args)
         finally:
             if args.telemetry:

@@ -24,6 +24,7 @@ from repro.errors import ExperimentError
 from repro.machine.energy import EnergySpec, energy_of_window
 from repro.session.base import Runner
 from repro.session.registry import register_runner
+from repro.session.scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -118,16 +119,16 @@ class EfficiencyRunner(Runner):
             ).total_j
 
             # Consolidated: co-run; B's remainder finishes alone after A.
-            co = session.co_run(a, b, threads=threads)
-            overlap = co.fg.runtime_s
+            fg, bg = session.run_scenario(Scenario.pair(a, b, threads=threads)).result.apps
+            overlap = fg.runtime_s
             b_total_instr = solo_b.metrics.total.instructions
-            b_done = min(co.bg.total.instructions, b_total_instr)
+            b_done = min(bg.total.instructions, b_total_instr)
             b_rate_solo = session.solo_rate(b, threads=threads)
             tail = max(0.0, (b_total_instr - b_done) / b_rate_solo)
             co_seconds = overlap + tail
             co_bus_bytes = (
-                co.fg.total.bus_bytes
-                + co.bg.total.bus_bytes * (b_done / max(co.bg.total.instructions, 1.0))
+                fg.total.bus_bytes
+                + bg.total.bus_bytes * (b_done / max(bg.total.instructions, 1.0))
                 + solo_b.metrics.total.bus_bytes * (tail / max(solo_b.runtime_s, 1e-12))
             )
             co_energy = energy_of_window(

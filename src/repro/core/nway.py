@@ -14,8 +14,9 @@ Three runners built on the first-class Scenario API:
 * ``scenario-set`` — a whole :class:`ScenarioSet` sweep persisted as
   **one campaign artifact with per-cell provenance**: every cell
   records the scenario payload, its stable fingerprint, the engine
-  fingerprint shard it caches under and which cache tier holds it
-  (pair cells bridge to ``corun/``, N-way cells to ``scenario/``).
+  fingerprint shard it caches under and which store section holds it
+  (plain pair cells live in ``corun/``, every other cell in
+  ``scenario/``).
   The default sweep re-declares the cells Fig 5 and ``consolidate-n``
   already simulate, so inside a campaign it costs only cache hits —
   the sweep's identity lands in ``manifest.json`` for free.
@@ -193,7 +194,7 @@ class SweepCell:
     engine_fingerprint: str
     #: The scenario's stable cache fingerprint.
     fingerprint: str
-    #: ``"corun"`` (2-app bridge) or ``"scenario"`` (N-way tier).
+    #: Store section: ``"corun"`` (plain pairs) or ``"scenario"``.
     tier: str
     #: Foreground co-run time / foreground solo time.
     fg_slowdown: float

@@ -155,8 +155,8 @@ class BubbleUpPredictor:
         co-run becomes an (uncacheable, in-band-profile) 2-app
         :class:`~repro.session.scenario.Scenario`, the solo baselines
         resolve through the session's shared cache, and the
-        fine-grained cells fan out over the session executor in
-        per-app chunks.  Without a session a private engine + cache is
+        fine-grained cells are solved in one batch fan-out over the
+        session executor.  Without a session a private engine + cache is
         built, as before.
         """
         apps = apps if apps is not None else self.config.workloads
@@ -197,7 +197,7 @@ class BubbleUpPredictor:
         return self
 
     def _fit_scenarios(self, apps: tuple[str, ...], session) -> "BubbleUpPredictor":
-        """Session path: one flat scenario sweep, chunked per app."""
+        """Session path: one flat scenario sweep."""
         threads = self.config.threads
         reporter_seat = AppPlacement(self.reporter.name, threads, profile=self.reporter)
         nz_levels = [lv for lv in self.levels if lv != 0.0]
@@ -211,9 +211,7 @@ class BubbleUpPredictor:
             )
             # Pressure probe: how hard does `app` squeeze the reporter?
             scenarios.append(Scenario((reporter_seat, seat)))
-        results = session.run_scenarios(
-            scenarios, chunksize=max(1, len(nz_levels))
-        )
+        results = session.run_scenarios(scenarios)
 
         def curve(name: str, head: list) -> SensitivityCurve:
             slows, i = [], 0

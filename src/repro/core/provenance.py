@@ -21,6 +21,7 @@ from repro.engine.results import RegionMetrics
 from repro.errors import ExperimentError
 from repro.session.base import Runner
 from repro.session.registry import register_runner
+from repro.session.scenario import Scenario
 from repro.tools.vtune import VtuneProfiler
 from repro.workloads.registry import get_profile
 
@@ -90,7 +91,7 @@ def _profile_cells(
     subjects: tuple[tuple[str, str, tuple[str, ...]], ...],
 ) -> ProvenanceResult:
     """Profile hot regions solo and under each background, through the
-    session's shared solo/co-run caches (Fig 8's offender co-runs are
+    session's shared solo/scenario caches (Fig 8's offender co-runs are
     free once the Fig 5 sweep ran)."""
     threads = session.config.threads
     vtune = VtuneProfiler()
@@ -104,9 +105,9 @@ def _profile_cells(
             solo.metrics.by_region[region]
         )
         for bg in backgrounds:
-            co = session.co_run(app, bg, threads=threads)
+            co = session.run_scenario(Scenario.pair(app, bg, threads=threads))
             result.cells[(app, bg)] = MetricQuad.from_region(
-                co.fg.by_region[region]
+                co.result.fg.by_region[region]
             )
         # Sanity: the profiled region must be the app's hotspot.
         top = vtune.top_hotspot(solo.metrics)

@@ -14,7 +14,6 @@ from repro.machine.cache import AccessOutcome, CacheStats, SetAssociativeCache
 from repro.machine.energy import EnergyBreakdown, EnergySpec, energy_of_run, energy_of_window
 from repro.machine.hierarchy import AccessResult, CoreCacheHierarchy, HierarchyStats
 from repro.machine.machine import Machine
-from repro.machine.multicore import TraceAppStats, TraceCoRunResult, TraceCoRunner
 from repro.machine.memory import (
     MemoryController,
     TransferStats,
@@ -47,9 +46,6 @@ __all__ = [
     "CorePrefetchers",
     "EnergyBreakdown",
     "EnergySpec",
-    "TraceAppStats",
-    "TraceCoRunResult",
-    "TraceCoRunner",
     "energy_of_run",
     "energy_of_window",
     "HierarchyStats",

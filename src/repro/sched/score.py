@@ -51,7 +51,7 @@ class PlacementEvaluator:
     def session_for(self, spec: MachineSpec) -> "Session":
         """The session that scores layouts on ``spec`` — the base one
         when the spec matches, else a sibling sharing executor, store
-        and chunksize (lazily built, one per distinct spec)."""
+        and batch mode (lazily built, one per distinct spec)."""
         fp = fingerprint(spec)
         if fp not in self._sessions:
             from repro.session.session import Session
@@ -60,7 +60,6 @@ class PlacementEvaluator:
                 replace(self.session.config, spec=spec),
                 executor=self.session.executor,
                 store=self.session.store,
-                chunksize=self.session.chunksize,
                 engine_batch=self.session.engine_batch,
             )
         return self._sessions[fp]

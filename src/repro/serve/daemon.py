@@ -80,6 +80,11 @@ _WATCHER_DEPTH = 256
 #: samples age out so daemon memory stays flat over its lifetime.
 _LATENCY_WINDOW = 4096
 
+#: Seconds a client gets to deliver one whole request (head and body).
+#: A client that stalls past it is disconnected without a response, so
+#: it can neither hold a handler forever nor block shutdown.
+READ_DEADLINE_S = 10.0
+
 
 class ServeDaemon:
     """One scheduler, one cluster, one HTTP endpoint; see module docs."""
@@ -288,10 +293,14 @@ class ServeDaemon:
     ) -> None:
         try:
             try:
-                request = await read_request(reader)
+                request = await asyncio.wait_for(
+                    read_request(reader), READ_DEADLINE_S
+                )
             except ServeError as exc:
                 writer.write(json_response(400, {"error": str(exc)}))
                 await writer.drain()
+                return
+            except asyncio.TimeoutError:
                 return
             if request is None:
                 return

@@ -53,6 +53,10 @@ _REASONS = {
 #: a long replay's decision log, is well under 1 MiB).
 MAX_BODY = 16 * 1024 * 1024
 
+#: Hard cap on header lines in one head (the daemon's own client sends
+#: three); a peer that keeps sending headers gets a 400, not a buffer.
+MAX_HEADERS = 100
+
 
 @dataclass
 class Request:
@@ -89,6 +93,8 @@ async def _read_head(reader: asyncio.StreamReader) -> "list[str] | None":
         line = raw.decode("latin-1").rstrip("\r\n")
         if not line:
             return lines
+        if len(lines) > MAX_HEADERS:  # the start line plus MAX_HEADERS
+            raise ServeError(f"more than {MAX_HEADERS} header lines")
         lines.append(line)
 
 

@@ -1,7 +1,7 @@
 """repro.session — the unified experiment substrate.
 
 One :class:`Session` owns the machine spec, the cross-experiment solo
-and co-run caches, the seeded jitter model and a pluggable executor;
+and scenario caches, the seeded jitter model and a pluggable executor;
 each paper artifact is a registered :class:`Runner` returning a
 structured :class:`RunRecord`::
 

@@ -1,25 +1,25 @@
-"""Pluggable execution backends for embarrassingly parallel sweeps.
+"""Pluggable execution backends for the batch engine's shards.
 
-The independent cells of the Fig 5 / Table III / mini-bench sweeps —
-and the predictor's bubble characterizations and the allocation
-sweep's core splits — fan out through ``session.executor.map``.  Three
+:meth:`Session.run_scenarios` partitions its cache-missing cells into
+engine-compatible shards and hands them to ``session.executor.map_batches``;
+each shard is one :func:`repro.engine.solve_batch` call.  Three
 backends:
 
-* :class:`SerialExecutor` — the default; runs tasks in-process.
+* :class:`SerialExecutor` — the default; runs shards in-process.
 * :class:`ParallelExecutor` — a :class:`concurrent.futures.ProcessPoolExecutor`
-  fan-out.  Task functions are module-level (picklable) and rebuild
-  their engine from the task's spec + engine config, so worker results
+  fan-out.  Shard functions are module-level (picklable) and rebuild
+  their engine from the shard's spec + engine config, so worker results
   are bit-identical to the serial backend (the engine is deterministic
   and measurement jitter is keyed per cell, not drawn sequentially).
 * :class:`ThreadExecutor` — a :class:`concurrent.futures.ThreadPoolExecutor`
-  fan-out for hosts where fork/spawn startup dominates the sweep (the
-  ROADMAP's thread-pool follow-on).  The numpy-heavy engine kernels
-  release the GIL often enough for modest thread counts to help, and
-  there is no pickling or process-spawn cost at all.
+  fan-out for hosts where fork/spawn startup dominates the sweep.  The
+  numpy-heavy engine kernels release the GIL often enough for modest
+  thread counts to help, and there is no pickling or process-spawn
+  cost at all.
 
-Executors only ever see pure functions over picklable task tuples; all
+Executors only ever see pure functions over picklable shards; all
 shared state (solo caches, jitter seeds) is resolved by the session
-*before* the fan-out and shipped inside the tasks.  That discipline is
+*before* the fan-out and shipped inside the shards.  That discipline is
 what lets the three backends produce identical bits.
 """
 
@@ -34,30 +34,16 @@ from repro.errors import ExperimentError
 
 #: Fan-outs below this many cells run in-process even on parallel
 #: executors: pool spawn + pickling overhead loses to just computing
-#: tiny sweeps (BENCH_chunksize.json recorded a 0.19x "speedup" before
-#: this fallback existed).
+#: tiny sweeps.
 MIN_PARALLEL_CELLS = 16
 
 
 @runtime_checkable
 class Executor(Protocol):
-    """Minimal mapping interface runners rely on."""
+    """Minimal mapping interface the session relies on."""
 
     name: str
     parallel: bool
-
-    def map(
-        self, fn: Callable[[Any], Any], tasks: Iterable[Any], *, chunksize: int = 1
-    ) -> list[Any]:
-        """Apply ``fn`` to every task, preserving order.
-
-        ``chunksize`` batches tasks per worker dispatch: fine-grained
-        cells (one fig8-style co-run each) amortize pickling and
-        dispatch overhead with chunks > 1; coarse tasks keep 1 for
-        better load balancing.  Backends without per-dispatch overhead
-        ignore it.
-        """
-        ...
 
     def map_batches(
         self, fn: Callable[[Any], Any], batches: Iterable[Any]
@@ -79,11 +65,6 @@ class SerialExecutor:
     name = "serial"
     parallel = False
 
-    def map(
-        self, fn: Callable[[Any], Any], tasks: Iterable[Any], *, chunksize: int = 1
-    ) -> list[Any]:
-        return [fn(t) for t in tasks]
-
     def map_batches(
         self, fn: Callable[[Any], Any], batches: Iterable[Any]
     ) -> list[Any]:
@@ -91,13 +72,11 @@ class SerialExecutor:
 
 
 class ParallelExecutor:
-    """Process-pool fan-out over independent sweep cells.
+    """Process-pool fan-out over batch-engine shards.
 
-    ``max_workers`` defaults to the host's CPU count.  Single-task maps
-    skip the pool entirely.  ``chunksize`` forwards to
-    :meth:`ProcessPoolExecutor.map`, batching that many tasks per IPC
-    round-trip (see ``benchmarks/bench_chunksize.py`` for the
-    measured sweet spots).
+    ``max_workers`` defaults to the host's CPU count.  Fan-outs of one
+    shard, or of fewer than :data:`MIN_PARALLEL_CELLS` cells, skip the
+    pool entirely.
     """
 
     parallel = True
@@ -110,26 +89,6 @@ class ParallelExecutor:
     @property
     def name(self) -> str:
         return f"process-pool[{self.max_workers}]"
-
-    def map(
-        self, fn: Callable[[Any], Any], tasks: Iterable[Any], *, chunksize: int = 1
-    ) -> list[Any]:
-        items: Sequence[Any] = list(tasks)
-        if len(items) < MIN_PARALLEL_CELLS:
-            # Tiny sweeps never amortize process spawn + pickling
-            # (BENCH_chunksize's 0.19x regression); run them inline.
-            return [fn(t) for t in items]
-        try:
-            with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                return list(pool.map(fn, items, chunksize=max(1, chunksize)))
-        except BrokenProcessPool as exc:
-            # A worker was killed (OOM, signal) mid-sweep: surface a
-            # library error instead of the pool's opaque internal one.
-            raise ExperimentError(
-                f"a worker process died during a {len(items)}-task sweep "
-                "(out of memory or killed); retry with fewer --workers or "
-                "--executor thread"
-            ) from exc
 
     def map_batches(
         self, fn: Callable[[Any], Any], batches: Iterable[Any]
@@ -152,9 +111,9 @@ class ParallelExecutor:
 class ThreadExecutor:
     """Thread-pool fan-out: no fork/spawn or pickling overhead.
 
-    Tasks run in the parent process, so this backend also serves hosts
+    Shards run in the parent process, so this backend also serves hosts
     where process pools are unavailable (restricted sandboxes) —
-    results stay bit-identical because task functions are pure and the
+    results stay bit-identical because shard functions are pure and the
     engine is deterministic.
     """
 
@@ -168,18 +127,6 @@ class ThreadExecutor:
     @property
     def name(self) -> str:
         return f"thread-pool[{self.max_workers}]"
-
-    def map(
-        self, fn: Callable[[Any], Any], tasks: Iterable[Any], *, chunksize: int = 1
-    ) -> list[Any]:
-        # Threads share one address space: no pickling or IPC to
-        # amortize, so chunksize is accepted for interface parity but
-        # has no effect (matching ThreadPoolExecutor semantics).
-        items: Sequence[Any] = list(tasks)
-        if len(items) <= 1:
-            return [fn(t) for t in items]
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            return list(pool.map(fn, items))
 
     def map_batches(
         self, fn: Callable[[Any], Any], batches: Iterable[Any]

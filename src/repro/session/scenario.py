@@ -24,23 +24,24 @@ core deliberately share its pipeline, and asymmetric spreads model
 core-allocation policies beyond thread counts).  Both join the
 scenario payload **only when set**, so mask-free, pin-free scenarios
 keep their pre-CAT fingerprints and every warm store keeps serving.
-Masked or pinned *pairs* have no legacy co-run key (the pair key
-cannot encode a bitmap): they cache under their scenario fingerprint
-in the ``scenario/`` tier instead.
+Masked or pinned *pairs* have no pair key (the pair key cannot encode
+a bitmap): they persist under their scenario fingerprint in the
+store's ``scenario/`` section instead.
 
 Identity and caching
 --------------------
 
+A cacheable scenario is its own in-memory cache key (the session keys
+one map by ``(engine fingerprint, canonical Scenario)``).
 ``scenario.fingerprint`` hashes the canonical :meth:`Scenario.payload`
 through the same :func:`~repro.session.base.fingerprint` that keys
-every cache tier.  For the **2-app case** the scenario deliberately
-*reduces to the legacy co-run key*: :meth:`Scenario.corun_key` exposes
-the ``(fg, bg, fg_threads, bg_threads)`` tuple and the session routes
-pair scenarios through its historical co-run cache — which is why a
-warm store written before the scenario redesign still serves 2-app
-scenarios bit-identically, with zero re-simulation.  N >= 3 scenarios
-live in a scenario-fingerprint-keyed cache tier of their own
-(``scenario/`` in the store).
+the store.  On disk a **plain pair** *reduces to its pair key*:
+:meth:`Scenario.corun_key` exposes the ``(fg, bg, fg_threads,
+bg_threads)`` tuple the store's ``corun/`` section is keyed by — which
+is why a warm store written before the scenario redesign still serves
+2-app scenarios bit-identically, with zero re-simulation.  Every other
+shape lives in the store's ``scenario/`` section under its
+fingerprint.
 
 Synthetic applications (the Bubble-Up predictor's tunable balloon) can
 be placed **in-band** via ``AppPlacement(profile=...)``; such
@@ -326,14 +327,14 @@ class Scenario:
         return fingerprint("scenario", self.payload())
 
     def corun_key(self) -> tuple[str, str, int, int] | None:
-        """The legacy pair key ``(fg, bg, fg_threads, bg_threads)`` when
-        this scenario *is* a classic co-run, else ``None``.
+        """The pair key ``(fg, bg, fg_threads, bg_threads)`` when this
+        scenario *is* a classic co-run, else ``None``.
 
-        This is the read-through bridge: 2-app scenarios reduce to the
-        co-run key the pre-redesign caches used, so warm stores stay
+        The store keeps plain pairs in its ``corun/`` section under this
+        key, so warm stores written before the scenario redesign stay
         bit-identical and are never re-simulated.  Way-masked or pinned
-        pairs have *no* pair key — the legacy key cannot encode a CAT
-        bitmap, so they cache under their scenario fingerprint instead.
+        pairs have *no* pair key — it cannot encode a CAT bitmap, so
+        they persist under their scenario fingerprint instead.
         """
         if len(self.placements) != 2 or not self.cacheable or self.partitioned:
             return None
@@ -544,7 +545,7 @@ class ScenarioResult:
 
 
 class _ScenarioTask(NamedTuple):
-    """One scenario shipped to a pool worker (picklable primitives; solo
+    """One scenario of a batch solve (picklable primitives; solo
     references come pre-resolved from the parent session's caches)."""
 
     config: ExperimentConfig
@@ -556,7 +557,7 @@ class _ScenarioTask(NamedTuple):
 def scenario_engine_parts(config: ExperimentConfig, scenario: Scenario):
     """(spec, engine_config) a scenario runs under, given a base config.
 
-    Shared by the session (cache keying) and the pool workers (engine
+    Shared by the session (cache keying) and the batch workers (engine
     rebuild), so both sides resolve overrides identically.
     """
     spec = config.spec.smt_variant() if scenario.smt else config.spec
@@ -564,26 +565,6 @@ def scenario_engine_parts(config: ExperimentConfig, scenario: Scenario):
     if scenario.llc_policy is not None and scenario.llc_policy != cfg.llc_policy:
         cfg = replace(cfg, llc_policy=scenario.llc_policy)
     return spec, cfg
-
-
-def run_scenario_task(task: _ScenarioTask) -> ScenarioRunResult:
-    """Simulate one scenario (runs inside pool workers).
-
-    The engine is rebuilt from the task's spec + engine config with the
-    scenario's overrides applied, so worker results are bit-identical
-    to the serial path's.
-    """
-    scenario = task.scenario
-    spec, cfg = scenario_engine_parts(task.config, scenario)
-    engine = IntervalEngine(spec=spec, config=cfg)
-    return engine.scenario_run(
-        [p.resolve_profile() for p in scenario.placements],
-        [p.threads for p in scenario.placements],
-        fg_solo_runtime_s=task.fg_solo_runtime_s,
-        bg_solo_rates=list(task.bg_solo_rates),
-        llc_ways=scenario_way_masks(scenario),
-        pinnings=scenario_pinnings(scenario),
-    )
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,20 @@ to construct privately:
   ``workload x threads x engine fingerprint`` — Fig 2, Fig 3, Fig 5 and
   Table III all reuse the same 25 solo references instead of
   recomputing them per artifact;
-* a cross-experiment **co-run cache** keyed by
-  ``fg x bg x split x engine fingerprint`` — Table III's five pairs and
-  Fig 8's offender cells are free once the Fig 5 sweep ran;
+* one cross-experiment **scenario cache** keyed by
+  ``engine fingerprint x canonical Scenario`` — every cacheable cell,
+  the paper's pairs included, so Table III's five pairs and Fig 8's
+  offender cells are free once the Fig 5 sweep ran;
 * the seeded :class:`~repro.core.experiment.Jitter` model, keyed
   per-measurement so results do not depend on iteration order (which is
   what makes the parallel executor bit-identical to the serial one);
-* a pluggable :class:`~repro.session.executors.Executor` that fans the
-  independent sweep cells out over a process or thread pool;
+* a pluggable :class:`~repro.session.executors.Executor` that shards
+  the batch engine's solves over a process or thread pool;
 * optionally a persistent :class:`~repro.store.store.ResultStore`
-  (``Session(config, store=...)``): solo/co-run lookups read through
-  the disk tier, fresh simulations write behind to it, and every
-  executed artifact's record streams into the store's index — a cold
-  process over a warm store never re-simulates.
+  (``Session(config, store=...)``): solo and scenario lookups read
+  through the disk tier, fresh simulations write behind to it, and
+  every executed artifact's record streams into the store's index — a
+  cold process over a warm store never re-simulates.
 
 Usage::
 
@@ -30,7 +31,7 @@ Usage::
 
     session = Session(ExperimentConfig())
     fig5 = session.run("fig5")            # 625-pair sweep
-    table3 = session.run("table3")        # solo + pair co-runs all cached
+    table3 = session.run("table3")        # solo + pair cells all cached
     print(fig5.result.render_fig5())
     everything = session.run_all()        # every paper artifact, one pass
 """
@@ -39,14 +40,12 @@ from __future__ import annotations
 
 import inspect
 import logging
-import os
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Iterable
 
 from repro.core.experiment import ExperimentConfig, Jitter
 from repro.engine import (
-    CoRunResult,
     EngineConfig,
     IntervalEngine,
     ScenarioRunResult,
@@ -63,7 +62,6 @@ from repro.session.scenario import (
     _ScenarioBatchTask,
     _ScenarioTask,
     run_scenario_batch_task,
-    run_scenario_task,
     scenario_engine_parts,
     scenario_pinnings,
     scenario_way_masks,
@@ -81,18 +79,9 @@ def _served_tier(delta: dict[str, int]) -> str:
     delta: any simulation makes it ``engine``, else ``disk``, else
     ``memory``.  Uncacheable scenarios move no counters but always
     simulate, so the fall-through default is ``engine`` too."""
-    if any(
-        delta.get(k, 0) > 0
-        for k in ("solo_misses", "corun_misses", "scenario_misses")
-    ):
-        return "engine"
-    if any(
-        delta.get(k, 0) > 0
-        for k in ("solo_disk_hits", "corun_disk_hits", "scenario_disk_hits")
-    ):
-        return "disk"
-    if any(delta.get(k, 0) > 0 for k in ("solo_hits", "corun_hits", "scenario_hits")):
-        return "memory"
+    for tier, counter in (("engine", "misses"), ("disk", "disk_hits"), ("memory", "hits")):
+        if delta.get(f"solo_{counter}", 0) > 0 or delta.get(f"scenario_{counter}", 0) > 0:
+            return tier
     return "engine"
 
 
@@ -103,17 +92,13 @@ class CacheStats:
     ``*_hits`` count in-memory hits, ``*_disk_hits`` count results
     served from an attached :class:`~repro.store.store.ResultStore`
     (read-through), and ``*_misses`` count actual simulations.  The
-    ``corun_*`` counters cover 2-app scenarios too (pair scenarios
-    bridge onto the legacy co-run key space); ``scenario_*`` counters
-    cover N >= 3 apps and SMT/policy shapes with no pair key.
+    ``scenario_*`` counters cover every cacheable scenario, the paper's
+    2-app pairs included.
     """
 
     solo_hits: int = 0
     solo_misses: int = 0
-    corun_hits: int = 0
-    corun_misses: int = 0
     solo_disk_hits: int = 0
-    corun_disk_hits: int = 0
     scenario_hits: int = 0
     scenario_misses: int = 0
     scenario_disk_hits: int = 0
@@ -167,27 +152,20 @@ class Session:
         *,
         executor: Executor | str | None = None,
         store: "Any | None" = None,
-        chunksize: int | None = None,
-        engine_batch: bool | None = None,
+        engine_batch: bool = True,
     ) -> None:
         self.config = config if config is not None else ExperimentConfig()
         self.executor = resolve_executor(executor)
         self.stats = CacheStats()
-        #: Default chunk size for scenario fan-outs; ``None`` picks an
-        #: automatic chunk from the task and worker counts (see
-        #: :meth:`run_scenarios`).
-        self.chunksize = chunksize
-        if engine_batch is None:
-            engine_batch = os.environ.get("REPRO_ENGINE_BATCH", "1") != "0"
-        #: Solve cache-missing scenario fan-outs through the stacked
-        #: batch engine (:func:`repro.engine.solve_batch`) instead of
-        #: one scalar solve per cell.  Defaults on; the
-        #: ``REPRO_ENGINE_BATCH=0`` escape hatch restores the scalar
-        #: path (results are bit-identical either way).
-        self.engine_batch = bool(engine_batch)
+        #: Solve the cache-missing cells of :meth:`run_scenarios` through
+        #: the stacked batch engine (:func:`repro.engine.solve_batch`),
+        #: sharded over the executor.  ``False`` is the scalar
+        #: reference: every cell is solved in process by the scalar
+        #: solver (results are bit-identical either way).
+        self.engine_batch = engine_batch
         #: Every RunRecord produced by this session, in execution order.
         self.records: list[RunRecord] = []
-        #: Optional persistent ResultStore: solo/co-run lookups read
+        #: Optional persistent ResultStore: solo/scenario lookups read
         #: through it, fresh simulations write behind to it, and every
         #: executed artifact's record is streamed into it.
         self.store = _resolve_store(store)
@@ -200,16 +178,15 @@ class Session:
         # dataclasses.replace, never in-place mutation).
         self._engine_fps: dict[tuple[int, int], tuple[str, Any, Any]] = {}
         self._solos: dict[tuple[str, str, int], SoloRunResult] = {}
-        self._coruns: dict[tuple[str, str, str, int, int], CoRunResult] = {}
-        #: N-way scenario cache keyed by (engine_fp, scenario fingerprint);
-        #: 2-app scenarios bridge onto ``_coruns`` instead.
-        self._scenarios: dict[tuple[str, str], ScenarioRunResult] = {}
+        #: Every cacheable scenario's result, pairs included, keyed by
+        #: (engine_fp, canonical scenario); hashing the frozen Scenario
+        #: is far cheaper than its sha256 fingerprint.
+        self._scenarios: dict[tuple[str, Scenario], ScenarioRunResult] = {}
         self._artifacts: dict[tuple[str, str], RunRecord] = {}
-        # Keys promoted from disk by a peek and not yet consumed by
-        # co_run / run_scenario — lets the consuming lookup skip the hit
+        # Keys promoted from disk by a planning peek and not yet consumed
+        # by run_scenario — lets the consuming lookup skip the hit
         # counter, so one disk-served measurement is counted exactly once.
-        self._disk_promoted: set[tuple[str, str, str, int, int]] = set()
-        self._scenario_promoted: set[tuple[str, str]] = set()
+        self._promoted: set[tuple[str, Scenario]] = set()
 
     # -- machine / engine ---------------------------------------------------
 
@@ -315,123 +292,6 @@ class Session:
         res = self.solo(name, threads=threads, engine_config=engine_config, spec=spec)
         return res.metrics.total.instructions / res.runtime_s
 
-    def _corun_key(
-        self,
-        fg: str,
-        bg: str,
-        threads: int | None,
-        bg_threads: int | None,
-        engine_config: EngineConfig | None,
-        spec: MachineSpec | None = None,
-    ) -> tuple[str, str, str, int, int]:
-        fg_t = threads if threads is not None else self.config.threads
-        bg_t = bg_threads if bg_threads is not None else fg_t
-        return (self.engine_fingerprint(engine_config, spec), fg, bg, fg_t, bg_t)
-
-    def cached_co_run(
-        self,
-        fg: str,
-        bg: str,
-        *,
-        threads: int | None = None,
-        bg_threads: int | None = None,
-        engine_config: EngineConfig | None = None,
-        spec: MachineSpec | None = None,
-    ) -> CoRunResult | None:
-        """Peek the co-run caches without simulating.
-
-        Memory peeks record no stats; a disk peek that finds the result
-        promotes it into the in-memory cache and counts one disk hit
-        (the fan-out planners use this, so cells already persisted are
-        never shipped to workers).  The promoted key is remembered so
-        the consuming :meth:`co_run` lookup does not count the same
-        measurement a second time as a memory hit.
-        """
-        key = self._corun_key(fg, bg, threads, bg_threads, engine_config, spec)
-        hit = self._coruns.get(key)
-        if hit is None and self.store is not None:
-            hit = self.store.get_corun(key[0], fg, bg, key[3], key[4])
-            if hit is not None:
-                self.stats.corun_disk_hits += 1
-                self._coruns[key] = hit
-                self._disk_promoted.add(key)
-        return hit
-
-    def store_co_run(
-        self,
-        fg: str,
-        bg: str,
-        result: CoRunResult,
-        *,
-        threads: int | None = None,
-        bg_threads: int | None = None,
-        engine_config: EngineConfig | None = None,
-        spec: MachineSpec | None = None,
-    ) -> None:
-        """Insert an externally computed co-run (e.g. from a pool worker)
-        into the shared cache; counted as a miss, since it was simulated."""
-        self.stats.corun_misses += 1
-        key = self._corun_key(fg, bg, threads, bg_threads, engine_config, spec)
-        self._coruns[key] = result
-        if self.store is not None:
-            self.store.put_corun(key[0], fg, bg, key[3], key[4], result)
-
-    def co_run(
-        self,
-        fg: str,
-        bg: str,
-        *,
-        threads: int | None = None,
-        bg_threads: int | None = None,
-        engine_config: EngineConfig | None = None,
-        spec: MachineSpec | None = None,
-    ) -> CoRunResult:
-        """Consolidation co-run, cached across every artifact.
-
-        Solo references (fg runtime, bg rate) come from the shared solo
-        cache, so the same floats feed every caller — serial loops,
-        parallel workers and later artifacts all see identical results.
-        """
-        fg_t = threads if threads is not None else self.config.threads
-        bg_t = bg_threads if bg_threads is not None else fg_t
-        key = self._corun_key(fg, bg, threads, bg_threads, engine_config, spec)
-        hit = self._coruns.get(key)
-        if hit is not None:
-            if key in self._disk_promoted:
-                self._disk_promoted.discard(key)  # already counted as a disk hit
-            else:
-                self.stats.corun_hits += 1
-            return hit
-        # Disk tier: cached_co_run owns the lookup-and-promote logic.
-        promoted = self.cached_co_run(
-            fg,
-            bg,
-            threads=threads,
-            bg_threads=bg_threads,
-            engine_config=engine_config,
-            spec=spec,
-        )
-        if promoted is not None:
-            self._disk_promoted.discard(key)
-            return promoted
-        self.stats.corun_misses += 1
-        res = self.engine(engine_config, spec).co_run(
-            get_profile(fg),
-            get_profile(bg),
-            threads=fg_t,
-            bg_threads=bg_t,
-            fg_solo_runtime_s=self.solo_runtime(
-                fg, threads=fg_t, engine_config=engine_config, spec=spec
-            ),
-            bg_solo_rate=self.solo_rate(
-                bg, threads=bg_t, engine_config=engine_config, spec=spec
-            ),
-        )
-        self._coruns[key] = res
-        if self.store is not None:
-            self.store.put_corun(key[0], fg, bg, key[3], key[4], res)
-        return res
-
     # -- scenarios ----------------------------------------------------------
 
     def _scenario_parts(
@@ -490,85 +350,68 @@ class Session:
         the persistent identity a cacheable scenario's result lives
         under in any store sharing this session's configuration.
 
-        ``cache_tier`` is ``"corun"`` for 2-app scenarios (they bridge
-        onto the legacy pair key space) and ``"scenario"`` for every
-        other shape.  This is the per-cell provenance the
-        ``scenario-set`` campaign artifact records.
+        ``cache_tier`` names the store section the result lives in:
+        ``"corun"`` for plain 2-app scenarios (see :meth:`_load`) and
+        ``"scenario"`` for every other shape.  This is the per-cell
+        provenance the ``scenario-set`` campaign artifact records.
         """
         engine_fp, _, _, canon = self._scenario_parts(scenario)
         tier = "corun" if scenario.corun_key() is not None else "scenario"
         return engine_fp, canon.fingerprint, tier
 
-    def cached_scenario(self, scenario: Scenario) -> ScenarioRunResult | None:
-        """Peek the scenario caches without simulating.
+    def _load(self, engine_fp: str, canon: Scenario) -> ScenarioRunResult | None:
+        """Read one canonical scenario from the attached store.
 
-        2-app scenarios bridge to the legacy co-run caches
-        (:meth:`cached_co_run`), so a warm store written before the
-        scenario redesign serves them unchanged; N-way scenarios use
-        the scenario-fingerprint-keyed tier.  Disk peeks promote into
-        memory and count one disk hit, exactly like co-runs.
+        Plain pairs live in the store's ``corun/`` section under their
+        pair key (where every store written so far keeps them, so warm
+        stores keep serving); every other shape lives in ``scenario/``.
         """
-        if not scenario.cacheable:
-            return None
-        engine_fp, engine_config, spec, canon = self._scenario_parts(scenario)
-        pair = scenario.corun_key()
-        if pair is not None:
-            fg, bg, fg_t, bg_t = pair
-            hit = self.cached_co_run(
-                fg,
-                bg,
-                threads=fg_t,
-                bg_threads=bg_t,
-                engine_config=engine_config,
-                spec=spec,
-            )
-            return None if hit is None else ScenarioRunResult.from_corun(hit)
-        key = (engine_fp, canon.fingerprint)
+        pair = canon.corun_key()
+        if pair is None:
+            return self.store.get_scenario(engine_fp, canon)
+        co = self.store.get_corun(engine_fp, *pair)
+        return None if co is None else ScenarioRunResult.from_corun(co)
+
+    def _save(self, engine_fp: str, canon: Scenario, result: ScenarioRunResult) -> None:
+        """Write one canonical scenario behind to the store (see :meth:`_load`)."""
+        pair = canon.corun_key()
+        if pair is None:
+            self.store.put_scenario(engine_fp, canon, result)
+        else:
+            self.store.put_corun(engine_fp, *pair, result.to_corun())
+
+    def _peek(self, key: tuple[str, Scenario]) -> ScenarioRunResult | None:
+        """Memory, then disk, without simulating.
+
+        A memory peek records no stats; a disk find is promoted into
+        memory and counts one disk hit (so the fan-out planner never
+        solves a persisted cell again).  The key is remembered so the
+        consuming :meth:`run_scenario` does not count the same
+        measurement a second time as a memory hit.
+        """
         hit = self._scenarios.get(key)
         if hit is None and self.store is not None:
-            hit = self.store.get_scenario(engine_fp, canon)
+            hit = self._load(*key)
             if hit is not None:
                 self.stats.scenario_disk_hits += 1
                 self._scenarios[key] = hit
-                self._scenario_promoted.add(key)
+                self._promoted.add(key)
         return hit
 
-    def store_scenario_result(
-        self, scenario: Scenario, result: ScenarioRunResult
-    ) -> None:
-        """Insert an externally computed scenario result (e.g. from a
-        pool worker) into the shared caches; counted as a miss, since
-        it was simulated.  Uncacheable scenarios are ignored."""
-        if not scenario.cacheable:
-            return
-        engine_fp, engine_config, spec, canon = self._scenario_parts(scenario)
-        pair = scenario.corun_key()
-        if pair is not None:
-            fg, bg, fg_t, bg_t = pair
-            self.store_co_run(
-                fg,
-                bg,
-                result.to_corun(),
-                threads=fg_t,
-                bg_threads=bg_t,
-                engine_config=engine_config,
-                spec=spec,
-            )
-            return
+    def _insert(self, key: tuple[str, Scenario], result: ScenarioRunResult) -> None:
+        """Cache one fresh simulation (a miss) and write it behind."""
         self.stats.scenario_misses += 1
-        key = (engine_fp, canon.fingerprint)
         self._scenarios[key] = result
         if self.store is not None:
-            self.store.put_scenario(engine_fp, canon, result)
+            self._save(*key, result)
 
     def run_scenario(self, scenario: Scenario) -> ScenarioResult:
         """The one measurement primitive: run a declarative scenario.
 
-        2-app scenarios route through :meth:`co_run` (same keys, same
-        caches, bit-identical results — ``co_run`` is effectively the
-        pair special case of this method).  N-way and SMT shapes run
-        through the scenario cache tier; uncacheable scenarios (in-band
-        profiles) simulate directly every time.
+        Cacheable scenarios, 2-app pairs included, go through the
+        scenario cache tier (memory, then store, then simulation);
+        uncacheable scenarios (in-band profiles) simulate directly
+        every time.
 
         With telemetry enabled, each call emits a
         ``session.run_scenario`` span tagged with the cache tier that
@@ -587,40 +430,20 @@ class Session:
 
     def _run_scenario_impl(self, scenario: Scenario) -> ScenarioResult:
         engine_fp, engine_config, spec, canon = self._scenario_parts(scenario)
-        pair = scenario.corun_key()
-        if pair is not None:
-            fg, bg, fg_t, bg_t = pair
-            co = self.co_run(
-                fg,
-                bg,
-                threads=fg_t,
-                bg_threads=bg_t,
-                engine_config=engine_config,
-                spec=spec,
-            )
-            return ScenarioResult(scenario, ScenarioRunResult.from_corun(co))
         if not scenario.cacheable:
             return ScenarioResult(
                 scenario, self._simulate_scenario(scenario, engine_config, spec)
             )
-        key = (engine_fp, canon.fingerprint)
-        hit = self._scenarios.get(key)
-        if hit is not None:
-            if key in self._scenario_promoted:
-                self._scenario_promoted.discard(key)  # counted as a disk hit
-            else:
-                self.stats.scenario_hits += 1
-            return ScenarioResult(scenario, hit)
-        promoted = self.cached_scenario(scenario)
-        if promoted is not None:
-            self._scenario_promoted.discard(key)
-            return ScenarioResult(scenario, promoted)
-        self.stats.scenario_misses += 1
-        res = self._simulate_scenario(scenario, engine_config, spec)
-        self._scenarios[key] = res
-        if self.store is not None:
-            self.store.put_scenario(engine_fp, canon, res)
-        return ScenarioResult(scenario, res)
+        key = (engine_fp, canon)
+        hit = self._peek(key)
+        if hit is None:
+            hit = self._simulate_scenario(scenario, engine_config, spec)
+            self._insert(key, hit)
+        elif key in self._promoted:
+            self._promoted.discard(key)  # already counted as a disk hit
+        else:
+            self.stats.scenario_hits += 1
+        return ScenarioResult(scenario, hit)
 
     def _simulate_scenario(
         self,
@@ -641,72 +464,57 @@ class Session:
             pinnings=scenario_pinnings(scenario),
         )
 
-    def run_scenarios(
-        self,
-        scenarios: "Iterable[Scenario]",
-        *,
-        chunksize: int | None = None,
-    ) -> list[ScenarioResult]:
-        """Run many scenarios; uncached ones fan out over the executor.
+    def run_scenarios(self, scenarios: "Iterable[Scenario]") -> list[ScenarioResult]:
+        """Run many scenarios; cache-missing ones are solved together.
 
-        Cells the caches already hold are never shipped to workers
-        (disk peeks promote them first), duplicate *cacheable*
-        scenarios are simulated once (uncacheable ones have no
-        identity to deduplicate by), and worker results are stored
-        back through the same keys the serial path uses — so the
-        returned list is bit-identical whatever the executor.  ``chunksize`` batches tasks per worker
-        dispatch; ``None`` uses the session default or an automatic
-        chunk sized from the task and worker counts (fine-grained
-        fig8-style cells amortize dispatch overhead with chunks > 1).
+        With :attr:`engine_batch` (the default), cells the caches
+        already hold are never solved again (disk peeks promote them
+        first), duplicate *cacheable* scenarios are solved once
+        (uncacheable ones have no identity to deduplicate by), and the
+        rest go through the batch engine sharded over the executor;
+        results are stored back through the keys :meth:`run_scenario`
+        uses.  Without it every cell goes through :meth:`run_scenario`
+        in process.  The returned list is bit-identical either way,
+        whatever the executor.
         """
         scens = list(scenarios)
         tracer = get_tracer()
         if not tracer.enabled:
-            return self._run_scenarios_impl(scens, chunksize)
+            return self._run_scenarios_impl(scens)
         with tracer.span(
             "session.run_scenarios",
             cells=len(scens),
             executor=self.executor.name,
         ):
-            return self._run_scenarios_impl(scens, chunksize)
+            return self._run_scenarios_impl(scens)
 
-    def _run_scenarios_impl(
-        self, scens: "list[Scenario]", chunksize: int | None
-    ) -> list[ScenarioResult]:
+    def _run_scenarios_impl(self, scens: "list[Scenario]") -> list[ScenarioResult]:
         direct: dict[int, ScenarioRunResult] = {}
-        if (self.engine_batch or self.executor.parallel) and len(scens) > 1:
+        if self.engine_batch and len(scens) > 1:
             tasks: list[_ScenarioTask] = []
             task_idx: list[int] = []
             task_fps: list[str] = []
-            seen: set[tuple[str, str]] = set()
+            task_keys: "list[tuple[str, Scenario] | None]" = []
+            seen: set[tuple[str, Scenario]] = set()
             for i, s in enumerate(scens):
                 engine_fp, engine_config, spec, canon = self._scenario_parts(s)
-                if s.cacheable:
-                    ident = (engine_fp, canon.fingerprint)
-                    if ident in seen or self.cached_scenario(s) is not None:
+                key = (engine_fp, canon) if s.cacheable else None
+                if key is not None:
+                    if key in seen or self._peek(key) is not None:
                         continue
-                    seen.add(ident)
+                    seen.add(key)
                 fg_runtime, rates = self._scenario_solo_refs(s, engine_config, spec)
                 tasks.append(_ScenarioTask(self.config, s, fg_runtime, rates))
                 task_idx.append(i)
                 task_fps.append(engine_fp)
+                task_keys.append(key)
             if tasks:
-                if self.engine_batch:
-                    results = self._solve_tasks_batched(tasks, task_fps)
-                else:
-                    if chunksize is None:
-                        chunksize = self.chunksize
-                    if chunksize is None:
-                        workers = getattr(self.executor, "max_workers", 1)
-                        chunksize = max(1, min(32, len(tasks) // (workers * 4) or 1))
-                    results = self.executor.map(
-                        run_scenario_task, tasks, chunksize=chunksize
-                    )
-                for i, res in zip(task_idx, results):
-                    if scens[i].cacheable:
-                        self.store_scenario_result(scens[i], res)
-                    else:
+                results = self._solve_tasks_batched(tasks, task_fps)
+                for i, key, res in zip(task_idx, task_keys, results):
+                    if key is None:
                         direct[i] = res
+                    else:
+                        self._insert(key, res)
         return [
             ScenarioResult(s, direct[i]) if i in direct else self.run_scenario(s)
             for i, s in enumerate(scens)

@@ -4,8 +4,9 @@ The in-memory caches of :class:`~repro.session.session.Session` (PR 1)
 die with the process; this package is their on-disk continuation plus
 the sweep-campaign results database:
 
-* :class:`ResultStore` — a fingerprint-keyed solo/co-run/scenario
-  cache with atomic writes and a versioned schema.  A session
+* :class:`ResultStore` — a fingerprint-keyed solo/scenario cache
+  (plain pairs in its ``corun/`` section, every other scenario shape
+  in ``scenario/``) with atomic writes and a versioned schema.  A session
   constructed with ``Session(config, store=ResultStore(".repro-store"))``
   (or CLI ``repro --store .repro-store ...``) reads through the store
   and writes behind it, so a *cold process over a warm store* costs
@@ -32,10 +33,10 @@ Store layout (``<root>`` is the directory handed to ``--store``)::
       .lock                        advisory store lock (never deleted)
       solo/<engine_fp>/            one JSON per cached solo run,
         <app>-t<T>-<keyfp>.json      key: engine_fp x workload x threads
-      corun/<engine_fp>/           one JSON per cached co-run,
+      corun/<engine_fp>/           one JSON per cached plain pair,
         <fg>-vs-<bg>-<FT>x<BT>-<keyfp>.json
                                      key: engine_fp x fg x bg x fg_t x bg_t
-      scenario/<engine_fp>/        one JSON per cached N-way scenario,
+      scenario/<engine_fp>/        one JSON per other cached scenario,
         <apps-slug>-<keyfp>.json     key: engine_fp x scenario fingerprint
       results/<artifact>/          streamed RunRecords
         <run_id>.json
@@ -47,7 +48,7 @@ Store layout (``<root>`` is the directory handed to ``--store``)::
       manifest.json                last campaign freeze
 
 Keys reuse :func:`repro.session.session.fingerprint` exactly — the
-same function that keys the in-memory caches — so a result persisted
+same function behind the session's engine fingerprints — so a result persisted
 under one machine spec / engine configuration can never warm a session
 running a different one.
 

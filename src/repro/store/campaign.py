@@ -1,7 +1,7 @@
 """Multi-process campaigns: many workers, one shared ResultStore.
 
 The paper's characterization is a campaign of thousands of
-solo/co-run/consolidation cells; ``repro run-all`` executes it in one
+solo/pair/consolidation cells; ``repro run-all`` executes it in one
 process.  This module shards that campaign across N worker processes
 that share a single store:
 
@@ -14,7 +14,7 @@ that share a single store:
   **work-stealing** — each worker walks the full artifact list and
   claims artifacts one at a time via atomic ``O_EXCL`` claim files, so
   a fast worker simply claims more.  Cells another worker already
-  persisted are disk hits through the shared solo/co-run/scenario
+  persisted are disk hits through the shared solo/scenario
   cache, never re-simulations;
 * after the workers join, the campaign manifest is rebuilt from the
   store's merged index
@@ -193,7 +193,6 @@ class _CampaignTask:
     names: tuple[str, ...]
     claim_dir: str
     executor: str | None
-    chunksize: int | None
 
 
 def _campaign_worker(task: _CampaignTask) -> dict[str, Any]:
@@ -216,12 +215,7 @@ def _campaign_worker(task: _CampaignTask) -> dict[str, Any]:
     tracer = get_tracer()
     with tracer.span("campaign.worker", phase="PREPARING"):
         store = ResultStore(task.store_root)
-        session = Session(
-            task.config,
-            store=store,
-            executor=task.executor,
-            chunksize=task.chunksize,
-        )
+        session = Session(task.config, store=store, executor=task.executor)
     claim_dir = Path(task.claim_dir)
     done: list[str] = []
     with tracer.span("campaign.worker", phase="RUNNING") as wsp:
@@ -256,7 +250,6 @@ def run_campaign(
     include_extensions: bool = True,
     manifest_path: "str | os.PathLike[str] | None" = None,
     executor: str | None = None,
-    chunksize: int | None = None,
 ) -> dict[str, Any]:
     """Execute every registered runner across ``workers`` processes
     sharing one store; freeze the campaign manifest from the merged
@@ -276,7 +269,7 @@ def run_campaign(
     module docstring) and the re-run artifacts are listed under
     ``"recovered"``.
 
-    ``executor``/``chunksize`` configure each worker's *inner* session
+    ``executor`` configures each worker's *inner* session
     fan-out (default serial — the campaign's parallelism is the worker
     processes themselves; an inner ``"thread"`` pool can stack on top,
     but a nested process pool usually just oversubscribes the host).
@@ -296,7 +289,6 @@ def run_campaign(
             names=ordered,
             claim_dir=str(claim_dir),
             executor=executor,
-            chunksize=chunksize,
         )
         for _ in range(workers)
     ]

@@ -9,7 +9,7 @@ into a ``manifest.json``::
       "config": {"seed": 0, "threads": 4, ..., "workloads": [...]},
       "spec_fingerprint": "...", "engine_fingerprint": "...",
       "executor": "serial",
-      "cache": {"solo_hits": ..., "corun_disk_hits": ..., ...},
+      "cache": {"solo_hits": ..., "scenario_disk_hits": ..., ...},
       "artifacts": {
         "fig5": {"run_id": "fig5-<fp>", "path": "results/fig5/...json",
                   "provenance": {...}},

@@ -7,19 +7,19 @@ Layout under one store root (see the package docstring in
       store.json                  # schema version marker
       .lock                       # advisory store lock (repro.store.locking)
       solo/<engine_fp>/<app>-t<T>-<keyfp>.json
-      corun/<engine_fp>/<fg>-vs-<bg>-<FT>x<BT>-<keyfp>.json
-      scenario/<engine_fp>/<apps-slug>-<keyfp>.json   # N-way scenarios
+      corun/<engine_fp>/<fg>-vs-<bg>-<FT>x<BT>-<keyfp>.json   # plain pairs
+      scenario/<engine_fp>/<apps-slug>-<keyfp>.json   # every other scenario
       results/<artifact>/<run_id>.json
       index/<pid>-<token>.jsonl   # per-process index segments
       index.jsonl                 # legacy single-file index (read-only)
       manifest.json               # written by `repro run-all` / `repro campaign`
 
 Cache entries are content-addressed: the filename embeds a
-:func:`repro.session.session.fingerprint` of the exact cache key the
-:class:`~repro.session.session.Session` uses in memory
+:func:`repro.session.session.fingerprint` of the entry's key
 (``engine_fingerprint x workload x threads`` for solos,
-``engine_fingerprint x fg x bg x fg_threads x bg_threads`` for
-co-runs), so a warm store can never serve a result computed under a
+``engine_fingerprint x fg x bg x fg_threads x bg_threads`` for plain
+pairs, ``engine_fingerprint x scenario fingerprint`` for every other
+scenario), so a warm store can never serve a result computed under a
 different machine spec or engine configuration.
 
 Durability rules under many concurrent writer processes:
@@ -378,8 +378,9 @@ class ResultStore:
 
     Three roles in one root directory:
 
-    * a **solo/co-run cache** (:meth:`get_solo` / :meth:`put_solo`,
-      :meth:`get_corun` / :meth:`put_corun`) that a
+    * a **solo/scenario cache** (:meth:`get_solo` / :meth:`put_solo`,
+      :meth:`get_corun` / :meth:`put_corun` for plain pairs,
+      :meth:`get_scenario` / :meth:`put_scenario`) that a
       :class:`~repro.session.session.Session` reads through and writes
       behind, making a cold process with a warm store as fast as a warm
       in-memory session;
@@ -413,7 +414,7 @@ class ResultStore:
                 f"this build reads schema {SCHEMA_VERSION}"
             )
 
-    # -- solo / co-run cache -------------------------------------------------
+    # -- solo / pair / scenario cache -----------------------------------------
 
     def _solo_path(self, engine_fp: str, workload: str, threads: int) -> Path:
         keyfp = fingerprint("solo", engine_fp, workload, threads)
@@ -502,11 +503,11 @@ class ResultStore:
     def get_scenario(
         self, engine_fp: str, scenario: Scenario
     ) -> ScenarioRunResult | None:
-        """Cached N-way scenario result, or ``None``.
+        """Cached scenario result, or ``None``.
 
-        2-app scenarios are *not* stored here — the session bridges
-        them onto the legacy ``corun/`` section (:meth:`get_corun`), so
-        pre-redesign warm stores keep serving them unchanged.
+        Plain pairs are *not* stored here — the session keeps them in
+        the ``corun/`` section (:meth:`get_corun`), so pre-redesign
+        warm stores keep serving them unchanged.
         """
         key = {"engine_fingerprint": engine_fp, "scenario": scenario.payload()}
         payload = self._load_entry(

@@ -175,7 +175,6 @@ class TestCatSweepRunner:
         cold = Session(config, store=ResultStore(tmp_path / "st"))
         cold.run("cat-sweep")
         assert cold.stats.solo_misses == 0
-        assert cold.stats.corun_misses == 0
         assert cold.stats.scenario_misses == 0
 
     def test_explicit_pair_arguments(self):

@@ -1,123 +1,10 @@
-"""Tests for the trace-layer multicore co-runner and the energy model."""
+"""Tests for the energy model."""
 
 import pytest
 
-from repro.engine.results import AppMetrics, RegionMetrics
+from repro.engine.results import AppMetrics
 from repro.errors import MachineConfigError
-from repro.machine import (
-    EnergySpec,
-    Machine,
-    TraceCoRunner,
-    energy_of_run,
-    energy_of_window,
-    small_test_machine,
-)
-from repro.trace import synth
-from repro.workloads.registry import get_workload
-
-
-def fresh_runner(n_cores: int = 4) -> TraceCoRunner:
-    return TraceCoRunner(Machine(small_test_machine(n_cores=n_cores)))
-
-
-class TestTraceCoRunner:
-    def test_single_app_runs_to_completion(self):
-        runner = fresh_runner()
-        res = runner.run({1: ((0,), synth.sequential(2000))})
-        assert res.app(1).accesses == 2000
-        assert res.total_bus_bytes > 0
-
-    def test_max_accesses_truncates(self):
-        runner = fresh_runner()
-        res = runner.run(
-            {1: ((0,), synth.sequential(5000))}, max_accesses_per_app=1000
-        )
-        assert res.app(1).accesses == 1000
-
-    def test_rate_proportional_interleave(self):
-        runner = fresh_runner()
-        res = runner.run(
-            {
-                1: ((0, 1), synth.sequential(4000)),
-                2: ((2,), synth.sequential(4000, start_line=1 << 22)),
-            },
-            max_accesses_per_app=3000,
-        )
-        # Both run, app 1 on two cores: both truncated at the cap.
-        assert res.app(1).accesses == 3000
-        assert res.app(2).accesses == 3000
-
-    def test_stream_neighbour_inflates_victim_llc_misses(self):
-        """The Fig 7c mechanism, observed in the exact cache model."""
-        def victim_trace():
-            return synth.zipf(20000, 3000, alpha=1.1, seed=3)
-
-        alone = fresh_runner(2).run({1: ((0,), victim_trace())})
-        shared = fresh_runner(2).run(
-            {
-                1: ((0,), victim_trace()),
-                2: ((1,), synth.sequential(60000, start_line=1 << 22)),
-            }
-        )
-        assert shared.app(1).llc_miss_ratio > alone.app(1).llc_miss_ratio
-        assert shared.llc_cross_evictions > 0
-
-    def test_bandit_neighbour_is_gentler_than_stream(self):
-        """Bandit's one-set footprint barely evicts the victim."""
-        spec_sets = small_test_machine(n_cores=2).llc.n_sets
-
-        def victim_trace():
-            return synth.zipf(15000, 2000, alpha=1.1, seed=4)
-
-        with_stream = fresh_runner(2).run(
-            {1: ((0,), victim_trace()),
-             2: ((1,), synth.sequential(45000, start_line=1 << 22))}
-        )
-        with_bandit = fresh_runner(2).run(
-            {1: ((0,), victim_trace()),
-             2: ((1,), synth.conflict_chase(45000, n_sets=spec_sets, base_line=1 << 22))}
-        )
-        assert (
-            with_bandit.app(1).llc_miss_ratio
-            < with_stream.app(1).llc_miss_ratio
-        )
-
-    def test_loop_background_protocol(self):
-        runner = fresh_runner(2)
-        res = runner.run(
-            {
-                1: ((0,), synth.sequential(3000)),
-                2: ((1,), synth.sequential(100, start_line=1 << 22)),
-            },
-            loop_background=True,
-            foreground=1,
-        )
-        # Background looped: it issued far more than its trace length.
-        assert res.app(2).accesses > 1000
-        assert res.app(1).accesses == 3000
-
-    def test_real_kernel_traces_compose(self):
-        runner = fresh_runner(2)
-        res = runner.run(
-            {
-                1: ((0,), get_workload("G-PR", scale=0.25).trace(max_accesses=5000)),
-                2: ((1,), get_workload("Stream", n_elems=4096).trace(max_accesses=5000)),
-            }
-        )
-        assert res.app(1).accesses == 5000
-        assert res.app(2).accesses == 5000
-
-    def test_validation(self):
-        runner = fresh_runner()
-        with pytest.raises(MachineConfigError):
-            runner.run({})
-        with pytest.raises(MachineConfigError):
-            runner.run(
-                {1: ((0,), synth.sequential(10))},
-                loop_background=True, foreground=9,
-            )
-        with pytest.raises(MachineConfigError):
-            fresh_runner().run({1: ((0,), synth.sequential(10))}).app(7)
+from repro.machine import EnergySpec, energy_of_run, energy_of_window
 
 
 class TestEnergyModel:

@@ -38,7 +38,6 @@ class TestSchedReplayCli:
         assert set(cold) == {"comparison", "cache"}
         code, out, _ = run(capsys, base)
         warm = json.loads(out)
-        assert warm["cache"].get("corun_misses", 0) == 0
         assert warm["cache"].get("scenario_misses", 0) == 0
         assert warm["comparison"] == cold["comparison"]
 

@@ -15,7 +15,9 @@ import pytest
 
 from repro.core import ExperimentConfig
 from repro.errors import ServeError
+import repro.serve.daemon as daemon_mod
 from repro.serve import ServeClient, ServeDaemon
+from repro.serve.http import MAX_HEADERS
 from repro.session import Session
 from repro.store.locking import HAVE_FILE_LOCKS, store_lock
 
@@ -126,6 +128,127 @@ class TestEndpoints:
             assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n"), response
             assert b"content-length" in response
             assert await client.healthz() == {"ok": True}
+
+        with_daemon(test)
+
+    def test_too_many_header_lines_is_400_and_daemon_keeps_serving(self):
+        async def test(daemon, client):
+            reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+            headers = b"".join(b"X-Pad-%d: v\r\n" % i for i in range(101))
+            writer.write(b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n")
+            await writer.drain()
+            response = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n"), response
+            assert b"header lines" in response
+            assert await client.healthz() == {"ok": True}
+
+        with_daemon(test)
+
+    def test_stalled_request_head_is_closed_at_the_read_deadline(self, monkeypatch):
+        # A client that sends half a head must not hold its handler
+        # forever: it sees EOF once the deadline passes, and shutdown
+        # (which on Python >= 3.12.1 waits for live handlers) returns.
+        monkeypatch.setattr(daemon_mod, "READ_DEADLINE_S", 0.2)
+
+        async def test():
+            daemon = ServeDaemon(make_session(), port=0)
+            await daemon.start()
+            reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+            writer.write(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")  # no blank line
+            await writer.drain()
+            await asyncio.sleep(0.05)  # the handler is parked in read_request
+            await asyncio.wait_for(daemon.shutdown(), 5)
+            assert await asyncio.wait_for(reader.read(), 5) == b""
+            writer.close()
+            await writer.wait_closed()
+
+        asyncio.run(test())
+
+    def test_exactly_max_header_lines_is_served(self):
+        async def test(daemon, client):
+            reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+            headers = b"".join(b"X-Pad-%d: v\r\n" % i for i in range(MAX_HEADERS))
+            writer.write(b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n")
+            await writer.drain()
+            response = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            assert response.startswith(b"HTTP/1.1 200 OK\r\n"), response
+
+        with_daemon(test)
+
+    def test_trickled_request_head_is_closed_at_the_read_deadline(self, monkeypatch):
+        # The deadline bounds the whole request, not each read: a client
+        # that sends a header line more often than the deadline but
+        # never finishes its head is still cut off.
+        monkeypatch.setattr(daemon_mod, "READ_DEADLINE_S", 0.3)
+
+        async def test(daemon, client):
+            reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+            writer.write(b"GET /healthz HTTP/1.1\r\n")
+            start = time.monotonic()
+            for drip in range(40):
+                try:
+                    writer.write(b"X-Drip-%d: v\r\n" % drip)
+                    await writer.drain()
+                    answer = await asyncio.wait_for(reader.read(65536), 0.1)
+                except asyncio.TimeoutError:
+                    continue  # still open: keep dripping
+                except ConnectionError:
+                    answer = b""  # reset while a drip was in flight
+                break
+            else:
+                pytest.fail("a trickling client outlived the read deadline")
+            assert answer == b""  # closed without a response
+            assert time.monotonic() - start < 3.0
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionError:
+                pass
+            assert await client.healthz() == {"ok": True}
+
+        with_daemon(test)
+
+    def test_stalled_request_body_is_closed_at_the_read_deadline(self, monkeypatch):
+        monkeypatch.setattr(daemon_mod, "READ_DEADLINE_S", 0.2)
+
+        async def test(daemon, client):
+            reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+            writer.write(
+                b"POST /arrivals HTTP/1.1\r\nHost: x\r\nContent-Length: 64\r\n\r\n"
+                b'{"tenant": "a"'
+            )
+            await writer.drain()
+            assert await asyncio.wait_for(reader.read(), 5) == b""
+            writer.close()
+            await writer.wait_closed()
+            # Nothing was admitted, and the daemon still serves.
+            assert (await client.decisions())["decisions"] == []
+            assert await client.healthz() == {"ok": True}
+
+        with_daemon(test)
+
+    def test_event_stream_is_not_under_the_read_deadline(self, monkeypatch):
+        monkeypatch.setattr(daemon_mod, "READ_DEADLINE_S", 0.2)
+
+        async def test(daemon, client):
+            events = []
+
+            async def watch():
+                async for ev in client.events():
+                    events.append(ev)
+                    if len(events) >= 2:  # hello + first decision
+                        return
+
+            watcher = asyncio.create_task(watch())
+            await asyncio.sleep(0.6)  # three deadlines pass on the open stream
+            await submit(client, "a")
+            await asyncio.wait_for(watcher, 10)
+            assert [ev["event"] for ev in events] == ["hello", "decision"]
+            assert events[1]["data"]["tenant"] == "a"
 
         with_daemon(test)
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.serve.http import (
+    MAX_HEADERS,
     Request,
     json_response,
     read_request,
@@ -86,6 +87,14 @@ class TestReadRequest:
                 )
         with pytest.raises(ServeError, match="content-length"):
             parse_response(b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n{}")
+
+    def test_header_line_cap(self):
+        def head(n):
+            return b"GET / HTTP/1.1\r\n" + b"X: v\r\n" * n + b"\r\n"
+
+        assert len(parse_request(head(MAX_HEADERS)).headers) == 1  # one name
+        with pytest.raises(ServeError, match="header lines"):
+            parse_request(head(MAX_HEADERS + 1))
 
     def test_oversized_content_length(self):
         with pytest.raises(ServeError, match="unreasonable"):

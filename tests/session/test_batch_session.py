@@ -1,10 +1,10 @@
 """Session-level batch engine contract.
 
 ``Session.run_scenarios`` with the batch path (the default) must be
-bit-identical to the scalar path — same encoded results, same store
-bytes, same warm-cache behaviour — and the ``REPRO_ENGINE_BATCH=0``
-escape hatch must really restore the scalar per-cell route.  The
-scheduler's ``slowdowns_many`` must score exactly what per-layout
+bit-identical to the scalar reference (``engine_batch=False``) — same
+encoded results, same store bytes, same warm-cache behaviour — and the
+scalar reference must really solve in process, whatever the executor.
+The scheduler's ``slowdowns_many`` must score exactly what per-layout
 ``slowdowns`` calls score.
 """
 
@@ -15,6 +15,7 @@ import pytest
 from repro.core import ExperimentConfig
 from repro.machine.spec import xeon_e5_4650
 from repro.session import (
+    MIN_PARALLEL_CELLS,
     AppPlacement,
     ParallelExecutor,
     ScenarioSet,
@@ -61,26 +62,30 @@ class TestBatchPath:
         ).run_scenarios(sweep())
         assert canon(got) == canon(reference)
 
-    def test_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_BATCH", "0")
-        assert Session(make_config()).engine_batch is False
-        monkeypatch.setenv("REPRO_ENGINE_BATCH", "1")
-        assert Session(make_config()).engine_batch is True
-        monkeypatch.delenv("REPRO_ENGINE_BATCH")
-        assert Session(make_config()).engine_batch is True
-        # An explicit argument always wins over the environment.
-        monkeypatch.setenv("REPRO_ENGINE_BATCH", "0")
-        assert Session(make_config(), engine_batch=True).engine_batch is True
+    def test_scalar_reference_solves_in_process_on_a_pool(self, monkeypatch):
+        import repro.session.executors as ex
+
+        batched = Session(make_config()).run_scenarios(sweep())
+        assert len(batched) > MIN_PARALLEL_CELLS  # big enough for a pool
+
+        class Boom:
+            def __init__(self, *a, **kw):
+                raise AssertionError("scalar reference spawned a process pool")
+
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", Boom)
+        scalar = Session(
+            make_config(), executor=ParallelExecutor(2), engine_batch=False
+        ).run_scenarios(sweep())
+        assert canon(scalar) == canon(batched)
 
     def test_batch_results_cached_like_scalar(self, tmp_path):
         cold = Session(make_config(), store=tmp_path / "st", engine_batch=True)
         cold.run_scenarios(sweep())
-        assert cold.stats.scenario_misses + cold.stats.corun_misses > 0
+        assert cold.stats.scenario_misses > 0
         # A warm session over the same store re-simulates nothing.
         warm = Session(make_config(), store=tmp_path / "st", engine_batch=True)
         warm.run_scenarios(sweep())
         assert warm.stats.scenario_misses == 0
-        assert warm.stats.corun_misses == 0
 
     def test_batch_and_scalar_store_bytes_identical(self, tmp_path):
         Session(
@@ -160,6 +165,59 @@ class TestExecutorFallback:
                 raise AssertionError("pool spawned for a tiny sweep")
 
         monkeypatch.setattr(ex, "ProcessPoolExecutor", Boom)
-        pool = ParallelExecutor(2)
-        assert pool.map(lambda x: x * 2, range(5)) == [0, 2, 4, 6, 8]
-        assert pool.map_batches(len, [[1, 2], [3]]) == [2, 1]
+        assert ParallelExecutor(2).map_batches(len, [[1, 2], [3]]) == [2, 1]
+
+    @pytest.mark.parametrize(
+        "executor",
+        [SerialExecutor(), ThreadExecutor(2), ParallelExecutor(2)],
+        ids=lambda e: e.name,
+    )
+    def test_map_batches_keeps_shard_order(self, executor):
+        # Uneven shards, enough cells that the pools really fan out:
+        # the session scatters results back by position.
+        bounds = [(0, 9), (9, 10), (10, 17), (17, 21)]
+        shards = [tuple(range(a, b)) for a, b in bounds]
+        assert sum(map(len, shards)) >= MIN_PARALLEL_CELLS
+        assert executor.map_batches(list, shards) == [list(s) for s in shards]
+
+    def test_a_dead_worker_is_an_experiment_error(self, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        import repro.session.executors as ex
+        from repro.errors import ExperimentError
+
+        class DeadPool:
+            def __init__(self, *a, **kw):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, *a, **kw):
+                raise BrokenProcessPool("a worker was killed")
+
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", DeadPool)
+        shards = [tuple(range(MIN_PARALLEL_CELLS))] * 2
+        with pytest.raises(ExperimentError, match="worker process died"):
+            ParallelExecutor(2).map_batches(list, shards)
+
+    def test_scalar_reference_never_calls_the_executor(self):
+        class Spy(SerialExecutor):
+            def __init__(self):
+                self.calls = 0
+
+            def map_batches(self, fn, batches):
+                self.calls += 1
+                return super().map_batches(fn, batches)
+
+        scalar_spy, batch_spy = Spy(), Spy()
+        scalar = Session(
+            make_config(), executor=scalar_spy, engine_batch=False
+        ).run_scenarios(sweep())
+        batched = Session(make_config(), executor=batch_spy).run_scenarios(sweep())
+        assert scalar_spy.calls == 0
+        assert batch_spy.calls == 1  # one engine group, one serial shard
+        assert canon(scalar) == canon(batched)

@@ -1,0 +1,154 @@
+"""The Session's one scenario cache tier.
+
+Every cacheable scenario, the paper's 2-app pairs included, lives in
+one memory map keyed by ``(engine fingerprint, canonical Scenario)``
+and is counted by one ``scenario_{hits,misses,disk_hits}`` triple.  On
+disk, plain pairs stay in the store's ``corun/`` section (where every
+store written so far keeps them) and every other shape lives in
+``scenario/``.
+"""
+
+import json
+from dataclasses import fields
+
+import pytest
+
+from repro.core import ExperimentConfig
+from repro.core.provenance import GEMINI_APPS
+from repro.session import AppPlacement, CacheStats, Scenario, Session
+from repro.store import ResultStore
+from repro.store.codec import encode_scenario_result
+from repro.workloads.registry import get_profile
+
+SUBSET = ("G-CC", "fotonik3d", "swaptions", "Stream")
+
+PAIR = Scenario.pair("G-CC", "Stream", threads=2)
+THREE_WAY = Scenario.of("G-CC:1", "Stream:1", "swaptions:1")
+
+#: (id, scenario, the store section its result persists in)
+SHAPES = [
+    ("pair", PAIR, "corun"),
+    ("pair-uneven-threads", Scenario.pair("G-CC", "Stream", threads=2, bg_threads=1), "corun"),
+    ("pair-even-llc", PAIR.with_policy("even"), "corun"),
+    ("pair-smt", PAIR.with_smt(), "corun"),
+    ("pair-way-masks", PAIR.with_ways([0xF0, 0x0F]), "scenario"),
+    ("pair-pinned", PAIR.with_pinning([(0, 1), None]), "scenario"),
+    ("three-way", THREE_WAY, "scenario"),
+]
+
+
+def make_config() -> ExperimentConfig:
+    return ExperimentConfig(workloads=SUBSET, jitter=0.0, threads=2)
+
+
+def encoded(result) -> str:
+    return json.dumps(encode_scenario_result(result.result), sort_keys=True)
+
+
+def sections(store: ResultStore) -> tuple[int, int]:
+    counts = store.describe()
+    return counts["corun_entries"], counts["scenario_entries"]
+
+
+class TestCounters:
+    def test_one_counter_triple_per_cache(self):
+        names = [f.name for f in fields(CacheStats)]
+        assert names == [
+            "solo_hits", "solo_misses", "solo_disk_hits",
+            "scenario_hits", "scenario_misses", "scenario_disk_hits",
+        ]
+        assert list(CacheStats().snapshot()) == names
+
+
+@pytest.mark.parametrize(
+    "scenario, section", [s[1:] for s in SHAPES], ids=[s[0] for s in SHAPES]
+)
+class TestEveryShape:
+    def test_one_memory_entry_serves_both_entry_points(self, scenario, section):
+        session = Session(make_config())
+        first = session.run_scenario(scenario)
+        fanned = session.run_scenarios([scenario, scenario])
+        assert session.stats.scenario_misses == 1
+        assert session.stats.scenario_hits == 2
+        assert all(r.result is first.result for r in fanned)
+
+    def test_persists_in_its_section_and_serves_a_cold_process(
+        self, tmp_path, scenario, section
+    ):
+        writer = Session(make_config(), store=ResultStore(tmp_path / "st"))
+        first = writer.run_scenario(scenario)
+        assert writer.scenario_identity(scenario)[2] == section
+        assert sections(writer.store) == ((1, 0) if section == "corun" else (0, 1))
+        reader = Session(make_config(), store=ResultStore(tmp_path / "st"))
+        again = reader.run_scenario(scenario)
+        assert reader.stats.scenario_misses == 0
+        assert reader.stats.scenario_disk_hits == 1
+        assert encoded(again) == encoded(first)
+
+
+class TestOneTier:
+    def test_default_policy_named_explicitly_shares_the_pair_entry(self, tmp_path):
+        session = Session(make_config(), store=ResultStore(tmp_path / "st"))
+        implicit = session.run_scenario(PAIR)
+        named = session.run_scenario(
+            PAIR.with_policy(session.config.engine_config.llc_policy)
+        )
+        assert named.result is implicit.result
+        assert session.stats.scenario_misses == 1
+        assert session.stats.scenario_hits == 1
+        assert sections(session.store) == (1, 0)
+
+    def test_a_disk_hit_is_counted_once_then_memory_serves(self, tmp_path):
+        Session(make_config(), store=ResultStore(tmp_path / "st")).run_scenarios(
+            [PAIR, THREE_WAY]
+        )
+        warm = Session(make_config(), store=ResultStore(tmp_path / "st"))
+        warm.run_scenarios([PAIR, THREE_WAY, PAIR])
+        assert warm.stats.scenario_misses == 0
+        assert warm.stats.scenario_disk_hits == 2
+        assert warm.stats.scenario_hits == 1  # the repeated pair
+        warm.run_scenario(PAIR)
+        assert warm.stats.scenario_disk_hits == 2
+        assert warm.stats.scenario_hits == 2
+
+    def test_an_in_band_pair_is_never_cached(self, tmp_path):
+        # An in-band profile has no stable identity: such a pair moves
+        # no scenario counter, writes no store entry, and simulates on
+        # every call (to the same bytes).
+        inband = Scenario(
+            (AppPlacement("G-CC", 2), AppPlacement("balloon", 2, profile=get_profile("Stream")))
+        )
+        assert inband.corun_key() is None
+        session = Session(make_config(), store=ResultStore(tmp_path / "st"))
+        first = session.run_scenario(inband)
+        second = session.run_scenario(inband)
+        assert second.result is not first.result
+        assert encoded(second) == encoded(first)
+        snap = session.stats.snapshot()
+        assert [snap[f"scenario_{c}"] for c in ("hits", "misses", "disk_hits")] == [0, 0, 0]
+        assert sections(session.store) == (0, 0)
+
+
+class TestPairClients:
+    """The artifacts that measure single pairs go through the same tier."""
+
+    def test_provenance_pairs_persist_in_the_corun_section(self, tmp_path):
+        config = ExperimentConfig(jitter=0.0)
+        writer = Session(config, store=ResultStore(tmp_path / "st"))
+        first = writer.run("fig7").result
+        assert sections(writer.store) == (len(GEMINI_APPS), 0)
+        reader = Session(config, store=ResultStore(tmp_path / "st"))
+        again = reader.run("fig7").result
+        assert reader.stats.scenario_misses == 0
+        assert reader.stats.scenario_disk_hits == len(GEMINI_APPS)
+        assert again.cells == first.cells
+
+    def test_efficiency_reads_its_pair_from_the_tier(self):
+        session = Session(make_config())
+        session.run_scenario(Scenario.pair("G-CC", "fotonik3d", threads=2))
+        before = session.stats.snapshot()
+        got = session.run("efficiency", pairs=(("G-CC", "fotonik3d"),)).result
+        delta = session.stats.delta_since(before)
+        assert (delta["scenario_misses"], delta["scenario_hits"]) == (0, 1)
+        fresh = Session(make_config()).run("efficiency", pairs=(("G-CC", "fotonik3d"),))
+        assert got.rows == fresh.result.rows

@@ -147,7 +147,6 @@ class TestCatMeasurement:
         again = session.run_scenario(s)
         assert session.stats.scenario_misses == 1
         assert session.stats.scenario_hits == 1
-        assert session.stats.corun_misses == 0
         assert again.result is first.result
         engine_fp, cell_fp, tier = session.scenario_identity(s)
         assert tier == "scenario"
@@ -172,23 +171,23 @@ class TestCatMeasurement:
         assert second.result.bg_relative_rates == first.result.bg_relative_rates
 
     def test_mask_free_results_unchanged_by_masked_siblings(self, tmp_path):
-        # A store warmed through the *legacy* pair path serves the
-        # mask-free scenario bit-identically even after CAT variants of
-        # the same pair were persisted next to it.
+        # A store warmed with the plain pair serves it bit-identically
+        # even after CAT variants of the same pair were persisted next
+        # to it.
         from repro.store import ResultStore
 
         config = make_config()
         writer = Session(config, store=ResultStore(tmp_path / "st"))
-        legacy = writer.co_run("xalancbmk", "Stream", threads=4)
+        first = writer.run_scenario(Scenario.pair("xalancbmk", "Stream", threads=4))
         reader = Session(config, store=ResultStore(tmp_path / "st"))
         reader.run_scenario(
             Scenario.pair("xalancbmk", "Stream", threads=4).with_ways([0xF0, 0x0F])
         )
         plain = reader.run_scenario(Scenario.pair("xalancbmk", "Stream", threads=4))
-        assert reader.stats.corun_misses == 0
-        assert reader.stats.corun_disk_hits == 1
-        assert plain.result.fg.runtime_s == legacy.fg.runtime_s
-        assert plain.result.bg_relative_rates == [legacy.bg_relative_rate]
+        assert reader.stats.scenario_misses == 1  # the masked variant
+        assert reader.stats.scenario_disk_hits == 1
+        assert plain.result.fg.runtime_s == first.result.fg.runtime_s
+        assert plain.result.bg_relative_rates == first.result.bg_relative_rates
 
     def test_pinned_smt_sharing_through_session(self):
         session = Session(make_config())
@@ -196,9 +195,8 @@ class TestCatMeasurement:
         shared = session.run_scenario(base.with_pinning([(0,), (0,)]))
         spread = session.run_scenario(base.with_pinning([(0,), (1,)]))
         assert shared.normalized_time > spread.normalized_time
-        # Both are scenario-tier cells (no corun bridge), cached once.
+        # Both are distinct cells (no pair key), cached once each.
         assert session.stats.scenario_misses == 2
-        assert session.stats.corun_misses == 0
 
     def test_executors_bit_identical_for_masked_sweep(self):
         config = make_config()

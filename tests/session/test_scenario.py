@@ -2,9 +2,9 @@
 
 Covers the acceptance criteria of the scenario redesign:
 
-* 2-app scenarios reproduce legacy ``Session.co_run`` bit-identically
-  and reuse warm-store entries written under the *pre-redesign* pair
-  keys without re-simulation;
+* 2-app scenarios reproduce the engine's pair API bit-identically and
+  reuse warm-store entries written under the *pre-redesign* pair keys
+  without re-simulation;
 * scenario fingerprints are stable (golden values — changing the
   canonical payload invalidates every persisted scenario entry);
 * >= 3-app scenarios with policy/SMT overrides run end to end, fan out
@@ -37,6 +37,18 @@ def make_config(**kw):
     kw.setdefault("workloads", SUBSET)
     kw.setdefault("jitter", 0.0)
     return ExperimentConfig(**kw)
+
+
+def legacy_co_run(session, fg, bg, threads):
+    """A pair measured through the engine's pair API, the way stores
+    written before the scenario redesign hold it."""
+    return session.engine().co_run(
+        get_profile(fg),
+        get_profile(bg),
+        threads=threads,
+        fg_solo_runtime_s=session.solo_runtime(fg, threads=threads),
+        bg_solo_rate=session.solo_rate(bg, threads=threads),
+    )
 
 
 class TestScenarioValueObject:
@@ -127,15 +139,16 @@ class TestPairEquivalence:
     def test_two_app_scenario_is_bit_identical_to_co_run(self):
         session = Session(make_config())
         sres = session.run_scenario(Scenario.pair("G-CC", "fotonik3d", threads=4))
-        co = session.co_run("G-CC", "fotonik3d", threads=4)
+        again = session.run_scenario(Scenario.pair("G-CC", "fotonik3d", threads=4))
+        co = legacy_co_run(session, "G-CC", "fotonik3d", 4)
         assert sres.result.fg.runtime_s == co.fg.runtime_s
         assert sres.normalized_time == co.normalized_time
         assert sres.bg_relative_rates == [co.bg_relative_rate]
         assert sres.result.fg.by_region == co.fg.by_region
-        # One simulation total: the scenario seeded the co-run cache.
-        assert session.stats.corun_misses == 1
-        assert session.stats.corun_hits == 1
-        assert session.stats.scenario_misses == 0
+        # One simulation total: pairs live in the one scenario tier.
+        assert session.stats.scenario_misses == 1
+        assert session.stats.scenario_hits == 1
+        assert again.result is sres.result
 
     def test_engine_pair_scenario_matches_co_run(self):
         engine = IntervalEngine()
@@ -163,17 +176,24 @@ class TestPairEquivalence:
         from repro.store import ResultStore
 
         config = make_config(workloads=("G-CC", "fotonik3d"))
-        store = ResultStore(tmp_path / "st")
-        # A pre-redesign writer: legacy put_corun under the legacy key.
-        writer = Session(config, store=store)
-        legacy = writer.co_run("G-CC", "fotonik3d", threads=4)
+        # A pre-redesign writer: put_corun under the pair key.
+        writer = Session(config)
+        legacy = legacy_co_run(writer, "G-CC", "fotonik3d", 4)
+        ResultStore(tmp_path / "st").put_corun(
+            writer.engine_fingerprint(), "G-CC", "fotonik3d", 4, 4, legacy
+        )
         # A cold process running the *scenario* API over the warm store.
         reader = Session(config, store=ResultStore(tmp_path / "st"))
         sres = reader.run_scenario(Scenario.pair("G-CC", "fotonik3d", threads=4))
-        assert reader.stats.corun_misses == 0
-        assert reader.stats.corun_disk_hits == 1
+        assert reader.stats.scenario_misses == 0
+        assert reader.stats.scenario_disk_hits == 1
         assert sres.result.fg.runtime_s == legacy.fg.runtime_s
         assert sres.bg_relative_rates == [legacy.bg_relative_rate]
+        # The fan-out path serves it too, counting the disk hit once.
+        fanned = Session(config, store=ResultStore(tmp_path / "st"))
+        fanned.run_scenarios([Scenario.pair("G-CC", "fotonik3d", threads=4)] * 2)
+        assert fanned.stats.scenario_misses == 0
+        assert fanned.stats.scenario_disk_hits == 1
 
 
 class TestNWayScenarios:
@@ -266,14 +286,6 @@ class TestNWayScenarios:
         assert session.stats.scenario_misses == 1
         assert len({id(r.result) for r in results}) == 1
 
-    def test_chunked_map_preserves_order(self):
-        config = make_config()
-        sweep = ScenarioSet.consolidations(SUBSET, n=2, threads=2)
-        chunked = Session(config, executor=ParallelExecutor(2), chunksize=4)
-        plain = Session(config)
-        for a, b in zip(chunked.run_scenarios(sweep), plain.run_scenarios(sweep)):
-            assert a.normalized_time == b.normalized_time
-
 
 class TestNWayRunner:
     def test_consolidate_n_degradation_table(self):
@@ -350,7 +362,6 @@ class TestScenarioSetRunner:
         sweep = session.run("scenario-set").result
         delta = session.stats.delta_since(before)
         assert delta["solo_misses"] == 0
-        assert delta["corun_misses"] == 0
         assert delta["scenario_misses"] == 0
         assert len(sweep.cells) == len(SUBSET) ** 2 + 3  # pairwise + rotations
         tiers = sweep.by_tier()
@@ -381,7 +392,6 @@ class TestScenarioSetRunner:
         cold = Session(make_config(), store=ResultStore(tmp_path / "st"))
         cold.run("scenario-set")
         assert cold.stats.solo_misses == 0
-        assert cold.stats.corun_misses == 0
         assert cold.stats.scenario_misses == 0
 
     def test_record_roundtrips_through_store(self, tmp_path):

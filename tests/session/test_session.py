@@ -9,6 +9,7 @@ from repro.errors import ExperimentError
 from repro.session import (
     ParallelExecutor,
     RunRecord,
+    Scenario,
     SerialExecutor,
     Session,
     ThreadExecutor,
@@ -89,14 +90,14 @@ class TestSharedCaches:
         assert session.stats.solo_misses == misses_after_fig5
         assert session.stats.solo_hits > 0
 
-    def test_corun_cache_shared_across_runners(self):
+    def test_pair_cache_shared_across_runners(self):
         session = Session(make_config(jitter=0.0))
         session.run("fig5")
-        corun_misses = session.stats.corun_misses
+        misses = session.stats.scenario_misses
         session.run("table3", pairs=(("G-CC", "fotonik3d"), ("G-CC", "CIFAR")))
         # Both pair co-runs were cells of the fig5 sweep.
-        assert session.stats.corun_misses == corun_misses
-        assert session.stats.corun_hits >= 2
+        assert session.stats.scenario_misses == misses
+        assert session.stats.scenario_hits >= 2
 
     def test_prefetch_off_engine_is_separate_cache_entry(self):
         session = Session(make_config(workloads=("IRSmk",), jitter=0.0))
@@ -125,14 +126,14 @@ class TestSharedCaches:
         session.run("table2")
         assert [r.artifact for r in session.records] == ["fig2", "table2"]
 
-    def test_parallel_sweep_populates_corun_cache(self):
+    def test_parallel_sweep_populates_pair_cache(self):
         session = Session(make_config(jitter=0.0), executor=ParallelExecutor(2))
         session.run("fig5")
-        misses = session.stats.corun_misses
+        misses = session.stats.scenario_misses
         assert misses == len(SUBSET) ** 2
         session.run("table3", pairs=(("G-CC", "fotonik3d"), ("G-CC", "CIFAR")))
         # Worker-computed co-runs were stored: table3 is pure cache hits.
-        assert session.stats.corun_misses == misses
+        assert session.stats.scenario_misses == misses
 
     def test_predict_measures_through_session(self):
         session = Session(make_config(workloads=("swaptions", "nab"), jitter=0.0))
@@ -216,17 +217,17 @@ class TestExtensionFanOut:
         assert serial.points == threaded.points == pooled.points
         assert len(serial.points) == 7  # the paper's 8-core socket: 1+7 ... 7+1
 
-    def test_allocation_fanout_populates_corun_cache(self):
+    def test_allocation_fanout_populates_pair_cache(self):
         session = Session(
             make_config(workloads=("G-CC", "fotonik3d"), jitter=0.0),
             executor=ThreadExecutor(3),
         )
         session.run("allocation")
-        misses = session.stats.corun_misses
+        misses = session.stats.scenario_misses
         assert misses >= 7
         # Re-running a split's co-run is now a pure cache hit.
-        session.co_run("G-CC", "fotonik3d", threads=2, bg_threads=6)
-        assert session.stats.corun_misses == misses
+        session.run_scenario(Scenario.pair("G-CC", "fotonik3d", threads=2, bg_threads=6))
+        assert session.stats.scenario_misses == misses
 
 
 class TestRunRecord:
@@ -245,7 +246,7 @@ class TestRunRecord:
         assert prov["workloads"] == list(SUBSET)
         assert prov["executor"] == "serial"
         assert prov["duration_s"] > 0
-        assert prov["cache"]["corun_misses"] == len(SUBSET) ** 2
+        assert prov["cache"]["scenario_misses"] == len(SUBSET) ** 2
         assert len(prov["spec_fingerprint"]) == 12
 
     def test_payload_is_json_native(self):
@@ -267,7 +268,7 @@ class TestRunAll:
         assert records["fig5"].result.value("G-CC", "fotonik3d") > 1.3
         # run_all shares one substrate: later artifacts hit the caches.
         assert session.stats.solo_hits > 0
-        assert session.stats.corun_hits > 0
+        assert session.stats.scenario_hits > 0
 
 
 class TestSpecFingerprint:

@@ -206,13 +206,8 @@ class TestCampaign:
         again = run_campaign(ExperimentConfig(workloads=SUBSET), camp_root, workers=2)
         cache = again["cache"]
         assert cache.get("solo_misses", 0) <= 2  # <= 1 per worker, in-band only
-        assert cache.get("corun_misses", 0) == 0
         assert cache.get("scenario_misses", 0) == 0
-        assert (
-            cache.get("solo_disk_hits", 0)
-            + cache.get("corun_disk_hits", 0)
-            + cache.get("scenario_disk_hits", 0)
-        ) > 0
+        assert cache.get("solo_disk_hits", 0) + cache.get("scenario_disk_hits", 0) > 0
 
     @pytest.mark.slow
     def test_sharded_run_all_matches_serial(self, tmp_path, capsys):

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import ExperimentConfig
 from repro.errors import StoreWarning
-from repro.session import Session
+from repro.session import Scenario, Session
 from repro.session.record import RunRecord
 from repro.store import SCHEMA_VERSION, FileLock, ResultStore, store_lock
 from repro.store.locking import HAVE_FILE_LOCKS
@@ -80,7 +80,7 @@ class TestFileLock:
         stall the exclusive-locked prune until the write lands."""
         store = ResultStore(tmp_path / "st")
         session = Session(make_config(), store=store)
-        session.co_run("G-CC", "swaptions", threads=4)
+        session.run_scenario(Scenario.pair("G-CC", "swaptions", threads=4))
         live_fp = session.engine_fingerprint()
         orphan = store.root / "scenario" / "deadbeef0000"
         orphan.mkdir(parents=True)
@@ -105,8 +105,8 @@ class TestFileLock:
         assert not orphan.exists()
         # The live shard survived and still serves a cold session.
         cold = Session(make_config(), store=ResultStore(store.root))
-        cold.co_run("G-CC", "swaptions", threads=4)
-        assert cold.stats.corun_misses == 0
+        cold.run_scenario(Scenario.pair("G-CC", "swaptions", threads=4))
+        assert cold.stats.scenario_misses == 0
 
 
 class TestSegmentedIndex:
@@ -198,8 +198,8 @@ class TestConcurrentWriters:
         warm.run("fig5")
         warm.run("fig3")
         assert warm.stats.solo_misses == 0
-        assert warm.stats.corun_misses == 0
-        assert warm.stats.corun_disk_hits == len(SUBSET) ** 2
+        assert warm.stats.scenario_misses == 0
+        assert warm.stats.scenario_disk_hits == len(SUBSET) ** 2
 
 
 class TestReaderHardening:

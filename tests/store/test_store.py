@@ -16,7 +16,7 @@ import pytest
 from repro.cli import main
 from repro.core import ExperimentConfig
 from repro.errors import StoreError
-from repro.session import ParallelExecutor, Session, runner_names
+from repro.session import ParallelExecutor, Scenario, Session, runner_names
 from repro.store import (
     SCHEMA_VERSION,
     ResultStore,
@@ -84,7 +84,8 @@ class TestResultStoreCache:
 
     def test_corun_put_get_roundtrip(self, store):
         session = Session(make_config())
-        co = session.co_run("G-CC", "fotonik3d", threads=4)
+        co = session.run_scenario(Scenario.pair("G-CC", "fotonik3d", threads=4))
+        co = co.result.to_corun()
         fp = session.engine_fingerprint()
         store.put_corun(fp, "G-CC", "fotonik3d", 4, 4, co)
         assert store.get_corun(fp, "G-CC", "fotonik3d", 4, 4) == co
@@ -149,14 +150,14 @@ class TestSessionReadThrough:
         cold = Session(make_config(), store=tmp_path / "st")
         cold.run("fig5")
         assert cold.stats.solo_disk_hits == 0
-        assert cold.stats.corun_disk_hits == 0
+        assert cold.stats.scenario_disk_hits == 0
 
         warm = Session(make_config(), store=tmp_path / "st")  # fresh process stand-in
         warm.run("fig5")
         assert warm.stats.solo_misses == 0
-        assert warm.stats.corun_misses == 0
+        assert warm.stats.scenario_misses == 0
         assert warm.stats.solo_disk_hits == len(SUBSET)
-        assert warm.stats.corun_disk_hits == len(SUBSET) ** 2
+        assert warm.stats.scenario_disk_hits == len(SUBSET) ** 2
 
     def test_warm_store_fig5_table3_bit_identical(self, tmp_path):
         """Determinism-trap regression: a round-tripped store reproduces
@@ -171,7 +172,7 @@ class TestSessionReadThrough:
         table3_warm = warm.run("table3", pairs=pairs).result
         assert fig5_warm.cells == fig5_cold.cells  # exact float equality
         assert table3_warm.rows == table3_cold.rows
-        assert warm.stats.corun_disk_hits > 0
+        assert warm.stats.scenario_disk_hits > 0
 
     def test_store_paths_keyed_by_session_fingerprint(self, tmp_path):
         session = Session(make_config(workloads=("swaptions",)), store=tmp_path / "st")
@@ -190,20 +191,38 @@ class TestSessionReadThrough:
         assert warm.stats.solo_misses == 1
 
     def test_warm_fanout_counts_each_disk_serve_once(self, tmp_path):
-        """A disk-promoted cell consumed by the fan-out planner is one
-        disk hit, not a disk hit plus a memory hit."""
+        """Pair entries in the ``corun/`` format every earlier store
+        holds serve a warm fan-out: a disk-promoted cell consumed by the
+        planner is one disk hit, not a disk hit plus a memory hit."""
         from repro.session import ThreadExecutor
 
-        cfg = dict(workloads=("G-CC", "fotonik3d"))
-        Session(make_config(**cfg), store=tmp_path / "st").run("allocation")
+        config = make_config(workloads=("G-CC", "fotonik3d"))
+        splits = [(t, 8 - t) for t in range(1, 8)]
+        writer = Session(config)
+        store = ResultStore(tmp_path / "st")
+        written = []
+        for fg_t, bg_t in splits:
+            co = writer.engine().co_run(
+                get_profile("G-CC"),
+                get_profile("fotonik3d"),
+                threads=fg_t,
+                bg_threads=bg_t,
+                fg_solo_runtime_s=writer.solo_runtime("G-CC", threads=fg_t),
+                bg_solo_rate=writer.solo_rate("fotonik3d", threads=bg_t),
+            )
+            fp = writer.engine_fingerprint()
+            store.put_corun(fp, "G-CC", "fotonik3d", fg_t, bg_t, co)
+            written.append(co)
 
-        warm = Session(
-            make_config(**cfg), executor=ThreadExecutor(2), store=tmp_path / "st"
+        warm = Session(config, executor=ThreadExecutor(2), store=tmp_path / "st")
+        results = warm.run_scenarios(
+            Scenario.pair("G-CC", "fotonik3d", threads=f, bg_threads=b)
+            for f, b in splits
         )
-        warm.run("allocation")
-        assert warm.stats.corun_disk_hits == 7
-        assert warm.stats.corun_hits == 0
-        assert warm.stats.corun_misses == 0
+        assert warm.stats.scenario_disk_hits == 7
+        assert warm.stats.scenario_hits == 0
+        assert warm.stats.scenario_misses == 0
+        assert [r.result.to_corun() for r in results] == written
 
     def test_parallel_sweep_persists_worker_results(self, tmp_path):
         par = Session(
@@ -213,7 +232,7 @@ class TestSessionReadThrough:
 
         warm = Session(make_config(jitter=0.0), store=tmp_path / "st")
         assert warm.run("fig5").result.cells == expected.cells
-        assert warm.stats.corun_misses == 0
+        assert warm.stats.scenario_misses == 0
 
     def test_explicit_profile_bypasses_disk(self, tmp_path):
         session = Session(make_config(workloads=("swaptions",)), store=tmp_path / "st")
@@ -238,7 +257,7 @@ class TestIndexAndQuery:
         assert entry.spec_fingerprint == session.spec_fingerprint()
         assert entry.engine_fingerprint == session.engine_fingerprint()
         assert (store.root / entry.path).is_file()
-        assert entry.cache["corun_misses"] == len(SUBSET) ** 2
+        assert entry.cache["scenario_misses"] == len(SUBSET) ** 2
 
     def test_query_filters(self, store):
         session = Session(make_config(), store=store)
@@ -318,8 +337,8 @@ class TestRunAllManifest:
         manifest2 = json.loads(manifest_path.read_text())
         # Warm pass: >0 disk hits reported, bit-identical artifact cells.
         assert manifest2["cache"]["solo_disk_hits"] > 0
-        assert manifest2["cache"]["corun_disk_hits"] > 0
-        assert manifest2["cache"]["corun_misses"] == 0
+        assert manifest2["cache"]["scenario_disk_hits"] > 0
+        assert manifest2["cache"]["scenario_misses"] == 0
         assert "disk hits:" in out
         assert ResultStore(st).latest("fig5").result.cells == first_fig5
         assert (

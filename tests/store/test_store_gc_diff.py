@@ -22,7 +22,7 @@ def make_config(**kw):
 def populate(store_dir):
     store = ResultStore(store_dir)
     session = Session(make_config(), store=store)
-    session.co_run("G-CC", "swaptions", threads=4)
+    session.run_scenario(Scenario.pair("G-CC", "swaptions", threads=4))
     session.run_scenario(Scenario.of("G-CC:2", "swaptions:2", "G-CC:2"))
     return store, session
 
@@ -53,8 +53,8 @@ class TestStoreGc:
         assert after["scenario_entries"] == before["scenario_entries"] - 1
         # Live entries still serve a cold session with zero simulations.
         cold = Session(make_config(), store=ResultStore(store.root))
-        cold.co_run("G-CC", "swaptions", threads=4)
-        assert cold.stats.corun_misses == 0
+        cold.run_scenario(Scenario.pair("G-CC", "swaptions", threads=4))
+        assert cold.stats.scenario_misses == 0
 
     def test_gc_never_touches_records(self, tmp_path):
         store = ResultStore(tmp_path / "st")

@@ -95,14 +95,13 @@ class TestValidation:
             assert flag in known
 
     def test_the_verbs_share_the_flat_parsers_option_strings(self):
-        # Splitting one flat namespace into a parser per verb added,
-        # renamed and dropped no flag: these 45 are all there were.
+        # Every option string the live parsers accept (42): adding or
+        # dropping a flag must update this pin and the docs it parses.
         assert check_docs.known_flags() == {
             "-h", "--help", "-v", "--verbose", "-q", "--quiet", "--telemetry",
             "--workloads", "--threads", "--repetitions", "--seed", "--csv",
-            "--store", "--executor", "--parallel", "--workers", "--chunksize",
-            "--engine-batch", "--no-engine-batch", "--llc-policy", "--smt",
-            "--ways", "--pin", "--dry-run", "--shard", "--manifest", "--trace",
+            "--store", "--executor", "--parallel", "--workers", "--llc-policy",
+            "--smt", "--ways", "--pin", "--dry-run", "--shard", "--manifest", "--trace",
             "--traffic", "--hours", "--scale", "--rate", "--policy", "--machines",
             "--slo", "--cluster", "--replan", "--host", "--port", "--budget-s",
             "--no-replan", "--solo-s", "--format", "--out", "--limit", "--json",

@@ -23,9 +23,6 @@ SHARED = [
     ("--executor", "thread", "executor", "thread"),
     ("--parallel", None, "parallel", True),
     ("--workers", "3", "workers", 3),
-    ("--chunksize", "8", "chunksize", 8),
-    ("--engine-batch", None, "engine_batch", True),
-    ("--no-engine-batch", None, "engine_batch", False),
     ("--telemetry", None, "telemetry", True),
     ("-v", None, "verbose", 1),
     ("-q", None, "quiet", True),
@@ -62,7 +59,7 @@ class TestSharedFlags:
     def test_unset_flags_take_their_defaults(self):
         args = parse_args(["fig5"])
         assert (args.store, args.threads, args.repetitions, args.seed) == (None, 4, 3, 0)
-        assert (args.verbose, args.quiet, args.csv, args.engine_batch) == (0, False, False, None)
+        assert (args.verbose, args.quiet, args.csv) == (0, False, False)
 
 
 class TestBareVerbs:

@@ -109,7 +109,6 @@ class TestTrafficReplayCli:
         code, out, _ = run(capsys, base)
         warm = json.loads(out)
         assert warm["cache"].get("scenario_misses", 0) == 0
-        assert warm["cache"].get("corun_misses", 0) == 0
         assert warm["replay"] == cold["replay"]
 
     def test_replay_accepts_model_file(self, model_file, tmp_path, capsys):

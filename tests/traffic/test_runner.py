@@ -105,7 +105,6 @@ class TestStoreRoundTrip:
         warm = warm_session.run("traffic-replay", **small_kwargs())
         cache = warm.provenance["cache"]
         assert cache.get("scenario_misses", 0) == 0
-        assert cache.get("corun_misses", 0) == 0
         assert cache.get("solo_misses", 0) == 0
         assert json.dumps(warm.result.payload(), sort_keys=True) == json.dumps(
             cold.result.payload(), sort_keys=True
