@@ -8,21 +8,20 @@ fixed-point solve, and a real workload kernel end-to-end.
 import numpy as np
 
 from repro.engine import IntervalEngine
-from repro.machine import Machine, small_test_machine
+from repro.machine import CoreCacheHierarchy, small_test_machine
 from repro.trace import reuse_distances
 from repro.workloads.registry import get_profile, get_workload
 
 
 def test_cache_access_throughput(benchmark):
-    machine = Machine(small_test_machine())
     rng = np.random.default_rng(0)
     lines = rng.integers(0, 1 << 20, size=20_000)
 
     def run():
-        machine.reset()
+        core = CoreCacheHierarchy(small_test_machine())
         for line in lines:
-            machine.access(0, ip=1, line=int(line))
-        return machine.cores[0].stats.accesses
+            core.access(1, int(line))
+        return core.l1d.stats.accesses
 
     assert benchmark(run) == 20_000
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Characterize *your own* application against the interference fleet.
 
-The library's trace layer measures a real kernel the same way the paper
-measured its workloads: push the access stream through the modelled
-cache hierarchy, derive the miss-ratio curve from exact reuse
-distances, and measure prefetchability by flipping MSR 0x1A4 — then
+The library's trace layer measures a real kernel the way the paper
+measured its workloads: push the access stream through one modelled
+core's cache hierarchy, derive the miss-ratio curve from exact reuse
+distances, and measure prefetchability by running the stream with the
+core's prefetchers on and off (the model of flipping MSR 0x1A4) — then
 the analytic profile co-runs against the calibrated Table I fleet to
 predict which neighbours are safe.
 

@@ -1,29 +1,18 @@
 #!/usr/bin/env python
 """Provenance deep-dive: why does STREAM destroy graph analytics?
 
-Recreates Section VI's analysis end-to-end, on both simulation layers:
-
-1. **interval layer** — run G-PR solo and against STREAM; show the PCM
-   bandwidth timeline and the VTune hotspot deltas (Fig 7's CPI /
-   L2_PCP / LLC MPKI / LL story);
-2. **trace layer** — run the *real* GeminiGraph PageRank kernel's
-   access stream through the exact cache simulator, alone and
-   interleaved with a STREAM-like scan on another core, and watch the
-   shared-LLC cross-evictions do the damage.
+Recreates Section VI's analysis on the interval engine: run G-PR solo
+and against STREAM, then show the PCM bandwidth timeline and the VTune
+hotspot deltas (Fig 7's CPI / L2_PCP / LLC MPKI / LL story).
 
 Run:  python examples/provenance_deepdive.py
 """
 
-import numpy as np
-
-from repro import IntervalEngine, get_profile, get_workload
-from repro.machine import Machine, small_test_machine
+from repro import IntervalEngine, get_profile
 from repro.tools import PcmMemoryMonitor, VtuneProfiler
-from repro.trace import synth
-from repro.units import GB
 
 
-def interval_layer_view() -> None:
+def main() -> None:
     print("== interval layer: G-PR vs STREAM (Fig 7 protocol) ==")
     engine = IntervalEngine()
     gpr, stream = get_profile("G-PR"), get_profile("Stream")
@@ -48,40 +37,5 @@ def interval_layer_view() -> None:
           f"Stream {report.average_gb_s('Stream'):.1f})")
 
 
-def trace_layer_view() -> None:
-    print("\n== trace layer: the real PageRank kernel in the cache simulator ==")
-    spec = small_test_machine(n_cores=2)
-
-    def run(with_stream: bool) -> tuple[float, int]:
-        machine = Machine(spec)
-        machine.bind(1, (0,))
-        machine.bind(2, (1,))
-        gpr_trace = list(get_workload("G-PR", scale=1.0).trace(max_accesses=40_000))
-        stream_lines = iter(
-            np.concatenate([b.lines for b in synth.sequential(80_000, start_line=1 << 22)])
-        )
-        for batch in gpr_trace:
-            for i in range(len(batch)):
-                machine.access(0, ip=int(batch.ips[i]), line=int(batch.lines[i]))
-                if with_stream:
-                    # STREAM issues ~2 accesses per graph access.
-                    machine.access(1, ip=99, line=int(next(stream_lines)))
-                    machine.access(1, ip=99, line=int(next(stream_lines)))
-        st = machine.cores[0].stats
-        # LLC miss ratio of G-PR's traffic that reaches the shared LLC.
-        past_l2 = st.llc_hits + st.mem_accesses
-        llc_miss_ratio = st.mem_accesses / past_l2 if past_l2 else 0.0
-        return llc_miss_ratio, machine.llc.stats.cross_evictions
-
-    alone, _ = run(with_stream=False)
-    shared, cross = run(with_stream=True)
-    print(f"G-PR shared-LLC miss ratio alone      : {alone:.3f}")
-    print(f"G-PR shared-LLC miss ratio with STREAM: {shared:.3f}  "
-          f"(x{shared / max(alone, 1e-9):.2f})")
-    print(f"shared-LLC cross-evictions caused     : {cross}")
-    print("-> the mechanism of Fig 7c, observed directly in the cache model")
-
-
 if __name__ == "__main__":
-    interval_layer_view()
-    trace_layer_view()
+    main()

@@ -5,8 +5,9 @@ A full reproduction of "Characterizing the Performance of Emerging Deep
 Learning, Graph, and High Performance Computing Workloads Under
 Interference" (Xu, Song, Mao — arXiv:2303.15763), built as a library:
 
-* :mod:`repro.machine` — the modelled Xeon E5-4650 platform (caches,
-  four MSR-gated hardware prefetchers, bandwidth-limited memory);
+* :mod:`repro.machine` — the modelled Xeon E5-4650 platform spec plus
+  a one-core cache model (exact LRU caches and the four hardware
+  prefetchers behind one switch) for the trace profiler;
 * :mod:`repro.trace` — access streams, reuse distances, miss-ratio
   curves, and the kernel profiler;
 * :mod:`repro.workloads` — the 25 applications of Table I plus the
@@ -73,7 +74,7 @@ from repro.core import (
     run_table4,
 )
 from repro.engine import EngineConfig, IntervalEngine
-from repro.machine import Machine, MachineSpec, xeon_e5_4650
+from repro.machine import MachineSpec, xeon_e5_4650
 from repro.session import (
     AppPlacement,
     ParallelExecutor,
@@ -116,7 +117,6 @@ __all__ = [
     "SerialExecutor",
     "Session",
     "ThreadExecutor",
-    "Machine",
     "MachineSpec",
     "MissRatioCurve",
     "NWayVerdict",

@@ -404,8 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse a command line; flags not given take their defaults."""
+    """Parse a command line; flags not given take their defaults, and
+    ``args.given`` names the destinations the command line did set."""
     args = build_parser().parse_args(argv)
+    args.given = frozenset(vars(args))
     for dest, default in _DEFAULTS.items():
         vars(args).setdefault(dest, default)
     return args
@@ -672,13 +674,15 @@ def _scenario_run(args: argparse.Namespace) -> int:
 
 def _arrivals(args: argparse.Namespace, parse, default=lambda: None):
     """The arrival stream of a replay or traffic verb, resolved the same
-    way for all of them: ``--traffic MODEL`` generates it (``--hours``
-    overriding the file's own), ``--trace SPEC`` goes through ``parse``,
-    and without either flag ``default()`` supplies it."""
+    way for all of them: ``--traffic MODEL`` generates it (an explicit
+    ``--seed`` or ``--hours`` overriding the file's own), ``--trace
+    SPEC`` goes through ``parse``, and without either flag ``default()``
+    supplies it."""
     if args.traffic is not None:
         from repro.traffic import generate_from_file
 
-        return generate_from_file(args.traffic, hours=args.hours)
+        seed = args.seed if "seed" in args.given else None
+        return generate_from_file(args.traffic, seed=seed, hours=args.hours)
     if args.trace is not None:
         return parse(args.trace)
     return default()

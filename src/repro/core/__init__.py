@@ -51,7 +51,7 @@ from repro.core.allocation import (
     run_allocation_sweep,
 )
 from repro.core.efficiency import EfficiencyResult, EfficiencyRow, run_efficiency
-from repro.core.experiment import ExperimentConfig, Jitter, SoloCache
+from repro.core.experiment import ExperimentConfig, Jitter
 from repro.core.insights import AppRoleScores, MatrixInsights
 from repro.core.predictor import (
     DEFAULT_LEVELS,
@@ -147,7 +147,6 @@ __all__ = [
     "SENSITIVE_THRESHOLD",
     "ScalabilityClass",
     "ScalabilityResult",
-    "SoloCache",
     "TABLE3_PAIRS",
     "TABLE4_SUBJECTS",
     "VICTIM_THRESHOLD",

@@ -4,9 +4,7 @@ Every paper experiment runs through :class:`ExperimentConfig`: which
 applications, how many threads (the paper pins 4 per app), how many
 repetitions (the paper runs each pair three times), and a seeded
 measurement-jitter model so the repetition protocol is exercised the
-way it is on real hardware.  :class:`SoloCache` memoizes solo runs —
-the 625-pair sweep reuses 25 solo references instead of recomputing
-them 1250 times.
+way it is on real hardware.
 """
 
 from __future__ import annotations
@@ -17,12 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine import EngineConfig, IntervalEngine, SoloRunResult
+from repro.engine import EngineConfig, IntervalEngine
 from repro.errors import ExperimentError
 from repro.machine.spec import MachineSpec, xeon_e5_4650
-from repro.workloads.base import WorkloadProfile
 from repro.workloads.calibration import APPLICATIONS
-from repro.workloads.registry import get_profile
 
 
 @dataclass
@@ -83,28 +79,3 @@ class Jitter:
             return true_value
         obs = true_value * (1.0 + self._rng.normal(0.0, self._sigma, self._reps))
         return float(statistics.median(obs))
-
-
-class SoloCache:
-    """Memoized solo runs keyed by (workload, threads)."""
-
-    def __init__(self, engine: IntervalEngine) -> None:
-        self.engine = engine
-        self._cache: dict[tuple[str, int], SoloRunResult] = {}
-
-    def get(self, name: str, *, threads: int, profile: WorkloadProfile | None = None) -> SoloRunResult:
-        """Solo result for one workload at a thread count."""
-        key = (name, threads)
-        if key not in self._cache:
-            prof = profile if profile is not None else get_profile(name)
-            self._cache[key] = self.engine.solo_run(prof, threads=threads)
-        return self._cache[key]
-
-    def runtime(self, name: str, *, threads: int) -> float:
-        """Solo runtime (seconds)."""
-        return self.get(name, threads=threads).runtime_s
-
-    def instruction_rate(self, name: str, *, threads: int) -> float:
-        """Solo instruction throughput (instructions / second)."""
-        res = self.get(name, threads=threads)
-        return res.metrics.total.instructions / res.runtime_s

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.consolidation import ConsolidationMatrix
-from repro.core.experiment import ExperimentConfig, SoloCache
+from repro.core.experiment import ExperimentConfig
 from repro.errors import ExperimentError
 from repro.session.base import Runner
 from repro.session.registry import register_runner
@@ -150,54 +150,18 @@ class BubbleUpPredictor:
     ) -> "BubbleUpPredictor":
         """Characterize sensitivity and pressure for all apps.
 
-        Pass a :class:`~repro.session.session.Session` to measure
-        through the declarative scenario machinery: every balloon
-        co-run becomes an (uncacheable, in-band-profile) 2-app
-        :class:`~repro.session.scenario.Scenario`, the solo baselines
-        resolve through the session's shared cache, and the
-        fine-grained cells are solved in one batch fan-out over the
-        session executor.  Without a session a private engine + cache is
-        built, as before.
+        Every balloon co-run becomes an (uncacheable, in-band-profile)
+        2-app :class:`~repro.session.scenario.Scenario`, the solo
+        baselines resolve through the session's shared cache, and the
+        cells are solved in one batch fan-out over the session
+        executor.  Without ``session`` a fresh ``Session(self.config)``
+        measures them.
         """
+        from repro.session import Session
+
         apps = apps if apps is not None else self.config.workloads
-        threads = self.config.threads
-        if session is not None:
-            return self._fit_scenarios(apps, session)
-        engine = self.config.make_engine()
-        cache = SoloCache(engine)
-
-        def curve_for(profile: WorkloadProfile, name: str) -> SensitivityCurve:
-            solo = cache.get(profile.name, threads=threads, profile=profile)
-            slows = []
-            for level in self.levels:
-                if level == 0.0:
-                    slows.append(1.0)
-                    continue
-                res = engine.co_run(
-                    profile, bubble_profile(level), threads=threads,
-                    fg_solo_runtime_s=solo.runtime_s, bg_solo_rate=_BUBBLE_RATE,
-                )
-                slows.append(res.normalized_time)
-            # Enforce monotonicity (tiny fixed-point wiggles).
-            mono = np.maximum.accumulate(slows)
-            return SensitivityCurve(app=name, levels=self.levels, slowdowns=tuple(mono))
-
-        self._reporter_curve = curve_for(self.reporter, self.reporter.name)
-        rep_solo = cache.get(self.reporter.name, threads=threads, profile=self.reporter)
-        for app in apps:
-            profile = get_profile(app)
-            self.sensitivity[app] = curve_for(profile, app)
-            # Pressure: how hard does `app` squeeze the reporter?
-            res = engine.co_run(
-                self.reporter, profile, threads=threads,
-                fg_solo_runtime_s=rep_solo.runtime_s,
-                bg_solo_rate=cache.instruction_rate(app, threads=threads),
-            )
-            self.pressure[app] = self._reporter_curve.pressure_for(res.normalized_time)
-        return self
-
-    def _fit_scenarios(self, apps: tuple[str, ...], session) -> "BubbleUpPredictor":
-        """Session path: one flat scenario sweep."""
+        if session is None:
+            session = Session(self.config)
         threads = self.config.threads
         reporter_seat = AppPlacement(self.reporter.name, threads, profile=self.reporter)
         nz_levels = [lv for lv in self.levels if lv != 0.0]

@@ -14,8 +14,8 @@ class ReproError(Exception):
 
 
 class MachineConfigError(ReproError):
-    """An invalid hardware-model configuration (cache geometry, MSR use,
-    core-binding conflicts, bandwidth parameters out of range)."""
+    """An invalid hardware-model configuration (cache geometry, negative
+    line addresses, bandwidth parameters out of range)."""
 
 
 class WorkloadError(ReproError):

@@ -1,26 +1,21 @@
-"""Hardware model of the paper's platform (trace layer).
+"""Hardware model of the paper's platform.
 
 Public surface:
 
 * :func:`~repro.machine.spec.xeon_e5_4650` / :class:`~repro.machine.spec.MachineSpec`
-  — the platform configuration (Section III-A);
-* :class:`~repro.machine.machine.Machine` — the assembled machine with
-  core binding, MSR-gated prefetchers, shared LLC and DRAM model;
+  — the platform configuration (Section III-A) every layer runs on;
+* :class:`~repro.machine.hierarchy.CoreCacheHierarchy` — one core's
+  L1D, L2 and LLC with the four hardware prefetchers behind one on/off
+  switch, the cache model the trace profiler measures kernels on;
 * :class:`~repro.machine.cache.SetAssociativeCache` — exact LRU cache;
-* :class:`~repro.machine.msr.MsrBank` / MSR constants — prefetcher control.
+* :func:`~repro.machine.memory.queueing_latency_multiplier` — the
+  memory bus's queueing-delay curve the interval engine uses.
 """
 
 from repro.machine.cache import AccessOutcome, CacheStats, SetAssociativeCache
 from repro.machine.energy import EnergyBreakdown, EnergySpec, energy_of_run, energy_of_window
-from repro.machine.hierarchy import AccessResult, CoreCacheHierarchy, HierarchyStats
-from repro.machine.machine import Machine
-from repro.machine.memory import (
-    MemoryController,
-    TransferStats,
-    effective_shares,
-    queueing_latency_multiplier,
-)
-from repro.machine.msr import MSR_MISC_FEATURE_CONTROL, MsrBank, PrefetchDisable
+from repro.machine.hierarchy import CoreCacheHierarchy
+from repro.machine.memory import queueing_latency_multiplier
 from repro.machine.prefetcher import (
     CorePrefetchers,
     L1IpStridePrefetcher,
@@ -39,7 +34,6 @@ from repro.machine.spec import (
 
 __all__ = [
     "AccessOutcome",
-    "AccessResult",
     "CacheSpec",
     "CacheStats",
     "CoreCacheHierarchy",
@@ -48,22 +42,14 @@ __all__ = [
     "EnergySpec",
     "energy_of_run",
     "energy_of_window",
-    "HierarchyStats",
     "L1IpStridePrefetcher",
     "L1NextLinePrefetcher",
     "L2AdjacentLinePrefetcher",
     "L2StreamerPrefetcher",
-    "MSR_MISC_FEATURE_CONTROL",
-    "Machine",
     "MachineSpec",
-    "MemoryController",
     "MemorySpec",
-    "MsrBank",
-    "PrefetchDisable",
     "PrefetcherSpec",
     "SetAssociativeCache",
-    "TransferStats",
-    "effective_shares",
     "queueing_latency_multiplier",
     "small_test_machine",
     "xeon_e5_4650",

@@ -1,20 +1,14 @@
 """Exact set-associative LRU cache model.
 
-This is the trace-layer workhorse: every level (L1D, L2, shared LLC) is
-an instance of :class:`SetAssociativeCache`.  State lives in flat numpy
-arrays (one slot per line) so a cache is cheap to construct and reset;
-the per-access logic is a short Python path over one set's ways, exact
-LRU, which is plenty fast for the trace volumes the profiler uses
+This is the trace-layer workhorse: every level (L1D, L2, LLC) is an
+instance of :class:`SetAssociativeCache`.  State lives in flat numpy
+arrays (one slot per line) so a cache is cheap to construct; the
+per-access logic is a short Python path over one set's ways, exact LRU,
+which is plenty fast for the trace volumes the profiler uses
 (~10^5–10^6 accesses).
 
-Lines carry two bits of provenance used by the experiments:
-
-* ``owner`` — which co-running application inserted the line; lets the
-  shared LLC report *cross-evictions* (app A evicting app B's data), the
-  mechanism behind the victim MPKI inflation of Figs 7–8.
-* ``prefetched`` — whether the line was filled by a hardware prefetcher
-  and not yet demanded; lets the prefetcher-sensitivity experiment count
-  *useful* prefetches.
+Each line records whether a hardware prefetcher filled it and no demand
+access has touched it yet, so a cache counts its *useful* prefetches.
 """
 
 from __future__ import annotations
@@ -38,8 +32,6 @@ class CacheStats:
     prefetch_fills: int = 0
     #: Demand hits on lines that were brought in by a prefetcher.
     prefetch_hits: int = 0
-    #: Evictions where the evicting owner differs from the line's owner.
-    cross_evictions: int = 0
 
     @property
     def accesses(self) -> int:
@@ -50,23 +42,6 @@ class CacheStats:
     def miss_ratio(self) -> float:
         """Demand miss ratio; 0.0 when no accesses were made."""
         return self.misses / self.accesses if self.accesses else 0.0
-
-    def reset(self) -> None:
-        """Zero every counter in place."""
-        self.hits = self.misses = self.evictions = self.writebacks = 0
-        self.prefetch_fills = self.prefetch_hits = self.cross_evictions = 0
-
-    def snapshot(self) -> "CacheStats":
-        """Return an independent copy of the current counters."""
-        return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            writebacks=self.writebacks,
-            prefetch_fills=self.prefetch_fills,
-            prefetch_hits=self.prefetch_hits,
-            cross_evictions=self.cross_evictions,
-        )
 
 
 @dataclass(frozen=True)
@@ -101,7 +76,6 @@ class SetAssociativeCache:
         self._stamp = np.zeros(slots, dtype=np.int64)
         self._dirty = np.zeros(slots, dtype=bool)
         self._prefetched = np.zeros(slots, dtype=bool)
-        self._owner = np.full(slots, -1, dtype=np.int32)
         self._clock = 0
         self.stats = CacheStats()
 
@@ -115,7 +89,7 @@ class SetAssociativeCache:
         self._clock += 1
         return self._clock
 
-    def _install(self, sl: slice, line: int, owner: int, *,
+    def _install(self, sl: slice, line: int, *,
                  dirty: bool, prefetched: bool) -> AccessOutcome:
         """Place ``line`` in set ``sl``, evicting LRU if the set is full."""
         tags = self._tags[sl]
@@ -131,18 +105,15 @@ class SetAssociativeCache:
             self.stats.evictions += 1
             if evicted_dirty:
                 self.stats.writebacks += 1
-            if self._owner[idx] != owner and self._owner[idx] != -1:
-                self.stats.cross_evictions += 1
         self._tags[idx] = line
         self._stamp[idx] = self._tick()
         self._dirty[idx] = dirty
         self._prefetched[idx] = prefetched
-        self._owner[idx] = owner
         return AccessOutcome(hit=False, evicted_line=evicted, evicted_dirty=evicted_dirty)
 
     # -- public API ------------------------------------------------------
 
-    def access(self, line: int, *, write: bool = False, owner: int = 0) -> AccessOutcome:
+    def access(self, line: int, *, write: bool = False) -> AccessOutcome:
         """Demand access to ``line``; allocates on miss (write-allocate).
 
         Returns an :class:`AccessOutcome` describing hit/miss, any
@@ -164,9 +135,9 @@ class SetAssociativeCache:
             self.stats.hits += 1
             return AccessOutcome(hit=True, was_prefetched=was_pf)
         self.stats.misses += 1
-        return self._install(sl, line, owner, dirty=write, prefetched=False)
+        return self._install(sl, line, dirty=write, prefetched=False)
 
-    def fill(self, line: int, *, owner: int = 0) -> AccessOutcome:
+    def fill(self, line: int) -> AccessOutcome:
         """Prefetch fill: install ``line`` without counting a demand access.
 
         A fill that hits an already-resident line is a no-op (the real
@@ -178,45 +149,16 @@ class SetAssociativeCache:
         if np.any(self._tags[sl] == line):
             return AccessOutcome(hit=True)
         self.stats.prefetch_fills += 1
-        return self._install(sl, line, owner, dirty=False, prefetched=True)
+        return self._install(sl, line, dirty=False, prefetched=True)
 
     def probe(self, line: int) -> bool:
-        """Non-allocating, non-LRU-updating presence check (for tests)."""
+        """Non-allocating, non-LRU-updating presence check."""
         sl = self._set_slice(line)
         return bool(np.any(self._tags[sl] == line))
-
-    def invalidate(self, line: int) -> bool:
-        """Drop ``line`` if present; returns whether it was resident."""
-        sl = self._set_slice(line)
-        ways = np.flatnonzero(self._tags[sl] == line)
-        if not ways.size:
-            return False
-        idx = sl.start + int(ways[0])
-        self._tags[idx] = -1
-        self._dirty[idx] = False
-        self._prefetched[idx] = False
-        self._owner[idx] = -1
-        return True
 
     def resident_lines(self) -> np.ndarray:
         """All line addresses currently cached (unordered)."""
         return self._tags[self._tags != -1].copy()
-
-    def occupancy_by_owner(self) -> dict[int, int]:
-        """Number of resident lines per owner id (LLC sharing analysis)."""
-        live = self._owner[self._tags != -1]
-        owners, counts = np.unique(live, return_counts=True)
-        return {int(o): int(c) for o, c in zip(owners, counts)}
-
-    def reset(self) -> None:
-        """Invalidate everything and zero the statistics."""
-        self._tags.fill(-1)
-        self._stamp.fill(0)
-        self._dirty.fill(False)
-        self._prefetched.fill(False)
-        self._owner.fill(-1)
-        self._clock = 0
-        self.stats.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,167 +1,66 @@
-"""Per-core cache hierarchy: private L1D/L2 in front of the shared LLC.
+"""One core's cache hierarchy: L1D, L2 and LLC in front of DRAM.
 
 The access path mirrors the paper's platform (Fig 1): a demand access
-checks L1D, then the private L2, then the shared LLC, then DRAM.  The
-per-core prefetcher complement observes the demand stream at the level
-it belongs to and issues fills; prefetch fills that are absent from the
-LLC cost memory bandwidth, which is the mechanism behind "prefetcher-
-sensitive applications consume significant bandwidth" (Section IV-C).
+checks L1D, then L2, then the LLC, then DRAM.  The core's prefetchers
+observe the demand stream at the level they belong to and issue fills;
+prefetch fills that are absent from the LLC cost memory bandwidth, which
+is the mechanism behind "prefetcher-sensitive applications consume
+significant bandwidth" (Section IV-C).
 
-Latencies are load-to-use and additive down the hierarchy.  The DRAM
-component is scaled by the queueing multiplier for the utilization the
-caller reports (the trace profiler passes its current estimate; 0.0
-means an unloaded bus).
+The hierarchy counts the DRAM bytes its demand misses fetch; the trace
+profiler compares that count with the prefetchers on and off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.machine.cache import SetAssociativeCache
-from repro.machine.memory import MemoryController, queueing_latency_multiplier
 from repro.machine.prefetcher import CorePrefetchers
 from repro.machine.spec import MachineSpec
 
 
-@dataclass
-class HierarchyStats:
-    """Per-core summary of where demand accesses were served."""
-
-    accesses: int = 0
-    l1_hits: int = 0
-    l2_hits: int = 0
-    llc_hits: int = 0
-    mem_accesses: int = 0
-    #: Sum of per-access latencies (cycles), L1 hits included.
-    total_latency_cycles: float = 0.0
-    #: Sum of latency cycles spent beyond the private L2 (the quantity
-    #: the paper's L2_PCP metric is built from).
-    pending_cycles: float = 0.0
-
-    def reset(self) -> None:
-        """Zero all counters in place."""
-        self.accesses = self.l1_hits = self.l2_hits = 0
-        self.llc_hits = self.mem_accesses = 0
-        self.total_latency_cycles = 0.0
-        self.pending_cycles = 0.0
-
-    @property
-    def l2_misses(self) -> int:
-        """Demand accesses that went past the private L2."""
-        return self.llc_hits + self.mem_accesses
-
-
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one demand access through the full hierarchy."""
-
-    level: str  # "L1" | "L2" | "LLC" | "MEM"
-    latency_cycles: float
-
-
 class CoreCacheHierarchy:
-    """One core's private caches plus its view of the shared levels."""
+    """L1D, L2 and LLC of one core, its four prefetchers behind one
+    on/off switch, and the DRAM demand bytes it has fetched."""
 
-    def __init__(
-        self,
-        core_id: int,
-        spec: MachineSpec,
-        llc: SetAssociativeCache,
-        memory: MemoryController,
-    ) -> None:
-        self.core_id = core_id
+    def __init__(self, spec: MachineSpec, *, prefetch: bool = True) -> None:
         self.spec = spec
         self.l1d = SetAssociativeCache(spec.l1d)
         self.l2 = SetAssociativeCache(spec.l2)
-        self.llc = llc
-        self.memory = memory
+        self.llc = SetAssociativeCache(spec.llc)
         self.prefetchers = CorePrefetchers(spec.prefetch)
-        self.stats = HierarchyStats()
+        self.prefetchers.enabled = prefetch
+        #: Bytes fetched from DRAM by demand misses (prefetch fills excluded).
+        self.demand_bytes = 0
 
-    # -- helpers ---------------------------------------------------------
-
-    def _fill_from_below(self, line: int, owner: int, *, into_l1: bool) -> bool:
-        """Bring ``line`` into the hierarchy for a prefetch.
-
-        Fills the target level and any missing level below it.  Returns
-        True when DRAM traffic was generated (line absent from LLC).
-        """
-        from_mem = False
+    def _prefetch(self, line: int, *, into_l1: bool) -> None:
+        """Bring ``line`` into L2 (and L1D when ``into_l1``), filling the
+        LLC first when it is absent there."""
         if not self.llc.probe(line):
-            self.llc.fill(line, owner=owner)
-            self.memory.prefetch_fill(owner)
-            from_mem = True
+            self.llc.fill(line)
         out_l2 = self.l2.fill(line)
         if out_l2.evicted_dirty:
             # Dirty L2 victim: push to LLC (non-inclusive write-back path).
-            self.llc.access(out_l2.evicted_line, write=True, owner=owner)
+            self.llc.access(out_l2.evicted_line, write=True)
         if into_l1:
             self.l1d.fill(line)
-        return from_mem
 
-    # -- public API ------------------------------------------------------
-
-    def access(
-        self,
-        ip: int,
-        line: int,
-        *,
-        write: bool = False,
-        owner: int = 0,
-        bus_utilization: float = 0.0,
-    ) -> AccessResult:
+    def access(self, ip: int, line: int, *, write: bool = False) -> None:
         """One demand access; updates caches, prefetchers and counters."""
-        st = self.stats
-        st.accesses += 1
-
         l1_out = self.l1d.access(line, write=write)
-        l1_miss = not l1_out.hit
-        for pf in self.prefetchers.l1_candidates(ip, line, miss=l1_miss):
-            self._fill_from_below(pf, owner, into_l1=True)
+        for pf in self.prefetchers.l1_candidates(ip, line, miss=not l1_out.hit):
+            self._prefetch(pf, into_l1=True)
         if l1_out.hit:
-            st.l1_hits += 1
-            lat = float(self.spec.l1d.latency_cycles)
-            st.total_latency_cycles += lat
-            return AccessResult("L1", lat)
+            return
         if l1_out.evicted_dirty:
             self.l2.access(l1_out.evicted_line, write=True)
 
         l2_out = self.l2.access(line)
-        l2_miss = not l2_out.hit
-        for pf in self.prefetchers.l2_candidates(ip, line, miss=l2_miss):
-            self._fill_from_below(pf, owner, into_l1=False)
+        for pf in self.prefetchers.l2_candidates(ip, line, miss=not l2_out.hit):
+            self._prefetch(pf, into_l1=False)
         if l2_out.hit:
-            st.l2_hits += 1
-            lat = float(self.spec.l2.latency_cycles)
-            st.total_latency_cycles += lat
-            return AccessResult("L2", lat)
+            return
         if l2_out.evicted_dirty:
-            self.llc.access(l2_out.evicted_line, write=True, owner=owner)
+            self.llc.access(l2_out.evicted_line, write=True)
 
-        llc_out = self.llc.access(line, write=write, owner=owner)
-        if llc_out.evicted_dirty:
-            self.memory.writeback(owner)
-        if llc_out.hit:
-            st.llc_hits += 1
-            lat = float(self.spec.llc.latency_cycles)
-            st.total_latency_cycles += lat
-            st.pending_cycles += lat
-            return AccessResult("LLC", lat)
-
-        st.mem_accesses += 1
-        self.memory.demand_fill(owner)
-        mem_lat = self.spec.memory.idle_latency_cycles * queueing_latency_multiplier(
-            bus_utilization, self.spec.memory
-        )
-        lat = self.spec.llc.latency_cycles + mem_lat
-        st.total_latency_cycles += lat
-        st.pending_cycles += lat
-        return AccessResult("MEM", lat)
-
-    def reset(self) -> None:
-        """Clear private caches, prefetcher state and counters (the
-        shared LLC and memory controller are reset by the machine)."""
-        self.l1d.reset()
-        self.l2.reset()
-        self.prefetchers.reset()
-        self.stats.reset()
+        if not self.llc.access(line, write=write).hit:
+            self.demand_bytes += self.spec.line_bytes

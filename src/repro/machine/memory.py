@@ -1,20 +1,17 @@
-"""Memory-controller model: byte accounting plus the queueing-delay curve.
+"""The memory bus's queueing-delay curve.
 
-Both simulation layers share one piece of physics: as the memory bus
-approaches its practical peak (~28 GB/s on the paper's machine), load
-latency inflates.  We model that with the standard open-queue shape
+As the memory bus approaches its practical peak (~28 GB/s on the
+paper's machine), load latency inflates.  We model that with the
+standard open-queue shape
 
     latency(rho) = idle_latency * (1 + gain * rho / (1 - rho))
 
 with the utilization ``rho`` clamped below ``max_utilization``.  The
-trace layer uses :class:`MemoryController` to also account transferred
-bytes per owner (demand fills, prefetch fills, writebacks), which is
-what the PCM tool samples.
+interval engine scales memory-stall latency by it at the bus
+utilization it solves for.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.errors import MachineConfigError
 from repro.machine.spec import MemorySpec
@@ -32,94 +29,3 @@ def queueing_latency_multiplier(utilization: float, spec: MemorySpec) -> float:
         raise MachineConfigError(f"utilization must be >= 0, got {utilization}")
     rho = min(utilization, spec.max_utilization)
     return 1.0 + spec.queue_gain * rho / (1.0 - rho)
-
-
-def effective_shares(demands: list[float], peak: float) -> list[float]:
-    """Achieved per-requester bandwidth when total demand may exceed peak.
-
-    Under saturation the controller serves requesters proportionally to
-    their demand (fair FR-FCFS approximation); below saturation every
-    demand is met.  Returns achieved bytes/s per requester.
-    """
-    if peak <= 0:
-        raise MachineConfigError("peak bandwidth must be positive")
-    if any(d < 0 for d in demands):
-        raise MachineConfigError("demands must be non-negative")
-    total = sum(demands)
-    if total <= peak:
-        return list(demands)
-    scale = peak / total
-    return [d * scale for d in demands]
-
-
-@dataclass
-class TransferStats:
-    """Bytes moved over the memory bus, by cause."""
-
-    demand_bytes: int = 0
-    prefetch_bytes: int = 0
-    writeback_bytes: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        """All bus traffic regardless of cause."""
-        return self.demand_bytes + self.prefetch_bytes + self.writeback_bytes
-
-
-@dataclass
-class MemoryController:
-    """Trace-layer DRAM model: per-owner byte accounting + latency curve.
-
-    Owners are small integers identifying co-running applications; owner
-    ``-1`` aggregates unattributed traffic.
-    """
-
-    spec: MemorySpec
-    line_bytes: int = 64
-    _by_owner: dict[int, TransferStats] = field(default_factory=dict, repr=False)
-
-    def _stats(self, owner: int) -> TransferStats:
-        st = self._by_owner.get(owner)
-        if st is None:
-            st = self._by_owner[owner] = TransferStats()
-        return st
-
-    def demand_fill(self, owner: int = -1, lines: int = 1) -> None:
-        """Account a demand line fill from DRAM."""
-        self._stats(owner).demand_bytes += lines * self.line_bytes
-
-    def prefetch_fill(self, owner: int = -1, lines: int = 1) -> None:
-        """Account a prefetch line fill from DRAM."""
-        self._stats(owner).prefetch_bytes += lines * self.line_bytes
-
-    def writeback(self, owner: int = -1, lines: int = 1) -> None:
-        """Account a dirty-line writeback to DRAM."""
-        self._stats(owner).writeback_bytes += lines * self.line_bytes
-
-    def owner_stats(self, owner: int) -> TransferStats:
-        """Counters for one owner (zeros if it never transferred)."""
-        return self._by_owner.get(owner, TransferStats())
-
-    def total_bytes(self) -> int:
-        """All bytes moved since the last reset."""
-        return sum(s.total_bytes for s in self._by_owner.values())
-
-    def bandwidth_bytes_per_s(self, window_seconds: float) -> float:
-        """Average bus bandwidth over an observation window."""
-        if window_seconds <= 0:
-            raise MachineConfigError("window must be positive")
-        return self.total_bytes() / window_seconds
-
-    def utilization(self, window_seconds: float) -> float:
-        """Bus utilization over a window, relative to the practical peak."""
-        return self.bandwidth_bytes_per_s(window_seconds) / self.spec.peak_bandwidth_bytes
-
-    def load_latency_cycles(self, utilization: float) -> float:
-        """DRAM load latency at the given utilization."""
-        return self.spec.idle_latency_cycles * queueing_latency_multiplier(
-            utilization, self.spec
-        )
-
-    def reset(self) -> None:
-        """Zero all per-owner counters."""
-        self._by_owner.clear()

@@ -13,9 +13,9 @@ prefetch fills:
 * :class:`L2StreamerPrefetcher` — detects ascending/descending streams
   within a 4 KiB page and runs ahead of them by ``depth`` lines.
 
-The hierarchy consults the per-core MSR 0x1A4 before invoking any of
-them, so flipping the MSR bit is exactly how a prefetcher disappears —
-the same control path the paper uses on real hardware.
+:class:`CorePrefetchers` puts all four behind one on/off switch, the
+model of the paper's Fig 4 experiment, which disables them together by
+writing MSR 0x1A4 on every core.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ class L1NextLinePrefetcher:
         if not miss or not _same_page(line, line + 1):
             return []
         return [line + 1]
-
-    def reset(self) -> None:
-        """Stateless; provided for interface symmetry."""
 
 
 class L1IpStridePrefetcher:
@@ -90,10 +87,6 @@ class L1IpStridePrefetcher:
         self._table[slot] = (line, stride, conf)
         return out
 
-    def reset(self) -> None:
-        """Forget all learned strides."""
-        self._table.clear()
-
 
 class L2AdjacentLinePrefetcher:
     """Adjacent-line ("buddy") prefetcher: on an L2 miss, fetch the other
@@ -106,9 +99,6 @@ class L2AdjacentLinePrefetcher:
         if not miss:
             return []
         return [line ^ 1]
-
-    def reset(self) -> None:
-        """Stateless; provided for interface symmetry."""
 
 
 class L2StreamerPrefetcher:
@@ -155,16 +145,12 @@ class L2StreamerPrefetcher:
             self._pages.popitem(last=False)
         return out
 
-    def reset(self) -> None:
-        """Forget all tracked pages."""
-        self._pages.clear()
-
 
 class CorePrefetchers:
-    """The full per-core prefetcher complement with MSR-style gating.
+    """The full per-core prefetcher complement behind one switch.
 
-    ``enabled`` mirrors the decoded MSR 0x1A4 state; the hierarchy
-    refreshes it from :class:`repro.machine.msr.MsrBank` before use.
+    With ``enabled`` False no prefetcher observes the stream or issues
+    a fill, so their learned state stays untouched.
     """
 
     def __init__(self, spec: PrefetcherSpec) -> None:
@@ -172,34 +158,18 @@ class CorePrefetchers:
         self.l1_ip = L1IpStridePrefetcher(spec)
         self.l2_adjacent = L2AdjacentLinePrefetcher()
         self.l2_stream = L2StreamerPrefetcher(spec)
-        self.enabled = {
-            "l1_next_line": True,
-            "l1_ip_stride": True,
-            "l2_adjacent": True,
-            "l2_stream": True,
-        }
+        self.enabled = True
 
     def l1_candidates(self, ip: int, line: int, *, miss: bool) -> list[int]:
         """Prefetch lines to fill into L1D for this demand access."""
-        out: list[int] = []
-        if self.enabled["l1_next_line"]:
-            out.extend(self.l1_next.observe(ip, line, miss=miss))
-        if self.enabled["l1_ip_stride"]:
-            out.extend(self.l1_ip.observe(ip, line, miss=miss))
-        return out
+        if not self.enabled:
+            return []
+        return (self.l1_next.observe(ip, line, miss=miss)
+                + self.l1_ip.observe(ip, line, miss=miss))
 
     def l2_candidates(self, ip: int, line: int, *, miss: bool) -> list[int]:
         """Prefetch lines to fill into L2 for this L2 access."""
-        out: list[int] = []
-        if self.enabled["l2_adjacent"]:
-            out.extend(self.l2_adjacent.observe(ip, line, miss=miss))
-        if self.enabled["l2_stream"]:
-            out.extend(self.l2_stream.observe(ip, line, miss=miss))
-        return out
-
-    def reset(self) -> None:
-        """Clear all learned state (stream tables, stride tables)."""
-        self.l1_next.reset()
-        self.l1_ip.reset()
-        self.l2_adjacent.reset()
-        self.l2_stream.reset()
+        if not self.enabled:
+            return []
+        return (self.l2_adjacent.observe(ip, line, miss=miss)
+                + self.l2_stream.observe(ip, line, miss=miss))

@@ -106,9 +106,9 @@ class PrefetcherSpec:
     """Configuration of the four Sandy Bridge hardware prefetchers
     (Section IV-C of the paper), all enabled by default.
 
-    The runtime enable/disable state lives in the per-core MSR bank
-    (:mod:`repro.machine.msr`); this spec provides the *capabilities*
-    and tuning of each engine.
+    The on/off switch lives on the cache model
+    (:class:`repro.machine.hierarchy.CoreCacheHierarchy`); this spec
+    provides the *capabilities* and tuning of each engine.
     """
 
     #: L2 streamer: lines prefetched ahead of a detected stream.

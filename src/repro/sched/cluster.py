@@ -21,6 +21,7 @@ over a cluster is reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator
 
@@ -62,6 +63,8 @@ class Tenant:
             raise SchedError("a tenant needs an id")
         if self.threads < 1:
             raise SchedError(f"{self.tenant}: threads must be >= 1")
+        if not (math.isfinite(self.solo_s) and math.isfinite(self.arrival_s)):
+            raise SchedError(f"{self.tenant}: solo_s and arrival_s must be finite")
         if self.solo_s <= 0:
             raise SchedError(f"{self.tenant}: solo_s must be positive")
         if self.pinning is not None:

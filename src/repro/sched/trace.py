@@ -23,6 +23,7 @@ fraction D synthesizes seeded early departures via
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,6 +62,8 @@ class TraceEvent:
             raise SchedError(
                 f"{self.tenant}: unknown hint {self.hint!r}; use 'cat' or 'pin'"
             )
+        if not (math.isfinite(self.time_s) and math.isfinite(self.solo_s)):
+            raise SchedError(f"{self.tenant}: time_s and solo_s must be finite")
         if self.time_s < 0:
             raise SchedError(f"{self.tenant}: event time must be >= 0")
         if not self.tenant:

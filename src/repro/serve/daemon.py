@@ -43,6 +43,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import logging
+import math
 import signal
 import time
 from collections import deque
@@ -177,11 +178,9 @@ class ServeDaemon:
     async def run(self, *, ready=None) -> None:
         """Start, serve until SIGTERM/SIGINT or ``POST /shutdown``, then
         shut down in order: server, event streams, telemetry, store lock.
-        ``ready(daemon)`` is called once bound — the CLI announces the
-        resolved port through it."""
+        ``ready(daemon)`` is called once bound and signal-ready — the CLI
+        announces the resolved port through it."""
         await self.start()
-        if ready is not None:
-            ready(self)
         loop = asyncio.get_running_loop()
         installed: list[signal.Signals] = []
         for sig in (signal.SIGTERM, signal.SIGINT):
@@ -190,6 +189,11 @@ class ServeDaemon:
                 installed.append(sig)
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass  # non-main thread / platform without loop signals
+        # Announce only once the handlers are in: a client that signals
+        # as soon as it reads the port gets the orderly shutdown, not the
+        # default SIGTERM disposition.
+        if ready is not None:
+            ready(self)
         try:
             await self._stop.wait()
         finally:
@@ -446,11 +450,14 @@ class ServeDaemon:
                 return default
             raise ServeError(f"arrival/departure body needs {key!r}")
         try:
-            return kind(body[key])
-        except (TypeError, ValueError):
+            value = kind(body[key])
+        except (TypeError, ValueError, OverflowError):  # int(inf) overflows
             raise ServeError(
                 f"bad value for {key!r}: {body[key]!r}"
             ) from None
+        if kind is float and not math.isfinite(value):
+            raise ServeError(f"{key!r} must be finite, got {body[key]!r}")
+        return value
 
     async def _admit(self, body: Any) -> dict[str, Any]:
         if not isinstance(body, dict):

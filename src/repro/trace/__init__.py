@@ -8,7 +8,6 @@ from repro.trace.reuse import (
     miss_ratio_at,
     reuse_distances,
     reuse_distances_bruteforce,
-    reuse_histogram,
 )
 from repro.trace.stream import (
     AccessBatch,
@@ -32,7 +31,6 @@ __all__ = [
     "miss_ratio_at",
     "reuse_distances",
     "reuse_distances_bruteforce",
-    "reuse_histogram",
     "synth",
     "take",
     "total_accesses",

@@ -1,15 +1,17 @@
 """Trace-layer profiler: measure a kernel's memory behaviour.
 
-``TraceProfiler`` pushes a workload's access stream through the machine
-model and extracts exactly the quantities the interval engine's
+``TraceProfiler`` pushes a workload's access stream through a one-core
+cache model and extracts exactly the quantities the interval engine's
 :class:`~repro.workloads.base.RegionProfile` needs:
 
 * private-cache behaviour — L1/L2 miss ratios and the fixed L2 MPKI;
 * the LLC miss-ratio curve, from exact stack distances of the L2-miss
   stream (what actually reaches the shared cache);
 * prefetchable *regularity*, measured the honest way: run the same
-  stream twice, prefetchers on vs off (via MSR 0x1A4), and compare DRAM
-  demand traffic — the same experiment as the paper's Fig 4;
+  stream through a fresh :class:`~repro.machine.CoreCacheHierarchy`
+  with its prefetchers on, then off, and compare DRAM demand traffic —
+  the model of the paper's Fig 4 experiment, which flips MSR 0x1A4 on
+  real cores;
 * footprint and write fraction.
 
 This is how a user characterizes *their own* application against the
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import TraceError
-from repro.machine.machine import Machine
+from repro.machine.cache import SetAssociativeCache
+from repro.machine.hierarchy import CoreCacheHierarchy
 from repro.machine.spec import MachineSpec, xeon_e5_4650
 from repro.trace.mrc import MissRatioCurve
 from repro.trace.reuse import reuse_distances
@@ -65,7 +68,7 @@ class TraceCharacterization:
 
 
 class TraceProfiler:
-    """Characterize traces against a machine model."""
+    """Characterize traces against one core of a machine model."""
 
     def __init__(self, spec: MachineSpec | None = None) -> None:
         self.spec = spec if spec is not None else xeon_e5_4650()
@@ -86,8 +89,6 @@ class TraceProfiler:
     def _private_pass(self, batches: list[AccessBatch]) -> tuple[dict, np.ndarray]:
         """Run the trace through private L1+L2 only (no prefetch);
         return counters and the L2-miss line stream."""
-        from repro.machine.cache import SetAssociativeCache
-
         l1 = SetAssociativeCache(self.spec.l1d)
         l2 = SetAssociativeCache(self.spec.l2)
         l2_miss_lines: list[np.ndarray] = []
@@ -112,18 +113,13 @@ class TraceProfiler:
         return counters, stream
 
     def _dram_demand_bytes(self, batches: list[AccessBatch], *, prefetch: bool) -> int:
-        machine = Machine(self.spec)
-        machine.set_all_prefetchers(prefetch)
-        core = 0
+        core = CoreCacheHierarchy(self.spec, prefetch=prefetch)
         for batch in batches:
             for i in range(len(batch)):
-                machine.access(
-                    core,
-                    ip=int(batch.ips[i]),
-                    line=int(batch.lines[i]),
-                    write=bool(batch.writes[i]),
+                core.access(
+                    int(batch.ips[i]), int(batch.lines[i]), write=bool(batch.writes[i])
                 )
-        return machine.memory.owner_stats(-1).demand_bytes
+        return core.demand_bytes
 
     # -- public API ------------------------------------------------------
 

@@ -115,15 +115,3 @@ def miss_ratio_at(distances: np.ndarray, capacity_lines: int) -> float:
     cold = distances == COLD
     misses = cold | (distances >= capacity_lines)
     return float(misses.mean())
-
-
-def reuse_histogram(distances: np.ndarray, max_distance: int | None = None) -> np.ndarray:
-    """Histogram of finite distances (cold excluded), clipped at
-    ``max_distance`` (defaults to the observed maximum)."""
-    distances = np.asarray(distances)
-    finite = distances[distances != COLD]
-    if len(finite) == 0:
-        return np.zeros(1, dtype=np.int64)
-    hi = int(finite.max()) if max_distance is None else max_distance
-    clipped = np.minimum(finite, hi)
-    return np.bincount(clipped, minlength=hi + 1).astype(np.int64)

@@ -1,9 +1,9 @@
 """Synthetic access-pattern generators.
 
-These are the building blocks the workload models compose: sequential
-streams (STREAM-like), constant strides, uniform random, Zipf-skewed
-(graph vertex popularity), pointer chases (mcf-like dependent loads) and
-same-set conflict chases (the Bandit mini-benchmark's defining trick).
+Reference patterns with known memory behaviour: sequential streams
+(STREAM-like), uniform random, Zipf-skewed (graph vertex popularity)
+and same-set conflict chases (the Bandit mini-benchmark's defining
+trick, and its trace).
 
 All generators are deterministic given a seed, yield
 :class:`~repro.trace.stream.AccessBatch` chunks, and take an
@@ -80,35 +80,6 @@ def sequential(
     )
 
 
-def strided(
-    n: int,
-    stride_lines: int,
-    *,
-    start_line: int = 0,
-    ip: int = 2,
-    write_ratio: float = 0.0,
-    instructions_per_access: float = 2.0,
-    region: int = 0,
-    seed: int = 0,
-) -> Iterator[AccessBatch]:
-    """Constant-stride stream (IP-stride prefetcher food)."""
-    _check_positive(n=n)
-    if stride_lines == 0:
-        raise TraceError("stride must be non-zero")
-    lines = start_line + stride_lines * np.arange(n, dtype=np.int64)
-    if lines.min() < 0:
-        raise TraceError("strided generator produced negative lines")
-    rng = np.random.default_rng(seed)
-    yield from _emit(
-        lines,
-        ip=ip,
-        write_ratio=write_ratio,
-        instructions_per_access=instructions_per_access,
-        region=region,
-        rng=rng,
-    )
-
-
 def random_uniform(
     n: int,
     footprint_lines: int,
@@ -169,45 +140,6 @@ def zipf(
     )
 
 
-def pointer_chase(
-    n: int,
-    footprint_lines: int,
-    *,
-    base_line: int = 0,
-    ip: int = 5,
-    instructions_per_access: float = 1.5,
-    region: int = 0,
-    seed: int = 0,
-) -> Iterator[AccessBatch]:
-    """Dependent-load chase over a random permutation cycle.
-
-    Every access's address comes from the previous load — no spatial
-    locality, no stride for the prefetchers to learn, serialized by
-    construction (mcf/xalancbmk behaviour).
-    """
-    _check_positive(n=n, footprint_lines=footprint_lines)
-    rng = np.random.default_rng(seed)
-    # A single n-cycle permutation guarantees full-footprint coverage.
-    order = rng.permutation(footprint_lines)
-    nxt = np.empty(footprint_lines, dtype=np.int64)
-    nxt[order[:-1]] = order[1:]
-    nxt[order[-1]] = order[0]
-    lines = np.empty(n, dtype=np.int64)
-    cur = int(order[0])
-    for i in range(n):
-        lines[i] = cur
-        cur = int(nxt[cur])
-    lines += base_line
-    yield from _emit(
-        lines,
-        ip=ip,
-        write_ratio=0.0,
-        instructions_per_access=instructions_per_access,
-        region=region,
-        rng=rng,
-    )
-
-
 def conflict_chase(
     n: int,
     *,
@@ -236,17 +168,3 @@ def conflict_chase(
         region=region,
         rng=rng,
     )
-
-
-def interleave(*traces: Iterator[AccessBatch]) -> Iterator[AccessBatch]:
-    """Round-robin interleave of several traces, batch by batch, until
-    all are exhausted — crude phase mixing for tests."""
-    sources = [iter(t) for t in traces]
-    while sources:
-        alive = []
-        for src in sources:
-            batch = next(src, None)
-            if batch is not None:
-                yield batch
-                alive.append(src)
-        sources = alive

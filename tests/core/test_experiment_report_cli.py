@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core import ExperimentConfig, Jitter, SoloCache
+from repro.core import ExperimentConfig, Jitter
 from repro.core.report import ascii_table, csv_table, shade, text_heatmap
 from repro.errors import ExperimentError
 
@@ -51,19 +51,6 @@ class TestJitter:
         a = Jitter.for_key(cfg, "cell", "A", "B").measure(10.0)
         b = Jitter.for_key(cfg, "cell", "B", "A").measure(10.0)
         assert a != b
-
-
-class TestSoloCache:
-    def test_caches_results(self):
-        cfg = ExperimentConfig()
-        cache = SoloCache(cfg.make_engine())
-        a = cache.get("swaptions", threads=4)
-        b = cache.get("swaptions", threads=4)
-        assert a is b
-
-    def test_distinct_threads_distinct_entries(self):
-        cache = SoloCache(ExperimentConfig().make_engine())
-        assert cache.runtime("swaptions", threads=1) > cache.runtime("swaptions", threads=4)
 
 
 class TestReport:

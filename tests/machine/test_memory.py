@@ -1,12 +1,11 @@
-"""Tests for the memory controller and queueing model."""
+"""Tests for the memory bus's queueing-delay curve."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MachineConfigError
-from repro.machine import MemoryController, MemorySpec, effective_shares, queueing_latency_multiplier
-from repro.units import GB
+from repro.machine import MemorySpec, queueing_latency_multiplier
 
 
 SPEC = MemorySpec()
@@ -25,6 +24,17 @@ class TestQueueingCurve:
         beyond = queueing_latency_multiplier(5.0, SPEC)
         assert beyond == pytest.approx(at_max)
 
+    @pytest.mark.parametrize("rho", [0.25, 0.5, 0.75])
+    def test_open_queue_shape(self, rho):
+        expected = 1.0 + SPEC.queue_gain * rho / (1.0 - rho)
+        assert queueing_latency_multiplier(rho, SPEC) == pytest.approx(expected)
+
+    def test_spec_sets_gain_and_cap(self):
+        spec = MemorySpec(queue_gain=2.0, max_utilization=0.5)
+        # Clamped at rho = 0.5: 1 + 2 * 0.5 / 0.5.
+        assert queueing_latency_multiplier(0.8, spec) == pytest.approx(3.0)
+        assert queueing_latency_multiplier(0.8, SPEC) < 3.0
+
     def test_negative_utilization_rejected(self):
         with pytest.raises(MachineConfigError):
             queueing_latency_multiplier(-0.1, SPEC)
@@ -35,74 +45,3 @@ class TestQueueingCurve:
         m = queueing_latency_multiplier(rho, SPEC)
         assert m >= 1.0
         assert m < 1e6
-
-
-class TestEffectiveShares:
-    def test_under_peak_demands_met(self):
-        out = effective_shares([1.0 * GB, 2.0 * GB], 28.0 * GB)
-        assert out == [1.0 * GB, 2.0 * GB]
-
-    def test_over_peak_proportional(self):
-        out = effective_shares([30.0 * GB, 30.0 * GB], 28.0 * GB)
-        assert sum(out) == pytest.approx(28.0 * GB)
-        assert out[0] == pytest.approx(out[1])
-
-    def test_negative_demand_rejected(self):
-        with pytest.raises(MachineConfigError):
-            effective_shares([-1.0], 28.0 * GB)
-
-    def test_zero_peak_rejected(self):
-        with pytest.raises(MachineConfigError):
-            effective_shares([1.0], 0)
-
-    @given(
-        st.lists(st.floats(min_value=0, max_value=1e11), min_size=1, max_size=6),
-        st.floats(min_value=1e9, max_value=1e11),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_conservation_and_cap(self, demands, peak):
-        out = effective_shares(demands, peak)
-        assert sum(out) <= max(peak, sum(demands)) * (1 + 1e-9)
-        assert sum(out) <= peak * (1 + 1e-9) or sum(demands) <= peak
-        for d, a in zip(demands, out):
-            assert a <= d * (1 + 1e-9)
-
-
-class TestMemoryController:
-    def test_accounting_by_owner(self):
-        mc = MemoryController(SPEC, line_bytes=64)
-        mc.demand_fill(owner=1, lines=10)
-        mc.prefetch_fill(owner=1, lines=5)
-        mc.writeback(owner=2, lines=3)
-        s1 = mc.owner_stats(1)
-        assert s1.demand_bytes == 640
-        assert s1.prefetch_bytes == 320
-        assert s1.total_bytes == 960
-        assert mc.owner_stats(2).writeback_bytes == 192
-        assert mc.total_bytes() == 960 + 192
-
-    def test_unknown_owner_reads_zero(self):
-        mc = MemoryController(SPEC)
-        assert mc.owner_stats(42).total_bytes == 0
-
-    def test_bandwidth_window(self):
-        mc = MemoryController(SPEC, line_bytes=64)
-        mc.demand_fill(lines=1_000_000)
-        assert mc.bandwidth_bytes_per_s(1.0) == pytest.approx(64e6)
-        with pytest.raises(MachineConfigError):
-            mc.bandwidth_bytes_per_s(0.0)
-
-    def test_utilization(self):
-        mc = MemoryController(SPEC, line_bytes=64)
-        mc.demand_fill(lines=int(28 * GB) // 64)
-        assert mc.utilization(1.0) == pytest.approx(1.0, rel=1e-6)
-
-    def test_load_latency_grows_with_utilization(self):
-        mc = MemoryController(SPEC)
-        assert mc.load_latency_cycles(0.9) > mc.load_latency_cycles(0.1)
-
-    def test_reset(self):
-        mc = MemoryController(SPEC)
-        mc.demand_fill(owner=1)
-        mc.reset()
-        assert mc.total_bytes() == 0

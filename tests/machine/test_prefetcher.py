@@ -56,13 +56,6 @@ class TestIpStride:
         pf.observe(5, 10, miss=True)
         assert pf.observe(5, 10, miss=True) == []
 
-    def test_reset(self):
-        pf = L1IpStridePrefetcher(SPEC)
-        for line in [10, 14, 18]:
-            pf.observe(6, line, miss=True)
-        pf.reset()
-        assert pf.observe(6, 22, miss=True) == []
-
 
 class TestAdjacent:
     def test_companion_line(self):
@@ -114,7 +107,7 @@ class TestStreamer:
 class TestCorePrefetchers:
     def test_gating(self):
         core = CorePrefetchers(SPEC)
-        core.enabled = {k: False for k in core.enabled}
+        core.enabled = False
         assert core.l1_candidates(0, 10, miss=True) == []
         assert core.l2_candidates(0, 10, miss=True) == []
 
@@ -125,10 +118,20 @@ class TestCorePrefetchers:
         assert 19 in out  # next line
         assert 22 in out  # stride
 
-    def test_reset_clears_state(self):
+    def test_l2_combines_adjacent_and_stream(self):
+        core = CorePrefetchers(SPEC)
+        for line in [1, 2]:
+            core.l2_candidates(0, line, miss=True)
+        out = core.l2_candidates(0, 3, miss=True)
+        assert 2 in out  # adjacent line (3 ^ 1)
+        assert 7 in out  # streamer, depth 4 ahead
+
+    def test_switched_off_prefetchers_keep_what_they_learned(self):
         core = CorePrefetchers(SPEC)
         for line in [10, 14, 18]:
             core.l1_candidates(7, line, miss=True)
-        core.reset()
-        out = core.l1_candidates(7, 22, miss=True)
-        assert out == [23]  # only next-line; stride history gone
+        core.enabled = False
+        for line in [100, 300, 500]:  # not observed while off
+            core.l1_candidates(7, line, miss=True)
+        core.enabled = True
+        assert 26 in core.l1_candidates(7, 22, miss=True)  # stride 4 kept

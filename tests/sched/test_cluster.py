@@ -23,6 +23,12 @@ class TestTenant:
         with pytest.raises(SchedError):
             tenant(solo_s=0.0)
 
+    @pytest.mark.parametrize("field", ["solo_s", "arrival_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_times_rejected(self, field, value):
+        with pytest.raises(SchedError, match="finite"):
+            tenant(**{field: value})
+
     def test_placement_carries_partitioning(self):
         t = tenant(llc_ways=0b11, pinning=(0, 1))
         assert t.placement() == AppPlacement(

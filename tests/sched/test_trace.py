@@ -1,5 +1,7 @@
 """Tests for deterministic arrival traces."""
 
+import json
+
 import pytest
 
 from repro.errors import SchedError
@@ -29,6 +31,29 @@ class TestTraceEvent:
             arrival(0.0, "t0", solo_s=0.0)
         # Departures carry no shape.
         TraceEvent(time_s=1.0, kind="departure", tenant="t0")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_times_rejected(self, value):
+        with pytest.raises(SchedError, match="finite"):
+            arrival(value, "t0")
+        with pytest.raises(SchedError, match="finite"):
+            arrival(0.0, "t0", solo_s=value)
+        with pytest.raises(SchedError, match="finite"):
+            TraceEvent(time_s=value, kind="departure", tenant="t0")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["time_s", "solo_s"])
+    def test_trace_file_with_non_finite_numbers_rejected(self, tmp_path, token, field):
+        event = {"time_s": 0.0, "kind": "arrival", "tenant": "t0",
+                 "workload": "G-CC", "threads": 2, "solo_s": 5.0}
+        text = json.dumps({"events": [event]}).replace(
+            f'"{field}": {event[field]}', f'"{field}": {token}'
+        )
+        assert token in text
+        path = tmp_path / "trace.json"
+        path.write_text(text)
+        with pytest.raises(SchedError, match="finite"):
+            load_trace(path)
 
     def test_payload_round_trip(self):
         e = arrival(1.25, "t0")

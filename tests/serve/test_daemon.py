@@ -115,6 +115,48 @@ class TestEndpoints:
 
         with_daemon(test)
 
+    def test_non_finite_numbers_are_400_and_the_log_stays_json(self):
+        async def test(daemon, client):
+            await submit(client, "a")
+            bad = ("nan", "inf", "-Infinity", float("nan"), float("inf"))
+            for i, value in enumerate(bad):
+                # Strings and bare NaN/Infinity tokens both parse to floats.
+                with pytest.raises(ServeError, match="finite"):
+                    await client._request(
+                        "POST", "/departures", {"tenant": "a", "time_s": value}
+                    )
+                for field in ("time_s", "solo_s", "budget_s"):
+                    body = {"tenant": f"b{i}{field}", "workload": "G-CC",
+                            "threads": 2, field: value}
+                    with pytest.raises(ServeError, match="finite"):
+                        await client._request("POST", "/arrivals", body)
+            # An integer field cannot hold infinity either.
+            with pytest.raises(ServeError, match="threads"):
+                await client._request("POST", "/arrivals", {
+                    "tenant": "c", "workload": "G-CC", "threads": float("inf"),
+                })
+            log = await client.decisions()
+            assert [d["tenant"] for d in log["decisions"]] == ["a"]
+            json.dumps(log, allow_nan=False)  # strict JSON: no NaN token
+            assert (await client.state())["homes"] == {"a": "m0"}
+
+        with_daemon(test)
+
+    def test_finite_numeric_strings_still_admitted(self):
+        async def test(daemon, client):
+            reply = await client._request("POST", "/arrivals", {
+                "tenant": "a", "workload": "G-CC", "threads": "2",
+                "solo_s": "5.0", "time_s": "1e-3",
+            })
+            assert reply["decision"]["admitted"] is True
+            assert (await client.state())["homes"] == {"a": "m0"}
+            await client._request(
+                "POST", "/departures", {"tenant": "a", "time_s": "2.5"}
+            )
+            assert (await client.state())["homes"] == {}
+
+        with_daemon(test)
+
     def test_malformed_content_length_is_400_not_a_dropped_connection(self):
         async def test(daemon, client):
             reader, writer = await asyncio.open_connection(daemon.host, daemon.port)

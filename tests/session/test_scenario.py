@@ -26,6 +26,7 @@ from repro.session import (
     ScenarioSet,
     Session,
     ThreadExecutor,
+    fingerprint,
     parse_placement,
 )
 from repro.workloads.registry import get_profile
@@ -67,6 +68,14 @@ class TestScenarioValueObject:
             == "8000f40571a1"
         )
         assert Scenario.of("G-CC:8", "Stream:8", smt=True).fingerprint == "bcef8e15c65d"
+
+    def test_engine_and_spec_fingerprint_golden_values(self):
+        # Pinned: every store shard is keyed by the engine fingerprint,
+        # so a change here orphans every persisted measurement.
+        session = Session(ExperimentConfig())
+        assert session.engine_fingerprint() == "983ca1481f3b"
+        assert session.spec_fingerprint() == "4b1c3c403734"
+        assert fingerprint(small_test_machine()) == "48e77fe9b54a"
 
     def test_fingerprint_is_order_sensitive(self):
         a = Scenario.of("G-CC:2", "swaptions:2", "fotonik3d:2")

@@ -106,6 +106,25 @@ class TestHoursWithTraffic:
             assert (args.traffic, args.hours) == ("model.json", 2.0)
 
 
+class TestGivenFlags:
+    """``args.given`` tells an explicit flag from its default, even when
+    the two hold the same value (an explicit ``--seed 0`` still beats a
+    model file's own seed)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["traffic", "gen", "--seed", "0"], ["--seed", "0", "traffic", "gen"]],
+        ids=["after-verb", "before-verb"],
+    )
+    def test_flag_on_the_command_line_is_given(self, argv):
+        args = parse_args(argv)
+        assert "seed" in args.given and args.seed == 0
+
+    def test_default_is_not_given(self):
+        args = parse_args(["traffic", "gen"])
+        assert "seed" not in args.given and args.seed == 0
+
+
 class TestOwnFlagsOnly:
     @pytest.mark.parametrize(
         "argv, flag",

@@ -1,81 +1,16 @@
-"""Cross-layer integration tests.
+"""Cross-layer integration tests: calibrated profiles -> interval
+engine -> measurement tools.
 
-These tie the three layers together: real kernels -> trace profiler ->
-calibrated profiles -> interval engine, asserting the qualitative
-agreements that make the reproduction coherent.
+The kernel-vs-calibration checks of the trace layer live in
+``tests/trace/test_kernel_calibration.py``.
 """
 
 import pytest
 
-from repro.core import ExperimentConfig
 from repro.engine import IntervalEngine
-from repro.machine import small_test_machine
 from repro.tools import PcmMemoryMonitor
-from repro.trace import TraceProfiler
-from repro.units import GB, MiB
-from repro.workloads.registry import get_profile, get_workload
-
-
-@pytest.fixture(scope="module")
-def profiler():
-    return TraceProfiler(small_test_machine())
-
-
-class TestKernelVsCalibration:
-    """The measured behaviour of the real kernels must agree in *kind*
-    with the calibrated profiles (absolute values differ: the kernels
-    run scaled-down inputs)."""
-
-    def test_graph_kernel_is_irregular(self, profiler):
-        # Scale 4.0: the vertex array outgrows even the test machine's
-        # LLC, so the irregular gather dominates DRAM traffic (as the
-        # friendster input does on the real machine).  Note the metric
-        # difference: the profiler measures prefetch *byte coverage*
-        # (graph codes still stream their edge arrays), while the
-        # calibrated `regularity` is performance-effective coverage —
-        # the gather is the latency bottleneck, so it is lower.
-        char = profiler.characterize(
-            get_workload("G-PR", scale=4.0).trace(max_accesses=40_000),
-            max_accesses=40_000,
-        )
-        assert char.regularity < 0.65
-        assert get_profile("G-PR").regions[0].regularity < 0.45
-
-    def test_stream_kernel_is_regular(self, profiler):
-        char = profiler.characterize(
-            get_workload("Stream", n_elems=1 << 14).trace(max_accesses=30_000)
-        )
-        assert char.regularity > 0.6
-        assert get_profile("Stream").regions[0].regularity == 1.0
-
-    def test_bandit_kernel_unprefetchable(self, profiler):
-        spec_sets = small_test_machine().llc.n_sets
-        char = profiler.characterize(
-            get_workload("Bandit", llc_sets=spec_sets, n_accesses=20_000).trace()
-        )
-        assert char.regularity < 0.35
-        assert char.llc_mrc.compulsory_ratio > 0.9  # every access misses
-
-    def test_blackscholes_kernel_compute_dense(self, profiler):
-        char = profiler.characterize(
-            get_workload("blackscholes", n_options=4096).trace(max_accesses=20_000)
-        )
-        assert char.refs_per_kinstr < 80  # few memory refs per kinstr
-        # Calibration agrees: lowest l2_mpki in the fleet.
-        assert get_profile("blackscholes").regions[0].l2_mpki < 1.0
-
-    def test_graph_footprint_exceeds_dl_footprint(self, profiler):
-        graph = profiler.characterize(
-            get_workload("G-CC", scale=0.5).trace(max_accesses=25_000)
-        )
-        atis = profiler.characterize(
-            get_workload("ATIS").trace(max_accesses=25_000)
-        )
-        assert graph.footprint_bytes > atis.footprint_bytes
-        assert (
-            get_profile("G-CC").regions[0].footprint_bytes
-            > get_profile("ATIS").regions[0].footprint_bytes
-        )
+from repro.units import GB
+from repro.workloads.registry import get_profile
 
 
 class TestPhaseBehaviour:
@@ -99,33 +34,3 @@ class TestPhaseBehaviour:
             assert m8.by_region[region].instructions == pytest.approx(
                 m1.by_region[region].instructions, rel=1e-6
             )
-
-
-class TestEndToEndPipeline:
-    def test_profile_kernel_and_corun_against_fleet(self, profiler):
-        """The full user workflow of examples/custom_workload.py."""
-        profile = profiler.build_profile(
-            "itest-kernel",
-            get_workload("streamcluster").trace(max_accesses=15_000),
-            ipc_core=2.0, mlp=6.0, total_kinstr=1.0e8,
-            max_accesses=15_000,
-        )
-        engine = IntervalEngine()
-        solo = engine.solo_run(profile, threads=4)
-        res = engine.co_run(profile, get_profile("Stream"),
-                            fg_solo_runtime_s=solo.runtime_s)
-        assert res.normalized_time >= 1.0
-        benign = engine.co_run(profile, get_profile("swaptions"),
-                               fg_solo_runtime_s=solo.runtime_s)
-        assert benign.normalized_time < res.normalized_time + 1e-9
-
-    def test_experiment_config_engine_spec_propagates(self):
-        from repro.machine.spec import MachineSpec
-        from dataclasses import replace
-
-        spec = MachineSpec()
-        spec = replace(spec, memory=replace(spec.memory, peak_bandwidth_bytes=10 * GB))
-        cfg = ExperimentConfig(workloads=("IRSmk",), spec=spec)
-        res = cfg.make_engine().solo_run(get_profile("IRSmk"), threads=4)
-        # Starved bus: bandwidth pinned at or below the reduced peak.
-        assert res.metrics.avg_bandwidth_bytes <= 10 * GB * 1.01

@@ -1,16 +1,27 @@
 """Tests for the trace profiler (kernel -> measured characterization)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.machine import small_test_machine
-from repro.trace import TraceProfiler, synth
+from repro.machine import CoreCacheHierarchy, small_test_machine
+from repro.trace import AccessBatch, TraceProfiler, synth
 from repro.units import KiB, MiB
 
 
 @pytest.fixture(scope="module")
 def profiler():
     return TraceProfiler(small_test_machine())
+
+
+def run_on_core(batches, *, prefetch: bool) -> CoreCacheHierarchy:
+    core = CoreCacheHierarchy(small_test_machine(), prefetch=prefetch)
+    for batch in batches:
+        for ip, line, write in zip(batch.ips, batch.lines, batch.writes):
+            core.access(int(ip), int(line), write=bool(write))
+    return core
 
 
 class TestCharacterize:
@@ -62,6 +73,54 @@ class TestCharacterize:
     def test_empty_trace_rejected(self, profiler):
         with pytest.raises(TraceError):
             profiler.characterize(iter([]))
+
+    def test_regularity_is_the_dram_demand_prefetching_saves(self, profiler):
+        # Half streaming, half scattered: neither end of [0, 1].
+        batches = [*synth.sequential(2000),
+                   *synth.random_uniform(2000, 1 << 16, write_ratio=0.2, seed=8)]
+        char = profiler.characterize(batches, max_accesses=None)
+        on = run_on_core(batches, prefetch=True).demand_bytes
+        off = run_on_core(batches, prefetch=False).demand_bytes
+        assert 0.0 < char.regularity < 1.0
+        assert char.regularity == pytest.approx(1.0 - on / off)
+
+    def test_private_ratios_match_the_core_without_prefetch(self, profiler):
+        batches = list(synth.random_uniform(4000, 1024, seed=9))
+        char = profiler.characterize(batches, max_accesses=None)
+        core = run_on_core(batches, prefetch=False)
+        assert char.l1_miss_ratio == core.l1d.stats.miss_ratio
+        assert char.l2_miss_ratio == core.l2.stats.miss_ratio
+        assert char.l2_mpki == pytest.approx(
+            1000.0 * core.l2.stats.misses / char.instructions
+        )
+
+    def test_max_accesses_truncates(self, profiler):
+        trace = list(synth.sequential(5000))
+        assert profiler.characterize(trace, max_accesses=1000).accesses == 1000
+        assert profiler.characterize(trace, max_accesses=None).accesses == 5000
+
+    def test_same_trace_same_characterization(self, profiler):
+        trace = list(synth.zipf(3000, 4096, seed=10))
+        a = profiler.characterize(trace, max_accesses=None)
+        b = TraceProfiler(small_test_machine()).characterize(trace, max_accesses=None)
+        for field in ("accesses", "instructions", "l1_miss_ratio", "l2_miss_ratio",
+                      "l2_mpki", "regularity", "footprint_bytes", "write_fraction"):
+            assert getattr(a, field) == getattr(b, field), field
+        assert np.array_equal(a.llc_mrc.capacities_bytes, b.llc_mrc.capacities_bytes)
+        assert np.array_equal(a.llc_mrc.ratios, b.llc_mrc.ratios)
+
+    @given(accesses=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=1 << 14), st.booleans()),
+        min_size=1, max_size=200,
+    ))
+    @settings(max_examples=20, deadline=None)
+    def test_measured_fractions_stay_in_unit_interval(self, profiler, accesses):
+        lines, writes = (np.array(col) for col in zip(*accesses))
+        batch = AccessBatch(ips=np.zeros_like(lines), lines=lines, writes=writes)
+        char = profiler.characterize([batch], max_accesses=None)
+        for value in (char.l1_miss_ratio, char.l2_miss_ratio,
+                      char.regularity, char.write_fraction):
+            assert 0.0 <= value <= 1.0
 
     def test_mrc_reflects_working_set(self, profiler):
         char = profiler.characterize(

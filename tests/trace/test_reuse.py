@@ -11,7 +11,6 @@ from repro.trace import (
     miss_ratio_at,
     reuse_distances,
     reuse_distances_bruteforce,
-    reuse_histogram,
 )
 
 
@@ -95,20 +94,3 @@ class TestMissRatio:
                     stack.pop()
             stack.insert(0, x)
         assert predicted_misses == misses
-
-
-class TestHistogram:
-    def test_histogram_counts(self):
-        d = np.array([COLD, 0, 0, 2, 5])
-        h = reuse_histogram(d)
-        assert h[0] == 2 and h[2] == 1 and h[5] == 1
-        assert h.sum() == 4  # cold excluded
-
-    def test_clipping(self):
-        d = np.array([0, 10, 20])
-        h = reuse_histogram(d, max_distance=10)
-        assert h[10] == 2
-
-    def test_all_cold(self):
-        h = reuse_histogram(np.array([COLD, COLD]))
-        assert h.sum() == 0

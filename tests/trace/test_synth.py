@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.trace import concat_lines, synth, total_accesses
+from repro.trace import concat_lines, synth
 
 
 class TestSequential:
@@ -19,20 +19,6 @@ class TestSequential:
     def test_rejects_bad_n(self):
         with pytest.raises(TraceError):
             list(synth.sequential(0))
-
-
-class TestStrided:
-    def test_stride(self):
-        lines = concat_lines(synth.strided(5, 3, start_line=1))
-        assert lines.tolist() == [1, 4, 7, 10, 13]
-
-    def test_zero_stride_rejected(self):
-        with pytest.raises(TraceError):
-            list(synth.strided(5, 0))
-
-    def test_negative_result_rejected(self):
-        with pytest.raises(TraceError):
-            list(synth.strided(5, -3, start_line=0))
 
 
 class TestRandomUniform:
@@ -64,22 +50,6 @@ class TestZipf:
         assert lines.max() < 50
 
 
-class TestPointerChase:
-    def test_covers_footprint(self):
-        lines = concat_lines(synth.pointer_chase(256, 256, seed=6))
-        assert len(np.unique(lines)) == 256  # full cycle coverage
-
-    def test_not_sequential(self):
-        lines = concat_lines(synth.pointer_chase(500, 500, seed=7))
-        deltas = np.abs(np.diff(lines))
-        assert (deltas == 1).mean() < 0.05
-
-    def test_dependent_chain_is_deterministic(self):
-        a = concat_lines(synth.pointer_chase(100, 64, seed=8))
-        b = concat_lines(synth.pointer_chase(100, 64, seed=8))
-        assert np.array_equal(a, b)
-
-
 class TestConflictChase:
     def test_same_set_mapping(self):
         n_sets = 128
@@ -89,11 +59,3 @@ class TestConflictChase:
     def test_all_lines_distinct(self):
         lines = concat_lines(synth.conflict_chase(100, n_sets=64))
         assert len(np.unique(lines)) == 100
-
-
-class TestInterleave:
-    def test_round_robin(self):
-        t = synth.interleave(
-            synth.sequential(8192 * 2), synth.random_uniform(4096, 64, seed=9)
-        )
-        assert total_accesses(t) == 8192 * 2 + 4096

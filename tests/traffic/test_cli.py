@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _arrivals, main, parse_args
 from repro.traffic import TrafficModel, WorkloadMix
 
 ROSTER_ARG = "G-CC,fotonik3d,swaptions"
@@ -60,6 +60,24 @@ class TestTrafficGen:
         assert code == 0
         events = json.loads(out)["events"]
         assert all(e["workload"] in ("G-CC", "swaptions") for e in events)
+
+
+    def test_explicit_seed_beats_the_model_files(self, tmp_path, capsys):
+        model = TrafficModel(
+            mix=WorkloadMix.uniform(("G-CC", "swaptions")), rate_per_hour=30.0
+        )
+        payload = model.payload()
+        payload["seed"] = 5
+        payload["hours"] = 2.0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        for flags, seed in ((["--seed", "2"], 2), ([], 5)):
+            code, out, err = run(capsys, [
+                "traffic", "gen", "--traffic", str(path), "--json", *flags,
+            ])
+            assert code == 0, err
+            trace = model.generate(seed=seed, hours=2.0)
+            assert json.loads(out) == json.loads(json.dumps(trace.payload()))
 
 
 class TestTrafficShowStats:
@@ -137,6 +155,20 @@ class TestSchedAndServePlumbing:
             comparison = json.loads(out)["comparison"]
             trace = model.generate(seed=2, hours=hours)
             assert comparison["trace"] == json.loads(json.dumps(trace.payload()))
+
+    @pytest.mark.parametrize(
+        "verb", [["traffic", "gen"], ["sched", "replay"], ["serve", "drain"]],
+        ids="-".join,
+    )
+    @pytest.mark.parametrize(
+        "flags, seed", [(["--seed", "7"], 7), ([], 2)], ids=["flag", "file"],
+    )
+    def test_explicit_seed_wins_on_every_replay_verb(self, model_file, verb, flags, seed):
+        # Every replay surface resolves its day through the same helper.
+        model = TrafficModel.from_payload(json.loads(open(model_file).read()))
+        args = parse_args([*verb, "--traffic", model_file, *flags])
+        trace = _arrivals(args, parse=None)
+        assert trace.payload() == model.generate(seed=seed, hours=2.0).payload()
 
     def test_sched_replay_accepts_diurnal_spec(self, tmp_path, capsys):
         code, out, _ = run(capsys, [

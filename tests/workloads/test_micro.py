@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.machine import Machine, small_test_machine
+from repro.machine import CoreCacheHierarchy, small_test_machine
 from repro.trace import TraceStats, concat_lines
 from repro.workloads.micro import Bandit, StreamBench
 
@@ -49,25 +49,22 @@ class TestBandit:
         """The defining property: every access conflicts with its
         predecessor, so (almost) every access reaches memory."""
         spec = small_test_machine()
-        m = Machine(spec)
-        m.set_all_prefetchers(False)
+        core = CoreCacheHierarchy(spec, prefetch=False)
         w = Bandit(llc_sets=spec.llc.n_sets, n_accesses=2000)
         for batch in w.trace(max_accesses=2000):
             for i in range(len(batch)):
-                m.access(0, ip=int(batch.ips[i]), line=int(batch.lines[i]))
-        st = m.cores[0].stats
+                core.access(int(batch.ips[i]), int(batch.lines[i]))
         # L1/L2/LLC all conflict on the same set index bits
         # (llc_sets is a multiple of the smaller caches' set counts).
-        assert st.mem_accesses > 0.95 * st.accesses
+        assert core.demand_bytes > 0.95 * 2000 * spec.line_bytes
 
     def test_tiny_llc_occupancy(self):
         spec = small_test_machine()
-        m = Machine(spec)
-        m.set_all_prefetchers(False)
+        core = CoreCacheHierarchy(spec, prefetch=False)
         w = Bandit(llc_sets=spec.llc.n_sets, n_accesses=3000)
         for batch in w.trace(max_accesses=3000):
             for i in range(len(batch)):
-                m.access(0, ip=int(batch.ips[i]), line=int(batch.lines[i]))
-        resident = m.llc.resident_lines()
+                core.access(int(batch.ips[i]), int(batch.lines[i]))
+        resident = core.llc.resident_lines()
         # Occupies at most one set's worth of ways.
         assert len(resident) <= spec.llc.associativity
