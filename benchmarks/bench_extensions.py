@@ -7,21 +7,16 @@ reproduces the related-work methodology the paper builds on, and the
 efficiency analysis quantifies its Section I energy motivation.
 """
 
-from repro.core import (
-    BubbleUpPredictor,
-    ExperimentConfig,
-    MatrixInsights,
-    run_consolidation,
-    run_efficiency,
-)
+from repro.core import BubbleUpPredictor, ExperimentConfig, MatrixInsights
 from repro.core.report import ascii_table
+from repro.session import Session
 
 CFG = ExperimentConfig(jitter=0.0)
 
 
 def test_bubbleup_predictor_full_matrix(benchmark, artifacts):
     def fit_and_evaluate():
-        truth = run_consolidation(CFG)
+        truth = Session(CFG).run("fig5").result
         predictor = BubbleUpPredictor(config=CFG).fit()
         return predictor, predictor.evaluate(truth)
 
@@ -53,7 +48,8 @@ def test_consolidation_efficiency(benchmark, artifacts):
         ("IRSmk", "fotonik3d"),        # Both-Victim
     )
     result = benchmark.pedantic(
-        run_efficiency, args=(pairs, CFG), rounds=1, iterations=1
+        lambda: Session(CFG).run("efficiency", pairs=pairs).result,
+        rounds=1, iterations=1,
     )
     artifacts("extension_efficiency", result.render())
     # Consolidation always beats time-sharing on makespan...
@@ -68,10 +64,8 @@ def test_consolidation_efficiency(benchmark, artifacts):
 
 
 def test_core_allocation_sweep(benchmark, artifacts):
-    from repro.core import run_allocation_sweep
-
     sweep = benchmark.pedantic(
-        run_allocation_sweep, args=("G-CC", "fotonik3d", CFG),
+        lambda: Session(CFG).run("allocation", fg="G-CC", bg="fotonik3d").result,
         rounds=1, iterations=1,
     )
     artifacts("extension_allocation", sweep.render())
@@ -85,7 +79,7 @@ def test_core_allocation_sweep(benchmark, artifacts):
 
 def test_matrix_insights(benchmark, artifacts):
     def derive():
-        return MatrixInsights.derive(run_consolidation(CFG))
+        return MatrixInsights.derive(Session(CFG).run("fig5").result)
 
     insights = benchmark.pedantic(derive, rounds=1, iterations=1)
     artifacts("extension_insights", insights.render())

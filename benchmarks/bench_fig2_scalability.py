@@ -1,10 +1,15 @@
 """Fig 2 + Table II: thread scalability of all 25 applications."""
 
-from repro.core import ScalabilityClass, run_scalability
+from repro.core import ScalabilityClass
+from repro.session import Session
+
+
+def fig2(config):
+    return Session(config).run("fig2").result
 
 
 def test_fig2_scalability_curves(benchmark, config, artifacts):
-    result = benchmark.pedantic(run_scalability, args=(config,), rounds=1, iterations=1)
+    result = benchmark.pedantic(fig2, args=(config,), rounds=1, iterations=1)
     artifacts("fig2_scalability", result.render_fig2())
     # Shape anchors from the paper's Fig 2 narrative.
     assert result.speedup("blackscholes", 8) > 7.5      # "nearly 8x"
@@ -16,7 +21,7 @@ def test_fig2_scalability_curves(benchmark, config, artifacts):
 
 
 def test_table2_classification(benchmark, config, artifacts):
-    result = benchmark.pedantic(run_scalability, args=(config,), rounds=1, iterations=1)
+    result = benchmark.pedantic(fig2, args=(config,), rounds=1, iterations=1)
     artifacts("table2_scalability_classes", result.render_table2())
     t2 = result.table2()
     assert "P-SSSP" in t2["PowerGraph"][ScalabilityClass.LOW]

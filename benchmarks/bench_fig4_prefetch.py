@@ -1,13 +1,14 @@
 """Fig 4: prefetcher sensitivity via the MSR 0x1A4 experiment."""
 
-from repro.core import ExperimentConfig, run_prefetch_sensitivity
+from repro.core import ExperimentConfig
+from repro.session import Session
 from repro.workloads.calibration import APPLICATIONS, MINI_BENCHMARKS
 
 
 def test_fig4_prefetch_sensitivity(benchmark, artifacts):
     cfg = ExperimentConfig(workloads=APPLICATIONS + MINI_BENCHMARKS, jitter=0.0)
     result = benchmark.pedantic(
-        run_prefetch_sensitivity, args=(cfg,), rounds=1, iterations=1
+        lambda: Session(cfg).run("fig4").result, rounds=1, iterations=1
     )
     artifacts("fig4_prefetch_sensitivity", result.render_fig4())
     sens = set(result.sensitive_apps())

@@ -1,10 +1,13 @@
 """Fig 5: the full 625-pair consolidation heat map + classification."""
 
-from repro.core import PairClass, run_consolidation
+from repro.core import PairClass
+from repro.session import Session
 
 
 def test_fig5_full_heatmap(benchmark, config, artifacts):
-    matrix = benchmark.pedantic(run_consolidation, args=(config,), rounds=1, iterations=1)
+    matrix = benchmark.pedantic(
+        lambda: Session(config).run("fig5").result, rounds=1, iterations=1
+    )
     artifacts("fig5_heatmap", matrix.render_fig5())
     artifacts("fig5_heatmap_csv", matrix.to_csv())
 

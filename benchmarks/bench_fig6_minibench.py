@@ -1,10 +1,12 @@
 """Fig 6a/6b: every application co-running with Bandit and STREAM."""
 
-from repro.core import run_minibench
+from repro.session import Session
 
 
 def test_fig6_minibench(benchmark, config, artifacts):
-    result = benchmark.pedantic(run_minibench, args=(config,), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: Session(config).run("fig6").result, rounds=1, iterations=1
+    )
     summary = [
         result.render_fig6(),
         f"mean speedup vs Bandit: {result.overall_mean('Bandit'):.2f} (paper: mild, 0.77-1.0 range)",

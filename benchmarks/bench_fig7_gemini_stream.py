@@ -1,12 +1,12 @@
 """Fig 7: CPI / L2_PCP / LLC MPKI / LL of Gemini apps under STREAM."""
 
-from repro.core import run_gemini_vs_stream
 from repro.core.provenance import GEMINI_APPS
+from repro.session import Session
 
 
 def test_fig7_gemini_vs_stream(benchmark, exact_config, artifacts):
     result = benchmark.pedantic(
-        run_gemini_vs_stream, args=(exact_config,), rounds=1, iterations=1
+        lambda: Session(exact_config).run("fig7").result, rounds=1, iterations=1
     )
     lines = [result.render("Fig 7: Gemini applications co-running with Stream"), ""]
     for app in GEMINI_APPS:

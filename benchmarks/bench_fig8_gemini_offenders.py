@@ -1,12 +1,12 @@
 """Fig 8: Gemini metrics under the real offenders (IRSmk/fotonik3d/CIFAR)."""
 
-from repro.core import run_gemini_vs_offenders
 from repro.core.provenance import GEMINI_APPS, OFFENDERS
+from repro.session import Session
 
 
 def test_fig8_gemini_vs_offenders(benchmark, exact_config, artifacts):
     result = benchmark.pedantic(
-        run_gemini_vs_offenders, args=(exact_config,), rounds=1, iterations=1
+        lambda: Session(exact_config).run("fig8").result, rounds=1, iterations=1
     )
     artifacts(
         "fig8_gemini_offenders",

@@ -1,11 +1,11 @@
 """Table III: bandwidth consumption of the five problematic pairs."""
 
-from repro.core import run_pair_bandwidth
+from repro.session import Session
 
 
 def test_table3_pair_bandwidth(benchmark, exact_config, artifacts):
     result = benchmark.pedantic(
-        run_pair_bandwidth, args=(exact_config,), rounds=1, iterations=1
+        lambda: Session(exact_config).run("table3").result, rounds=1, iterations=1
     )
     artifacts("table3_pair_bandwidth", result.render_table3())
 

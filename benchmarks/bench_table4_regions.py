@@ -1,10 +1,12 @@
 """Table IV: region-level profiles of P-PR (gather) and fotonik3d (UUS)."""
 
-from repro.core import run_table4
+from repro.session import Session
 
 
 def test_table4_region_profiles(benchmark, exact_config, artifacts):
-    result = benchmark.pedantic(run_table4, args=(exact_config,), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: Session(exact_config).run("table4").result, rounds=1, iterations=1
+    )
     artifacts(
         "table4_regions",
         result.render("Table IV: profiling results of P-PR and fotonik3d"),

@@ -16,7 +16,8 @@ and reports the throughput each schedule achieves.
 Run:  python examples/scheduling_advisor.py
 """
 
-from repro.core import ExperimentConfig, PairClass, run_consolidation
+from repro.core import ExperimentConfig, PairClass
+from repro.session import Session
 
 #: An incoming job queue.  Arrival order is adversarial for FCFS: the
 #: memory-hungry jobs arrive back-to-back (as bursts of similar work
@@ -67,7 +68,7 @@ def throughput(matrix, pairs) -> float:
 def main() -> None:
     apps = tuple(dict.fromkeys(JOB_QUEUE))
     print(f"building consolidation matrix over {len(apps)} applications...")
-    matrix = run_consolidation(ExperimentConfig(workloads=apps, jitter=0.0))
+    matrix = Session(ExperimentConfig(workloads=apps, jitter=0.0)).run("fig5").result
 
     for name, pairs in (
         ("naive FCFS", schedule_naive(JOB_QUEUE)),

@@ -44,9 +44,7 @@ Quick start::
 Scale up with ``Session(config, executor="parallel")`` (bit-identical
 to serial), persist across processes with
 ``Session(config, store=ResultStore(".repro-store"))``, run every
-artifact with ``session.run_all()`` / ``repro run-all --store DIR``,
-or keep using the historical ``run_*`` wrappers — they delegate to
-the same registry.
+artifact with ``session.run_all()`` / ``repro run-all --store DIR``.
 
 Beyond pairs, declarative :class:`Scenario` values express N-way
 consolidations, LLC-policy ablations and SMT spec variants::
@@ -62,16 +60,6 @@ from repro.core import (
     PairClass,
     classify_nway,
     classify_pair,
-    run_cat_sweep,
-    run_bandwidth_sweep,
-    run_consolidation,
-    run_gemini_vs_offenders,
-    run_gemini_vs_stream,
-    run_minibench,
-    run_pair_bandwidth,
-    run_prefetch_sensitivity,
-    run_scalability,
-    run_table4,
 )
 from repro.engine import EngineConfig, IntervalEngine
 from repro.machine import MachineSpec, xeon_e5_4650
@@ -126,22 +114,12 @@ __all__ = [
     "__version__",
     "classify_nway",
     "classify_pair",
-    "run_cat_sweep",
     "get_all_profiles",
     "get_profile",
     "get_runner",
     "get_workload",
     "list_workloads",
     "register_runner",
-    "run_bandwidth_sweep",
-    "run_consolidation",
-    "run_gemini_vs_offenders",
-    "run_gemini_vs_stream",
-    "run_minibench",
-    "run_pair_bandwidth",
-    "run_prefetch_sensitivity",
-    "run_scalability",
-    "run_table4",
     "runner_names",
     "xeon_e5_4650",
 ]

@@ -20,16 +20,9 @@ Fig 7     Gemini metrics under STREAM                 ``fig7``
 Fig 8     Gemini metrics under real offenders         ``fig8``
 Table IV  region-level profiles (gather / UUS)        ``table4``
 ========  ==========================================  ============
-
-The historical ``run_*`` functions remain as thin wrappers delegating
-to the registry, so existing callers keep working unchanged.
 """
 
-from repro.core.bandwidth_sweep import (
-    FIG3_THREADS,
-    BandwidthResult,
-    run_bandwidth_sweep,
-)
+from repro.core.bandwidth_sweep import FIG3_THREADS, BandwidthResult
 from repro.core.classify import (
     VICTIM_THRESHOLD,
     NWayVerdict,
@@ -38,19 +31,10 @@ from repro.core.classify import (
     classify_nway,
     classify_pair,
 )
-from repro.core.catsweep import (
-    CatSweepPoint,
-    CatSweepResult,
-    contiguous_split,
-    run_cat_sweep,
-)
-from repro.core.consolidation import ConsolidationMatrix, run_consolidation
-from repro.core.allocation import (
-    AllocationPoint,
-    AllocationSweep,
-    run_allocation_sweep,
-)
-from repro.core.efficiency import EfficiencyResult, EfficiencyRow, run_efficiency
+from repro.core.catsweep import CatSweepPoint, CatSweepResult, contiguous_split
+from repro.core.consolidation import ConsolidationMatrix
+from repro.core.allocation import AllocationPoint, AllocationSweep
+from repro.core.efficiency import EfficiencyResult, EfficiencyRow
 from repro.core.experiment import ExperimentConfig, Jitter
 from repro.core.insights import AppRoleScores, MatrixInsights
 from repro.core.predictor import (
@@ -61,36 +45,16 @@ from repro.core.predictor import (
     bubble_profile,
 )
 from repro.core import roster  # noqa: F401  (registers table1/solo runners)
-from repro.core.minibench import (
-    MINI_BENCH_BACKGROUNDS,
-    MiniBenchResult,
-    run_minibench,
-)
-from repro.core.nway import (
-    NWayCell,
-    NWayDegradationTable,
-    run_nway_consolidation,
-)
-from repro.core.pair_bandwidth import (
-    TABLE3_PAIRS,
-    PairBandwidthResult,
-    PairBandwidthRow,
-    run_pair_bandwidth,
-)
-from repro.core.prefetch import (
-    SENSITIVE_THRESHOLD,
-    PrefetchResult,
-    run_prefetch_sensitivity,
-)
+from repro.core.minibench import MINI_BENCH_BACKGROUNDS, MiniBenchResult
+from repro.core.nway import NWayCell, NWayDegradationTable
+from repro.core.pair_bandwidth import TABLE3_PAIRS, PairBandwidthResult, PairBandwidthRow
+from repro.core.prefetch import SENSITIVE_THRESHOLD, PrefetchResult
 from repro.core.provenance import (
     GEMINI_APPS,
     OFFENDERS,
     TABLE4_SUBJECTS,
     MetricQuad,
     ProvenanceResult,
-    run_gemini_vs_offenders,
-    run_gemini_vs_stream,
-    run_table4,
 )
 from repro.core.report import ascii_table, csv_table, shade, text_heatmap
 from repro.sched import runner as _sched_runner  # noqa: F401  (registers sched-replay)
@@ -101,14 +65,12 @@ from repro.core.scalability import (
     ScalabilityClass,
     ScalabilityResult,
     classify_speedup,
-    run_scalability,
 )
 
 __all__ = [
     "AllocationPoint",
     "AllocationSweep",
     "AppRoleScores",
-    "run_allocation_sweep",
     "BandwidthResult",
     "BubbleUpPredictor",
     "ConsolidationMatrix",
@@ -119,7 +81,6 @@ __all__ = [
     "MatrixInsights",
     "SensitivityCurve",
     "bubble_profile",
-    "run_efficiency",
     "FIG3_THREADS",
     "GEMINI_APPS",
     "HIGH_THRESHOLD",
@@ -134,7 +95,6 @@ __all__ = [
     "NWayVerdict",
     "classify_nway",
     "contiguous_split",
-    "run_cat_sweep",
     "NWayDegradationTable",
     "OFFENDERS",
     "PairBandwidthResult",
@@ -154,16 +114,6 @@ __all__ = [
     "classify_pair",
     "classify_speedup",
     "csv_table",
-    "run_bandwidth_sweep",
-    "run_consolidation",
-    "run_gemini_vs_offenders",
-    "run_gemini_vs_stream",
-    "run_minibench",
-    "run_nway_consolidation",
-    "run_pair_bandwidth",
-    "run_prefetch_sensitivity",
-    "run_scalability",
-    "run_table4",
     "shade",
     "text_heatmap",
 ]

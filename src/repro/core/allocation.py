@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.experiment import ExperimentConfig
 from repro.core.report import ascii_table
 from repro.errors import ExperimentError
 from repro.session.base import Runner
@@ -125,14 +124,3 @@ class AllocationSweepRunner(Runner):
             + f"best split: {best.fg_threads}+{best.bg_threads} "
             f"(weighted speedup {best.weighted_speedup:.2f})"
         )
-
-
-def run_allocation_sweep(
-    fg: str,
-    bg: str,
-    config: ExperimentConfig | None = None,
-) -> AllocationSweep:
-    """Sweep all fg+bg core splits (thin wrapper over ``Session.run``)."""
-    from repro.session import Session
-
-    return Session(config).run("allocation", fg=fg, bg=bg).result

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.experiment import ExperimentConfig
 from repro.core.report import ascii_table
 from repro.session.base import Runner
 from repro.session.registry import register_runner
@@ -78,17 +77,3 @@ class BandwidthSweepRunner(Runner):
 
     def render(self, result: BandwidthResult, **_) -> str:
         return result.render_fig3()
-
-
-def run_bandwidth_sweep(
-    config: ExperimentConfig | None = None,
-    *,
-    threads: tuple[int, ...] = FIG3_THREADS,
-    pcm_granularity_s: float = 10.0,
-) -> BandwidthResult:
-    """Run Fig 3 (thin wrapper over ``Session.run("fig3")``)."""
-    from repro.session import Session
-
-    return Session(config).run(
-        "fig3", threads=threads, pcm_granularity_s=pcm_granularity_s
-    ).result

@@ -353,20 +353,3 @@ class CatSweepRunner(Runner):
                 for row in payload["points"]
             ],
         )
-
-
-def run_cat_sweep(
-    fg: str,
-    bg: str = "Stream",
-    *,
-    threads: int | None = None,
-    bgs: "tuple[str, ...] | None" = None,
-    layout: str = "contiguous",
-    config=None,
-) -> CatSweepResult:
-    """Run the CAT sweep (thin wrapper over ``Session.run("cat-sweep")``)."""
-    from repro.session import Session
-
-    return Session(config).run(
-        "cat-sweep", fg=fg, bg=bg, threads=threads, bgs=bgs, layout=layout
-    ).result

@@ -172,17 +172,3 @@ class ConsolidationRunner(Runner):
         matrix = ConsolidationMatrix(workloads=tuple(payload["workloads"]))
         matrix.cells = {(fg, bg): v for fg, bg, v in payload["cells"]}
         return matrix
-
-
-def run_consolidation(
-    config: ExperimentConfig | None = None,
-    *,
-    foregrounds: tuple[str, ...] | None = None,
-    backgrounds: tuple[str, ...] | None = None,
-) -> ConsolidationMatrix:
-    """Run the Fig 5 sweep (thin wrapper over ``Session.run("fig5")``)."""
-    from repro.session import Session
-
-    return Session(config).run(
-        "fig5", foregrounds=foregrounds, backgrounds=backgrounds
-    ).result

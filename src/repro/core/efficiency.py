@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.experiment import ExperimentConfig
 from repro.core.report import ascii_table
 from repro.errors import ExperimentError
 from repro.machine.energy import EnergySpec, energy_of_window
@@ -151,14 +150,3 @@ class EfficiencyRunner(Runner):
 
     def render(self, result: EfficiencyResult, **_) -> str:
         return result.render()
-
-
-def run_efficiency(
-    pairs: tuple[tuple[str, str], ...],
-    config: ExperimentConfig | None = None,
-    energy: EnergySpec | None = None,
-) -> EfficiencyResult:
-    """Evaluate the consolidation trade-off (wrapper over ``Session.run``)."""
-    from repro.session import Session
-
-    return Session(config).run("efficiency", pairs=pairs, energy=energy).result

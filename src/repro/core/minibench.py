@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import mean
 
-from repro.core.experiment import ExperimentConfig
 from repro.core.report import ascii_table
 from repro.errors import ExperimentError
 from repro.session.base import Runner
@@ -95,10 +94,3 @@ class MiniBenchRunner(Runner):
                 f"PowerGraph {result.suite_mean('PowerGraph', bg):.2f})"
             )
         return "\n".join(out)
-
-
-def run_minibench(config: ExperimentConfig | None = None) -> MiniBenchResult:
-    """Run Fig 6 (thin wrapper over ``Session.run("fig6")``)."""
-    from repro.session import Session
-
-    return Session(config).run("fig6").result

@@ -623,22 +623,3 @@ class NWayConsolidationRunner(Runner):
             for fg, bgs, threads, slow, rates in payload["cells"]
         ]
         return table
-
-
-def run_nway_consolidation(
-    apps: tuple[str, ...],
-    *,
-    n: int = 3,
-    threads: int | None = None,
-    llc_policy: str | None = None,
-    smt: bool = False,
-    config=None,
-) -> NWayDegradationTable:
-    """Run the N-way degradation table (thin wrapper over
-    ``Session.run("consolidate-n")``)."""
-    from repro.session import Session
-
-    return Session(config).run(
-        "consolidate-n", apps=apps, n=n, threads=threads,
-        llc_policy=llc_policy, smt=smt,
-    ).result

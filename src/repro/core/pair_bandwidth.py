@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.experiment import ExperimentConfig
 from repro.core.report import ascii_table
 from repro.engine import CoRunResult
 from repro.session.base import Runner
@@ -139,17 +138,3 @@ class PairBandwidthRunner(Runner):
 
     def render(self, result: PairBandwidthResult, **_) -> str:
         return result.render_table3()
-
-
-def run_pair_bandwidth(
-    config: ExperimentConfig | None = None,
-    *,
-    pairs: tuple[tuple[str, str], ...] = TABLE3_PAIRS,
-    pcm_granularity_s: float = 10.0,
-) -> PairBandwidthResult:
-    """Run Table III (thin wrapper over ``Session.run("table3")``)."""
-    from repro.session import Session
-
-    return Session(config).run(
-        "table3", pairs=pairs, pcm_granularity_s=pcm_granularity_s
-    ).result

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.core.experiment import ExperimentConfig
 from repro.core.report import ascii_table
 from repro.errors import ExperimentError
 from repro.session.base import Runner
@@ -75,10 +74,3 @@ class PrefetchSensitivityRunner(Runner):
 
     def render(self, result: PrefetchResult, **_) -> str:
         return result.render_fig4()
-
-
-def run_prefetch_sensitivity(config: ExperimentConfig | None = None) -> PrefetchResult:
-    """Run Fig 4 (thin wrapper over ``Session.run("fig4")``)."""
-    from repro.session import Session
-
-    return Session(config).run("fig4").result

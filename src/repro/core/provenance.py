@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.experiment import ExperimentConfig
 from repro.core.report import ascii_table
 from repro.engine.results import RegionMetrics
 from repro.errors import ExperimentError
@@ -156,24 +155,3 @@ class Table4Runner(Runner):
 
     def render(self, result: ProvenanceResult, **_) -> str:
         return result.render("Table IV: profiling results of P-PR and fotonik3d")
-
-
-def run_gemini_vs_stream(config: ExperimentConfig | None = None) -> ProvenanceResult:
-    """Fig 7 (thin wrapper over ``Session.run("fig7")``)."""
-    from repro.session import Session
-
-    return Session(config).run("fig7").result
-
-
-def run_gemini_vs_offenders(config: ExperimentConfig | None = None) -> ProvenanceResult:
-    """Fig 8 (thin wrapper over ``Session.run("fig8")``)."""
-    from repro.session import Session
-
-    return Session(config).run("fig8").result
-
-
-def run_table4(config: ExperimentConfig | None = None) -> ProvenanceResult:
-    """Table IV (thin wrapper over ``Session.run("table4")``)."""
-    from repro.session import Session
-
-    return Session(config).run("table4").result

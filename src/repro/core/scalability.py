@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.core.experiment import ExperimentConfig
 from repro.core.report import ascii_table
 from repro.errors import ExperimentError
 from repro.session.base import Runner
@@ -133,10 +132,3 @@ class ScalabilityClassRunner(Runner):
 
     def render(self, result: ScalabilityResult, **_) -> str:
         return result.render_table2()
-
-
-def run_scalability(config: ExperimentConfig | None = None, *, max_threads: int = 8) -> ScalabilityResult:
-    """Run Fig 2 / Table II (thin wrapper over ``Session.run("fig2")``)."""
-    from repro.session import Session
-
-    return Session(config).run("fig2", max_threads=max_threads).result

@@ -2,12 +2,13 @@
 methodology as a predictive model)."""
 
 from repro.engine.bandwidth import BusState, resolve_bus
-from repro.engine.batch import MAX_BATCH_SLOTS, BatchCell, solve_batch
+from repro.engine.batch import MAX_BATCH_SLOTS, solve_batch
 from repro.engine.interval import (
     PREFETCH_COVERAGE,
     PREFETCH_HIDE,
     PREFETCH_OVERFETCH,
     SMT_MARGINAL_THROUGHPUT,
+    BatchCell,
     EngineConfig,
     IntervalEngine,
 )

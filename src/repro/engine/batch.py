@@ -23,14 +23,15 @@ Two properties of the scalar path shape the implementation:
   convergence, so converged cells keep their final update and are
   simply dropped from the active mask.
 
-Cells the batch layout cannot represent exactly fall back to
-:meth:`IntervalEngine.scenario_run` one by one — the scalar path stays
-the correctness oracle, never an approximation.
+Every cell is checked once, by :meth:`IntervalEngine.prepare_cell`
+(the same checks :meth:`IntervalEngine.scenario_run` runs); cells the
+batch layout cannot represent exactly then go through the scalar
+solver one by one — the scalar path stays the correctness oracle,
+never an approximation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +47,7 @@ from repro.engine.interval import (
     _MAX_ITER,
     _MAX_STEPS,
     _TOL,
+    BatchCell,
 )
 from repro.engine.llc_sharing import MIN_SHARE_FRACTION, allocate_llc_ways
 from repro.engine.results import (
@@ -57,30 +59,11 @@ from repro.engine.results import (
 from repro.errors import EngineError
 from repro.telemetry.tracer import get_tracer
 from repro.units import CACHE_LINE
-from repro.workloads.base import WorkloadProfile
 
 #: Cells with more applications than this use the scalar fallback: numpy
 #: switches from sequential to pairwise (8-accumulator) summation at
 #: eight elements, which would change float ordering vs ``sum()``.
 MAX_BATCH_SLOTS = 7
-
-
-@dataclass(frozen=True)
-class BatchCell:
-    """One scenario of a batch, in engine terms.
-
-    Mirrors the arguments of :meth:`IntervalEngine.scenario_run`:
-    ``profiles[0]`` is the measured foreground, every other profile
-    loops for as long as the foreground runs.
-    """
-
-    profiles: tuple[WorkloadProfile, ...]
-    threads: tuple[int, ...]
-    fg_solo_runtime_s: float | None = None
-    bg_solo_rates: tuple[float, ...] | None = None
-    llc_ways: "tuple[int | None, ...] | None" = None
-    pinnings: "tuple[tuple[int, ...] | None, ...] | None" = None
-    max_dt: float = 5.0
 
 
 def _seq_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -959,16 +942,17 @@ class _BatchRunner:
 def solve_batch(engine, cells: "Sequence[BatchCell]") -> "list[ScenarioRunResult]":
     """Solve many scenarios at once on one engine (same spec/config).
 
+    Every cell is checked by :meth:`IntervalEngine.prepare_cell`.
     Cells the array layout cannot represent exactly (more than
-    :data:`MAX_BATCH_SLOTS` applications) run through the scalar
-    :meth:`IntervalEngine.scenario_run` fallback; everything else goes
-    through one stacked fixed point.  Results are bit-identical to the
-    scalar path, in input order.
+    :data:`MAX_BATCH_SLOTS` applications) then run through the scalar
+    solver on that prepared cell; everything else goes through one
+    stacked fixed point.  Results are bit-identical to the scalar
+    path, in input order.
     """
     cells = list(cells)
     if not cells:
         return []
-    prepared = [_prepare_cell(engine, cell) for cell in cells]
+    prepared = [engine.prepare_cell(cell) for cell in cells]
     tracer = get_tracer()
     if tracer.enabled:
         with tracer.span("engine.solve_batch", cells=len(prepared)) as span:
@@ -996,70 +980,5 @@ def _solve_batch_impl(
         )
     for i, cell in enumerate(prepared):
         if results[i] is None:
-            results[i] = engine.scenario_run(
-                list(cell.profiles),
-                list(cell.threads),
-                fg_solo_runtime_s=cell.fg_solo_runtime_s,
-                bg_solo_rates=list(cell.bg_solo_rates),
-                llc_ways=(
-                    list(cell.llc_ways) if cell.llc_ways is not None else None
-                ),
-                pinnings=(
-                    list(cell.pinnings) if cell.pinnings is not None else None
-                ),
-                max_dt=cell.max_dt,
-            )
+            results[i] = engine._run_cell(cell)
     return results  # type: ignore[return-value]
-
-
-def _prepare_cell(engine, cell: BatchCell) -> BatchCell:
-    """Validate a cell exactly like the scalar ``_scenario_run`` prologue
-    and fill in missing solo references (scalar engine, so references
-    are bit-identical either way)."""
-    profiles = cell.profiles
-    threads = cell.threads
-    if not profiles:
-        raise EngineError("a scenario needs at least one application")
-    if len(threads) != len(profiles):
-        raise EngineError(
-            f"{len(profiles)} profiles but {len(threads)} thread counts"
-        )
-    if any(t < 1 for t in threads):
-        raise EngineError("every app needs at least one thread")
-    if sum(threads) > engine.spec.n_slots:
-        raise EngineError(
-            f"{'+'.join(str(t) for t in threads)} threads exceed "
-            f"{engine.spec.n_slots} hardware threads"
-        )
-    llc_ways = engine._check_way_masks(
-        list(profiles), list(cell.llc_ways) if cell.llc_ways is not None else None
-    )
-    pinnings = engine._check_pinnings(
-        list(profiles),
-        list(threads),
-        list(cell.pinnings) if cell.pinnings is not None else None,
-    )
-    fg_solo = cell.fg_solo_runtime_s
-    if fg_solo is None:
-        fg_solo = engine.solo_run(profiles[0], threads=threads[0]).runtime_s
-    bg_rates = cell.bg_solo_rates
-    if bg_rates is None:
-        rates = []
-        for prof, thr in zip(profiles[1:], threads[1:]):
-            solo = engine.solo_run(prof, threads=thr)
-            rates.append(solo.metrics.total.instructions / solo.runtime_s)
-        bg_rates = tuple(rates)
-    if len(bg_rates) != len(profiles) - 1:
-        raise EngineError(
-            f"{len(profiles) - 1} backgrounds but "
-            f"{len(bg_rates)} solo rates"
-        )
-    return BatchCell(
-        profiles=tuple(profiles),
-        threads=tuple(threads),
-        fg_solo_runtime_s=fg_solo,
-        bg_solo_rates=tuple(bg_rates),
-        llc_ways=tuple(llc_ways),
-        pinnings=tuple(pinnings),
-        max_dt=cell.max_dt,
-    )

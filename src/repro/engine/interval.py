@@ -24,7 +24,7 @@ up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import EngineError
 from repro.engine.bandwidth import resolve_bus
@@ -131,6 +131,25 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.llc_policy not in LLC_POLICIES:
             raise EngineError(f"unknown llc_policy {self.llc_policy!r}")
+
+
+@dataclass(frozen=True)
+class BatchCell:
+    """One scenario in engine terms: the arguments of
+    :meth:`IntervalEngine.scenario_run` as one value, and the unit
+    :func:`~repro.engine.batch.solve_batch` stacks.
+
+    ``profiles[0]`` is the measured foreground, every other profile
+    loops for as long as the foreground runs.
+    """
+
+    profiles: tuple[WorkloadProfile, ...]
+    threads: tuple[int, ...]
+    fg_solo_runtime_s: float | None = None
+    bg_solo_rates: tuple[float, ...] | None = None
+    llc_ways: "tuple[int | None, ...] | None" = None
+    pinnings: "tuple[tuple[int, ...] | None, ...] | None" = None
+    max_dt: float = 5.0
 
 
 class IntervalEngine:
@@ -487,8 +506,8 @@ class IntervalEngine:
 
     def _check_way_masks(
         self,
-        profiles: "list[WorkloadProfile] | tuple[WorkloadProfile, ...]",
-        llc_ways: "list[int | None] | tuple[int | None, ...] | None",
+        profiles: "tuple[WorkloadProfile, ...]",
+        llc_ways: "tuple[int | None, ...] | None",
     ) -> "list[int | None]":
         """Validate per-app CAT bitmaps against the spec's way count."""
         if llc_ways is None:
@@ -514,9 +533,9 @@ class IntervalEngine:
 
     def _check_pinnings(
         self,
-        profiles: "list[WorkloadProfile] | tuple[WorkloadProfile, ...]",
-        threads: "list[int] | tuple[int, ...]",
-        pinnings: "list[tuple[int, ...] | None] | None",
+        profiles: "tuple[WorkloadProfile, ...]",
+        threads: "tuple[int, ...]",
+        pinnings: "tuple[tuple[int, ...] | None, ...] | None",
     ) -> "list[tuple[int, ...] | None]":
         """Validate per-app core pinnings: known cores, no duplicates,
         and enough hardware-thread slots on the pinned cores — both per
@@ -560,6 +579,55 @@ class IntervalEngine:
             )
         return out
 
+    def prepare_cell(self, cell: BatchCell) -> BatchCell:
+        """Check a scenario against this engine's spec and fill in its
+        missing solo references: the one copy of the scenario checks,
+        behind both :meth:`scenario_run` and
+        :func:`~repro.engine.batch.solve_batch`.
+
+        The returned cell has every field set: solo references (from
+        the scalar :meth:`solo_run` when absent) and one way mask and
+        one pinning per app (``None`` = unrestricted).
+        """
+        profiles, threads = cell.profiles, cell.threads
+        if not profiles:
+            raise EngineError("a scenario needs at least one application")
+        if len(threads) != len(profiles):
+            raise EngineError(
+                f"{len(profiles)} profiles but {len(threads)} thread counts"
+            )
+        if any(t < 1 for t in threads):
+            raise EngineError("every app needs at least one thread")
+        if sum(threads) > self.spec.n_slots:
+            raise EngineError(
+                f"{'+'.join(str(t) for t in threads)} threads exceed "
+                f"{self.spec.n_slots} hardware threads"
+            )
+        llc_ways = self._check_way_masks(profiles, cell.llc_ways)
+        pinnings = self._check_pinnings(profiles, threads, cell.pinnings)
+        fg_solo = cell.fg_solo_runtime_s
+        if fg_solo is None:
+            fg_solo = self.solo_run(profiles[0], threads=threads[0]).runtime_s
+        bg_rates = cell.bg_solo_rates
+        if bg_rates is None:
+            rates = []
+            for prof, t in zip(profiles[1:], threads[1:]):
+                solo = self.solo_run(prof, threads=t)
+                rates.append(solo.metrics.total.instructions / solo.runtime_s)
+            bg_rates = rates
+        if len(bg_rates) != len(profiles) - 1:
+            raise EngineError(
+                f"{len(profiles) - 1} backgrounds but "
+                f"{len(bg_rates)} solo rates"
+            )
+        return replace(
+            cell,
+            fg_solo_runtime_s=fg_solo,
+            bg_solo_rates=tuple(bg_rates),
+            llc_ways=tuple(llc_ways),
+            pinnings=tuple(pinnings),
+        )
+
     def scenario_run(
         self,
         profiles: "list[WorkloadProfile] | tuple[WorkloadProfile, ...]",
@@ -588,107 +656,50 @@ class IntervalEngine:
         align with ``profiles`` and are validated against the machine
         spec; omitting them keeps the unpartitioned model bit-identical.
         """
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span(
-                "engine.scenario_run",
-                apps="+".join(
-                    f"{p.name}:{t}" for p, t in zip(profiles, threads)
-                ),
-                n=len(profiles),
-            ):
-                return self._scenario_run(
-                    profiles,
-                    threads,
-                    fg_solo_runtime_s=fg_solo_runtime_s,
-                    bg_solo_rates=bg_solo_rates,
-                    llc_ways=llc_ways,
-                    pinnings=pinnings,
-                    max_dt=max_dt,
-                )
-        return self._scenario_run(
-            profiles,
-            threads,
+        cell = BatchCell(
+            profiles=tuple(profiles),
+            threads=tuple(threads),
             fg_solo_runtime_s=fg_solo_runtime_s,
-            bg_solo_rates=bg_solo_rates,
-            llc_ways=llc_ways,
-            pinnings=pinnings,
+            bg_solo_rates=None if bg_solo_rates is None else tuple(bg_solo_rates),
+            llc_ways=None if llc_ways is None else tuple(llc_ways),
+            pinnings=None if pinnings is None else tuple(pinnings),
             max_dt=max_dt,
         )
+        tracer = get_tracer()
+        if not tracer.enabled:
+            return self._run_cell(self.prepare_cell(cell))
+        with tracer.span(
+            "engine.scenario_run",
+            apps="+".join(f"{p.name}:{t}" for p, t in zip(cell.profiles, cell.threads)),
+            n=len(cell.profiles),
+        ):
+            return self._run_cell(self.prepare_cell(cell))
 
-    def _scenario_run(
-        self,
-        profiles: "list[WorkloadProfile] | tuple[WorkloadProfile, ...]",
-        threads: "list[int] | tuple[int, ...]",
-        *,
-        fg_solo_runtime_s: float | None = None,
-        bg_solo_rates: "list[float] | tuple[float, ...] | None" = None,
-        llc_ways: "list[int | None] | tuple[int | None, ...] | None" = None,
-        pinnings: "list[tuple[int, ...] | None] | None" = None,
-        max_dt: float = 5.0,
-    ) -> ScenarioRunResult:
-        if not profiles:
-            raise EngineError("a scenario needs at least one application")
-        if len(threads) != len(profiles):
-            raise EngineError(
-                f"{len(profiles)} profiles but {len(threads)} thread counts"
-            )
-        if any(t < 1 for t in threads):
-            raise EngineError("every app needs at least one thread")
-        if sum(threads) > self.spec.n_slots:
-            raise EngineError(
-                f"{'+'.join(str(t) for t in threads)} threads exceed "
-                f"{self.spec.n_slots} hardware threads"
-            )
-        llc_ways = self._check_way_masks(profiles, llc_ways)
-        pinnings = self._check_pinnings(profiles, threads, pinnings)
-        if fg_solo_runtime_s is None:
-            fg_solo_runtime_s = self.solo_run(
-                profiles[0], threads=threads[0]
-            ).runtime_s
-        if bg_solo_rates is None:
-            rates = []
-            for prof, t in zip(profiles[1:], threads[1:]):
-                solo = self.solo_run(prof, threads=t)
-                rates.append(solo.metrics.total.instructions / solo.runtime_s)
-            bg_solo_rates = rates
-        if len(bg_solo_rates) != len(profiles) - 1:
-            raise EngineError(
-                f"{len(profiles) - 1} backgrounds but "
-                f"{len(bg_solo_rates)} solo rates"
-            )
-
+    def _run_cell(self, cell: BatchCell) -> ScenarioRunResult:
+        """The scalar solver on a cell :meth:`prepare_cell` returned."""
         apps = [
             _LiveApp(
                 profile=prof,
                 threads=t,
                 looping=i > 0,
                 metrics=AppMetrics(name=prof.name, threads=t),
-                llc_ways=llc_ways[i],
-                pinning=pinnings[i],
+                llc_ways=cell.llc_ways[i],
+                pinning=cell.pinnings[i],
             )
-            for i, (prof, t) in enumerate(zip(profiles, threads))
+            for i, (prof, t) in enumerate(zip(cell.profiles, cell.threads))
         ]
-        timeline = self._simulate(apps, stop_when=0, max_dt=max_dt)
+        timeline = self._simulate(apps, stop_when=0, max_dt=cell.max_dt)
         fg_runtime = apps[0].metrics.runtime_s
         relative_rates = []
-        for app, solo_rate in zip(apps[1:], bg_solo_rates):
+        for app, solo_rate in zip(apps[1:], cell.bg_solo_rates):
             rate = app.total_instructions / fg_runtime if fg_runtime > 0 else 0.0
             relative_rates.append(rate / solo_rate if solo_rate > 0 else 0.0)
         return ScenarioRunResult(
             apps=[a.metrics for a in apps],
-            fg_solo_runtime_s=fg_solo_runtime_s,
+            fg_solo_runtime_s=cell.fg_solo_runtime_s,
             bg_relative_rates=relative_rates,
             timeline=timeline,
         )
-
-    def solve_batch(self, cells) -> "list[ScenarioRunResult]":
-        """Solve many scenarios at once (see :mod:`repro.engine.batch`):
-        one numpy fixed point advances every cell simultaneously, with
-        results bit-identical to per-cell :meth:`scenario_run` calls."""
-        from repro.engine.batch import solve_batch
-
-        return solve_batch(self, cells)
 
     def co_run(
         self,

@@ -74,25 +74,7 @@ class PlacementEvaluator:
         same number ``consolidate-n`` records for that rotation, served
         from the same caches.
         """
-        placements = tuple(placements)
-        if not placements:
-            return ()
-        if len(placements) == 1:
-            # A lone tenant is its own solo reference: exactly 1.0,
-            # engine-free (simulating it would only re-derive the
-            # definition through the jitter model).
-            return (1.0,)
-        key = (fingerprint(spec), placements)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        n = len(placements)
-        rotations = [placements[i:] + placements[:i] for i in range(n)]
-        session = self.session_for(spec)
-        results = session.run_scenarios([Scenario(rot) for rot in rotations])
-        out = tuple(res.normalized_time for res in results)
-        self._memo[key] = out
-        return out
+        return self._score([(spec, placements)])[0]
 
     def slowdowns_many(
         self,
@@ -108,6 +90,16 @@ class PlacementEvaluator:
         rotation.  Memoization, ordering and results are identical to
         calling :meth:`slowdowns` per item.
         """
+        return self._score(items)
+
+    def _score(
+        self,
+        items: "list[tuple[MachineSpec, tuple[AppPlacement, ...]]]",
+    ) -> "list[tuple[float, ...]]":
+        """The one scoring routine behind :meth:`slowdowns` and
+        :meth:`slowdowns_many`: layouts come from the memo, or their
+        rotations join one :meth:`Session.run_scenarios` call per spec.
+        """
         out: "list[tuple[float, ...] | None]" = [None] * len(items)
         # (spec fp) -> per-item pending work: item index, memo key,
         # rotation slice into the spec's scenario list.
@@ -120,6 +112,9 @@ class PlacementEvaluator:
                 out[i] = ()
                 continue
             if len(placements) == 1:
+                # A lone tenant is its own solo reference: exactly 1.0,
+                # engine-free (simulating it would only re-derive the
+                # definition through the jitter model).
                 out[i] = (1.0,)
                 continue
             fp = fingerprint(spec)

@@ -1,9 +1,9 @@
 """Pluggable execution backends for the batch engine's shards.
 
-:meth:`Session.run_scenarios` partitions its cache-missing cells into
-engine-compatible shards and hands them to ``session.executor.map_batches``;
-each shard is one :func:`repro.engine.solve_batch` call.  Three
-backends:
+:meth:`Session.run_scenarios` partitions its cache-missing cells (when
+two or more miss) into engine-compatible shards and hands them to
+``session.executor.map_batches``; each shard is one
+:func:`repro.engine.solve_batch` call.  Three backends:
 
 * :class:`SerialExecutor` — the default; runs shards in-process.
 * :class:`ParallelExecutor` — a :class:`concurrent.futures.ProcessPoolExecutor`

@@ -62,7 +62,7 @@ from itertools import combinations
 from typing import Any, Iterator, NamedTuple, Sequence
 
 from repro.core.experiment import ExperimentConfig
-from repro.engine import IntervalEngine, ScenarioRunResult
+from repro.engine import BatchCell, IntervalEngine, ScenarioRunResult
 from repro.engine.interval import LLC_POLICIES
 from repro.errors import ScenarioError
 from repro.session.base import fingerprint
@@ -545,10 +545,9 @@ class ScenarioResult:
 
 
 class _ScenarioTask(NamedTuple):
-    """One scenario of a batch solve (picklable primitives; solo
-    references come pre-resolved from the parent session's caches)."""
+    """One scenario to solve (picklable primitives; solo references
+    come pre-resolved from the parent session's caches)."""
 
-    config: ExperimentConfig
     scenario: Scenario
     fg_solo_runtime_s: float
     bg_solo_rates: tuple[float, ...]
@@ -584,20 +583,24 @@ class _ScenarioBatchTask:
         return len(self.tasks)
 
 
-def _task_cell(task: _ScenarioTask) -> "BatchCell":
-    """A scenario task in the batch engine's cell vocabulary."""
-    from repro.engine import BatchCell
+def _task_cell(task: _ScenarioTask) -> BatchCell:
+    """A scenario task in the engine's cell vocabulary — the one
+    Scenario -> :class:`~repro.engine.BatchCell` conversion.
 
+    Way masks and pinnings travel only for partitioned scenarios.  Solo
+    references stay mask/pin-free: the paper normalizes against the
+    *unrestricted* solo run, which also keeps the shared solo cache
+    serving every CAT/pinning variant.
+    """
     s = task.scenario
-    ways = scenario_way_masks(s)
-    pins = scenario_pinnings(s)
+    part = s.partitioned
     return BatchCell(
         profiles=tuple(p.resolve_profile() for p in s.placements),
         threads=tuple(p.threads for p in s.placements),
         fg_solo_runtime_s=task.fg_solo_runtime_s,
         bg_solo_rates=tuple(task.bg_solo_rates),
-        llc_ways=tuple(ways) if ways is not None else None,
-        pinnings=tuple(pins) if pins is not None else None,
+        llc_ways=tuple(p.llc_ways for p in s.placements) if part else None,
+        pinnings=tuple(p.pinning for p in s.placements) if part else None,
     )
 
 
@@ -614,17 +617,3 @@ def run_scenario_batch_task(batch: _ScenarioBatchTask) -> list[ScenarioRunResult
     spec, cfg = scenario_engine_parts(batch.config, batch.tasks[0].scenario)
     engine = IntervalEngine(spec=spec, config=cfg)
     return solve_batch(engine, [_task_cell(t) for t in batch.tasks])
-
-
-def scenario_way_masks(scenario: Scenario) -> "list[int | None] | None":
-    """Per-placement way masks for the engine (``None`` when unused)."""
-    if not scenario.partitioned:
-        return None
-    return [p.llc_ways for p in scenario.placements]
-
-
-def scenario_pinnings(scenario: Scenario) -> "list[tuple[int, ...] | None] | None":
-    """Per-placement pinnings for the engine (``None`` when unused)."""
-    if not scenario.partitioned:
-        return None
-    return [p.pinning for p in scenario.placements]

@@ -61,10 +61,9 @@ from repro.session.scenario import (
     ScenarioResult,
     _ScenarioBatchTask,
     _ScenarioTask,
+    _task_cell,
     run_scenario_batch_task,
     scenario_engine_parts,
-    scenario_pinnings,
-    scenario_way_masks,
 )
 from repro.telemetry.tracer import get_tracer
 from repro.workloads.base import WorkloadProfile
@@ -74,26 +73,19 @@ __all__ = ["CacheStats", "Session", "fingerprint"]
 
 logger = logging.getLogger(__name__)
 
-def _served_tier(delta: dict[str, int]) -> str:
-    """Which cache tier answered one lookup, judged from a CacheStats
-    delta: any simulation makes it ``engine``, else ``disk``, else
-    ``memory``.  Uncacheable scenarios move no counters but always
-    simulate, so the fall-through default is ``engine`` too."""
-    for tier, counter in (("engine", "misses"), ("disk", "disk_hits"), ("memory", "hits")):
-        if delta.get(f"solo_{counter}", 0) > 0 or delta.get(f"scenario_{counter}", 0) > 0:
-            return tier
-    return "engine"
-
 
 @dataclass
 class CacheStats:
     """Hit/miss economics of a session's shared caches.
 
-    ``*_hits`` count in-memory hits, ``*_disk_hits`` count results
-    served from an attached :class:`~repro.store.store.ResultStore`
-    (read-through), and ``*_misses`` count actual simulations.  The
-    ``scenario_*`` counters cover every cacheable scenario, the paper's
-    2-app pairs included.
+    Every lookup counts exactly once: ``*_hits`` count in-memory hits,
+    ``*_disk_hits`` count results served from an attached
+    :class:`~repro.store.store.ResultStore` (read-through), and
+    ``*_misses`` count actual simulations — a cold cell is one miss and
+    nothing else.  The ``scenario_*`` counters cover every cacheable
+    scenario, the paper's 2-app pairs included; within one
+    :meth:`Session.run_scenarios` pass a repeat of a cell the pass
+    solves is a memory hit.
     """
 
     solo_hits: int = 0
@@ -183,10 +175,6 @@ class Session:
         #: is far cheaper than its sha256 fingerprint.
         self._scenarios: dict[tuple[str, Scenario], ScenarioRunResult] = {}
         self._artifacts: dict[tuple[str, str], RunRecord] = {}
-        # Keys promoted from disk by a planning peek and not yet consumed
-        # by run_scenario — lets the consuming lookup skip the hit
-        # counter, so one disk-served measurement is counted exactly once.
-        self._promoted: set[tuple[str, Scenario]] = set()
 
     # -- machine / engine ---------------------------------------------------
 
@@ -380,145 +368,124 @@ class Session:
         else:
             self.store.put_corun(engine_fp, *pair, result.to_corun())
 
-    def _peek(self, key: tuple[str, Scenario]) -> ScenarioRunResult | None:
-        """Memory, then disk, without simulating.
-
-        A memory peek records no stats; a disk find is promoted into
-        memory and counts one disk hit (so the fan-out planner never
-        solves a persisted cell again).  The key is remembered so the
-        consuming :meth:`run_scenario` does not count the same
-        measurement a second time as a memory hit.
-        """
-        hit = self._scenarios.get(key)
-        if hit is None and self.store is not None:
-            hit = self._load(*key)
-            if hit is not None:
-                self.stats.scenario_disk_hits += 1
-                self._scenarios[key] = hit
-                self._promoted.add(key)
-        return hit
-
-    def _insert(self, key: tuple[str, Scenario], result: ScenarioRunResult) -> None:
-        """Cache one fresh simulation (a miss) and write it behind."""
-        self.stats.scenario_misses += 1
-        self._scenarios[key] = result
-        if self.store is not None:
-            self._save(*key, result)
-
     def run_scenario(self, scenario: Scenario) -> ScenarioResult:
         """The one measurement primitive: run a declarative scenario.
 
-        Cacheable scenarios, 2-app pairs included, go through the
-        scenario cache tier (memory, then store, then simulation);
-        uncacheable scenarios (in-band profiles) simulate directly
-        every time.
+        One cell of the :meth:`run_scenarios` pass: cacheable
+        scenarios, 2-app pairs included, are served from memory, then
+        the store, then simulation; uncacheable scenarios (in-band
+        profiles) simulate every time.
 
         With telemetry enabled, each call emits a
-        ``session.run_scenario`` span tagged with the cache tier that
-        answered (``memory`` / ``disk`` / ``engine``); the span is
+        ``session.run_scenario`` span tagged with the cache tier the
+        pass reports (``memory`` / ``disk`` / ``engine``); the span is
         out-of-band and the returned result is byte-identical either
         way.
         """
         tracer = get_tracer()
         if not tracer.enabled:
-            return self._run_scenario_impl(scenario)
-        before = self.stats.snapshot()
+            return self._lookup([scenario])[0][0]
         with tracer.span("session.run_scenario", apps=scenario.label) as sp:
-            result = self._run_scenario_impl(scenario)
-            sp.tag("tier", _served_tier(self.stats.delta_since(before)))
+            (result,), (tier,) = self._lookup([scenario])
+            sp.tag("tier", tier)
         return result
 
-    def _run_scenario_impl(self, scenario: Scenario) -> ScenarioResult:
-        engine_fp, engine_config, spec, canon = self._scenario_parts(scenario)
-        if not scenario.cacheable:
-            return ScenarioResult(
-                scenario, self._simulate_scenario(scenario, engine_config, spec)
-            )
-        key = (engine_fp, canon)
-        hit = self._peek(key)
-        if hit is None:
-            hit = self._simulate_scenario(scenario, engine_config, spec)
-            self._insert(key, hit)
-        elif key in self._promoted:
-            self._promoted.discard(key)  # already counted as a disk hit
-        else:
-            self.stats.scenario_hits += 1
-        return ScenarioResult(scenario, hit)
-
-    def _simulate_scenario(
-        self,
-        scenario: Scenario,
-        engine_config: EngineConfig,
-        spec: MachineSpec | None,
-    ) -> ScenarioRunResult:
-        fg_runtime, rates = self._scenario_solo_refs(scenario, engine_config, spec)
-        # Solo references stay mask/pin-free: the paper normalizes
-        # against the *unrestricted* solo run, which also keeps the
-        # shared solo cache serving every CAT/pinning variant.
-        return self.engine(engine_config, spec).scenario_run(
-            [p.resolve_profile() for p in scenario.placements],
-            [p.threads for p in scenario.placements],
-            fg_solo_runtime_s=fg_runtime,
-            bg_solo_rates=list(rates),
-            llc_ways=scenario_way_masks(scenario),
-            pinnings=scenario_pinnings(scenario),
-        )
-
     def run_scenarios(self, scenarios: "Iterable[Scenario]") -> list[ScenarioResult]:
-        """Run many scenarios; cache-missing ones are solved together.
+        """Run many scenarios in one pass; cache-missing ones are solved
+        together.
 
-        With :attr:`engine_batch` (the default), cells the caches
-        already hold are never solved again (disk peeks promote them
-        first), duplicate *cacheable* scenarios are solved once
-        (uncacheable ones have no identity to deduplicate by), and the
-        rest go through the batch engine sharded over the executor;
-        results are stored back through the keys :meth:`run_scenario`
-        uses.  Without it every cell goes through :meth:`run_scenario`
-        in process.  The returned list is bit-identical either way,
-        whatever the executor.
+        The pass looks each cell up once — memory, then the store — and
+        counts that lookup once: a memory hit (a repeat of a cell this
+        pass solves included), a disk hit, or a miss.  Each distinct
+        cacheable miss is solved once (uncacheable cells have no
+        identity to deduplicate by, count nothing and are always
+        solved).  With :attr:`engine_batch` (the default) and at least
+        two cells to solve, they go through the batch engine sharded
+        over the executor; otherwise each is solved in process by the
+        scalar :meth:`IntervalEngine.scenario_run`.  Fresh results are
+        cached and written behind to the store.  The returned list is
+        bit-identical either way, whatever the executor.
         """
         scens = list(scenarios)
         tracer = get_tracer()
         if not tracer.enabled:
-            return self._run_scenarios_impl(scens)
+            return self._lookup(scens)[0]
         with tracer.span(
             "session.run_scenarios",
             cells=len(scens),
             executor=self.executor.name,
         ):
-            return self._run_scenarios_impl(scens)
+            return self._lookup(scens)[0]
 
-    def _run_scenarios_impl(self, scens: "list[Scenario]") -> list[ScenarioResult]:
-        direct: dict[int, ScenarioRunResult] = {}
-        if self.engine_batch and len(scens) > 1:
-            tasks: list[_ScenarioTask] = []
-            task_idx: list[int] = []
-            task_fps: list[str] = []
-            task_keys: "list[tuple[str, Scenario] | None]" = []
-            seen: set[tuple[str, Scenario]] = set()
-            for i, s in enumerate(scens):
-                engine_fp, engine_config, spec, canon = self._scenario_parts(s)
-                key = (engine_fp, canon) if s.cacheable else None
-                if key is not None:
-                    if key in seen or self._peek(key) is not None:
-                        continue
-                    seen.add(key)
-                fg_runtime, rates = self._scenario_solo_refs(s, engine_config, spec)
-                tasks.append(_ScenarioTask(self.config, s, fg_runtime, rates))
-                task_idx.append(i)
-                task_fps.append(engine_fp)
-                task_keys.append(key)
-            if tasks:
-                results = self._solve_tasks_batched(tasks, task_fps)
-                for i, key, res in zip(task_idx, task_keys, results):
-                    if key is None:
-                        direct[i] = res
+    def _lookup(
+        self, scens: "list[Scenario]"
+    ) -> "tuple[list[ScenarioResult], list[str]]":
+        """The one lookup pass: each cell's result and the tier that
+        served it (``memory``, ``disk`` or ``engine``)."""
+        results: "list[ScenarioRunResult | None]" = [None] * len(scens)
+        tiers = ["engine"] * len(scens)
+        tasks: list[_ScenarioTask] = []
+        parts: "list[tuple[str, EngineConfig, MachineSpec | None]]" = []
+        keys: "list[tuple[str, Scenario] | None]" = []
+        planned: dict[tuple[str, Scenario], int] = {}
+        owner: dict[int, int] = {}  # cell index -> task index
+        for i, s in enumerate(scens):
+            engine_fp, engine_config, spec, canon = self._scenario_parts(s)
+            key = (engine_fp, canon) if s.cacheable else None
+            if key is not None:
+                hit = self._scenarios.get(key)
+                if hit is not None or key in planned:
+                    self.stats.scenario_hits += 1
+                    tiers[i] = "memory"
+                    if hit is None:
+                        owner[i] = planned[key]
                     else:
-                        self._insert(key, res)
-        return [
-            ScenarioResult(s, direct[i]) if i in direct else self.run_scenario(s)
-            for i, s in enumerate(scens)
-        ]
+                        results[i] = hit
+                    continue
+                if self.store is not None:
+                    hit = self._load(*key)
+                    if hit is not None:
+                        self.stats.scenario_disk_hits += 1
+                        self._scenarios[key] = hit
+                        results[i] = hit
+                        tiers[i] = "disk"
+                        continue
+                planned[key] = len(tasks)
+            fg_runtime, rates = self._scenario_solo_refs(s, engine_config, spec)
+            owner[i] = len(tasks)
+            tasks.append(_ScenarioTask(s, fg_runtime, rates))
+            parts.append((engine_fp, engine_config, spec))
+            keys.append(key)
+        if tasks:
+            if self.engine_batch and len(tasks) > 1:
+                solved = self._solve_tasks_batched(tasks, [fp for fp, _, _ in parts])
+            else:
+                solved = [
+                    self._solve_task(self.engine(cfg, spec), task)
+                    for task, (_, cfg, spec) in zip(tasks, parts)
+                ]
+            for key, res in zip(keys, solved):
+                if key is not None:
+                    self.stats.scenario_misses += 1
+                    self._scenarios[key] = res
+                    if self.store is not None:
+                        self._save(*key, res)
+            for i, j in owner.items():
+                results[i] = solved[j]
+        return [ScenarioResult(s, r) for s, r in zip(scens, results)], tiers
+
+    @staticmethod
+    def _solve_task(engine: IntervalEngine, task: _ScenarioTask) -> ScenarioRunResult:
+        """One task through the scalar :meth:`IntervalEngine.scenario_run`."""
+        cell = _task_cell(task)
+        return engine.scenario_run(
+            cell.profiles,
+            cell.threads,
+            fg_solo_runtime_s=cell.fg_solo_runtime_s,
+            bg_solo_rates=cell.bg_solo_rates,
+            llc_ways=cell.llc_ways,
+            pinnings=cell.pinnings,
+        )
 
     def _solve_tasks_batched(
         self, tasks: "list[_ScenarioTask]", task_fps: "list[str]"

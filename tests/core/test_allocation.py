@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import ExperimentConfig, run_allocation_sweep
+from repro.core import ExperimentConfig
 from repro.engine import IntervalEngine
 from repro.errors import EngineError, ExperimentError
+from repro.session import Session
 from repro.workloads.registry import get_profile
 
 
@@ -50,7 +51,7 @@ class TestAllocationSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
         cfg = ExperimentConfig(workloads=("G-CC", "fotonik3d"), jitter=0.0)
-        return run_allocation_sweep("G-CC", "fotonik3d", cfg)
+        return Session(cfg).run("allocation", fg="G-CC", bg="fotonik3d").result
 
     def test_covers_all_splits(self, sweep):
         assert [(p.fg_threads, p.bg_threads) for p in sweep.points] == [

@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.core import (
-    ExperimentConfig,
-    run_bandwidth_sweep,
-    run_prefetch_sensitivity,
-)
+from repro.core import ExperimentConfig
 from repro.errors import ExperimentError
+from repro.session import Session
 from repro.units import GB
 from repro.workloads.calibration import APPLICATIONS, MINI_BENCHMARKS
 
@@ -15,13 +12,13 @@ from repro.workloads.calibration import APPLICATIONS, MINI_BENCHMARKS
 @pytest.fixture(scope="module")
 def fig3():
     cfg = ExperimentConfig(workloads=APPLICATIONS + MINI_BENCHMARKS, jitter=0.0)
-    return run_bandwidth_sweep(cfg)
+    return Session(cfg).run("fig3").result
 
 
 @pytest.fixture(scope="module")
 def fig4():
     cfg = ExperimentConfig(workloads=APPLICATIONS + MINI_BENCHMARKS, jitter=0.0)
-    return run_prefetch_sensitivity(cfg)
+    return Session(cfg).run("fig4").result
 
 
 class TestFig3Shapes:
@@ -114,4 +111,4 @@ class TestFig4Shapes:
 
         cfg = ExperimentConfig(engine_config=EngineConfig(prefetchers_on=False))
         with pytest.raises(ExperimentError):
-            run_prefetch_sensitivity(cfg)
+            Session(cfg).run("fig4")

@@ -2,27 +2,21 @@
 
 import pytest
 
-from repro.core import (
-    ExperimentConfig,
-    PairClass,
-    classify_pair,
-    run_consolidation,
-    run_minibench,
-    run_pair_bandwidth,
-)
+from repro.core import ExperimentConfig, PairClass, classify_pair
 from repro.errors import ExperimentError
+from repro.session import Session
 from repro.workloads.calibration import APPLICATIONS
 
 
 @pytest.fixture(scope="module")
 def matrix():
     """The full 25x25 sweep (fast: analytic engine)."""
-    return run_consolidation(ExperimentConfig(jitter=0.0))
+    return Session(ExperimentConfig(jitter=0.0)).run("fig5").result
 
 
 @pytest.fixture(scope="module")
 def fig6():
-    return run_minibench(ExperimentConfig(jitter=0.0))
+    return Session(ExperimentConfig(jitter=0.0)).run("fig6").result
 
 
 class TestClassifyPair:
@@ -152,7 +146,7 @@ class TestFig6Shapes:
 class TestTable3:
     @pytest.fixture(scope="class")
     def table3(self):
-        return run_pair_bandwidth(ExperimentConfig(jitter=0.0))
+        return Session(ExperimentConfig(jitter=0.0)).run("table3").result
 
     def test_five_rows(self, table3):
         assert len(table3.rows) == 5

@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro.core import (
-    BubbleUpPredictor,
-    ExperimentConfig,
-    MatrixInsights,
-    bubble_profile,
-    run_consolidation,
-    run_efficiency,
-)
+from repro.core import BubbleUpPredictor, ExperimentConfig, MatrixInsights, bubble_profile
 from repro.errors import ExperimentError
+from repro.session import Session
 
 APPS = ("G-CC", "CIFAR", "fotonik3d", "swaptions", "mcf", "streamcluster")
 
@@ -22,7 +16,7 @@ def config():
 
 @pytest.fixture(scope="module")
 def matrix(config):
-    return run_consolidation(config)
+    return Session(config).run("fig5").result
 
 
 @pytest.fixture(scope="module")
@@ -125,9 +119,9 @@ class TestInsights:
 class TestEfficiency:
     @pytest.fixture(scope="class")
     def result(self, config):
-        return run_efficiency(
-            (("swaptions", "nab"), ("G-CC", "fotonik3d")), config=None
-        )
+        return Session().run(
+            "efficiency", pairs=(("swaptions", "nab"), ("G-CC", "fotonik3d"))
+        ).result
 
     def test_harmony_pair_saves_energy(self, result):
         row = result.row("swaptions", "nab")

@@ -2,29 +2,25 @@
 
 import pytest
 
-from repro.core import (
-    ExperimentConfig,
-    run_gemini_vs_offenders,
-    run_gemini_vs_stream,
-    run_table4,
-)
+from repro.core import ExperimentConfig
 from repro.core.provenance import GEMINI_APPS, OFFENDERS
 from repro.errors import ExperimentError
+from repro.session import Session
 
 
 @pytest.fixture(scope="module")
 def fig7():
-    return run_gemini_vs_stream(ExperimentConfig(jitter=0.0))
+    return Session(ExperimentConfig(jitter=0.0)).run("fig7").result
 
 
 @pytest.fixture(scope="module")
 def fig8():
-    return run_gemini_vs_offenders(ExperimentConfig(jitter=0.0))
+    return Session(ExperimentConfig(jitter=0.0)).run("fig8").result
 
 
 @pytest.fixture(scope="module")
 def table4():
-    return run_table4(ExperimentConfig(jitter=0.0))
+    return Session(ExperimentConfig(jitter=0.0)).run("table4").result
 
 
 class TestFig7:

@@ -2,18 +2,14 @@
 
 import pytest
 
-from repro.core import (
-    ExperimentConfig,
-    ScalabilityClass,
-    classify_speedup,
-    run_scalability,
-)
+from repro.core import ExperimentConfig, ScalabilityClass, classify_speedup
 from repro.errors import ExperimentError
+from repro.session import Session
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_scalability(ExperimentConfig(jitter=0.0))
+    return Session(ExperimentConfig(jitter=0.0)).run("fig2").result
 
 
 class TestClassify:

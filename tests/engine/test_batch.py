@@ -174,7 +174,41 @@ class TestFallbackAndErrors:
         with pytest.raises(EngineError):
             solve_batch(engine, [cell("G-CC", "Stream", threads=8)])
 
-    def test_engine_method_delegates(self, engine):
-        cells = [cell("G-CC", "Stream")]
-        via_method = engine.solve_batch(cells)
-        assert canon(via_method[0]) == canon(scalar(engine, cells[0]))
+
+
+SPEC = xeon_e5_4650()
+GCC, STREAM = get_profile("G-CC"), get_profile("Stream")
+
+#: (id, malformed cell, a fragment of the message both paths raise)
+MALFORMED = [
+    ("no-apps", BatchCell(profiles=(), threads=()), "at least one application"),
+    ("thread-count-mismatch", BatchCell(profiles=(GCC, STREAM), threads=(2,)), "thread counts"),
+    ("zero-thread-app", cell("G-CC", "Stream", threads=(2, 0)), "at least one thread"),
+    ("threads-over-slots", cell("G-CC", "Stream", threads=(4, SPEC.n_slots - 3)), "hardware threads"),
+    ("way-mask-past-llc", cell("G-CC", "Stream", llc_ways=(1 << SPEC.llc_ways, None)), "exceeds the LLC"),
+    ("pin-outside-spec", cell("G-CC", "Stream", pinnings=((SPEC.n_cores,), None)), "outside [0, "),
+    (
+        "wrong-bg-solo-rate-count",
+        BatchCell(
+            profiles=(GCC, STREAM),
+            threads=(2, 2),
+            fg_solo_runtime_s=1.0,
+            bg_solo_rates=(1.0, 1.0),
+        ),
+        "solo rates",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "bad, fragment", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED]
+)
+def test_scalar_and_batch_reject_a_malformed_cell_alike(engine, bad, fragment):
+    # One copy of the scenario checks: both entry points raise the
+    # same error, wherever the bad cell sits in a batch.
+    with pytest.raises(EngineError) as scalar_err:
+        scalar(engine, bad)
+    with pytest.raises(EngineError) as batch_err:
+        solve_batch(engine, [cell("G-CC", "Stream"), bad])
+    assert fragment in str(scalar_err.value)
+    assert str(batch_err.value) == str(scalar_err.value)

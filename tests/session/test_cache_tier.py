@@ -2,22 +2,26 @@
 
 Every cacheable scenario, the paper's 2-app pairs included, lives in
 one memory map keyed by ``(engine fingerprint, canonical Scenario)``
-and is counted by one ``scenario_{hits,misses,disk_hits}`` triple.  On
-disk, plain pairs stay in the store's ``corun/`` section (where every
-store written so far keeps them) and every other shape lives in
-``scenario/``.
+and is counted by one ``scenario_{hits,misses,disk_hits}`` triple,
+once per lookup.  On disk, plain pairs stay in the store's ``corun/``
+section (where every store written so far keeps them) and every other
+shape lives in ``scenario/``.
 """
 
 import json
+import os
 from dataclasses import fields
 
 import pytest
 
+import repro.engine
 from repro.core import ExperimentConfig
 from repro.core.provenance import GEMINI_APPS
 from repro.session import AppPlacement, CacheStats, Scenario, Session
 from repro.store import ResultStore
 from repro.store.codec import encode_scenario_result
+from repro.telemetry import tracer as tracer_mod
+from repro.telemetry.export import read_spans
 from repro.workloads.registry import get_profile
 
 SUBSET = ("G-CC", "fotonik3d", "swaptions", "Stream")
@@ -58,6 +62,56 @@ class TestCounters:
             "scenario_hits", "scenario_misses", "scenario_disk_hits",
         ]
         assert list(CacheStats().snapshot()) == names
+
+    @pytest.mark.parametrize("engine_batch", [True, False], ids=["batch", "scalar"])
+    def test_a_cold_pass_counts_each_lookup_once(self, engine_batch):
+        # Two distinct cells miss; the repeated pair is one memory hit
+        # (served by the pass that solves it), never a second count.
+        session = Session(make_config(), engine_batch=engine_batch)
+        session.run_scenarios([PAIR, THREE_WAY, PAIR])
+        stats = session.stats
+        assert (stats.scenario_misses, stats.scenario_hits, stats.scenario_disk_hits) == (
+            2, 1, 0,
+        )
+
+    def test_a_lone_miss_is_solved_by_the_scalar_engine(self, monkeypatch):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("one missing cell went to solve_batch")
+
+        monkeypatch.setattr(repro.engine, "solve_batch", no_batch)
+        session = Session(make_config())
+        fanned = session.run_scenarios([PAIR, PAIR])
+        assert (session.stats.scenario_misses, session.stats.scenario_hits) == (1, 1)
+        assert fanned[0].result is fanned[1].result
+
+
+@pytest.fixture
+def telemetry_dir(tmp_path):
+    """Tracing on for one test; the process-wide tracer state it found
+    is put back afterwards."""
+    saved_env = os.environ.pop(tracer_mod.ENV_VAR, None)
+    saved = tracer_mod._tracer
+    root = tmp_path / "telemetry"
+    tracer_mod.enable(root)
+    yield root
+    tracer_mod.disable()
+    tracer_mod._tracer = saved
+    if saved_env is not None:
+        os.environ[tracer_mod.ENV_VAR] = saved_env
+
+
+def test_run_scenario_span_names_the_tier_that_served(tmp_path, telemetry_dir):
+    cold = Session(make_config(), store=ResultStore(tmp_path / "st"))
+    cold.run_scenario(PAIR)  # simulated
+    cold.run_scenario(PAIR)  # the same session's memory
+    Session(make_config(), store=ResultStore(tmp_path / "st")).run_scenario(PAIR)
+    tracer_mod.disable()
+    tiers = [
+        span["tags"]["tier"]
+        for span in read_spans(telemetry_dir)
+        if span["name"] == "session.run_scenario"
+    ]
+    assert tiers == ["engine", "memory", "disk"]
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import ExperimentConfig, run_consolidation
+from repro.core import ExperimentConfig
 from repro.errors import ExperimentError
 from repro.session import (
     ParallelExecutor,
@@ -55,12 +55,6 @@ class TestRegistry:
 
 
 class TestLegacyEquivalence:
-    def test_fig5_matches_run_consolidation_cell_for_cell(self):
-        legacy = run_consolidation(make_config())
-        record = Session(make_config()).run("fig5")
-        assert legacy.workloads == record.result.workloads
-        assert legacy.cells == record.result.cells  # exact float equality
-
     def test_different_seed_changes_jittered_cells(self):
         a = Session(make_config(seed=7)).run("fig5").result
         b = Session(make_config(seed=8)).run("fig5").result
