@@ -48,11 +48,11 @@ def _drain(root, *, budget_s=None):
     async def go():
         daemon = ServeDaemon(session, port=0, budget_s=budget_s)
         await daemon.start()
-        client = ServeClient(daemon.host, daemon.port, timeout=300.0)
-        try:
-            return await drain_trace(client, trace)
-        finally:
-            await daemon.shutdown()
+        async with ServeClient(daemon.host, daemon.port, timeout=300.0) as client:
+            try:
+                return await drain_trace(client, trace)
+            finally:
+                await daemon.shutdown()
 
     t0 = time.perf_counter()
     result = asyncio.run(go())

@@ -291,12 +291,12 @@ def main() -> None:
                 budget_s=0.25,    # per-admission latency budget
             )
             await daemon.start()
-            client = ServeClient(daemon.host, daemon.port)
-            try:
-                trace = parse_trace("seed:0:8:2:0.5", sched_config.workloads)
-                return await drain_trace(client, trace)
-            finally:
-                await daemon.shutdown()
+            async with ServeClient(daemon.host, daemon.port) as client:
+                try:
+                    trace = parse_trace("seed:0:8:2:0.5", sched_config.workloads)
+                    return await drain_trace(client, trace)
+                finally:
+                    await daemon.shutdown()
 
         drained = asyncio.run(serve_demo())
         print(

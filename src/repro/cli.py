@@ -916,22 +916,33 @@ def _client(args: argparse.Namespace):
     return ServeClient(args.host, args.port)
 
 
+def _ask(args: argparse.Namespace, call):
+    """``await call(client)`` on a fresh event loop; the client's
+    keep-alive connection is closed before the loop ends."""
+    import asyncio
+
+    async def go():
+        async with _client(args) as client:
+            return await call(client)
+
+    return asyncio.run(go())
+
+
 def _serve_submit(args: argparse.Namespace) -> int:
     """``repro serve submit <app[:threads]> [id]``: one live admission;
     exit 0 admit, 1 reject."""
-    import asyncio
-
     from repro.session.scenario import parse_placement
 
     placement = parse_placement(args.arrival, default_threads=args.threads)
     tenant = args.tenant if args.tenant is not None else placement.label
-    response = asyncio.run(
-        _client(args).arrival(
+    response = _ask(
+        args,
+        lambda client: client.arrival(
             tenant=tenant,
             workload=placement.workload,
             threads=placement.threads,
             solo_s=args.solo_s,
-        )
+        ),
     )
     if args.json:
         print(json.dumps(response, sort_keys=True))
@@ -956,8 +967,6 @@ def _serve_submit(args: argparse.Namespace) -> int:
 def _serve_drain(args: argparse.Namespace) -> int:
     """``repro serve drain [--trace SPEC | --traffic MODEL]``: replay a
     trace open-loop against the daemon."""
-    import asyncio
-
     from repro.sched import ArrivalTrace, parse_trace
     from repro.serve import drain_trace
 
@@ -967,13 +976,12 @@ def _serve_drain(args: argparse.Namespace) -> int:
         lambda spec: parse_trace(spec, config.workloads),
         lambda: ArrivalTrace.synthetic(config.workloads, seed=config.seed),
     )
-    client = _client(args)
 
-    async def _drain():
+    async def _drain(client):
         await client.wait_ready()
         return await drain_trace(client, trace)
 
-    result = asyncio.run(_drain())
+    result = _ask(args, _drain)
     if args.json:
         payload = {
             "report": result.report.payload(),
@@ -998,9 +1006,7 @@ def _serve_stop(args: argparse.Namespace) -> int:
 
 
 def _serve_metrics(args: argparse.Namespace) -> int:
-    import asyncio
-
-    payload = asyncio.run(_client(args).metrics())
+    payload = _ask(args, lambda client: client.metrics())
     print(
         json.dumps(payload, sort_keys=True)
         if args.json

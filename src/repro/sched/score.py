@@ -14,16 +14,16 @@ as the scenario foreground against the rest — through
   re-simulates nothing), and
 * is bit-identical to the same scenario run by any other artifact.
 
-Layouts are additionally memoized here per ``(spec, placements)`` so a
-replay that re-evaluates a stable machine every interval costs a dict
-lookup, not even a cache probe.  Single-tenant layouts are exactly
-``1.0`` by definition (a solo run normalized to itself) and never
-touch the engine.
+Layouts are additionally memoized here per ``(engine fingerprint,
+placements)`` so a replay that re-evaluates a stable machine every
+interval costs a dict lookup, not even a cache probe.  Single-tenant
+layouts are exactly ``1.0`` by definition (a solo run normalized to
+itself) and never touch the engine.
 
 Heterogeneous clusters: a machine whose spec differs from the
 session's (e.g. an SMT variant) is scored through a sibling session
-sharing the same store — cache keys embed the spec fingerprint, so
-results can never cross machine shapes.
+sharing the same store — cache keys embed the engine fingerprint, and
+with it the spec, so results can never cross machine shapes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.classify import VICTIM_THRESHOLD, NWayVerdict, classify_nway
 from repro.machine.spec import MachineSpec
-from repro.session.base import fingerprint
 from repro.session.scenario import AppPlacement, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,18 +40,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class PlacementEvaluator:
-    """Layout -> per-tenant slowdowns, memoized, via one Session."""
+    """Layout -> per-tenant slowdowns, memoized, via one Session.
+
+    The layout memo and the sibling sessions are keyed by
+    ``session.engine_fingerprint(spec=spec)``, which the session
+    memoizes per spec object, so a warm layout costs no hashing.
+    Siblings keep the base engine configuration, so the key is
+    one-to-one with the spec and equals the sibling's own engine
+    fingerprint.
+    """
 
     def __init__(self, session: "Session") -> None:
         self.session = session
-        self._sessions: dict[str, "Session"] = {fingerprint(session.spec): session}
+        self._sessions: dict[str, "Session"] = {session.engine_fingerprint(): session}
         self._memo: dict[tuple[str, tuple[AppPlacement, ...]], tuple[float, ...]] = {}
 
     def session_for(self, spec: MachineSpec) -> "Session":
         """The session that scores layouts on ``spec`` — the base one
         when the spec matches, else a sibling sharing executor, store
         and batch mode (lazily built, one per distinct spec)."""
-        fp = fingerprint(spec)
+        fp = self.session.engine_fingerprint(spec=spec)
         if fp not in self._sessions:
             from repro.session.session import Session
 
@@ -117,7 +124,7 @@ class PlacementEvaluator:
                 # definition through the jitter model).
                 out[i] = (1.0,)
                 continue
-            fp = fingerprint(spec)
+            fp = self.session.engine_fingerprint(spec=spec)
             key = (fp, placements)
             hit = self._memo.get(key)
             if hit is not None:

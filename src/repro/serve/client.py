@@ -1,13 +1,18 @@
 """Async client for the scheduler daemon's JSON API.
 
-One :class:`ServeClient` method per endpoint; every call is one
-short-lived connection (``Connection: close``), which matches the
-drain's sequential replay loop and sidesteps connection-pool state
-entirely.  Responses come back as parsed JSON; non-2xx statuses raise
-:class:`~repro.errors.ServeError` carrying the daemon's ``error``
-message.  :meth:`events` is the exception to one-shot: it holds its
-connection open and yields Server-Sent Events as the daemon publishes
-them.
+One :class:`ServeClient` method per endpoint.  Calls ask for
+``Connection: keep-alive``, and a client keeps at most one idle
+connection per running event loop, so the drain's sequential replay
+loop sends every request over one connection instead of setting one up
+per request; :meth:`ServeClient.aclose` (or leaving ``async with``)
+closes it.  The daemon closes an idle connection at its read deadline
+and at shutdown; a call that finds its reused connection closed before
+any response retries once on a fresh one (the daemon never read the
+request).  Concurrent calls each get their own connection, and only one
+goes back to idle.  Responses come back as parsed JSON; non-2xx
+statuses raise :class:`~repro.errors.ServeError` carrying the daemon's
+``error`` message.  :meth:`events` holds its own connection open and
+yields Server-Sent Events as the daemon publishes them.
 """
 
 from __future__ import annotations
@@ -18,9 +23,48 @@ import time
 from typing import Any, AsyncIterator
 
 from repro.errors import ServeError
-from repro.serve.http import _read_head, read_response, request_bytes
+from repro.serve.http import (
+    _read_head,
+    read_response,
+    request_bytes,
+    wants_keep_alive,
+)
 
 __all__ = ["ServeClient"]
+
+#: One connection to the daemon.
+_Conn = tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+
+async def _close(writer: asyncio.StreamWriter) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
+
+
+async def _exchange(
+    conn: _Conn, request: bytes
+) -> "tuple[int, dict[str, str], bytes] | None":
+    """One request and its response on ``conn``; ``None`` (and ``conn``
+    closed) when the peer closed or reset the connection before a status
+    line.  Any failure closes ``conn``."""
+    reader, writer = conn
+    try:
+        try:
+            writer.write(request)
+            await writer.drain()
+        except ConnectionError:
+            response = None
+        else:
+            response = await read_response(reader)
+    except BaseException:
+        writer.close()
+        raise
+    if response is None:
+        writer.close()
+    return response
 
 
 class ServeClient:
@@ -32,10 +76,26 @@ class ServeClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        #: Event loop -> its one idle keep-alive connection.  Single
+        #: ``pop``/``setdefault`` calls take and return connections, so
+        #: concurrent calls never share one.
+        self._idle: "dict[asyncio.AbstractEventLoop, _Conn]" = {}
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
+
+    async def aclose(self) -> None:
+        """Close the idle connection kept for the running event loop."""
+        conn = self._idle.pop(asyncio.get_running_loop(), None)
+        if conn is not None:
+            await _close(conn[1])
+
+    async def __aenter__(self) -> "ServeClient":
+        return self
+
+    async def __aexit__(self, *exc_info: Any) -> None:
+        await self.aclose()
 
     # -- plumbing ------------------------------------------------------------
 
@@ -56,24 +116,41 @@ class ServeClient:
                 f"cannot reach daemon at {self.url}: {exc}"
             ) from None
 
+    def _take_idle(self, loop: asyncio.AbstractEventLoop) -> "_Conn | None":
+        """This loop's idle connection, unless the daemon already closed
+        it.  Connections left by loops that have finished are dropped;
+        their sockets close when they are collected."""
+        for other in list(self._idle):
+            if other.is_closed():
+                self._idle.pop(other, None)
+        conn = self._idle.pop(loop, None)
+        if conn is not None and conn[0].at_eof():
+            conn[1].close()
+            return None
+        return conn
+
     async def _request_once(
         self, method: str, path: str, payload: Any
     ) -> Any:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        try:
-            writer.write(
-                request_bytes(
-                    method, path, payload, host=f"{self.host}:{self.port}"
-                )
-            )
-            await writer.drain()
-            status, _, body = await read_response(reader)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        request = request_bytes(
+            method, path, payload, host=f"{self.host}:{self.port}"
+        )
+        loop = asyncio.get_running_loop()
+        conn = self._take_idle(loop)
+        # A reused connection the daemon closed while it sat idle never
+        # delivered the request, so sending it again on a fresh one is safe.
+        response = None if conn is None else await _exchange(conn, request)
+        if response is None:
+            conn = await asyncio.open_connection(self.host, self.port)
+            response = await _exchange(conn, request)
+            if response is None:
+                raise ServeError("connection closed before any response")
+        status, headers, body = response
+        # Park the connection for this loop's next call, unless the
+        # daemon is closing it or a concurrent call parked one first.
+        parked = wants_keep_alive(headers) and self._idle.setdefault(loop, conn) is conn
+        if not parked:
+            await _close(conn[1])
         data = json.loads(body) if body else None
         if status >= 400:
             message = (
@@ -142,8 +219,13 @@ class ServeClient:
         deadline = time.monotonic() + timeout
         while True:
             try:
-                return await self._request_once("GET", "/healthz", None)
-            except (ConnectionError, OSError, ServeError):
+                # Bounded by the time left: a listener that accepts and
+                # never answers must not hold the caller past ``timeout``.
+                return await asyncio.wait_for(
+                    self._request_once("GET", "/healthz", None),
+                    max(deadline - time.monotonic(), 0.0),
+                )
+            except (OSError, asyncio.TimeoutError, ServeError):
                 if time.monotonic() >= deadline:
                     raise ServeError(
                         f"daemon at {self.url} not ready after {timeout}s"
@@ -185,8 +267,4 @@ class ServeClient:
                 elif not line:
                     event_name = None
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await _close(writer)

@@ -34,8 +34,9 @@ produce byte-identical decision logs at very different latencies.
 Lifecycle: the daemon holds the store's *shared* lock for its lifetime
 (cache writes stay concurrent; ``store gc`` and manifest freezes are
 excluded while the service is up).  SIGTERM/SIGINT — or
-``POST /shutdown`` — stop the loop cleanly: the server closes, event
-streams terminate, telemetry segments flush, and the lock is released.
+``POST /shutdown`` — stop the loop cleanly: the server closes, idle
+keep-alive connections and event streams end, telemetry segments flush,
+and the lock is released.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from repro.serve.http import (
     read_request,
     sse_event,
     sse_preamble,
+    wants_keep_alive,
 )
 from repro.store.locking import store_lock
 from repro.telemetry.metrics import MetricsRegistry
@@ -81,10 +83,18 @@ _WATCHER_DEPTH = 256
 #: samples age out so daemon memory stays flat over its lifetime.
 _LATENCY_WINDOW = 4096
 
-#: Seconds a client gets to deliver one whole request (head and body).
-#: A client that stalls past it is disconnected without a response, so
-#: it can neither hold a handler forever nor block shutdown.
+#: Seconds a client gets to deliver one whole request (head and body),
+#: counted from when the connection starts waiting for it, so an idle
+#: keep-alive connection is closed after this long too.  A client that
+#: stalls past it is disconnected without a response, so it can neither
+#: hold a handler forever nor block shutdown.
 READ_DEADLINE_S = 10.0
+
+
+def _positive_budget(budget_s: "float | None") -> "float | None":
+    if budget_s is not None and budget_s <= 0:
+        raise ServeError(f"budget_s must be positive, got {budget_s}")
+    return budget_s
 
 
 class ServeDaemon:
@@ -103,12 +113,10 @@ class ServeDaemon:
         replan: bool = True,
         budget_s: "float | None" = None,
     ) -> None:
-        if budget_s is not None and budget_s <= 0:
-            raise ServeError(f"budget_s must be positive, got {budget_s}")
         self.session = session
         self.host = host
         self.port = port
-        self.budget_s = budget_s
+        self.budget_s = _positive_budget(budget_s)
         if cluster is None:
             cluster = Cluster.homogeneous(machines, session.spec)
         self.evaluator = PlacementEvaluator(session)
@@ -126,6 +134,10 @@ class ServeDaemon:
             max_workers=1, thread_name_prefix="serve-sched"
         )
         self._watchers: "set[asyncio.Queue]" = set()
+        #: Handlers parked waiting for their connection's next request,
+        #: by writer; shutdown closes these connections (no response is
+        #: owed on them) and waits for the handlers to return.
+        self._waiting: "dict[asyncio.StreamWriter, asyncio.Task]" = {}
         self._stop = asyncio.Event()
         self._closing = False
         self._server: "asyncio.base_events.Server | None" = None
@@ -221,6 +233,16 @@ class ServeDaemon:
                         pass
         if self._server is not None:
             self._server.close()
+            # Idle keep-alive connections would hold ``wait_closed()``
+            # (3.12+) until their read deadline; close them and let their
+            # handlers see EOF and return, rather than be cancelled when
+            # the loop ends.  Busy handlers answer with
+            # ``Connection: close`` and return on their own.
+            idle = tuple(self._waiting.items())
+            for writer, _ in idle:
+                writer.close()
+            if idle:
+                await asyncio.wait([handler for _, handler in idle])
             await self._server.wait_closed()
             self._server = None
         tracer = get_tracer()
@@ -295,35 +317,45 @@ class ServeDaemon:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one connection: requests in turn, for as long as the
+        client asks for keep-alive and the daemon is not closing."""
+        self.metrics.counter("serve.connections").inc()
         try:
-            try:
-                request = await asyncio.wait_for(
-                    read_request(reader), READ_DEADLINE_S
-                )
-            except ServeError as exc:
-                writer.write(json_response(400, {"error": str(exc)}))
+            while not self._closing:
+                self._waiting[writer] = asyncio.current_task()
+                try:
+                    request = await asyncio.wait_for(
+                        read_request(reader), READ_DEADLINE_S
+                    )
+                except ServeError as exc:
+                    writer.write(json_response(400, {"error": str(exc)}))
+                    await writer.drain()
+                    return
+                except asyncio.TimeoutError:
+                    return
+                finally:
+                    self._waiting.pop(writer, None)
+                if request is None:
+                    return
+                self.metrics.counter("serve.requests").inc()
+                if request.method == "GET" and request.path == "/events":
+                    await self._stream_events(reader, writer)
+                    return
+                if request.method == "POST" and request.path == "/shutdown":
+                    writer.write(json_response(200, {"ok": True}))
+                    await writer.drain()
+                    self._stop.set()
+                    return
+                try:
+                    status, payload = await self._dispatch(request)
+                except ReproError as exc:
+                    self.metrics.counter("serve.errors").inc()
+                    status, payload = 400, {"error": str(exc)}
+                keep = wants_keep_alive(request.headers) and not self._closing
+                writer.write(json_response(status, payload, keep_alive=keep))
                 await writer.drain()
-                return
-            except asyncio.TimeoutError:
-                return
-            if request is None:
-                return
-            self.metrics.counter("serve.requests").inc()
-            if request.method == "GET" and request.path == "/events":
-                await self._stream_events(reader, writer)
-                return
-            if request.method == "POST" and request.path == "/shutdown":
-                writer.write(json_response(200, {"ok": True}))
-                await writer.drain()
-                self._stop.set()
-                return
-            try:
-                status, payload = await self._dispatch(request)
-            except ReproError as exc:
-                self.metrics.counter("serve.errors").inc()
-                status, payload = 400, {"error": str(exc)}
-            writer.write(json_response(status, payload))
-            await writer.drain()
+                if not keep:
+                    return
         except ConnectionError:
             pass
         finally:
@@ -471,7 +503,7 @@ class ServeDaemon:
         )
         time_s = self._field(body, "time_s", float, default=0.0)
         budget = (
-            self._field(body, "budget_s", float)
+            _positive_budget(self._field(body, "budget_s", float))
             if "budget_s" in body
             else self.budget_s
         )

@@ -6,9 +6,10 @@ on aiohttp, this module implements the ~5% of HTTP the daemon and its
 client actually exchange:
 
 * requests and responses carry ``Content-Length`` bodies (or none);
-* every exchange is one request, one response, ``Connection: close`` —
-  the drain's replay loop is sequential anyway, and one-shot
-  connections keep both ends trivially correct;
+* a connection carries one request at a time, and stays open for the
+  next one only while both ends say ``Connection: keep-alive``: the
+  client always asks for it, and every response states ``keep-alive``
+  or ``close`` explicitly (see :func:`wants_keep_alive`);
 * the single streaming endpoint (``GET /events``) is Server-Sent
   Events: a ``text/event-stream`` response whose body is an unbounded
   sequence of ``event:``/``data:`` frames, terminated by the peer
@@ -38,6 +39,7 @@ __all__ = [
     "response_bytes",
     "sse_event",
     "sse_preamble",
+    "wants_keep_alive",
 ]
 
 #: Reason phrases for the handful of statuses the daemon emits.
@@ -58,6 +60,15 @@ MAX_BODY = 16 * 1024 * 1024
 MAX_HEADERS = 100
 
 
+def wants_keep_alive(headers: dict[str, str]) -> bool:
+    """Whether a head asks to keep its connection open: its
+    ``Connection`` header lists ``keep-alive``.  Anything else, a
+    missing header included, means the connection closes after this
+    exchange."""
+    tokens = headers.get("connection", "").lower().split(",")
+    return "keep-alive" in (t.strip() for t in tokens)
+
+
 @dataclass
 class Request:
     """One parsed HTTP request."""
@@ -74,18 +85,23 @@ class Request:
             return None
         try:
             return json.loads(self.body)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise ServeError(f"request body is not valid JSON: {exc}") from None
 
 
 async def _read_head(reader: asyncio.StreamReader) -> "list[str] | None":
-    """Start-line + header lines, or ``None`` on a cleanly closed peer."""
+    """Start-line + header lines, or ``None`` when the peer closed or
+    reset the connection before sending a start line."""
     lines: list[str] = []
     while True:
         try:
             raw = await reader.readline()
         except (asyncio.LimitOverrunError, ValueError):
             raise ServeError("oversized header line") from None
+        except ConnectionError:
+            if lines:
+                raise
+            return None
         if not raw:
             if lines:
                 raise ServeError("connection closed mid-headers")
@@ -126,7 +142,8 @@ async def _read_body(
 
 
 async def read_request(reader: asyncio.StreamReader) -> "Request | None":
-    """Parse one request; ``None`` when the peer closed before sending."""
+    """Parse one request; ``None`` when the peer closed (or reset) the
+    connection before sending one."""
     head = await _read_head(reader)
     if head is None:
         return None
@@ -151,31 +168,36 @@ def response_bytes(
     body: bytes = b"",
     *,
     content_type: str = "application/json",
+    keep_alive: bool = False,
 ) -> bytes:
-    """One complete ``Connection: close`` response."""
+    """One complete response; its ``Connection`` header says whether
+    the daemon keeps the connection open for another request."""
     reason = _REASONS.get(status, "Unknown")
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"
         f"Content-Type: {content_type}\r\n"
         f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
     )
     return head.encode("latin-1") + body
 
 
-def json_response(status: int, payload: Any) -> bytes:
+def json_response(status: int, payload: Any, *, keep_alive: bool = False) -> bytes:
     """A canonical-JSON response: ``sort_keys`` so responses for equal
     payloads are byte-identical (the drain's determinism contract rides
     on JSON's exact float round-trip)."""
     return response_bytes(
-        status, json.dumps(payload, sort_keys=True).encode("utf-8")
+        status,
+        json.dumps(payload, sort_keys=True).encode("utf-8"),
+        keep_alive=keep_alive,
     )
 
 
 def request_bytes(
     method: str, path: str, payload: Any = None, *, host: str = "daemon"
 ) -> bytes:
-    """One complete client request (JSON body when ``payload`` given)."""
+    """One complete client request (JSON body when ``payload`` given)
+    that asks to keep the connection open."""
     body = (
         json.dumps(payload, sort_keys=True).encode("utf-8")
         if payload is not None
@@ -185,18 +207,19 @@ def request_bytes(
         f"{method} {path} HTTP/1.1\r\n"
         f"Host: {host}\r\n"
         f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n\r\n"
+        f"Connection: keep-alive\r\n\r\n"
     )
     return head.encode("latin-1") + body
 
 
 async def read_response(
     reader: asyncio.StreamReader,
-) -> tuple[int, dict[str, str], bytes]:
-    """Parse one response: ``(status, headers, body)``."""
+) -> "tuple[int, dict[str, str], bytes] | None":
+    """Parse one response: ``(status, headers, body)``, or ``None`` when
+    the peer closed (or reset) the connection before a status line."""
     head = await _read_head(reader)
     if head is None:
-        raise ServeError("connection closed before any response")
+        return None
     parts = head[0].split(" ", 2)
     if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
         raise ServeError(f"malformed status line {head[0]!r}")

@@ -8,7 +8,9 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from repro.core import ExperimentConfig
 from repro.errors import ServeError
 import repro.serve.daemon as daemon_mod
 from repro.serve import ServeClient, ServeDaemon
-from repro.serve.http import MAX_HEADERS
+from repro.serve.http import MAX_HEADERS, json_response, read_request, read_response
 from repro.session import Session
 from repro.store.locking import HAVE_FILE_LOCKS, store_lock
 
@@ -52,11 +54,11 @@ def with_daemon(test, *, session=None, evaluator=StubEvaluator(), **kw):
             daemon.evaluator = evaluator
             daemon.scheduler.evaluator = evaluator
         await daemon.start()
-        client = ServeClient(daemon.host, daemon.port, timeout=30.0)
-        try:
-            return await test(daemon, client)
-        finally:
-            await daemon.shutdown()
+        async with ServeClient(daemon.host, daemon.port, timeout=30.0) as client:
+            try:
+                return await test(daemon, client)
+            finally:  # with the client's keep-alive connection still open
+                await daemon.shutdown()
 
     return asyncio.run(runner())
 
@@ -66,6 +68,42 @@ def submit(client, tid, *, workload="G-CC", threads=2, time_s=0.0, **kw):
         tenant=tid, workload=workload, threads=threads,
         solo_s=5.0, time_s=time_s, **kw,
     )
+
+
+def get(path: str, *, keep: bool = True) -> bytes:
+    """A raw GET, asking for keep-alive unless ``keep`` is false."""
+    connection = "Connection: keep-alive\r\n" if keep else ""
+    return f"GET {path} HTTP/1.1\r\nHost: x\r\n{connection}\r\n".encode()
+
+
+async def exchange(reader, writer, raw: bytes):
+    """Send one raw request; ``(status, headers, body)`` of its response."""
+    writer.write(raw)
+    await writer.drain()
+    return await asyncio.wait_for(read_response(reader), 5)
+
+
+def counters(daemon) -> dict:
+    return daemon.metrics.snapshot()["counters"]
+
+
+@contextmanager
+def daemon_thread():
+    """A started daemon on its own thread and event loop."""
+    daemon = ServeDaemon(make_session(), port=0)
+    daemon.evaluator = daemon.scheduler.evaluator = StubEvaluator()
+    ready = threading.Event()
+    thread = threading.Thread(
+        target=lambda: asyncio.run(daemon.run(ready=lambda d: ready.set()))
+    )
+    thread.start()
+    try:
+        assert ready.wait(30)
+        yield daemon
+    finally:
+        asyncio.run(ServeClient(daemon.host, daemon.port).shutdown())
+        thread.join(30)
+        assert not thread.is_alive()
 
 
 class TestEndpoints:
@@ -459,6 +497,258 @@ class TestEndpoints:
         with pytest.raises(ServeError, match="budget_s"):
             ServeDaemon(make_session(), budget_s=0.0)
 
+    def test_nonpositive_request_budget_is_400_before_deciding(self):
+        async def test(daemon, client):
+            for budget in (0, -1):
+                with pytest.raises(ServeError, match="budget_s must be positive"):
+                    await submit(client, "a", budget_s=budget)
+            assert (await client.decisions())["decisions"] == []
+            assert "serve.budget_misses" not in counters(daemon)
+            assert counters(daemon)["serve.errors"] == 2
+
+        with_daemon(test)
+
+    def test_body_that_is_not_utf8_is_400_and_counted(self):
+        async def test(daemon, client):
+            reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+            status, _, body = await exchange(reader, writer, (
+                b"POST /arrivals HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n"
+                b"\r\n\x80abc"
+            ))
+            writer.close()
+            await writer.wait_closed()
+            assert status == 400 and b"not valid JSON" in body, body
+            assert counters(daemon)["serve.errors"] == 1
+            assert await client.healthz() == {"ok": True}
+
+        with_daemon(test)
+
+
+class TestKeepAlive:
+    """One connection carries requests while the client asks for it."""
+
+    def test_two_requests_on_one_connection(self):
+        async def test(daemon, client):
+            reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+            for _ in range(2):
+                status, headers, body = await exchange(reader, writer, get("/healthz"))
+                assert status == 200 and json.loads(body) == {"ok": True}
+                assert headers["connection"] == "keep-alive"
+            writer.close()
+            await writer.wait_closed()
+            assert counters(daemon)["serve.connections"] == 1
+            assert counters(daemon)["serve.requests"] == 2
+
+        with_daemon(test)
+
+    def test_request_without_keep_alive_is_answered_and_closed(self):
+        async def test(daemon, client):
+            reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+            status, headers, _ = await exchange(reader, writer, get("/healthz", keep=False))
+            assert status == 200 and headers["connection"] == "close"
+            assert await asyncio.wait_for(reader.read(), 5) == b""
+            writer.close()
+            await writer.wait_closed()
+
+        with_daemon(test)
+
+    def test_malformed_second_request_gets_400_then_eof(self):
+        async def test(daemon, client):
+            reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+            status, headers, _ = await exchange(reader, writer, get("/healthz"))
+            assert status == 200 and headers["connection"] == "keep-alive"
+            status, headers, body = await exchange(reader, writer, b"NONSENSE\r\n\r\n")
+            assert status == 400 and b"request line" in body
+            assert headers["connection"] == "close"
+            assert await asyncio.wait_for(reader.read(), 5) == b""
+            writer.close()
+            await writer.wait_closed()
+
+        with_daemon(test)
+
+    def test_dispatch_error_keeps_the_connection(self):
+        async def test(daemon, client):
+            reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+            status, headers, _ = await exchange(reader, writer, get("/nope"))
+            assert status == 404 and headers["connection"] == "keep-alive"
+            status, _, _ = await exchange(reader, writer, (
+                b"POST /departures HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n"
+                b"Connection: keep-alive\r\n\r\n{}"
+            ))
+            assert status == 400
+            status, _, _ = await exchange(reader, writer, get("/healthz"))
+            assert status == 200
+            writer.close()
+            await writer.wait_closed()
+            assert counters(daemon)["serve.connections"] == 1
+
+        with_daemon(test)
+
+    def test_idle_connection_is_closed_at_the_read_deadline(self, monkeypatch):
+        monkeypatch.setattr(daemon_mod, "READ_DEADLINE_S", 0.2)
+
+        async def test(daemon, client):
+            reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+            await exchange(reader, writer, get("/healthz"))
+            start = time.monotonic()
+            assert await asyncio.wait_for(reader.read(), 5) == b""
+            assert time.monotonic() - start < 3.0
+            writer.close()
+            await writer.wait_closed()
+
+        with_daemon(test)
+
+    def test_shutdown_closes_an_idle_connection(self):
+        # On Python >= 3.12 ``Server.wait_closed()`` waits for every
+        # live handler, so an idle keep-alive connection left open
+        # would hold shutdown for a whole read deadline.
+        async def test():
+            daemon = ServeDaemon(make_session(), port=0)
+            await daemon.start()
+            reader, writer = await asyncio.open_connection(daemon.host, daemon.port)
+            _, headers, _ = await exchange(reader, writer, get("/healthz"))
+            assert headers["connection"] == "keep-alive"
+            start = time.monotonic()
+            await asyncio.wait_for(daemon.shutdown(), daemon_mod.READ_DEADLINE_S / 2)
+            assert await asyncio.wait_for(reader.read(), daemon_mod.READ_DEADLINE_S / 2) == b""
+            assert time.monotonic() - start < daemon_mod.READ_DEADLINE_S / 4
+            writer.close()
+            await writer.wait_closed()
+
+        asyncio.run(test())
+
+    def test_client_sends_many_calls_over_one_connection(self):
+        async def test(daemon, client):
+            for i in range(20):
+                if i % 4:
+                    await client.healthz()
+                else:
+                    await submit(client, f"t{i}")
+            metrics = await client.metrics()
+            assert metrics["serve"]["counters"]["serve.connections"] == 1
+            assert metrics["serve"]["counters"]["serve.requests"] == 21
+
+        with_daemon(test)
+
+    def test_closing_the_client_closes_its_connection(self):
+        async def test(daemon, client):
+            async with ServeClient(daemon.host, daemon.port) as own:
+                await own.healthz()
+                assert len(daemon._waiting) == 1
+            for _ in range(500):  # the daemon reads EOF; the handler returns
+                if not daemon._waiting:
+                    break
+                await asyncio.sleep(0.01)
+            assert not daemon._waiting
+
+        with_daemon(test)
+
+    def test_client_recovers_after_the_daemon_closes_the_idle_connection(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(daemon_mod, "READ_DEADLINE_S", 0.2)
+
+        async def test(daemon, client):
+            await client.healthz()
+            await asyncio.sleep(0.6)  # the daemon closes the idle connection
+            reply = await submit(client, "a")
+            assert reply["decision"]["admitted"] is True
+            assert len((await client.decisions())["decisions"]) == 1
+            assert counters(daemon)["serve.arrivals"] == 1
+            assert counters(daemon)["serve.connections"] >= 2
+
+        with_daemon(test)
+
+    def test_concurrent_calls_never_share_a_connection(self):
+        async def test(daemon, client):
+            replies = await asyncio.gather(*(client.healthz() for _ in range(4)))
+            assert replies == [{"ok": True}] * 4
+            assert counters(daemon)["serve.connections"] == 4
+            # One connection went back to idle; the client closed the rest.
+            for _ in range(500):
+                if len(daemon._waiting) == 1:
+                    break
+                await asyncio.sleep(0.01)
+            assert len(daemon._waiting) == 1
+            await client.healthz()
+            assert counters(daemon)["serve.connections"] == 4
+
+        with_daemon(test)
+
+    def test_connection_from_a_finished_loop_is_not_reused(self, caplog):
+        with daemon_thread() as daemon:
+            client = ServeClient(daemon.host, daemon.port)
+            assert asyncio.run(client.healthz()) == {"ok": True}
+            assert asyncio.run(client.healthz()) == {"ok": True}
+            metrics = asyncio.run(client.metrics())
+            assert metrics["serve"]["counters"]["serve.connections"] == 3
+        # Shutdown let the handler of the connection still open return,
+        # rather than leave it to be cancelled as the daemon's loop ended.
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+class TestClientConnections:
+    """The client against stub listeners that misbehave on purpose."""
+
+    @staticmethod
+    async def stub(plan: "list[int]"):
+        """A listener whose ``i``-th connection answers ``plan[i]``
+        requests (keep-alive) and then hangs up on the next one."""
+        accepted: list[int] = []
+
+        async def handle(reader, writer):
+            answers = plan[len(accepted)]
+            accepted.append(answers)
+            try:
+                for _ in range(answers):
+                    if await read_request(reader) is None:
+                        return
+                    writer.write(json_response(200, {"ok": True}, keep_alive=True))
+                    await writer.drain()
+                await read_request(reader)  # read, never answered
+            finally:
+                writer.close()
+
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        return server, server.sockets[0].getsockname()[1], accepted
+
+    def test_reused_connection_closed_unanswered_is_retried_once(self):
+        async def go():
+            server, port, accepted = await self.stub([1, 1, 0])
+            client = ServeClient("127.0.0.1", port, timeout=10.0)
+            try:
+                assert await client.healthz() == {"ok": True}
+                # Reused, hung up before a status line: retried on a
+                # fresh connection.
+                assert await client.healthz() == {"ok": True}
+                assert len(accepted) == 2
+                # The retry's fresh connection hangs up too: no second retry.
+                with pytest.raises(ServeError, match="before any response"):
+                    await client.healthz()
+                assert len(accepted) == 3
+            finally:
+                server.close()
+
+        asyncio.run(go())
+
+    def test_wait_ready_gives_up_on_a_listener_that_never_answers(self):
+        async def go():
+            async def silent(reader, writer):
+                await reader.read()  # accept, never answer
+                writer.close()
+
+            server = await asyncio.start_server(silent, "127.0.0.1", 0)
+            client = ServeClient("127.0.0.1", server.sockets[0].getsockname()[1])
+            start = time.monotonic()
+            try:
+                with pytest.raises(ServeError, match="not ready"):
+                    await asyncio.wait_for(client.wait_ready(timeout=0.5), 5)
+            finally:
+                server.close()
+            return time.monotonic() - start
+
+        assert asyncio.run(go()) < 4.0
+
 
 @pytest.mark.skipif(not HAVE_FILE_LOCKS, reason="no advisory file locks")
 class TestGracefulShutdown:
@@ -525,9 +815,9 @@ class TestGracefulShutdown:
             port = self._wait_listening(proc)
 
             async def poke():
-                client = ServeClient("127.0.0.1", port)
-                await client.wait_ready()
-                return await client.healthz()
+                async with ServeClient("127.0.0.1", port) as client:
+                    await client.wait_ready()
+                    return await client.healthz()
 
             assert asyncio.run(poke()) == {"ok": True}
             proc.send_signal(signal.SIGTERM)

@@ -35,11 +35,11 @@ def drain(session, trace, **daemon_kw):
     async def go():
         daemon = ServeDaemon(session, port=0, **daemon_kw)
         await daemon.start()
-        client = ServeClient(daemon.host, daemon.port, timeout=120.0)
-        try:
-            return await drain_trace(client, trace)
-        finally:
-            await daemon.shutdown()
+        async with ServeClient(daemon.host, daemon.port, timeout=120.0) as client:
+            try:
+                return await drain_trace(client, trace)
+            finally:
+                await daemon.shutdown()
 
     return asyncio.run(go())
 

@@ -16,6 +16,7 @@ from repro.serve.http import (
     response_bytes,
     sse_event,
     sse_preamble,
+    wants_keep_alive,
 )
 
 
@@ -101,11 +102,20 @@ class TestReadRequest:
             parse_request(b"POST / HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n")
 
     def test_bad_json_body_raises_on_decode(self):
-        req = parse_request(
-            b"POST / HTTP/1.1\r\nContent-Length: 4\r\n\r\nnope"
-        )
-        with pytest.raises(ServeError, match="JSON"):
-            req.json()
+        for body in (b"nope", b"\x80abc"):  # not JSON; not even UTF-8
+            req = parse_request(
+                b"POST / HTTP/1.1\r\nContent-Length: 4\r\n\r\n" + body
+            )
+            with pytest.raises(ServeError, match="JSON"):
+                req.json()
+
+    def test_reset_before_a_start_line_reads_as_closed(self):
+        async def go():
+            reader = asyncio.StreamReader()
+            reader.set_exception(ConnectionResetError())
+            return await read_request(reader), await read_response(reader)
+
+        assert asyncio.run(go()) == (None, None)
 
 
 class TestRoundTrips:
@@ -140,6 +150,27 @@ class TestRoundTrips:
     def test_malformed_status_line(self):
         with pytest.raises(ServeError, match="status line"):
             parse_response(b"GARBAGE\r\n\r\n")
+
+    def test_closed_before_a_status_line_is_none(self):
+        assert parse_response(b"") is None
+
+
+class TestConnectionHeader:
+    def test_keep_alive_only_when_asked(self):
+        assert wants_keep_alive({"connection": "keep-alive"})
+        assert wants_keep_alive({"connection": "Upgrade, Keep-Alive"})
+        assert not wants_keep_alive({"connection": "close"})
+        assert not wants_keep_alive({})
+
+    def test_every_response_states_it(self):
+        for keep, word in ((True, "keep-alive"), (False, "close")):
+            _, headers, _ = parse_response(json_response(200, {}, keep_alive=keep))
+            assert headers["connection"] == word
+        assert b"Connection: close\r\n" in response_bytes(400)
+
+    def test_client_requests_ask_for_keep_alive(self):
+        request = parse_request(request_bytes("GET", "/healthz"))
+        assert wants_keep_alive(request.headers)
 
 
 class TestSse:
