@@ -9,6 +9,7 @@ them per application *and* per code region so the provenance analysis
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 
@@ -111,7 +112,7 @@ class SoloRunResult:
     """Outcome of one application running alone."""
 
     metrics: AppMetrics
-    timeline: list[BandwidthSample] = field(default_factory=list)
+    timeline: Sequence[BandwidthSample] = field(default_factory=list)
 
     @property
     def runtime_s(self) -> float:
@@ -131,7 +132,7 @@ class CoRunResult:
     bg: AppMetrics
     fg_solo_runtime_s: float
     bg_relative_rate: float
-    timeline: list[BandwidthSample] = field(default_factory=list)
+    timeline: Sequence[BandwidthSample] = field(default_factory=list)
 
     @property
     def normalized_time(self) -> float:
@@ -163,7 +164,7 @@ class ScenarioRunResult:
     #: One entry per background app (``apps[1:]``): instruction
     #: throughput while consolidated / solo instruction throughput.
     bg_relative_rates: list[float]
-    timeline: list[BandwidthSample] = field(default_factory=list)
+    timeline: Sequence[BandwidthSample] = field(default_factory=list)
 
     @property
     def fg(self) -> AppMetrics:

@@ -31,12 +31,12 @@ Store layout (``<root>`` is the directory handed to ``--store``)::
     <root>/
       store.json                   schema marker {"schema": 1, ...}
       .lock                        advisory store lock (never deleted)
-      solo/<engine_fp>/            one JSON per cached solo run,
+      solo/<engine_fp>/            one entry per cached solo run,
         <app>-t<T>-<keyfp>.json      key: engine_fp x workload x threads
-      corun/<engine_fp>/           one JSON per cached plain pair,
+      corun/<engine_fp>/           one entry per cached plain pair,
         <fg>-vs-<bg>-<FT>x<BT>-<keyfp>.json
                                      key: engine_fp x fg x bg x fg_t x bg_t
-      scenario/<engine_fp>/        one JSON per other cached scenario,
+      scenario/<engine_fp>/        one entry per other cached scenario,
         <apps-slug>-<keyfp>.json     key: engine_fp x scenario fingerprint
       results/<artifact>/          streamed RunRecords
         <run_id>.json
@@ -46,6 +46,17 @@ Store layout (``<root>`` is the directory handed to ``--store``)::
       campaign/<token>/*.claim     work-stealing claims of a live
                                    `repro campaign` (removed on success)
       manifest.json                last campaign freeze
+
+Each cache entry is two lines.  Line 1 is one JSON object, the
+envelope ``{"schema", "kind", "key", "result", "timeline_sha256"}``:
+the encoded result without its bandwidth timeline, plus a truncated
+sha256 of line 2.  Line 2 is the encoded timeline.  A read parses line
+1 only, checks line 2 against the digest, and hands it over undecoded
+(:class:`~repro.store.codec.LazyTimeline`); only Fig 3, Table III and
+the ``scenario`` record ever decode one.  Entries written before this
+split are one line with the timeline inside ``result``; they keep
+serving.  A reader that parses a whole entry file as one JSON document
+sees a two-line entry as unparseable, that is, as a miss.
 
 Keys reuse :func:`repro.session.session.fingerprint` exactly — the
 same function behind the session's engine fingerprints — so a result persisted

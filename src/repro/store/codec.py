@@ -13,10 +13,22 @@ The codec is deliberately explicit per type rather than reflective:
 the on-disk schema is a contract (see :data:`SCHEMA_VERSION` in
 :mod:`repro.store.store`), and silent field drift would corrupt warm
 stores.
+
+A store entry splits each encoded result into two lines.  Line 1 is the
+envelope with the result minus its bandwidth timeline (plus a digest of
+line 2); line 2 is the encoded timeline alone.  The timeline is most of
+an entry's bytes and only Fig 3, Table III and the ``scenario``
+record read it, so a reader hands line 2 to :class:`LazyTimeline`
+unparsed and the ``decode_*`` functions pass that through: it decodes
+on first use to exactly the list :func:`decode_timeline` would build.
+A one-line entry (timeline inline, as every store wrote before the
+split) decodes eagerly as before.
 """
 
 from __future__ import annotations
 
+import json
+from collections.abc import Iterator, Sequence
 from typing import Any
 
 from repro.engine.results import (
@@ -43,7 +55,14 @@ def encode_region_metrics(rm: RegionMetrics) -> dict[str, float]:
 
 
 def decode_region_metrics(data: dict[str, float]) -> RegionMetrics:
-    return RegionMetrics(**{f: data[f] for f in _REGION_FIELDS})
+    return RegionMetrics(
+        instructions=data["instructions"],
+        cycles=data["cycles"],
+        pending_cycles=data["pending_cycles"],
+        l2_misses=data["l2_misses"],
+        llc_misses=data["llc_misses"],
+        bus_bytes=data["bus_bytes"],
+    )
 
 
 def encode_app_metrics(am: AppMetrics) -> dict[str, Any]:
@@ -69,17 +88,62 @@ def decode_app_metrics(data: dict[str, Any]) -> AppMetrics:
     )
 
 
-def encode_timeline(timeline: list[BandwidthSample]) -> list[dict[str, Any]]:
+def encode_timeline(timeline: Sequence[BandwidthSample]) -> list[dict[str, Any]]:
     return [
         {"time_s": s.time_s, "bytes_per_s": dict(s.bytes_per_s)} for s in timeline
     ]
 
 
-def decode_timeline(data: list[dict[str, Any]]) -> list[BandwidthSample]:
+def decode_timeline(
+    data: "list[dict[str, Any]] | LazyTimeline",
+) -> Sequence[BandwidthSample]:
+    if isinstance(data, LazyTimeline):
+        return data  # a store entry's line 2: decoded on first use
     return [
         BandwidthSample(time_s=s["time_s"], bytes_per_s=dict(s["bytes_per_s"]))
         for s in data
     ]
+
+
+class LazyTimeline(Sequence):
+    """A read-only timeline held as its encoded JSON until first use.
+
+    The first ``len``, index, iteration or ``==`` decodes the whole
+    list and swaps it in with one assignment, so a concurrent first
+    access sees either the raw bytes or the complete list, and decoding
+    twice yields equal lists.  It is deliberately not a ``list``
+    subclass: C-level list fast paths (``[] + x``, ``list.copy(x)``)
+    read a subclass's own storage, which is empty until decoded.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, raw: bytes) -> None:
+        self._data: bytes | list[BandwidthSample] = raw
+
+    def _samples(self) -> list[BandwidthSample]:
+        data = self._data
+        if isinstance(data, bytes):
+            data = decode_timeline(json.loads(data))
+            self._data = data
+        return data
+
+    def __len__(self) -> int:
+        return len(self._samples())
+
+    def __getitem__(self, index):
+        return self._samples()[index]
+
+    def __iter__(self) -> Iterator[BandwidthSample]:
+        return iter(self._samples())
+
+    def __eq__(self, other: object) -> bool:
+        return self._samples() == other
+
+    __hash__ = None  # type: ignore[assignment]  # unhashable, like list
+
+    def __repr__(self) -> str:
+        return repr(self._samples())
 
 
 def encode_solo(res: SoloRunResult) -> dict[str, Any]:

@@ -22,12 +22,23 @@ pairs, ``engine_fingerprint x scenario fingerprint`` for every other
 scenario), so a warm store can never serve a result computed under a
 different machine spec or engine configuration.
 
+Each cache entry is two lines: line 1 is the JSON envelope (``schema``,
+``kind``, ``key``, the encoded ``result`` without its timeline, and
+``timeline_sha256``, a truncated sha256 of line 2); line 2 is the
+encoded bandwidth timeline.  A read parses line 1 only and returns a
+result whose timeline decodes on first use
+(:class:`~repro.store.codec.LazyTimeline`).  A one-line entry, written
+before the split, carries the timeline inside ``result`` and is read
+as before.
+
 Durability rules under many concurrent writer processes:
 
-* every file is written to a ``.tmp-<pid>`` sibling and published with
-  :func:`os.replace`, so readers never observe a half-written payload;
+* every file is written to a ``.tmp-<pid>-<thread>`` sibling and
+  published with :func:`os.replace`, so readers never observe a
+  half-written payload and no two writers share a temporary file;
 * readers treat unparseable or schema-mismatched files as cache misses
-  (a crash mid-write costs a re-simulation, never a wrong number);
+  (a crash mid-write costs a re-simulation, never a wrong number), and
+  an entry whose line 2 does not match its digest likewise;
 * each process appends index lines to its **own** segment file under
   ``index/`` — no two processes ever write the same index file, so
   interleaved or torn *non-tail* lines are impossible by construction;
@@ -42,6 +53,7 @@ Durability rules under many concurrent writer processes:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -54,13 +66,14 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.engine.results import CoRunResult, ScenarioRunResult, SoloRunResult
-from repro.errors import StoreError, StoreWarning
+from repro.errors import ScenarioError, StoreError, StoreWarning
 from repro.store.locking import store_lock
 from repro.session.base import fingerprint
 from repro.session.record import RunRecord
 from repro.session.registry import get_runner
 from repro.session.scenario import Scenario
 from repro.store.codec import (
+    LazyTimeline,
     decode_corun,
     decode_scenario_result,
     decode_solo,
@@ -85,9 +98,13 @@ def _safe_name(name: str) -> str:
 
 def _atomic_write_text(path: Path, text: str) -> None:
     """Publish ``text`` at ``path`` via a same-directory rename, so a
-    crash mid-write leaves only an ignorable ``.tmp-*`` sibling."""
+    crash mid-write leaves only an ignorable ``.tmp-*`` sibling.
+
+    The temporary name is unique per writing thread: two threads
+    publishing the same path never share (or rename away) each other's
+    half-written file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
@@ -96,6 +113,23 @@ def _read_json(path: Path) -> Any | None:
     """Parse a JSON file; missing, torn or non-JSON files are ``None``."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+
+
+def _digest(data: bytes) -> str:
+    """The line-2 digest a cache entry's first line carries."""
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _read_entry(path: str | Path) -> tuple[Any, bytes] | None:
+    """A cache entry's parsed first line and the raw bytes after it;
+    ``None`` for a missing file or an unparseable first line."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            raw = fh.read()
+        head, _, rest = raw.partition(b"\n")
+        return json.loads(head), rest
     except (OSError, ValueError):
         return None
 
@@ -393,6 +427,8 @@ class ResultStore:
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: The root as a string: entry paths are formatted, not joined.
+        self._root = str(self.root)
         self.sink = RecordSink(self.root)
         self._check_schema()
 
@@ -415,62 +451,91 @@ class ResultStore:
             )
 
     # -- solo / pair / scenario cache -----------------------------------------
+    #
+    # Reads format entry paths as strings: building a Path costs about
+    # as much as opening the file.  Writers take the ``_*_path`` form.
+
+    def _solo_file(self, engine_fp: str, workload: str, threads: int) -> str:
+        keyfp = fingerprint("solo", engine_fp, workload, threads)
+        return f"{self._root}/solo/{engine_fp}/{_safe_name(workload)}-t{threads}-{keyfp}.json"
 
     def _solo_path(self, engine_fp: str, workload: str, threads: int) -> Path:
-        keyfp = fingerprint("solo", engine_fp, workload, threads)
+        return Path(self._solo_file(engine_fp, workload, threads))
+
+    def _corun_file(
+        self, engine_fp: str, fg: str, bg: str, fg_threads: int, bg_threads: int
+    ) -> str:
+        keyfp = fingerprint("corun", engine_fp, fg, bg, fg_threads, bg_threads)
         return (
-            self.root
-            / "solo"
-            / engine_fp
-            / f"{_safe_name(workload)}-t{threads}-{keyfp}.json"
+            f"{self._root}/corun/{engine_fp}/{_safe_name(fg)}-vs-{_safe_name(bg)}"
+            f"-{fg_threads}x{bg_threads}-{keyfp}.json"
         )
 
     def _corun_path(
         self, engine_fp: str, fg: str, bg: str, fg_threads: int, bg_threads: int
     ) -> Path:
-        keyfp = fingerprint("corun", engine_fp, fg, bg, fg_threads, bg_threads)
-        return (
-            self.root
-            / "corun"
-            / engine_fp
-            / f"{_safe_name(fg)}-vs-{_safe_name(bg)}-{fg_threads}x{bg_threads}-{keyfp}.json"
-        )
+        return Path(self._corun_file(engine_fp, fg, bg, fg_threads, bg_threads))
 
-    def _publish_entry(self, path: Path, kind: str, key: dict[str, Any], result: Any) -> None:
+    def _publish_entry(
+        self, path: Path, kind: str, key: dict[str, Any], result: dict[str, Any]
+    ) -> None:
         """Atomically publish one cache entry under the *shared* store
         lock, so a concurrent ``gc`` (exclusive) can never prune the
-        shard between this writer's key computation and its rename."""
+        shard between this writer's key computation and its rename.
+
+        The entry is two lines: the envelope with the encoded result
+        minus its timeline plus a digest of line 2, then the encoded
+        timeline (see :mod:`repro.store.codec`)."""
+        timeline = json.dumps(result.pop("timeline"))
+        head = json.dumps(
+            {
+                "schema": SCHEMA_VERSION,
+                "kind": kind,
+                "key": key,
+                "result": result,
+                "timeline_sha256": _digest(timeline.encode()),
+            }
+        )
         with store_lock(self.root, exclusive=False):
-            _atomic_write_text(
-                path,
-                json.dumps(
-                    {
-                        "schema": SCHEMA_VERSION,
-                        "kind": kind,
-                        "key": key,
-                        "result": result,
-                    }
-                ),
-            )
+            _atomic_write_text(path, f"{head}\n{timeline}\n")
 
     @staticmethod
-    def _load_entry(path: Path, kind: str, key: dict[str, Any]) -> Any | None:
-        data = _read_json(path)
+    def _load_entry(path: str, kind: str, key: dict[str, Any]) -> Any | None:
+        """The encoded result of one entry, or ``None`` for a missing,
+        torn, foreign-schema or colliding one.
+
+        Only line 1 is parsed.  Line 2 is checked against line 1's
+        digest and handed over unparsed as a :class:`LazyTimeline`, so
+        a bad line 2 is a miss here and never an error later.  A
+        one-line entry carries its timeline inline and decodes as is.
+        """
+        entry = _read_entry(path)
+        if entry is None:
+            return None
+        data, rest = entry
         if (
             not isinstance(data, dict)
             or data.get("schema") != SCHEMA_VERSION
             or data.get("kind") != kind
             or data.get("key") != key
+            or not isinstance(data.get("result"), dict)
         ):
-            return None  # missing, torn, foreign-schema, or key collision
-        return data["result"]
+            return None
+        result = data["result"]
+        if "timeline" not in result:
+            # The digest covers line 2 without its line terminator, which
+            # text-mode writes translate on some platforms.
+            if data.get("timeline_sha256") != _digest(rest.rstrip(b"\r\n")):
+                return None
+            result["timeline"] = LazyTimeline(rest)
+        return result
 
     def get_solo(
         self, engine_fp: str, workload: str, threads: int
     ) -> SoloRunResult | None:
         key = {"engine_fingerprint": engine_fp, "workload": workload, "threads": threads}
         payload = self._load_entry(
-            self._solo_path(engine_fp, workload, threads), "solo", key
+            self._solo_file(engine_fp, workload, threads), "solo", key
         )
         if payload is None:
             return None
@@ -493,12 +558,26 @@ class ResultStore:
             encode_solo(result),
         )
 
-    def _scenario_path(self, engine_fp: str, scenario: Scenario) -> Path:
-        keyfp = fingerprint("scenario", engine_fp, scenario.fingerprint)
+    def _scenario_file(
+        self, engine_fp: str, scenario: Scenario, payload: dict[str, Any]
+    ) -> str:
+        """Entry path of ``scenario``, whose ``payload()`` the caller
+        passes in (the entry key holds it too)."""
+        if not scenario.cacheable:
+            raise ScenarioError(
+                "scenarios with in-band profiles or solo overrides are never cached"
+            )
+        # fingerprint("scenario", payload) is scenario.fingerprint.
+        keyfp = fingerprint("scenario", engine_fp, fingerprint("scenario", payload))
         slug = "+".join(
             f"{_safe_name(p.workload)}.{p.threads}" for p in scenario.placements
         )[:64]
-        return self.root / "scenario" / engine_fp / f"{slug}-{keyfp}.json"
+        return f"{self._root}/scenario/{engine_fp}/{slug}-{keyfp}.json"
+
+    def _scenario_path(
+        self, engine_fp: str, scenario: Scenario, payload: dict[str, Any]
+    ) -> Path:
+        return Path(self._scenario_file(engine_fp, scenario, payload))
 
     def get_scenario(
         self, engine_fp: str, scenario: Scenario
@@ -509,9 +588,10 @@ class ResultStore:
         the ``corun/`` section (:meth:`get_corun`), so pre-redesign
         warm stores keep serving them unchanged.
         """
-        key = {"engine_fingerprint": engine_fp, "scenario": scenario.payload()}
+        scenario_payload = scenario.payload()
+        key = {"engine_fingerprint": engine_fp, "scenario": scenario_payload}
         payload = self._load_entry(
-            self._scenario_path(engine_fp, scenario), "scenario", key
+            self._scenario_file(engine_fp, scenario, scenario_payload), "scenario", key
         )
         if payload is None:
             return None
@@ -523,13 +603,11 @@ class ResultStore:
     def put_scenario(
         self, engine_fp: str, scenario: Scenario, result: ScenarioRunResult
     ) -> None:
+        scenario_payload = scenario.payload()
         self._publish_entry(
-            self._scenario_path(engine_fp, scenario),
+            self._scenario_path(engine_fp, scenario, scenario_payload),
             "scenario",
-            {
-                "engine_fingerprint": engine_fp,
-                "scenario": scenario.payload(),
-            },
+            {"engine_fingerprint": engine_fp, "scenario": scenario_payload},
             encode_scenario_result(result),
         )
 
@@ -537,17 +615,18 @@ class ResultStore:
         """Key metadata of every persisted scenario entry (``repro
         scenario ls``): engine fingerprint, placements, overrides.
 
-        Listing parses each entry file in full (the key shares the
-        file with the encoded result), so cost scales with total entry
-        bytes; fine for the hundreds-of-entries scale this store
-        targets — a key sidecar/index is the upgrade path beyond that.
+        Listing parses only each entry's first line (the envelope that
+        holds the key), never the timeline on line 2; a key sidecar or
+        index is the upgrade path beyond the hundreds-of-entries scale
+        this store targets.
         """
         base = self.root / "scenario"
         out: list[dict[str, Any]] = []
         if not base.exists():
             return out
         for path in sorted(base.rglob("*.json")):
-            data = _read_json(path)
+            entry = _read_entry(path)
+            data = entry[0] if entry is not None else None
             if (
                 not isinstance(data, dict)
                 or data.get("schema") != SCHEMA_VERSION
@@ -571,7 +650,7 @@ class ResultStore:
             "bg_threads": bg_threads,
         }
         payload = self._load_entry(
-            self._corun_path(engine_fp, fg, bg, fg_threads, bg_threads), "corun", key
+            self._corun_file(engine_fp, fg, bg, fg_threads, bg_threads), "corun", key
         )
         if payload is None:
             return None

@@ -201,6 +201,35 @@ class TestConcurrentWriters:
         assert warm.stats.scenario_misses == 0
         assert warm.stats.scenario_disk_hits == len(SUBSET) ** 2
 
+    def test_two_threads_publish_one_entry(self, tmp_path):
+        """Writers in one process must not share a temporary file: one
+        thread would rename it away from under the other, or publish it
+        while the other is still rewriting it."""
+        root = tmp_path / "st"
+        ResultStore(root)
+        session = Session(make_config(workloads=("G-CC",)))
+        solo = session.solo("G-CC", threads=4)
+        fp = session.engine_fingerprint()
+        errors = []
+
+        def writer():
+            store = ResultStore(root)
+            try:
+                for _ in range(500):
+                    store.put_solo(fp, "G-CC", 4, solo)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert errors == []
+        assert ResultStore(root).get_solo(fp, "G-CC", 4) == solo
+        assert not list(root.rglob("*.tmp-*"))
+
 
 class TestReaderHardening:
     def test_none_provenance_fields_are_coerced(self, tmp_path):
