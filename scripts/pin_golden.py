@@ -11,6 +11,8 @@ empty store:
   pairs, read back through a fresh :class:`~repro.store.ResultStore`.
   They pin decoded results, not file bytes, so the on-disk layout can
   change under the same pin.
+* ``entries`` — the number of entries in each section, so a digest
+  over an empty or partial listing can never pass.
 
 ``tests/test_golden.py`` checks both in tier-1.  To regenerate::
 
@@ -75,11 +77,11 @@ def _read_back(store, section: str, key: dict):
     return encode(result)
 
 
-def section_digests(store_root: Path) -> dict[str, str]:
-    """sha256 per cache section over its sorted (key, encoded result) pairs.
+def section_pairs(store_root: Path) -> dict[str, list]:
+    """The sorted (key, encoded result) pairs of every cache section.
 
     Keys come from each entry's first line; results are read back
-    through a fresh store, so the digest covers what a reader gets.
+    through a fresh store, so the pairs are what a reader gets.
     """
     from repro.store import ResultStore
 
@@ -91,16 +93,22 @@ def section_digests(store_root: Path) -> dict[str, str]:
             key = json.loads(path.read_bytes().partition(b"\n")[0])["key"]
             pairs.append((json.dumps(key, sort_keys=True), _read_back(store, section, key)))
         pairs.sort(key=lambda pair: pair[0])
-        out[section] = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+        out[section] = pairs
     return out
 
 
 def collect(store: Path) -> dict:
     """The golden values of a cold run-all into the empty ``store``."""
+    ids = run_ids(run_all(store))
+    pairs = section_pairs(store)
     return {
         "workloads": WORKLOADS,
-        "run_ids": run_ids(run_all(store)),
-        "sections": section_digests(store),
+        "run_ids": ids,
+        "sections": {
+            section: hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+            for section, rows in pairs.items()
+        },
+        "entries": {section: len(rows) for section, rows in pairs.items()},
     }
 
 
@@ -136,8 +144,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
-    print(f"{len(fresh['run_ids'])} run ids and {len(fresh['sections'])} "
-          f"section digests pinned in {GOLDEN.relative_to(ROOT)}")
+    print(f"{len(fresh['run_ids'])} run ids, {len(fresh['sections'])} section "
+          f"digests and entry counts pinned in {GOLDEN.relative_to(ROOT)}")
     return 0
 
 

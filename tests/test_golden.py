@@ -1,7 +1,7 @@
 """The determinism contract, pinned: a cold reduced ``run-all`` must give
-the run ids and decoded store sections in ``tests/golden/run_all.json``,
-and a warm ``run-all`` over the same store must serve every cell from
-disk and give the same run ids.
+the run ids, decoded store sections and per-section entry counts in
+``tests/golden/run_all.json``, and a warm ``run-all`` over the same
+store must serve every cell from disk and give the same run ids.
 
 Regenerate with ``PYTHONPATH=src python scripts/pin_golden.py`` (see
 that script for the ``--bump`` rule).
@@ -42,6 +42,8 @@ def test_golden_covers_every_artifact_and_section(golden):
     assert golden["workloads"] == pin_golden.WORKLOADS
     assert sorted(golden["run_ids"]) == sorted(runner_names())
     assert sorted(golden["sections"]) == sorted(pin_golden.SECTIONS)
+    assert sorted(golden["entries"]) == sorted(pin_golden.SECTIONS)
+    assert all(count > 0 for count in golden["entries"].values())
 
 
 def test_cold_run_ids_match_golden(campaign, golden):
@@ -52,6 +54,12 @@ def test_cold_run_ids_match_golden(campaign, golden):
 def test_decoded_store_sections_match_golden(campaign, golden):
     cold, _ = campaign
     assert cold["sections"] == golden["sections"]
+
+
+def test_store_entry_counts_match_golden(campaign, golden):
+    """A section digest over an empty or partial listing must not pass."""
+    cold, _ = campaign
+    assert cold["entries"] == golden["entries"]
 
 
 def test_warm_run_all_serves_from_disk_with_same_run_ids(campaign):
