@@ -80,8 +80,9 @@ def _read_back(store, section: str, key: dict):
 def section_pairs(store_root: Path) -> dict[str, list]:
     """The sorted (key, encoded result) pairs of every cache section.
 
-    Keys come from each entry's first line; results are read back
-    through a fresh store, so the pairs are what a reader gets.
+    Entries come from the store's own listing, keys from each entry's
+    first line; results are read back through a fresh store, so the
+    pairs are what a reader gets.
     """
     from repro.store import ResultStore
 
@@ -89,8 +90,8 @@ def section_pairs(store_root: Path) -> dict[str, list]:
     out = {}
     for section in SECTIONS:
         pairs = []
-        for path in sorted((store_root / section).rglob("*.json")):
-            key = json.loads(path.read_bytes().partition(b"\n")[0])["key"]
+        for entry in store.cache_entries(section):
+            key = store.entry_head(entry)["key"]
             pairs.append((json.dumps(key, sort_keys=True), _read_back(store, section, key)))
         pairs.sort(key=lambda pair: pair[0])
         out[section] = pairs

@@ -6,7 +6,8 @@ the sweep-campaign results database:
 
 * :class:`ResultStore` — a fingerprint-keyed solo/scenario cache
   (plain pairs in its ``corun/`` section, every other scenario shape
-  in ``scenario/``) with atomic writes and a versioned schema.  A session
+  in ``scenario/``) kept in per-process append-only segment logs under
+  a versioned schema.  A session
   constructed with ``Session(config, store=ResultStore(".repro-store"))``
   (or CLI ``repro --store .repro-store ...``) reads through the store
   and writes behind it, so a *cold process over a warm store* costs
@@ -31,13 +32,12 @@ Store layout (``<root>`` is the directory handed to ``--store``)::
     <root>/
       store.json                   schema marker {"schema": 1, ...}
       .lock                        advisory store lock (never deleted)
-      solo/<engine_fp>/            one entry per cached solo run,
-        <app>-t<T>-<keyfp>.json      key: engine_fp x workload x threads
-      corun/<engine_fp>/           one entry per cached plain pair,
-        <fg>-vs-<bg>-<FT>x<BT>-<keyfp>.json
-                                     key: engine_fp x fg x bg x fg_t x bg_t
-      scenario/<engine_fp>/        one entry per other cached scenario,
-        <apps-slug>-<keyfp>.json     key: engine_fp x scenario fingerprint
+      solo/<engine_fp>/            cached solo runs,
+        <pid>-<token>.jsonl          key: engine_fp x workload x threads
+      corun/<engine_fp>/           cached plain pairs,
+        <pid>-<token>.jsonl          key: engine_fp x fg x bg x fg_t x bg_t
+      scenario/<engine_fp>/        every other cached scenario,
+        <pid>-<token>.jsonl          key: engine_fp x scenario fingerprint
       results/<artifact>/          streamed RunRecords
         <run_id>.json
       index/<pid>-<token>.jsonl    per-process record-index segments
@@ -47,16 +47,25 @@ Store layout (``<root>`` is the directory handed to ``--store``)::
                                    `repro campaign` (removed on success)
       manifest.json                last campaign freeze
 
-Each cache entry is two lines.  Line 1 is one JSON object, the
-envelope ``{"schema", "kind", "key", "result", "timeline_sha256"}``:
-the encoded result without its bandwidth timeline, plus a truncated
-sha256 of line 2.  Line 2 is the encoded timeline.  A read parses line
-1 only, checks line 2 against the digest, and hands it over undecoded
-(:class:`~repro.store.codec.LazyTimeline`); only Fig 3, Table III and
-the ``scenario`` record ever decode one.  Entries written before this
-split are one line with the timeline inside ``result``; they keep
-serving.  A reader that parses a whole entry file as one JSON document
-sees a two-line entry as unparseable, that is, as a miss.
+Each ``<pid>-<token>.jsonl`` in a cache shard is one process's segment
+log: every entry that process computed for the shard, appended in
+order, the segment created on its first put there.  An entry is two
+lines.  Line 1 is one JSON object, the envelope ``{"keyfp", "schema",
+"kind", "key", "result", "timeline_sha256"}``: the key fingerprint
+first (so a scan reads it at a fixed offset without parsing JSON), the
+encoded result without its bandwidth timeline, and a truncated sha256
+of line 2.  Line 2 is the encoded timeline.  A store indexes a shard's
+segments on its first lookup there and reads an entry at its offset; it
+parses line 1 only, checks line 2 against the digest, and hands it over
+undecoded (:class:`~repro.store.codec.LazyTimeline`); only Fig 3,
+Table III and the ``scenario`` record ever decode one.
+
+Earlier versions wrote each entry to a file of its own,
+``<shard>/<slug>-<keyfp>.json``: one line with the timeline inside
+``result``, or (later) the same two lines without ``keyfp``.  Such
+files keep serving, also beside segments; those versions find no
+per-entry files in a store written now, so they re-simulate (and write
+their files beside the segments).
 
 Keys reuse :func:`repro.session.session.fingerprint` exactly — the
 same function behind the session's engine fingerprints — so a result persisted
@@ -64,14 +73,18 @@ under one machine spec / engine configuration can never warm a session
 running a different one.
 
 Concurrency semantics (:mod:`repro.store.locking`): any number of
-processes may share one store.  Every entry and record write is atomic
+processes may share one store.  A cache entry is one append of both
+lines to the writer's own segment, so entries never interleave; a
+write that fails retires its segment, so a torn entry (a crash
+mid-append) can only be a segment's tail, which readers skip until it
+is whole.  Records, manifests and ``store.json`` are written atomically
 (tmp + rename); each process appends index lines to its own
-``index/<pid>-<token>.jsonl`` segment, so index lines are never
-interleaved or torn mid-file; cache writers hold the store lock
-*shared* while ``store gc`` shard-pruning and manifest freezes hold it
-*exclusive*.  Readers treat torn or foreign files as misses, never as
-data, and skipped foreign-schema index lines raise a one-time
-:class:`~repro.errors.StoreWarning`.
+``index/<pid>-<token>.jsonl`` segment.  Cache writers hold the store
+lock *shared* around each append while ``store gc`` shard-pruning and
+manifest freezes hold it *exclusive*; a writer whose shard gc pruned
+opens a new segment.  Readers treat torn, foreign or colliding entries
+as misses, never as data, and skipped foreign-schema index lines raise
+a one-time :class:`~repro.errors.StoreWarning`.
 """
 
 from repro.store.campaign import parse_shard, run_campaign, shard_names
@@ -95,6 +108,7 @@ from repro.store.manifest import (
 )
 from repro.store.store import (
     SCHEMA_VERSION,
+    CacheEntry,
     IndexEntry,
     RecordSink,
     ResultStore,
@@ -103,6 +117,7 @@ from repro.store.store import (
 
 __all__ = [
     "SCHEMA_VERSION",
+    "CacheEntry",
     "FileLock",
     "IndexEntry",
     "RecordSink",

@@ -14,15 +14,16 @@ the on-disk schema is a contract (see :data:`SCHEMA_VERSION` in
 :mod:`repro.store.store`), and silent field drift would corrupt warm
 stores.
 
-A store entry splits each encoded result into two lines.  Line 1 is the
-envelope with the result minus its bandwidth timeline (plus a digest of
+A store entry splits each encoded result into two lines, appended
+together to a segment log.  Line 1 is the envelope (key fingerprint
+first) with the result minus its bandwidth timeline (plus a digest of
 line 2); line 2 is the encoded timeline alone.  The timeline is most of
 an entry's bytes and only Fig 3, Table III and the ``scenario``
 record read it, so a reader hands line 2 to :class:`LazyTimeline`
 unparsed and the ``decode_*`` functions pass that through: it decodes
 on first use to exactly the list :func:`decode_timeline` would build.
-A one-line entry (timeline inline, as every store wrote before the
-split) decodes eagerly as before.
+A one-line entry (timeline inline, as stores wrote into per-entry
+files before the split) decodes eagerly as before.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ construction:
 
 * **cache writers** (``put_solo`` / ``put_corun`` / ``put_scenario``)
   take the lock *shared* — any number of campaign processes may write
-  entries concurrently (each entry is an atomic tmp+rename publish);
+  entries concurrently (each appends to a segment log of its own);
 * **maintenance** (``store gc``'s shard pruning, a campaign manifest
   freeze) takes the lock *exclusive* — ``shutil.rmtree`` of a cache
-  shard must never interleave with a writer materializing a file in
+  shard must never interleave with a writer appending to a segment in
   that same shard, and two campaigns must not freeze ``manifest.json``
   at the same instant.
 
@@ -22,7 +22,8 @@ exercise writer-vs-gc interleavings with threads.  On Windows a
 ``msvcrt.locking`` shim provides exclusive-only byte locks (shared
 acquisitions degrade to exclusive — correct, just less concurrent).
 Platforms with neither module fall back to a no-op lock: single-process
-use stays safe because every write is already atomic.
+use stays safe because no other writer appends to a process's segments
+and every other write is atomic.
 """
 
 from __future__ import annotations

@@ -6,53 +6,76 @@ Layout under one store root (see the package docstring in
     <root>/
       store.json                  # schema version marker
       .lock                       # advisory store lock (repro.store.locking)
-      solo/<engine_fp>/<app>-t<T>-<keyfp>.json
-      corun/<engine_fp>/<fg>-vs-<bg>-<FT>x<BT>-<keyfp>.json   # plain pairs
-      scenario/<engine_fp>/<apps-slug>-<keyfp>.json   # every other scenario
+      solo/<engine_fp>/<pid>-<token>.jsonl       # solo entries
+      corun/<engine_fp>/<pid>-<token>.jsonl      # plain-pair entries
+      scenario/<engine_fp>/<pid>-<token>.jsonl   # every other scenario
       results/<artifact>/<run_id>.json
       index/<pid>-<token>.jsonl   # per-process index segments
       index.jsonl                 # legacy single-file index (read-only)
       manifest.json               # written by `repro run-all` / `repro campaign`
 
-Cache entries are content-addressed: the filename embeds a
-:func:`repro.session.session.fingerprint` of the entry's key
+Cache entries are content-addressed by a
+:func:`repro.session.session.fingerprint` of their key
 (``engine_fingerprint x workload x threads`` for solos,
 ``engine_fingerprint x fg x bg x fg_threads x bg_threads`` for plain
 pairs, ``engine_fingerprint x scenario fingerprint`` for every other
-scenario), so a warm store can never serve a result computed under a
-different machine spec or engine configuration.
+scenario) inside a shard per engine fingerprint, so a warm store can
+never serve a result computed under a different machine spec or engine
+configuration.
 
-Each cache entry is two lines: line 1 is the JSON envelope (``schema``,
-``kind``, ``key``, the encoded ``result`` without its timeline, and
-``timeline_sha256``, a truncated sha256 of line 2); line 2 is the
-encoded bandwidth timeline.  A read parses line 1 only and returns a
-result whose timeline decodes on first use
-(:class:`~repro.store.codec.LazyTimeline`).  A one-line entry, written
-before the split, carries the timeline inside ``result`` and is read
-as before.
+Each process appends the entries it writes to its own **segment** in
+the entry's shard, ``<pid>-<token>.jsonl``, opened on its first put
+there.  An entry is two lines: line 1 is the JSON envelope (``keyfp``,
+the key fingerprint, always first; ``schema``, ``kind``, ``key``, the
+encoded ``result`` without its timeline, and ``timeline_sha256``, a
+truncated sha256 of line 2); line 2 is the encoded bandwidth timeline.
+A store indexes a shard on its first lookup there, reading each
+entry's key fingerprint at a fixed offset of line 1, and reads an entry
+at its offset through a descriptor it keeps open.  A read parses line 1
+only and returns a result whose timeline decodes on first use
+(:class:`~repro.store.codec.LazyTimeline`).
+
+Versions before segment logs wrote each entry to a file of its own,
+``<shard>/<slug>-<keyfp>.json``, one line (timeline inside ``result``)
+or, later, the same two lines without ``keyfp``.  A key no segment
+holds is still read from such a file, so those stores keep serving;
+those versions find no files in a store written now and re-simulate.
 
 Durability rules under many concurrent writer processes:
 
-* every file is written to a ``.tmp-<pid>-<thread>`` sibling and
-  published with :func:`os.replace`, so readers never observe a
-  half-written payload and no two writers share a temporary file;
-* readers treat unparseable or schema-mismatched files as cache misses
-  (a crash mid-write costs a re-simulation, never a wrong number), and
-  an entry whose line 2 does not match its digest likewise;
-* each process appends index lines to its **own** segment file under
-  ``index/`` — no two processes ever write the same index file, so
-  interleaved or torn *non-tail* lines are impossible by construction;
-  :meth:`RecordSink.entries` merges the legacy ``index.jsonl`` (written
-  by pre-segment stores) with every segment, ordered by append
-  timestamp, and a torn final line of any file is skipped;
+* an entry is one ``os.write`` of both lines to a segment no other
+  process appends to, so entries never interleave; a write that fails
+  or comes up short retires its segment, so a torn entry can only be a
+  segment's tail.  A scan indexes whole entries only (both lines end in
+  a newline) and starts again at a torn tail, so an append that was
+  still under way serves once it completes;
+* readers treat unparseable, schema-mismatched or colliding entries,
+  and entries whose line 2 does not match its digest, as cache misses
+  (a crash mid-write costs a re-simulation, never a wrong number);
+  a copy that fails is dropped from the index, and an older copy of the
+  same key, if any, serves instead;
 * cache writers take the store lock **shared**, ``gc``'s shard pruning
   and manifest freezes take it **exclusive**
-  (:mod:`repro.store.locking`), so a prune can never interleave with a
-  writer materializing an entry in the same shard.
+  (:mod:`repro.store.locking`), so a prune can never interleave with an
+  append.  Before each append a writer checks that its segment is still
+  linked; if gc pruned the shard, it opens a new segment.  A reader may
+  go on serving entries it indexed from a pruned segment it holds open:
+  they are still right for their keys;
+* threads may share a store (one lock guards its index, descriptors and
+  appends); a store used after a fork checks its pid and opens segments
+  of its own, never appending to its parent's;
+* records and ``store.json`` are written to a ``.tmp-<pid>-<thread>``
+  sibling and published with :func:`os.replace`;
+* each process appends index lines to its **own** segment file under
+  ``index/``; :meth:`RecordSink.entries` merges the legacy
+  ``index.jsonl`` (written by pre-segment stores) with every segment,
+  ordered by append timestamp, and a torn final line of any file is
+  skipped.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -63,7 +86,7 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, BinaryIO, Iterator, NamedTuple
 
 from repro.engine.results import CoRunResult, ScenarioRunResult, SoloRunResult
 from repro.errors import ScenarioError, StoreError, StoreWarning
@@ -85,6 +108,9 @@ from repro.store.codec import (
 #: Version of the on-disk layout; bumped on incompatible change.
 SCHEMA_VERSION = 1
 
+#: The cache sections, one directory each under the store root.
+_SECTIONS = ("solo", "corun", "scenario")
+
 logger = logging.getLogger(__name__)
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
@@ -98,15 +124,21 @@ def _safe_name(name: str) -> str:
 
 def _atomic_write_text(path: Path, text: str) -> None:
     """Publish ``text`` at ``path`` via a same-directory rename, so a
-    crash mid-write leaves only an ignorable ``.tmp-*`` sibling.
+    crash mid-write leaves only an ignorable ``.tmp-*`` sibling; a write
+    or rename that raises removes the sibling first.
 
     The temporary name is unique per writing thread: two threads
     publishing the same path never share (or rename away) each other's
     half-written file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_json(path: Path) -> Any | None:
@@ -122,16 +154,151 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _read_entry(path: str | Path) -> tuple[Any, bytes] | None:
-    """A cache entry's parsed first line and the raw bytes after it;
-    ``None`` for a missing file or an unparseable first line."""
+#: Line 1 of an appended entry opens with its key fingerprint at a fixed
+#: offset, so a scan indexes entries without parsing JSON.
+_KEYFP_PREFIX = b'{"keyfp": "'
+_KEYFP_LEN = 12  # characters in a fingerprint()
+
+#: Read descriptors one store keeps open at most (besides the segments
+#: it appends to); the oldest is closed first and reopens on demand.
+_MAX_READERS = 64
+
+_O_BINARY = getattr(os, "O_BINARY", 0)  # Windows: no newline translation
+
+if hasattr(os, "pread"):
+    _read_at = os.pread
+else:  # pragma: no cover - Windows; every read holds the store's lock
+
+    def _read_at(fd: int, size: int, offset: int) -> bytes:
+        os.lseek(fd, offset, os.SEEK_SET)
+        return os.read(fd, size)
+
+
+def _listdir(path: str) -> list[str]:
+    try:
+        return os.listdir(path)
+    except OSError:
+        return []
+
+
+def _check_entry(raw: bytes, kind: str, key: dict[str, Any]) -> Any | None:
+    """The encoded result in one entry's bytes, or ``None`` for a torn,
+    foreign-schema or colliding entry.
+
+    Only line 1 is parsed.  Line 2 is checked against line 1's digest
+    and handed over unparsed as a :class:`LazyTimeline`, so a bad line 2
+    is a miss here and never an error later.  A one-line entry (a
+    per-entry file written before the split) carries its timeline
+    inline and decodes as is.
+    """
+    head, _, rest = raw.partition(b"\n")
+    try:
+        data = json.loads(head)
+    except ValueError:
+        return None
+    if (
+        not isinstance(data, dict)
+        or data.get("schema") != SCHEMA_VERSION
+        or data.get("kind") != kind
+        or data.get("key") != key
+        or not isinstance(data.get("result"), dict)
+    ):
+        return None
+    result = data["result"]
+    if "timeline" not in result:
+        # The digest covers line 2 without its line terminator, which
+        # text-mode writes translate on some platforms.
+        if data.get("timeline_sha256") != _digest(rest.rstrip(b"\r\n")):
+            return None
+        result["timeline"] = LazyTimeline(rest)
+    return result
+
+
+def _load_file(path: str, kind: str, key: dict[str, Any]) -> Any | None:
+    """An entry in a file of its own, as versions before segment logs
+    wrote them; ``None`` if there is no such file or it does not check
+    out."""
     try:
         with open(path, "rb", buffering=0) as fh:
             raw = fh.read()
-        head, _, rest = raw.partition(b"\n")
-        return json.loads(head), rest
-    except (OSError, ValueError):
+    except OSError:
         return None
+    return _check_entry(raw, kind, key)
+
+
+def _scan_entries(fh: BinaryIO, pos: int) -> tuple[list[tuple[str, int, int]], int]:
+    """The whole entries of a segment from byte ``pos`` on, as
+    ``(keyfp, offset, size)``, and the offset the next scan starts at.
+
+    Reads line by line, so memory is bounded by one line.  An entry is
+    whole when both its lines end in a newline; an incomplete tail stops
+    the scan at its first byte.  A line that does not open an envelope
+    is skipped, and so is an envelope followed by another envelope
+    instead of its line 2.
+    """
+    found = []
+    start = len(_KEYFP_PREFIX)
+    head = fh.readline()
+    while head.endswith(b"\n"):
+        if not head.startswith(_KEYFP_PREFIX):
+            pos += len(head)
+            head = fh.readline()
+            continue
+        line2 = fh.readline()
+        if line2.startswith(_KEYFP_PREFIX):
+            pos += len(head)
+            head = line2
+            continue
+        if not line2.endswith(b"\n"):
+            break
+        size = len(head) + len(line2)
+        found.append((head[start : start + _KEYFP_LEN].decode("latin-1"), pos, size))
+        pos += size
+        head = fh.readline()
+    return found, pos
+
+
+class _Segment:
+    """One segment file: its path, its descriptor (open while the store
+    reads from it, and while it appends to it) and how many of its bytes
+    are indexed."""
+
+    __slots__ = ("path", "fd", "indexed")
+
+    def __init__(self, path: str, fd: int | None = None) -> None:
+        self.path = path
+        self.fd = fd
+        self.indexed = 0
+
+
+class _Shard:
+    """The in-memory index of one ``<section>/<engine_fp>`` directory."""
+
+    __slots__ = ("dir", "index", "segments", "own", "files")
+
+    def __init__(self, shard_dir: str) -> None:
+        self.dir = shard_dir
+        #: key fingerprint -> every indexed copy, oldest first, as
+        #: ``(segment, offset, size)``
+        self.index: dict[str, list[tuple[_Segment, int, int]]] = {}
+        #: segment file name -> segment
+        self.segments: dict[str, _Segment] = {}
+        #: the segment this store appends to, once it has put an entry here
+        self.own: _Segment | None = None
+        #: names of the per-entry files the last listing showed
+        self.files: set[str] = set()
+
+
+class CacheEntry(NamedTuple):
+    """Where one cache entry lives: a row of :meth:`ResultStore.cache_entries`."""
+
+    engine_fp: str
+    keyfp: str
+    #: The segment or per-entry file holding the entry, relative to the
+    #: store root.
+    path: str
+    #: Where the entry's line 1 starts in ``path`` (0 in a per-entry file).
+    offset: int
 
 
 def live_engine_fingerprints(spec: Any, engine_config: Any) -> set[str]:
@@ -417,7 +584,10 @@ class ResultStore:
       :meth:`get_scenario` / :meth:`put_scenario`) that a
       :class:`~repro.session.session.Session` reads through and writes
       behind, making a cold process with a warm store as fast as a warm
-      in-memory session;
+      in-memory session.  Puts append to this store's segments, reads
+      go through descriptors it keeps open (:meth:`close` releases
+      them; so does garbage collection), and :meth:`cache_entries`
+      lists what is on disk;
     * a **record sink** (:meth:`record`) streaming every executed
       artifact into ``results/`` with an append-only ``index.jsonl``;
     * a **query API** (:meth:`query`, :meth:`latest`, :meth:`load`)
@@ -430,6 +600,13 @@ class ResultStore:
         #: The root as a string: entry paths are formatted, not joined.
         self._root = str(self.root)
         self.sink = RecordSink(self.root)
+        #: Guards the shard indexes, the descriptors and the appends.
+        self._lock = threading.Lock()
+        self._pid = os.getpid()
+        #: shard directory -> its index, built on the first lookup there
+        self._shards: dict[str, _Shard] = {}
+        #: segments with an open read descriptor, oldest first
+        self._readers: dict[_Segment, None] = {}
         self._check_schema()
 
     def _check_schema(self) -> None:
@@ -452,15 +629,16 @@ class ResultStore:
 
     # -- solo / pair / scenario cache -----------------------------------------
     #
-    # Reads format entry paths as strings: building a Path costs about
-    # as much as opening the file.  Writers take the ``_*_path`` form.
+    # An entry's address is the string ``_*_file`` builds: its shard
+    # directory, and a file name ending in its key fingerprint.  The
+    # file itself is where versions before segment logs kept the entry;
+    # reads still look there for keys no segment holds.  Paths are
+    # formatted, not joined: building a Path costs about as much as
+    # opening the file.
 
     def _solo_file(self, engine_fp: str, workload: str, threads: int) -> str:
         keyfp = fingerprint("solo", engine_fp, workload, threads)
         return f"{self._root}/solo/{engine_fp}/{_safe_name(workload)}-t{threads}-{keyfp}.json"
-
-    def _solo_path(self, engine_fp: str, workload: str, threads: int) -> Path:
-        return Path(self._solo_file(engine_fp, workload, threads))
 
     def _corun_file(
         self, engine_fp: str, fg: str, bg: str, fg_threads: int, bg_threads: int
@@ -471,24 +649,161 @@ class ResultStore:
             f"-{fg_threads}x{bg_threads}-{keyfp}.json"
         )
 
-    def _corun_path(
-        self, engine_fp: str, fg: str, bg: str, fg_threads: int, bg_threads: int
-    ) -> Path:
-        return Path(self._corun_file(engine_fp, fg, bg, fg_threads, bg_threads))
+    def _owned(self) -> None:
+        """After a fork, forget the parent's segments: this process
+        opens its own and never appends to (or seeks in) the parent's."""
+        if self._pid != os.getpid():
+            self._lock = threading.Lock()
+            self._close_descriptors()
+            self._pid = os.getpid()
+
+    def _shard(self, shard_dir: str) -> _Shard:
+        shard = self._shards.get(shard_dir)
+        if shard is None:
+            shard = self._shards[shard_dir] = _Shard(shard_dir)
+        return shard
+
+    def _descriptor(self, segment: _Segment) -> int:
+        """The segment's open descriptor, opened for reading if needed.
+
+        At most :data:`_MAX_READERS` read descriptors stay open; the
+        oldest is closed to make room (its segment reopens on demand)."""
+        if segment.fd is None:
+            if len(self._readers) >= _MAX_READERS:
+                oldest = next(iter(self._readers))
+                del self._readers[oldest]
+                os.close(oldest.fd)
+                oldest.fd = None
+            segment.fd = os.open(segment.path, os.O_RDONLY | _O_BINARY)
+            self._readers[segment] = None
+        return segment.fd
+
+    def _scan(self, shard: _Shard, segment: _Segment) -> bool:
+        """Index the whole entries appended to ``segment`` since its last
+        scan; True if there were any."""
+        try:
+            with open(self._descriptor(segment), "rb", closefd=False) as fh:
+                fh.seek(segment.indexed)
+                found, segment.indexed = _scan_entries(fh, segment.indexed)
+        except OSError:
+            return False
+        for keyfp, offset, size in found:
+            shard.index.setdefault(keyfp, []).append((segment, offset, size))
+        return bool(found)
+
+    def _refresh(self, shard: _Shard) -> bool:
+        """Index segments that appeared in the shard and bytes other
+        writers appended since the last scan, and note the shard's
+        per-entry files: one listing of the shard plus one ``stat`` per
+        segment this store does not write.  True if anything new was
+        indexed."""
+        added = False
+        shard.files = set()
+        for name in _listdir(shard.dir):  # empty: no shard yet, or gc pruned it
+            if name.endswith(".json"):
+                shard.files.add(name)
+                continue
+            if not name.endswith(".jsonl"):
+                continue
+            segment = shard.segments.get(name)
+            if segment is None:
+                segment = shard.segments[name] = _Segment(f"{shard.dir}/{name}")
+            elif segment is shard.own:
+                continue  # indexed as it was written
+            else:
+                try:
+                    if os.stat(segment.path).st_size <= segment.indexed:
+                        continue
+                except OSError:
+                    continue
+            added |= self._scan(shard, segment)
+        return added
+
+    def _cached(self, shard: _Shard, keyfp: str, kind: str, key: dict[str, Any]) -> Any | None:
+        """The encoded result of the newest indexed copy of a key that
+        checks out; copies that do not are dropped from the index."""
+        copies = shard.index.get(keyfp)
+        while copies:
+            segment, offset, size = copies[-1]
+            try:
+                raw = _read_at(self._descriptor(segment), size, offset)
+            except OSError:
+                raw = b""
+            payload = _check_entry(raw, kind, key)
+            if payload is not None:
+                return payload
+            copies.pop()
+        if copies is not None:
+            del shard.index[keyfp]
+        return None
+
+    def _load_entry(self, file: str, kind: str, key: dict[str, Any]) -> Any | None:
+        """The encoded result stored under one entry address, or ``None``.
+
+        A shard is indexed on its first lookup.  A key the index does not
+        hold refreshes the shard once, unless the last listing showed its
+        per-entry file (where versions before segment logs wrote it);
+        then that file is read."""
+        shard_dir, _, name = file.rpartition("/")
+        keyfp = name[-_KEYFP_LEN - 5 : -5]
+        self._owned()
+        with self._lock:
+            shard = self._shard(shard_dir)
+            payload = self._cached(shard, keyfp, kind, key)
+            if payload is None and name not in shard.files and self._refresh(shard):
+                payload = self._cached(shard, keyfp, kind, key)
+            legacy = payload is None and name in shard.files
+        return _load_file(file, kind, key) if legacy else payload
+
+    def _own_segment(self, shard: _Shard) -> _Segment:
+        """The segment this store appends to in ``shard``, opened on the
+        shard's first put.  A new one replaces it when gc has unlinked it
+        or its length is not what this store wrote (another hand
+        truncated or extended it), so an entry is only ever appended
+        right after a whole entry."""
+        segment = shard.own
+        if segment is not None:
+            st = os.fstat(segment.fd)
+            if st.st_nlink and st.st_size == segment.indexed:
+                return segment
+            self._retire(shard)
+        os.makedirs(shard.dir, exist_ok=True)
+        name = f"{os.getpid()}-{os.urandom(4).hex()}.jsonl"
+        path = f"{shard.dir}/{name}"
+        flags = os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL | _O_BINARY
+        segment = _Segment(path, os.open(path, flags, 0o644))
+        shard.segments[name] = shard.own = segment
+        return segment
+
+    @staticmethod
+    def _retire(shard: _Shard) -> None:
+        """Stop appending to the shard's own segment and close it; what
+        it holds stays indexed and reopens for reads."""
+        segment = shard.own
+        shard.own = None
+        if segment is not None and segment.fd is not None:
+            os.close(segment.fd)
+            segment.fd = None
 
     def _publish_entry(
-        self, path: Path, kind: str, key: dict[str, Any], result: dict[str, Any]
+        self, file: str, kind: str, key: dict[str, Any], result: dict[str, Any]
     ) -> None:
-        """Atomically publish one cache entry under the *shared* store
-        lock, so a concurrent ``gc`` (exclusive) can never prune the
-        shard between this writer's key computation and its rename.
+        """Append one cache entry to this process's segment of its shard,
+        under the *shared* store lock, so a concurrent ``gc`` (exclusive)
+        can never prune the shard between this writer's check of its
+        segment and its append.
 
-        The entry is two lines: the envelope with the encoded result
-        minus its timeline plus a digest of line 2, then the encoded
-        timeline (see :mod:`repro.store.codec`)."""
+        The entry is two lines written with one ``os.write``: the
+        envelope (key fingerprint first) with the encoded result minus
+        its timeline plus a digest of line 2, then the encoded timeline
+        (see :mod:`repro.store.codec`).  A failed or short write retires
+        the segment, so a torn entry can only be a segment's tail."""
+        shard_dir, _, name = file.rpartition("/")
+        keyfp = name[-_KEYFP_LEN - 5 : -5]
         timeline = json.dumps(result.pop("timeline"))
         head = json.dumps(
             {
+                "keyfp": keyfp,
                 "schema": SCHEMA_VERSION,
                 "kind": kind,
                 "key": key,
@@ -496,39 +811,43 @@ class ResultStore:
                 "timeline_sha256": _digest(timeline.encode()),
             }
         )
-        with store_lock(self.root, exclusive=False):
-            _atomic_write_text(path, f"{head}\n{timeline}\n")
+        data = f"{head}\n{timeline}\n".encode()
+        self._owned()
+        with store_lock(self.root, exclusive=False), self._lock:
+            shard = self._shard(shard_dir)
+            segment = self._own_segment(shard)
+            try:
+                written = os.write(segment.fd, data)
+            except OSError:
+                self._retire(shard)
+                raise
+            if written != len(data):
+                self._retire(shard)
+                raise OSError(f"short write to {segment.path}: {written} of {len(data)} bytes")
+            shard.index.setdefault(keyfp, []).append((segment, segment.indexed, written))
+            segment.indexed += written
 
-    @staticmethod
-    def _load_entry(path: str, kind: str, key: dict[str, Any]) -> Any | None:
-        """The encoded result of one entry, or ``None`` for a missing,
-        torn, foreign-schema or colliding one.
+    def _close_descriptors(self) -> None:
+        for shard in self._shards.values():
+            for segment in shard.segments.values():
+                if segment.fd is not None:
+                    os.close(segment.fd)
+                    segment.fd = None
+        self._shards = {}
+        self._readers = {}
 
-        Only line 1 is parsed.  Line 2 is checked against line 1's
-        digest and handed over unparsed as a :class:`LazyTimeline`, so
-        a bad line 2 is a miss here and never an error later.  A
-        one-line entry carries its timeline inline and decodes as is.
-        """
-        entry = _read_entry(path)
-        if entry is None:
-            return None
-        data, rest = entry
-        if (
-            not isinstance(data, dict)
-            or data.get("schema") != SCHEMA_VERSION
-            or data.get("kind") != kind
-            or data.get("key") != key
-            or not isinstance(data.get("result"), dict)
-        ):
-            return None
-        result = data["result"]
-        if "timeline" not in result:
-            # The digest covers line 2 without its line terminator, which
-            # text-mode writes translate on some platforms.
-            if data.get("timeline_sha256") != _digest(rest.rstrip(b"\r\n")):
-                return None
-            result["timeline"] = LazyTimeline(rest)
-        return result
+    def close(self) -> None:
+        """Close every segment descriptor this store holds.  The store
+        stays usable: its next lookup indexes the shard again."""
+        self._owned()
+        with self._lock:
+            self._close_descriptors()
+
+    def __del__(self) -> None:
+        try:
+            self._close_descriptors()
+        except Exception:  # interpreter shutdown, or __init__ never finished
+            pass
 
     def get_solo(
         self, engine_fp: str, workload: str, threads: int
@@ -548,7 +867,7 @@ class ResultStore:
         self, engine_fp: str, workload: str, threads: int, result: SoloRunResult
     ) -> None:
         self._publish_entry(
-            self._solo_path(engine_fp, workload, threads),
+            self._solo_file(engine_fp, workload, threads),
             "solo",
             {
                 "engine_fingerprint": engine_fp,
@@ -561,7 +880,7 @@ class ResultStore:
     def _scenario_file(
         self, engine_fp: str, scenario: Scenario, payload: dict[str, Any]
     ) -> str:
-        """Entry path of ``scenario``, whose ``payload()`` the caller
+        """Entry address of ``scenario``, whose ``payload()`` the caller
         passes in (the entry key holds it too)."""
         if not scenario.cacheable:
             raise ScenarioError(
@@ -573,11 +892,6 @@ class ResultStore:
             f"{_safe_name(p.workload)}.{p.threads}" for p in scenario.placements
         )[:64]
         return f"{self._root}/scenario/{engine_fp}/{slug}-{keyfp}.json"
-
-    def _scenario_path(
-        self, engine_fp: str, scenario: Scenario, payload: dict[str, Any]
-    ) -> Path:
-        return Path(self._scenario_file(engine_fp, scenario, payload))
 
     def get_scenario(
         self, engine_fp: str, scenario: Scenario
@@ -605,7 +919,7 @@ class ResultStore:
     ) -> None:
         scenario_payload = scenario.payload()
         self._publish_entry(
-            self._scenario_path(engine_fp, scenario, scenario_payload),
+            self._scenario_file(engine_fp, scenario, scenario_payload),
             "scenario",
             {"engine_fingerprint": engine_fp, "scenario": scenario_payload},
             encode_scenario_result(result),
@@ -613,20 +927,15 @@ class ResultStore:
 
     def scenarios(self) -> list[dict[str, Any]]:
         """Key metadata of every persisted scenario entry (``repro
-        scenario ls``): engine fingerprint, placements, overrides.
+        scenario ls``): engine fingerprint, placements, overrides, and
+        the ``path`` of the segment or file that holds it.
 
         Listing parses only each entry's first line (the envelope that
-        holds the key), never the timeline on line 2; a key sidecar or
-        index is the upgrade path beyond the hundreds-of-entries scale
-        this store targets.
+        holds the key), never the timeline on line 2.
         """
-        base = self.root / "scenario"
         out: list[dict[str, Any]] = []
-        if not base.exists():
-            return out
-        for path in sorted(base.rglob("*.json")):
-            entry = _read_entry(path)
-            data = entry[0] if entry is not None else None
+        for entry in self.cache_entries("scenario"):
+            data = self.entry_head(entry)
             if (
                 not isinstance(data, dict)
                 or data.get("schema") != SCHEMA_VERSION
@@ -634,9 +943,9 @@ class ResultStore:
                 or not isinstance(data.get("key"), dict)
             ):
                 continue
-            entry = dict(data["key"])
-            entry["path"] = str(path.relative_to(self.root))
-            out.append(entry)
+            row = dict(data["key"])
+            row["path"] = entry.path
+            out.append(row)
         return out
 
     def get_corun(
@@ -669,7 +978,7 @@ class ResultStore:
         result: CoRunResult,
     ) -> None:
         self._publish_entry(
-            self._corun_path(engine_fp, fg, bg, fg_threads, bg_threads),
+            self._corun_file(engine_fp, fg, bg, fg_threads, bg_threads),
             "corun",
             {
                 "engine_fingerprint": engine_fp,
@@ -680,6 +989,50 @@ class ResultStore:
             },
             encode_corun(result),
         )
+
+    def cache_entries(self, section: str) -> list[CacheEntry]:
+        """Every entry of one cache section (``solo``, ``corun`` or
+        ``scenario``) as it is on disk: one row per shard and key
+        fingerprint, across segments and per-entry files, ordered by
+        shard and key fingerprint.
+
+        A row names the newest whole copy in a segment, else the
+        per-entry file.  Rows are not checked: reading one back can
+        still miss (a damaged line 2, a foreign schema).  This is the
+        one walk behind :meth:`describe`, :meth:`scenarios` and the
+        counts of :meth:`gc`.
+        """
+        rows: list[CacheEntry] = []
+        base = f"{self._root}/{section}"
+        for shard in sorted(_listdir(base)):
+            shard_dir = f"{base}/{shard}"
+            where: dict[str, tuple[str, int]] = {}
+            for name in sorted(_listdir(shard_dir)):
+                if name.endswith(".jsonl"):
+                    try:
+                        with open(f"{shard_dir}/{name}", "rb") as fh:
+                            found, _ = _scan_entries(fh, 0)
+                    except OSError:
+                        continue
+                    for keyfp, offset, _ in found:
+                        where[keyfp] = (name, offset)
+                elif name.endswith(".json"):
+                    where.setdefault(name[:-5].rpartition("-")[2], (name, 0))
+            rows.extend(
+                CacheEntry(shard, keyfp, f"{section}/{shard}/{name}", offset)
+                for keyfp, (name, offset) in sorted(where.items())
+            )
+        return rows
+
+    def entry_head(self, entry: CacheEntry) -> Any | None:
+        """Line 1 of a listed entry, parsed (the envelope with its key);
+        ``None`` if it is gone or not JSON."""
+        try:
+            with open(f"{self._root}/{entry.path}", "rb") as fh:
+                fh.seek(entry.offset)
+                return json.loads(fh.readline())
+        except (OSError, ValueError):
+            return None
 
     # -- record sink + query -------------------------------------------------
 
@@ -750,26 +1103,31 @@ class ResultStore:
         cache — they are never collected.  With ``dry_run`` nothing is
         deleted; the returned summary reports what would be.
 
-        The scan-and-prune runs under the **exclusive** store lock:
-        cache writers hold it shared, so a gc racing a mid-campaign
-        process can never ``rmtree`` a shard between that writer's key
-        computation and its entry's rename (the prune waits for the
-        write to publish, then — if the shard really is orphaned —
-        removes the shard including the fresh entry, which is exactly a
-        whole-shard decision, never a torn one).
+        The counts are those of :meth:`cache_entries`: one per key in
+        segments and per-entry files alike.  The scan-and-prune runs
+        under the **exclusive** store lock: cache writers hold it shared
+        around each append, so a gc racing a mid-campaign process can
+        never ``rmtree`` a shard between that writer's check of its
+        segment and its append (the prune waits for the append, then —
+        if the shard really is orphaned — removes the shard including
+        the fresh entry, which is exactly a whole-shard decision, never
+        a torn one; the writer's next put finds its segment unlinked and
+        opens a new one).
         """
         import shutil
+        from collections import Counter
 
         removed_dirs: list[str] = []
         removed_entries = 0
         kept_entries = 0
         with store_lock(self.root, exclusive=True):
-            for section in ("solo", "corun", "scenario"):
+            for section in _SECTIONS:
                 base = self.root / section
                 if not base.exists():
                     continue
+                counts = Counter(e.engine_fp for e in self.cache_entries(section))
                 for shard in sorted(p for p in base.iterdir() if p.is_dir()):
-                    n = sum(1 for _ in shard.rglob("*.json"))
+                    n = counts[shard.name]
                     if shard.name in live_engine_fps:
                         kept_entries += n
                         continue
@@ -788,14 +1146,9 @@ class ResultStore:
 
     def describe(self) -> dict[str, int]:
         """Entry counts per store section (the ``store ls`` summary)."""
-        def count(section: str) -> int:
-            base = self.root / section
-            return sum(1 for _ in base.rglob("*.json")) if base.exists() else 0
-
+        results = self.root / "results"
         return {
-            "solo_entries": count("solo"),
-            "corun_entries": count("corun"),
-            "scenario_entries": count("scenario"),
-            "records": count("results"),
+            **{f"{s}_entries": len(self.cache_entries(s)) for s in _SECTIONS},
+            "records": sum(1 for _ in results.rglob("*.json")) if results.exists() else 0,
             "index_lines": sum(1 for _ in self.sink.entries()),
         }

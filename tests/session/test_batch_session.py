@@ -23,7 +23,9 @@ from repro.session import (
     Session,
     ThreadExecutor,
 )
+from repro.store import ResultStore
 from repro.store.codec import encode_scenario_result
+from tests.store.layouts import SECTIONS, entry_lines
 
 SUBSET = ("G-CC", "fotonik3d", "swaptions", "Stream")
 
@@ -94,13 +96,16 @@ class TestBatchPath:
         Session(
             make_config(), store=tmp_path / "b", engine_batch=False
         ).run_scenarios(sweep())
-        a = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*.json"))
-        b = sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*.json"))
-        assert a == b and a
-        for rel in a:
-            assert ((tmp_path / "a") / rel).read_bytes() == (
-                (tmp_path / "b") / rel
-            ).read_bytes()
+        lines = {}
+        for name in ("a", "b"):
+            store = ResultStore(tmp_path / name)
+            lines[name] = {
+                (section, entry.engine_fp, entry.keyfp): entry_lines(store.root, entry)
+                for section in SECTIONS
+                for entry in store.cache_entries(section)
+            }
+        assert {section for section, _, _ in lines["a"]} == set(SECTIONS)
+        assert lines["a"] == lines["b"]  # same keys, byte-identical lines 1 and 2
 
     def test_uncacheable_scenarios_take_batch_path_too(self):
         from repro.workloads.registry import get_profile

@@ -9,7 +9,9 @@ manifest.
 """
 
 import json
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -92,8 +94,9 @@ class TestResultStoreCache:
         assert store.get_corun(fp, "fotonik3d", "G-CC", 4, 4) is None
 
     def test_partial_file_is_a_miss(self, store):
-        """A crash mid-write must cost a re-simulation, never bad data."""
-        path = store._solo_path("feedbeef0123", "G-CC", 4)
+        """A per-entry file torn by a crash mid-write (as earlier versions
+        wrote entries) costs a re-simulation, never bad data."""
+        path = Path(store._solo_file("feedbeef0123", "G-CC", 4))
         path.parent.mkdir(parents=True)
         path.write_text('{"schema": 1, "kind": "solo", "resu')  # torn write
         assert store.get_solo("feedbeef0123", "G-CC", 4) is None
@@ -103,8 +106,8 @@ class TestResultStoreCache:
         solo = session.solo("G-CC", threads=4)
         fp = session.engine_fingerprint()
         store.put_solo(fp, "G-CC", 4, solo)
-        # Leftover tmp file from a crashed writer next to the entry.
-        path = store._solo_path(fp, "G-CC", 4)
+        # Leftover tmp file of a crashed earlier-version writer in the shard.
+        path = Path(store._solo_file(fp, "G-CC", 4))
         path.with_name(path.name + ".tmp-999").write_text("garbage")
         assert store.get_solo(fp, "G-CC", 4) == solo
 
@@ -112,7 +115,7 @@ class TestResultStoreCache:
         """Valid JSON envelope, broken result payload: still a miss."""
         session = Session(make_config(workloads=("swaptions",)))
         fp = session.engine_fingerprint()
-        path = store._solo_path(fp, "swaptions", 4)
+        path = Path(store._solo_file(fp, "swaptions", 4))
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({
             "schema": SCHEMA_VERSION,
@@ -127,7 +130,7 @@ class TestResultStoreCache:
         assert warm.stats.solo_misses == 1
 
     def test_foreign_schema_file_is_a_miss(self, store):
-        path = store._solo_path("cafecafe0123", "G-CC", 4)
+        path = Path(store._solo_file("cafecafe0123", "G-CC", 4))
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"schema": 999, "kind": "solo", "result": {}}))
         assert store.get_solo("cafecafe0123", "G-CC", 4) is None
@@ -177,8 +180,12 @@ class TestSessionReadThrough:
     def test_store_paths_keyed_by_session_fingerprint(self, tmp_path):
         session = Session(make_config(workloads=("swaptions",)), store=tmp_path / "st")
         session.solo("swaptions", threads=4)
-        fp_dir = tmp_path / "st" / "solo" / session.engine_fingerprint()
-        assert fp_dir.is_dir() and list(fp_dir.glob("swaptions-t4-*.json"))
+        fp = session.engine_fingerprint()
+        [entry] = session.store.cache_entries("solo")
+        assert entry.engine_fp == fp
+        assert entry.path.startswith(f"solo/{fp}/") and entry.path.endswith(".jsonl")
+        key = session.store.entry_head(entry)["key"]
+        assert key == {"engine_fingerprint": fp, "workload": "swaptions", "threads": 4}
 
     def test_different_engine_config_does_not_hit_warm_store(self, tmp_path):
         session = Session(make_config(workloads=("swaptions",)), store=tmp_path / "st")
@@ -299,6 +306,19 @@ class TestIndexAndQuery:
         with open(store.sink.index_path, "a") as fh:
             fh.write('{"schema": 1, "run_id": "torn')  # crash mid-append
         assert [e.artifact for e in store.query()] == ["fig5"]
+
+    def test_failed_record_write_leaves_no_tmp_file(self, store, monkeypatch):
+        """A record write whose rename fails (ENOSPC, EIO) raises and
+        removes its temporary file; nothing else would ever delete it."""
+        record = Session(make_config()).run("table1")
+
+        def fail(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="No space"):
+            store.sink.append(record)
+        assert not list(store.root.rglob("*.tmp-*"))
 
     def test_missing_lookups_raise(self, store):
         with pytest.raises(StoreError):
