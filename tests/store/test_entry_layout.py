@@ -247,8 +247,8 @@ class TestEarlierLayouts:
         assert served_from_disk(session)
 
     def test_mixed_store_serves_from_both(self, warm):
-        """An earlier version re-simulates over a new store and writes
-        per-entry files beside the segments; both kinds serve."""
+        """Per-entry files of an earlier version and the segments this
+        version appends beside them in the same shards both serve."""
         root, expected = warm
         explode(root, "two-line")
         extra = Scenario.of("G-CC:1", "swaptions:1", "fotonik3d:1")
@@ -481,6 +481,7 @@ def open_descriptors():
 class TestDescriptors:
     def test_close_and_collection_release_descriptors(self, warm):
         root, _ = warm
+        gc.collect()  # stores other tests left for collection
         before = open_descriptors()
         store = ResultStore(root)
         for section, _, key in entries(root):
