@@ -715,7 +715,7 @@ class ResultStore:
 
     def _scan(self, shard: _Shard, segment: _Segment) -> bool:
         """Index the whole entries appended to ``segment`` since its last
-        scan; True if there were any."""
+        scan; True if the scan got past any new bytes."""
         start = segment.indexed
         try:
             with open(self._descriptor(segment), "rb", _SCAN_BUFFER, closefd=False) as fh:
