@@ -1026,11 +1026,11 @@ class ResultStore:
         fingerprint, across segments and per-entry files, ordered by
         shard and key fingerprint.
 
-        A row names the newest whole copy in a segment, else the
-        per-entry file.  Rows are not checked: reading one back can
-        still miss (a damaged line 2, a foreign schema).  This is the
-        one walk behind :meth:`describe`, :meth:`scenarios` and the
-        counts of :meth:`gc`.
+        A row names the last whole copy found in the shard's segments
+        (in name order), else the per-entry file.  Rows are not checked:
+        reading one back can still miss (a damaged line 2, a foreign
+        schema).  This is the one walk behind :meth:`describe`,
+        :meth:`scenarios` and the counts of :meth:`gc`.
         """
         rows: list[CacheEntry] = []
         base = f"{self._root}/{section}"
