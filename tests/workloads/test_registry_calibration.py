@@ -1,5 +1,7 @@
 """Tests for the workload registry and the calibrated profile table."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -97,13 +99,60 @@ class TestProfiles:
         assert get_profile("fotonik3d").regions[0].region.name == "UUS"
 
 
+#: sha256 (first 16 hex digits) of each kernel's whole default trace at
+#: seed 0: every batch's ips, lines and writes arrays, its length, its
+#: instruction count and its region, in order (see ``_trace_digest``).
+TRACE_DIGESTS = {
+    "G-BC": "c4713aea2216e8b6",
+    "G-BFS": "1ab4231510dcb837",
+    "G-CC": "e4dd577e4d7c7e4f",
+    "G-PR": "bfba5b6ca5f43461",
+    "G-SSSP": "df2f8788280a263b",
+    "P-CC": "7b1fb8c0e4cd70f8",
+    "P-PR": "101f763d33899644",
+    "P-SSSP": "b9c1b2e6391b2f65",
+    "CIFAR": "76e6f830c792a089",
+    "MNIST": "d066274aaf8f5a16",
+    "LSTM": "67a537ee97604769",
+    "ATIS": "252a82303da5c96c",
+    "blackscholes": "0862ca5c63cd5029",
+    "freqmine": "e342d6c0a532a21d",
+    "swaptions": "8874b815e2ba9093",
+    "streamcluster": "3e1fa4428f20869e",
+    "lulesh": "14bb246f0efc3161",
+    "IRSmk": "7683ee7b19f0183b",
+    "AMG2006": "a66496eb0df1f65c",
+    "cactuBSSN": "4975aba6a8e9a58e",
+    "xalancbmk": "b9921f05d563e947",
+    "deepsjeng": "283e4273ad3c5207",
+    "fotonik3d": "b12ba918907b7cda",
+    "mcf": "a7c0a1bc37051488",
+    "nab": "58e8592e4a72d3e4",
+    "Bandit": "a283eda7dd213bc9",
+    "Stream": "9ffcaaa0d2a40816",
+}
+
+
+def _trace_digest(trace) -> str:
+    h = hashlib.sha256()
+    for batch in trace:
+        h.update(batch.ips.tobytes())
+        h.update(batch.lines.tobytes())
+        h.update(batch.writes.tobytes())
+        h.update(f"{len(batch)},{batch.instructions},{batch.region};".encode())
+    return h.hexdigest()[:16]
+
+
 class TestFactories:
     def test_every_workload_instantiates_and_traces(self):
+        digests = {}
         for name in list_workloads():
             kernel = get_workload(name)
             assert kernel.name == name
             n = total_accesses(kernel.trace(max_accesses=300))
             assert 0 < n <= 300, name
+            digests[name] = _trace_digest(kernel.trace())
+        assert digests == TRACE_DIGESTS
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(WorkloadError):
