@@ -1,4 +1,4 @@
-"""Table I: the application roster (and that every kernel actually runs)."""
+"""Table I: the application roster (and that every kernel instantiates)."""
 
 from repro.core.report import ascii_table
 from repro.workloads.registry import get_workload, list_workloads, suite_of

@@ -11,8 +11,8 @@ Interference" (Xu, Song, Mao — arXiv:2303.15763), built as a library:
 * :mod:`repro.trace` — access streams, reuse distances, miss-ratio
   curves, and the kernel profiler;
 * :mod:`repro.workloads` — the 25 applications of Table I plus the
-  Bandit/STREAM mini-benchmarks, each a real algorithm with a trace
-  generator, plus calibrated engine profiles;
+  Bandit/STREAM mini-benchmarks, each a kernel that generates its
+  memory-access trace, plus calibrated engine profiles;
 * :mod:`repro.engine` — the interval engine that co-executes profiles
   under LLC sharing and memory-bus contention;
 * :mod:`repro.tools` — PCM-memory and VTune analogues;

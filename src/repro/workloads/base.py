@@ -2,9 +2,11 @@
 
 Two views of a workload coexist:
 
-* the **kernel** view (:class:`Workload`) — a real, runnable algorithm
-  (PageRank, Black-Scholes, an LSTM step...) that can both compute a
-  checkable result and emit the memory-access trace of its execution;
+* the **kernel** view (:class:`Workload`) — a trace generator: the
+  memory-access stream of one scaled-down execution of the application
+  (PageRank's edge sweeps, Black-Scholes' option pricing, an LSTM's
+  GEMMs...), which the trace profiler measures as the pinned
+  qualitative check on the calibrated profiles;
 * the **profile** view (:class:`WorkloadProfile`) — the analytic
   description the interval engine consumes: ordered phases (one per
   code region) with core IPC, L2 miss rate, an LLC miss-ratio curve,
@@ -26,11 +28,11 @@ interference-dependent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import ClassVar, Iterator
 
 from repro.errors import WorkloadError
 from repro.trace.mrc import MissRatioCurve
-from repro.trace.stream import TraceSource
+from repro.trace.stream import AccessBatch, take
 from repro.units import MiB
 
 
@@ -195,21 +197,30 @@ class WorkloadProfile:
         return max(self.regions, key=lambda r: r.weight)
 
 
-class Workload(Protocol):
-    """Kernel-side protocol every application model implements.
+class Workload:
+    """Kernel-side base every application model derives from.
 
-    ``run()`` executes the real algorithm and returns a result the test
-    suite can check against a reference; ``trace()`` yields the memory
-    access stream of that execution for the trace-layer profiler.
+    A kernel is a trace generator.  Subclasses name the application
+    (``name``, ``suite``) and its code regions (``regions``: a batch's
+    ``region`` indexes this tuple), and implement ``_trace_batches``:
+    the batches of one execution, built from the kernel's own inputs
+    and the trace ``seed``.
     """
 
-    name: str
-    suite: str
+    name: ClassVar[str]
+    suite: ClassVar[str]
+    regions: ClassVar[tuple[CodeRegion, ...]]
 
-    def run(self) -> object:
-        """Execute the kernel; returns an algorithm-specific result."""
-        ...  # pragma: no cover - protocol
+    def _trace_batches(self, seed: int) -> list[AccessBatch]:
+        raise NotImplementedError  # pragma: no cover - abstract
 
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0) -> TraceSource:
-        """Memory-access trace of one execution."""
-        ...  # pragma: no cover - protocol
+    def trace(
+        self, *, max_accesses: int | None = None, seed: int = 0
+    ) -> Iterator[AccessBatch]:
+        """Memory-access trace of one execution, truncated to
+        ``max_accesses`` accesses if given."""
+        batches = self._trace_batches(seed)
+        if max_accesses is None:
+            yield from batches
+        else:
+            yield from take(iter(batches), max_accesses)

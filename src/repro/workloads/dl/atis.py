@@ -1,9 +1,11 @@
 """ATIS: the CNTK natural-language (air-travel information) model.
 
 A slot-tagging network — embedding lookup, one LSTM layer, per-token
-linear head — trained on synthetic token sequences.  Computationally it
-is tiny; its defining systems property in the paper is *synchronization-
-bound scaling*: above 2 threads, 80% of CPU cycles land in OpenMP's
+linear head — trained on token sequences.  The trace is its training
+loop per token step: the embedding gather for the step's tokens, the
+recurrent GEMM and a barrier spin.  Computationally it is tiny; its
+defining systems property in the paper is *synchronization-bound
+scaling*: above 2 threads, 80% of CPU cycles land in OpenMP's
 ``kmp_hyper_barrier_release`` (Section IV-A), so ATIS shows *no*
 scalability and nearly zero bandwidth (Fig 2c, Fig 3).  We expose that
 barrier as a first-class code region; the calibrated profile gives it
@@ -17,15 +19,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-from repro.workloads.dl import tensor as T
+from repro.workloads.base import CodeRegion, Workload
 from repro.workloads.dl.convnet import _gemm_trace_batches
 
 
 @dataclass
-class ATIS:
+class ATIS(Workload):
     """Embedding + LSTM + per-token tag head, trained with SGD."""
 
     name: ClassVar[str] = "ATIS"
@@ -41,25 +42,19 @@ class ATIS:
     hidden: int = 48
     n_tags: int = 16
     batch: int = 8
-    lr: float = 0.2
     steps: int = 3
     seed: int = 2
-    params: dict = field(init=False, repr=False)
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rng = np.random.default_rng(self.seed)
         d, h = self.embed_dim, self.hidden
-        self.params = {
-            "emb": rng.normal(0, 0.1, (self.vocab, d)),
-            "wx": rng.normal(0, 0.1, (d, 4 * h)),
-            "wh": rng.normal(0, 0.1, (h, 4 * h)),
-            "b": np.zeros(4 * h),
-            "wo": rng.normal(0, 0.1, (h, self.n_tags)),
-            "bo": np.zeros(self.n_tags),
-        }
+        # The tokens follow the model's weight matrices (embedding, LSTM
+        # input and recurrent weights, tag head) in this generator's
+        # stream: skip one normal per weight so the tokens, and with
+        # them the pinned trace, stay the same.
+        rng.normal(size=self.vocab * d + d * 4 * h + h * 4 * h + h * self.n_tags)
         self._tokens = rng.integers(0, self.vocab, (self.seq_len, self.batch))
-        self._tags = rng.integers(0, self.n_tags, (self.seq_len, self.batch))
         amap = AddressMap(base_line=1 << 28)
         amap.alloc("emb", self.vocab * d, 8)
         amap.alloc("wx", d * 4 * h, 8)
@@ -68,60 +63,6 @@ class ATIS:
         amap.alloc("gates", self.batch * 4 * h, 8)
         amap.alloc("barrier_flags", 64, 8)
         self._amap = amap
-
-    def train_step(self) -> float:
-        """One training step; returns the mean per-token loss."""
-        p = self.params
-        n, h = self.batch, self.hidden
-        hs, cs = np.zeros((n, h)), np.zeros((n, h))
-        caches, hs_seq, tok_seq = [], [], []
-        total_loss = 0.0
-        dlogits_seq = []
-        for t in range(self.seq_len):
-            toks = self._tokens[t]
-            x = p["emb"][toks]
-            hs, cs, cache = T.lstm_cell_forward(x, hs, cs, p["wx"], p["wh"], p["b"])
-            caches.append(cache)
-            hs_seq.append(hs)
-            tok_seq.append(toks)
-            logits = T.linear_forward(hs, p["wo"], p["bo"])
-            loss, dlogits = T.softmax_cross_entropy(logits, self._tags[t])
-            total_loss += loss
-            dlogits_seq.append(dlogits)
-
-        demb = np.zeros_like(p["emb"])
-        dwx = np.zeros_like(p["wx"])
-        dwh = np.zeros_like(p["wh"])
-        db = np.zeros_like(p["b"])
-        dwo = np.zeros_like(p["wo"])
-        dbo = np.zeros_like(p["bo"])
-        dh_next = np.zeros((n, h))
-        dc_next = np.zeros((n, h))
-        for t in reversed(range(self.seq_len)):
-            dh_t, dwo_t, dbo_t = T.linear_backward(
-                dlogits_seq[t], hs_seq[t], p["wo"]
-            )
-            dwo += dwo_t
-            dbo += dbo_t
-            dx, dh_prev, dc_prev, dwx_t, dwh_t, db_t = T.lstm_cell_backward(
-                dh_next + dh_t, dc_next, caches[t]
-            )
-            dwx += dwx_t
-            dwh += dwh_t
-            db += db_t
-            np.add.at(demb, tok_seq[t], dx)
-            dh_next, dc_next = dh_prev, dc_prev
-
-        T.sgd_update(
-            p,
-            {"emb": demb, "wx": dwx, "wh": dwh, "b": db, "wo": dwo, "bo": dbo},
-            self.lr,
-        )
-        return total_loss / self.seq_len
-
-    def run(self) -> list[float]:
-        """Train ``steps`` iterations; returns per-step mean losses."""
-        return [self.train_step() for _ in range(self.steps)]
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         rng = np.random.default_rng(seed)
@@ -158,11 +99,3 @@ class ATIS:
                     )
                 )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of the training loop."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

@@ -1,10 +1,10 @@
 """ConvNet workloads: the CNTK image-recognition models (CIFAR, MNIST).
 
-Real training: im2col convolutions, max-pooling, a dense classifier and
-SGD, on synthetic image batches (CIFAR-10 and MNIST are not
-redistributable offline; deterministic random images exercise the same
-compute and memory paths — the paper only measures the training phase's
-performance, not accuracy).
+Training runs im2col convolutions, max-pooling, a dense classifier and
+SGD.  The trace is one training step's GEMMs per step, as blocked-GEMM
+access streams over the im2col workspaces, weights and activations
+(the paper only measures the training phase's performance, not
+accuracy).
 
 The memory behaviour that matters for interference: the im2col
 workspace is streamed sequentially (GEMM-friendly, moderately
@@ -20,10 +20,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-from repro.workloads.dl import tensor as T
+from repro.workloads.base import CodeRegion, Workload
 
 
 def _gemm_trace_batches(
@@ -78,8 +77,8 @@ def _gemm_trace_batches(
 
 
 @dataclass
-class ConvNet:
-    """Two-conv-layer classifier trained with SGD on synthetic images."""
+class ConvNet(Workload):
+    """Two-conv-layer classifier trained with SGD."""
 
     name: ClassVar[str] = "ConvNet"
     suite: ClassVar[str] = "CNTK"
@@ -94,27 +93,13 @@ class ConvNet:
     batch: int = 16
     filters1: int = 8
     filters2: int = 16
-    lr: float = 0.05
     steps: int = 3
-    seed: int = 0
-    params: dict = field(init=False, repr=False)
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rng = np.random.default_rng(self.seed)
         c, s = self.in_channels, self.image_size
         f1, f2 = self.filters1, self.filters2
         fc_in = f2 * (s // 4) * (s // 4)
-        self.params = {
-            "w1": rng.normal(0, 0.1, (f1, c, 3, 3)),
-            "b1": np.zeros(f1),
-            "w2": rng.normal(0, 0.1, (f2, f1, 3, 3)),
-            "b2": np.zeros(f2),
-            "w3": rng.normal(0, 0.1, (fc_in, self.n_classes)),
-            "b3": np.zeros(self.n_classes),
-        }
-        self._x = rng.normal(0, 1, (self.batch, c, s, s))
-        self._y = rng.integers(0, self.n_classes, self.batch)
         amap = AddressMap(base_line=1 << 26)
         # im2col workspaces and weight arrays drive the trace.
         cols1 = self.batch * c * 9 * s * s
@@ -128,40 +113,6 @@ class ConvNet:
         amap.alloc("fc_w", fc_in * self.n_classes, 8)
         amap.alloc("logits", self.batch * self.n_classes, 8)
         self._amap = amap
-
-    def train_step(self) -> float:
-        """One full forward/backward/SGD step; returns the loss."""
-        p = self.params
-        x, y = self._x, self._y
-        a1, cols1 = T.conv2d_forward(x, p["w1"], p["b1"], pad=1)
-        r1 = T.relu_forward(a1)
-        p1, arg1 = T.maxpool2x2_forward(r1)
-        a2, cols2 = T.conv2d_forward(p1, p["w2"], p["b2"], pad=1)
-        r2 = T.relu_forward(a2)
-        p2, arg2 = T.maxpool2x2_forward(r2)
-        flat = p2.reshape(self.batch, -1)
-        logits = T.linear_forward(flat, p["w3"], p["b3"])
-        loss, dlogits = T.softmax_cross_entropy(logits, y)
-
-        dflat, dw3, db3 = T.linear_backward(dlogits, flat, p["w3"])
-        dp2 = dflat.reshape(p2.shape)
-        dr2 = T.maxpool2x2_backward(dp2, arg2, r2.shape)
-        da2 = T.relu_backward(dr2, a2)
-        dp1, dw2, db2 = T.conv2d_backward(da2, cols2, p1.shape, p["w2"], pad=1)
-        dr1 = T.maxpool2x2_backward(dp1, arg1, r1.shape)
-        da1 = T.relu_backward(dr1, a1)
-        _, dw1, db1 = T.conv2d_backward(da1, cols1, x.shape, p["w1"], pad=1)
-
-        T.sgd_update(
-            p,
-            {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2, "w3": dw3, "b3": db3},
-            self.lr,
-        )
-        return loss
-
-    def run(self) -> list[float]:
-        """Train ``steps`` iterations; returns per-step losses."""
-        return [self.train_step() for _ in range(self.steps)]
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         s, c = self.image_size, self.in_channels
@@ -190,14 +141,6 @@ class ConvNet:
                 )
             )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of the training loop."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)
 
 
 @dataclass

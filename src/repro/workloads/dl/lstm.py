@@ -1,9 +1,9 @@
 """LSTM-AN4: the CNTK speech model (LSTM over CMU-AN4-shaped input).
 
-A real single-layer LSTM trained by backpropagation-through-time on
-synthetic MFCC-like sequences (the AN4 audio corpus is not available
-offline; deterministic random features exercise identical compute and
-memory paths for the training-phase measurement the paper performs).
+A single-layer LSTM trained by backpropagation-through-time.  The
+trace is its training-phase access stream (the phase the paper
+measures): per timestep, the input GEMM and the recurrent GEMM, both
+re-reading their weight matrices.
 
 Memory behaviour: the recurrent weight matrices are re-read every
 timestep (strong LLC reuse, small footprint), activations stream per
@@ -15,17 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-import numpy as np
-
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-from repro.workloads.dl import tensor as T
+from repro.workloads.base import CodeRegion, Workload
 from repro.workloads.dl.convnet import _gemm_trace_batches
 
 
 @dataclass
-class LSTMAn4:
+class LSTMAn4(Workload):
     """Sequence classifier: LSTM -> mean pool -> linear -> softmax."""
 
     name: ClassVar[str] = "LSTM"
@@ -38,26 +35,12 @@ class LSTMAn4:
     seq_len: int = 20
     input_dim: int = 64
     hidden: int = 96
-    n_classes: int = 8
     batch: int = 8
-    lr: float = 0.2
     steps: int = 3
-    seed: int = 1
-    params: dict = field(init=False, repr=False)
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rng = np.random.default_rng(self.seed)
         d, h = self.input_dim, self.hidden
-        self.params = {
-            "wx": rng.normal(0, 0.08, (d, 4 * h)),
-            "wh": rng.normal(0, 0.08, (h, 4 * h)),
-            "b": np.zeros(4 * h),
-            "wo": rng.normal(0, 0.08, (h, self.n_classes)),
-            "bo": np.zeros(self.n_classes),
-        }
-        self._x = rng.normal(0, 1, (self.seq_len, self.batch, d))
-        self._y = rng.integers(0, self.n_classes, self.batch)
         amap = AddressMap(base_line=1 << 27)
         amap.alloc("wx", d * 4 * h, 8)
         amap.alloc("wh", h * 4 * h, 8)
@@ -65,47 +48,6 @@ class LSTMAn4:
         amap.alloc("h_state", self.batch * h, 8)
         amap.alloc("gates", self.batch * 4 * h, 8)
         self._amap = amap
-
-    def train_step(self) -> float:
-        """One BPTT step over the full sequence; returns the loss."""
-        p = self.params
-        n, h = self.batch, self.hidden
-        hs = np.zeros((n, h))
-        cs = np.zeros((n, h))
-        caches = []
-        h_sum = np.zeros((n, h))
-        for t in range(self.seq_len):
-            hs, cs, cache = T.lstm_cell_forward(
-                self._x[t], hs, cs, p["wx"], p["wh"], p["b"]
-            )
-            caches.append(cache)
-            h_sum += hs
-        h_mean = h_sum / self.seq_len
-        logits = T.linear_forward(h_mean, p["wo"], p["bo"])
-        loss, dlogits = T.softmax_cross_entropy(logits, self._y)
-
-        dh_mean, dwo, dbo = T.linear_backward(dlogits, h_mean, p["wo"])
-        dh_shared = dh_mean / self.seq_len  # every step fed the mean pool
-        dwx = np.zeros_like(p["wx"])
-        dwh = np.zeros_like(p["wh"])
-        db = np.zeros_like(p["b"])
-        dh_next = np.zeros((n, h))
-        dc_next = np.zeros((n, h))
-        for t in reversed(range(self.seq_len)):
-            _, dh_prev, dc_prev, dwx_t, dwh_t, db_t = T.lstm_cell_backward(
-                dh_next + dh_shared, dc_next, caches[t]
-            )
-            dwx += dwx_t
-            dwh += dwh_t
-            db += db_t
-            dh_next, dc_next = dh_prev, dc_prev
-
-        T.sgd_update(p, {"wx": dwx, "wh": dwh, "b": db, "wo": dwo, "bo": dbo}, self.lr)
-        return loss
-
-    def run(self) -> list[float]:
-        """Train ``steps`` iterations; returns per-step losses."""
-        return [self.train_step() for _ in range(self.steps)]
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         out: list[AccessBatch] = []
@@ -127,11 +69,3 @@ class LSTMAn4:
                     )
                 )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of the training loop."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

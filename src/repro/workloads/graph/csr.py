@@ -44,10 +44,6 @@ class CSRGraph:
     def n_edges(self) -> int:
         return len(self.indices)
 
-    def out_degree(self) -> np.ndarray:
-        """Out-degree per vertex."""
-        return np.diff(self.indptr)
-
     def neighbours(self, v: int) -> np.ndarray:
         """Out-neighbours of one vertex."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
@@ -79,17 +75,6 @@ class CSRGraph:
         """The transpose graph (in-edges become out-edges)."""
         rev_edges = EdgeList(self.n_vertices, self.indices, _expand_src(self))
         return CSRGraph.from_edges(rev_edges, weights=self.weights)
-
-    def with_unit_weights(self) -> "CSRGraph":
-        """Copy with all-ones weights — the paper's P-SSSP pitfall
-        ('unrealistic assumption that all graph edges have identical
-        weight', Section IV-A)."""
-        return CSRGraph(
-            self.n_vertices,
-            self.indptr,
-            self.indices,
-            np.ones(self.n_edges, dtype=np.float64),
-        )
 
     def with_random_weights(self, *, lo: float = 1.0, hi: float = 64.0, seed: int = 0) -> "CSRGraph":
         """Copy with uniform random edge weights."""

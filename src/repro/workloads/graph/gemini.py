@@ -2,23 +2,27 @@
 
 Gemini (Zhu et al., OSDI'16) is a computation-centric graph system with
 chunk-based vertex partitioning and a dense (pull) / sparse (push) dual
-engine.  We model its five applications from the paper with real
-algorithms over a CSR graph:
+engine.  We model the traversals of its five applications from the
+paper over a CSR graph:
 
 * **G-PR** — pull-mode PageRank.  The hot loop is the paper's Fig 9
   listing (``pagerank.c:63-70``): for every destination vertex, walk the
   in-edge list and gather ``curr[src]`` — sequential index reads plus an
   irregular value gather, the access pattern that makes graph analytics
   LLC/bandwidth victims.
-* **G-BFS** — top-down frontier BFS.
+* **G-BFS** — direction-optimizing frontier BFS.
 * **G-CC**  — connected components by label propagation (on the
   symmetrized graph).
 * **G-SSSP** — frontier Bellman-Ford with real edge weights.
 * **G-BC**  — Brandes betweenness from sampled sources.
 
-``run()`` executes the real algorithm (validated against networkx in the
-test suite); ``trace()`` replays the same traversal as a line-address
-stream for the trace-layer profiler.
+Each kernel's trace is its traversal as a line-address stream for the
+trace-layer profiler: the Fig 9 edge sweep over every vertex for the
+dense rounds (G-PR, G-CC), over each frontier for the frontier
+algorithms.  G-BFS computes its real BFS levels (checked against
+networkx in the test suite) to get its frontiers, which G-BC reuses
+for its forward and backward sweeps; G-SSSP relaxes its random edge
+weights to get its frontier sequence.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
+from repro.workloads.base import CodeRegion, Workload
 from repro.workloads.graph.csr import CSRGraph
 from repro.workloads.graph.generate import friendster_mini
 
@@ -105,7 +109,7 @@ def _gather_batches(
 
 
 @dataclass
-class GeminiWorkload:
+class GeminiWorkload(Workload):
     """Base class for the five Gemini applications."""
 
     name: ClassVar[str] = "G-BASE"
@@ -131,51 +135,14 @@ class GeminiWorkload:
         amap.alloc("weights", max(g.n_edges, 1), 8)
         self._amap = amap
 
-    # Subclasses override:
-    def run(self) -> object:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _trace_batches(self, seed: int) -> list[AccessBatch]:  # pragma: no cover
-        raise NotImplementedError
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one execution."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)
-
 
 class GeminiPageRank(GeminiWorkload):
-    """G-PR: pull-mode PageRank with dangling-mass redistribution."""
+    """G-PR: pull-mode PageRank, ``iterations`` sweeps of every in-edge."""
 
     name = "G-PR"
     regions = (CodeRegion("pull_edge_loop", "pagerank.c", 63, 70),)
 
-    damping: float = 0.85
     iterations: int = 10
-
-    def run(self) -> np.ndarray:
-        """Return the PageRank vector after ``iterations`` rounds."""
-        g = self.graph
-        n = g.n_vertices
-        out_deg = g.out_degree().astype(np.float64)
-        in_csr = g.reversed()
-        rank = np.full(n, 1.0 / n)
-        dangling = out_deg == 0
-        for _ in range(self.iterations):
-            contrib_per_v = np.where(dangling, 0.0, rank / np.maximum(out_deg, 1))
-            contrib = contrib_per_v[in_csr.indices]
-            sums = np.zeros(n)
-            nonempty = np.flatnonzero(np.diff(in_csr.indptr) > 0)
-            if len(nonempty):
-                sums[nonempty] = np.add.reduceat(
-                    contrib, in_csr.indptr[nonempty]
-                )
-            dangling_mass = rank[dangling].sum() / n
-            rank = (1 - self.damping) / n + self.damping * (sums + dangling_mass)
-        return rank
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         in_csr = self.graph.reversed()
@@ -199,8 +166,8 @@ class GeminiBFS(GeminiWorkload):
     unvisited vertex scans its in-edges for a visited parent) — the
     Beamer-style optimization its near-linear scalability relies on.
     The switch triggers when the frontier exceeds ``dense_threshold``
-    of the vertices.  Both modes produce identical levels (tested), and
-    :attr:`mode_history` records the decision per depth.
+    of the vertices, and :attr:`mode_history` records the decision per
+    depth.  The trace sweeps each level's frontier.
     """
 
     name = "G-BFS"
@@ -209,8 +176,8 @@ class GeminiBFS(GeminiWorkload):
     root: int = 0
     dense_threshold: float = 0.05
 
-    def run(self) -> np.ndarray:
-        """Return per-vertex BFS level (-1 = unreachable)."""
+    def _levels(self) -> np.ndarray:
+        """Per-vertex BFS level from ``root`` (-1 = unreachable)."""
         g = self.graph
         rev = g.reversed()
         n = g.n_vertices
@@ -246,26 +213,8 @@ class GeminiBFS(GeminiWorkload):
             frontier = np.array(sorted(set(nxt)), dtype=np.int64)
         return level
 
-    def run_topdown_only(self) -> np.ndarray:
-        """Classic top-down BFS (reference for the dual-mode tests)."""
-        g = self.graph
-        level = np.full(g.n_vertices, -1, dtype=np.int64)
-        level[self.root] = 0
-        frontier = np.array([self.root], dtype=np.int64)
-        depth = 0
-        while len(frontier):
-            depth += 1
-            nxt: list[int] = []
-            for u in frontier:
-                for v in g.neighbours(int(u)):
-                    if level[v] < 0:
-                        level[v] = depth
-                        nxt.append(int(v))
-            frontier = np.array(sorted(set(nxt)), dtype=np.int64)
-        return level
-
     def _frontiers(self) -> list[np.ndarray]:
-        levels = self.run()
+        levels = self._levels()
         return [
             np.flatnonzero(levels == d).astype(np.int64)
             for d in range(int(levels.max()) + 1)
@@ -290,40 +239,8 @@ class GeminiCC(GeminiWorkload):
     name = "G-CC"
     regions = (CodeRegion("label_propagate", "cc.c", 64, 72),)
 
-    max_rounds: int = 64
-
-    def _sym(self) -> CSRGraph:
-        g = self.graph
-        from repro.workloads.graph.csr import _expand_src
-        from repro.workloads.graph.generate import EdgeList
-
-        src = _expand_src(g)
-        both = EdgeList(
-            g.n_vertices,
-            np.concatenate([src, g.indices]),
-            np.concatenate([g.indices, src]),
-        )
-        return CSRGraph.from_edges(both, sort_neighbours=False)
-
-    def run(self) -> np.ndarray:
-        """Return per-vertex component labels (min vertex id in comp)."""
-        sym = self._sym()
-        labels = np.arange(sym.n_vertices, dtype=np.int64)
-        for _ in range(self.max_rounds):
-            neigh_lab = labels[sym.indices]
-            mins = labels.copy()
-            nonempty = np.flatnonzero(np.diff(sym.indptr) > 0)
-            if len(nonempty):
-                reduced = np.minimum.reduceat(neigh_lab, sym.indptr[nonempty])
-                mins[nonempty] = np.minimum(mins[nonempty], reduced)
-            if np.array_equal(mins, labels):
-                break
-            labels = mins
-        return labels
-
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
-        sym = self._sym()
-        vertices = np.arange(sym.n_vertices, dtype=np.int64)
+        vertices = np.arange(self.graph.n_vertices, dtype=np.int64)
         # Label propagation converges quickly; trace the active rounds.
         rounds = 6
         out: list[AccessBatch] = []
@@ -348,27 +265,8 @@ class GeminiSSSP(GeminiWorkload):
     def _weighted(self) -> CSRGraph:
         return self.graph.with_random_weights(seed=self.seed)
 
-    def run(self) -> np.ndarray:
-        """Return shortest distances from ``root`` (inf = unreachable)."""
-        g = self._weighted()
-        dist = np.full(g.n_vertices, np.inf)
-        dist[self.root] = 0.0
-        frontier = np.array([self.root], dtype=np.int64)
-        while len(frontier):
-            changed: list[int] = []
-            for u in frontier:
-                lo, hi = g.indptr[u], g.indptr[u + 1]
-                for k in range(lo, hi):
-                    v = int(g.indices[k])
-                    nd = dist[u] + g.weights[k]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        changed.append(v)
-            frontier = np.array(sorted(set(changed)), dtype=np.int64)
-        return dist
-
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
-        # Replay the frontier sequence of the real run.
+        # Relax the edge weights to replay their frontier sequence.
         g = self._weighted()
         dist = np.full(g.n_vertices, np.inf)
         dist[self.root] = 0.0
@@ -401,45 +299,6 @@ class GeminiBC(GeminiWorkload):
     regions = (CodeRegion("dependency_accum", "bc.c", 76, 88),)
 
     n_sources: int = 4
-
-    def run(self) -> np.ndarray:
-        """Return (partial) betweenness scores accumulated over sources."""
-        g = self.graph
-        n = g.n_vertices
-        bc = np.zeros(n)
-        sources = range(min(self.n_sources, n))
-        for s in sources:
-            # Forward phase: BFS orders, path counts sigma.
-            sigma = np.zeros(n)
-            sigma[s] = 1.0
-            dist = np.full(n, -1, dtype=np.int64)
-            dist[s] = 0
-            order: list[int] = []
-            frontier = [s]
-            d = 0
-            while frontier:
-                order.extend(frontier)
-                nxt: list[int] = []
-                d += 1
-                for u in frontier:
-                    for v in g.neighbours(u):
-                        v = int(v)
-                        if dist[v] < 0:
-                            dist[v] = d
-                            nxt.append(v)
-                        if dist[v] == d:
-                            sigma[v] += sigma[u]
-                frontier = sorted(set(nxt))
-            # Backward phase: dependency accumulation.
-            delta = np.zeros(n)
-            for u in reversed(order):
-                for v in g.neighbours(u):
-                    v = int(v)
-                    if dist[v] == dist[u] + 1 and sigma[v] > 0:
-                        delta[u] += sigma[u] / sigma[v] * (1.0 + delta[v])
-                if u != s:
-                    bc[u] += delta[u]
-        return bc
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         out: list[AccessBatch] = []

@@ -6,11 +6,14 @@ paper profiles P-PR's ``gather`` function (its Fig 10 listing,
 ``pagerank.c:63-66``) as the contentious region: it loads every in-edge
 source's data — a massive irregular gather.
 
-We implement a synchronous GAS engine over CSR and the three
-applications the paper uses.  P-SSSP deliberately runs with *identical
-edge weights*, reproducing the paper's observation that this unrealistic
-assumption causes its poor scalability (every superstep re-relaxes the
-whole edge set while the frontier advances one hop at a time).
+Each application's trace is one full in-edge gather sweep per
+superstep.  P-PR runs a fixed number of supersteps; P-SSSP and P-CC run
+their real vertex programs on a synchronous GAS engine to count the
+supersteps to their fixed point.  P-SSSP deliberately runs with
+*identical edge weights*, reproducing the paper's observation that this
+unrealistic assumption causes its poor scalability (every superstep
+re-relaxes the whole edge set while the frontier advances one hop at a
+time).
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
+from repro.workloads.base import CodeRegion, Workload
 from repro.workloads.graph.csr import CSRGraph, _expand_src
 from repro.workloads.graph.gemini import _gather_batches
 from repro.workloads.graph.generate import EdgeList, friendster_mini
@@ -31,22 +34,20 @@ from repro.workloads.graph.generate import EdgeList, friendster_mini
 def gas_supersteps(
     in_csr: CSRGraph,
     init: np.ndarray,
-    gather_reduce: Callable[[np.ndarray, CSRGraph, np.ndarray], np.ndarray],
+    gather_reduce: Callable[[np.ndarray, CSRGraph], np.ndarray],
     apply_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *,
     max_iters: int,
-    until_fixpoint: bool = False,
 ) -> tuple[np.ndarray, int]:
-    """Run synchronous GAS supersteps.
+    """Run synchronous GAS supersteps until the data stops changing.
 
     Args:
         in_csr: In-edge CSR (gather direction).
         init: Initial per-vertex data.
-        gather_reduce: (data, in_csr, edge order) -> per-vertex
-            accumulated gather value.
+        gather_reduce: (data, in_csr) -> per-vertex accumulated gather
+            value.
         apply_fn: (old data, accumulated) -> new data.
         max_iters: Superstep budget.
-        until_fixpoint: Stop early once data stops changing.
 
     Returns:
         (final data, supersteps executed).
@@ -54,11 +55,9 @@ def gas_supersteps(
     data = init.copy()
     steps = 0
     for _ in range(max_iters):
-        acc = gather_reduce(data, in_csr, in_csr.indices)
-        new = apply_fn(data, acc)
+        new = apply_fn(data, gather_reduce(data, in_csr))
         steps += 1
-        if until_fixpoint and np.array_equal(new, data):
-            data = new
+        if np.array_equal(new, data):
             break
         data = new
     return data, steps
@@ -77,7 +76,7 @@ def _segment_reduce(
 
 
 @dataclass
-class PowerGraphWorkload:
+class PowerGraphWorkload(Workload):
     """Base class for the three PowerGraph applications."""
 
     name: ClassVar[str] = "P-BASE"
@@ -106,9 +105,6 @@ class PowerGraphWorkload:
         amap.alloc("edge_data", max(2 * g.n_edges, 1), 8)
         self._amap = amap
 
-    def run(self) -> object:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _superstep_count(self) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -125,14 +121,6 @@ class PowerGraphWorkload:
             )
         return out
 
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one execution."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)
-
 
 class PowerGraphPageRank(PowerGraphWorkload):
     """P-PR: GAS PageRank; the `gather` region is the paper's Fig 10."""
@@ -140,30 +128,7 @@ class PowerGraphPageRank(PowerGraphWorkload):
     name = "P-PR"
     regions = (CodeRegion("gather", "pagerank.c", 63, 66),)
 
-    damping: float = 0.85
     iterations: int = 10
-
-    def run(self) -> np.ndarray:
-        """PageRank vector via GAS supersteps."""
-        g = self.graph
-        n = g.n_vertices
-        out_deg = g.out_degree().astype(np.float64)
-        dangling = out_deg == 0
-
-        def gather_reduce(data, in_csr, order):
-            # gather(edge) = edge.source().data() / edge.source().num_out_edges()
-            contrib_v = np.where(dangling, 0.0, data / np.maximum(out_deg, 1.0))
-            return _segment_reduce(contrib_v[in_csr.indices], in_csr.indptr, np.add, 0.0)
-
-        def apply_fn(old, acc):
-            dangling_mass = old[dangling].sum() / n
-            return (1 - self.damping) / n + self.damping * (acc + dangling_mass)
-
-        data, _ = gas_supersteps(
-            self._in_csr, np.full(n, 1.0 / n), gather_reduce, apply_fn,
-            max_iters=self.iterations,
-        )
-        return data
 
     def _superstep_count(self) -> int:
         return self.iterations
@@ -180,29 +145,23 @@ class PowerGraphSSSP(PowerGraphWorkload):
     root: int = 0
     max_iters: int = 128
 
-    def run(self) -> np.ndarray:
-        """Distances from ``root`` under unit weights (= hop counts)."""
+    def _supersteps(self) -> tuple[np.ndarray, int]:
+        """Distances from ``root`` under unit weights (= hop counts) and
+        the supersteps GAS runs to reach them."""
         n = self.graph.n_vertices
         init = np.full(n, np.inf)
         init[self.root] = 0.0
 
-        def gather_reduce(data, in_csr, order):
+        def gather_reduce(data, in_csr):
             cand = data[in_csr.indices] + 1.0  # identical weight = 1
             return _segment_reduce(cand, in_csr.indptr, np.minimum, np.inf)
 
-        def apply_fn(old, acc):
-            return np.minimum(old, acc)
-
-        data, self._steps = gas_supersteps(
-            self._in_csr, init, gather_reduce, apply_fn,
-            max_iters=self.max_iters, until_fixpoint=True,
+        return gas_supersteps(
+            self._in_csr, init, gather_reduce, np.minimum, max_iters=self.max_iters
         )
-        return data
 
     def _superstep_count(self) -> int:
-        if not hasattr(self, "_steps"):
-            self.run()
-        return self._steps
+        return self._supersteps()[1]
 
 
 class PowerGraphCC(PowerGraphWorkload):
@@ -223,27 +182,21 @@ class PowerGraphCC(PowerGraphWorkload):
         )
         self._in_csr = CSRGraph.from_edges(sym, sort_neighbours=False)
 
-    def run(self) -> np.ndarray:
-        """Component labels (min vertex id per component)."""
-        n = self.graph.n_vertices
-        init = np.arange(n, dtype=np.float64)
+    def _supersteps(self) -> tuple[np.ndarray, int]:
+        """Component labels (min vertex id per component) and the
+        supersteps GAS runs to reach them."""
+        init = np.arange(self.graph.n_vertices, dtype=np.float64)
 
-        def gather_reduce(data, in_csr, order):
+        def gather_reduce(data, in_csr):
             return _segment_reduce(data[in_csr.indices], in_csr.indptr, np.minimum, np.inf)
 
-        def apply_fn(old, acc):
-            return np.minimum(old, acc)
-
-        data, self._steps = gas_supersteps(
-            self._in_csr, init, gather_reduce, apply_fn,
-            max_iters=self.max_iters, until_fixpoint=True,
+        labels, steps = gas_supersteps(
+            self._in_csr, init, gather_reduce, np.minimum, max_iters=self.max_iters
         )
-        return data.astype(np.int64)
+        return labels.astype(np.int64), steps
 
     def _superstep_count(self) -> int:
-        if not hasattr(self, "_steps"):
-            self.run()
-        return self._steps
+        return self._supersteps()[1]
 
 
 def powergraph_workloads(scale: float = 1.0, seed: int = 7) -> dict[str, PowerGraphWorkload]:

@@ -1,37 +1,7 @@
 """HPC workloads (LLNL suite of Table I: lulesh, IRSmk, AMG2006)."""
 
-from repro.workloads.hpc.amg import (
-    AMG2006,
-    jacobi_smooth,
-    poisson_apply,
-    prolong_bilinear,
-    restrict_full_weighting,
-    v_cycle,
-)
-from repro.workloads.hpc.irsmk import (
-    OFFSETS,
-    IRSmk,
-    irsmk_matmul,
-    irsmk_matmul_reference,
-)
-from repro.workloads.hpc.lulesh import (
-    Lulesh,
-    lax_friedrichs_step,
-    sedov_initial_state,
-)
+from repro.workloads.hpc.amg import AMG2006
+from repro.workloads.hpc.irsmk import IRSmk
+from repro.workloads.hpc.lulesh import Lulesh
 
-__all__ = [
-    "AMG2006",
-    "IRSmk",
-    "Lulesh",
-    "OFFSETS",
-    "irsmk_matmul",
-    "irsmk_matmul_reference",
-    "jacobi_smooth",
-    "lax_friedrichs_step",
-    "poisson_apply",
-    "prolong_bilinear",
-    "restrict_full_weighting",
-    "sedov_initial_state",
-    "v_cycle",
-]
+__all__ = ["AMG2006", "IRSmk", "Lulesh"]

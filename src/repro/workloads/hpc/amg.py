@@ -1,21 +1,20 @@
 """AMG2006: the LLNL parallel algebraic multigrid solver.
 
-A real geometric-multigrid Poisson solver with AMG2006's three-phase
-structure that the paper calls out (Sections IV-A, V-A):
+The trace follows AMG2006's three-phase structure that the paper calls
+out (Sections IV-A, V-A) on a ``(2^k + 1)^2`` grid:
 
 1. **setup phase 1** (serial): fine-grid operator and right-hand side
-   construction;
-2. **setup phase 2** (serial): coarse-grid hierarchy construction;
-3. **solve phase** (parallel): V-cycle iterations — weighted-Jacobi
-   smoothing, full-weighting restriction, bilinear prolongation — with
-   intensive, regular memory traffic.
+   construction — one sequential pass;
+2. **setup phase 2** (serial): coarse-grid hierarchy construction —
+   one pass over the hierarchy;
+3. **solve phase** (parallel): V-cycle iterations — repeated full-grid
+   smoothing and residual sweeps with intensive, regular memory
+   traffic.
 
 Because only the last phase parallelizes and it is bandwidth-hungry,
 AMG2006 lands in the paper's Low-scalability class while still showing
 a short high-bandwidth burst (its "exception" behaviour as an offender
 in Fig 5's discussion).
-
-The solver itself is validated against ``scipy.sparse`` direct solves.
 """
 
 from __future__ import annotations
@@ -25,79 +24,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-
-
-def poisson_apply(x: np.ndarray, h: float) -> np.ndarray:
-    """Matrix-free 5-point Laplacian (Dirichlet) on an (n, n) grid."""
-    out = np.zeros_like(x)
-    out[1:-1, 1:-1] = (
-        4.0 * x[1:-1, 1:-1]
-        - x[:-2, 1:-1]
-        - x[2:, 1:-1]
-        - x[1:-1, :-2]
-        - x[1:-1, 2:]
-    ) / (h * h)
-    return out
-
-
-def jacobi_smooth(x: np.ndarray, b: np.ndarray, h: float, *, iters: int, omega: float = 0.8) -> np.ndarray:
-    """Weighted-Jacobi smoothing for the 5-point Poisson operator."""
-    diag = 4.0 / (h * h)
-    for _ in range(iters):
-        r = b - poisson_apply(x, h)
-        x = x + omega * r / diag
-    return x
-
-
-def restrict_full_weighting(fine: np.ndarray) -> np.ndarray:
-    """Full-weighting restriction to the (n//2+1)-point coarse grid."""
-    n = fine.shape[0]
-    if (n - 1) % 2:
-        raise WorkloadError("grid must have 2^k+1 points per side")
-    nc = (n - 1) // 2 + 1
-    coarse = np.zeros((nc, nc))
-    f = fine
-    coarse[1:-1, 1:-1] = (
-        4 * f[2:-2:2, 2:-2:2]
-        + 2 * (f[1:-3:2, 2:-2:2] + f[3:-1:2, 2:-2:2] + f[2:-2:2, 1:-3:2] + f[2:-2:2, 3:-1:2])
-        + (f[1:-3:2, 1:-3:2] + f[1:-3:2, 3:-1:2] + f[3:-1:2, 1:-3:2] + f[3:-1:2, 3:-1:2])
-    ) / 16.0
-    return coarse
-
-
-def prolong_bilinear(coarse: np.ndarray, n_fine: int) -> np.ndarray:
-    """Bilinear interpolation back to the fine grid."""
-    fine = np.zeros((n_fine, n_fine))
-    fine[::2, ::2] = coarse
-    fine[1::2, ::2] = 0.5 * (coarse[:-1, :] + coarse[1:, :])
-    fine[::2, 1::2] = 0.5 * (coarse[:, :-1] + coarse[:, 1:])
-    fine[1::2, 1::2] = 0.25 * (
-        coarse[:-1, :-1] + coarse[1:, :-1] + coarse[:-1, 1:] + coarse[1:, 1:]
-    )
-    return fine
-
-
-def v_cycle(x: np.ndarray, b: np.ndarray, h: float, *, pre: int = 2, post: int = 2) -> np.ndarray:
-    """One recursive V-cycle on the (n, n) grid (n = 2^k + 1)."""
-    n = x.shape[0]
-    if n <= 5:
-        return jacobi_smooth(x, b, h, iters=60)
-    x = jacobi_smooth(x, b, h, iters=pre)
-    r = b - poisson_apply(x, h)
-    rc = restrict_full_weighting(r)
-    ec = v_cycle(np.zeros_like(rc), rc, 2 * h, pre=pre, post=post)
-    x = x + prolong_bilinear(ec, n)
-    x[0, :] = x[-1, :] = 0.0
-    x[:, 0] = x[:, -1] = 0.0
-    return jacobi_smooth(x, b, h, iters=post)
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class AMG2006:
+class AMG2006(Workload):
     """Multigrid Poisson solve with AMG2006's three-phase shape."""
 
     name: ClassVar[str] = "AMG2006"
@@ -110,7 +43,6 @@ class AMG2006:
 
     k: int = 6  # grid = (2^k + 1)^2
     cycles: int = 6
-    seed: int = 9
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -122,28 +54,6 @@ class AMG2006:
         amap.alloc("residual", pts, 8)
         amap.alloc("hierarchy", 2 * pts, 8)
         self._amap = amap
-
-    def _problem(self) -> tuple[np.ndarray, float]:
-        """Phase 1: build the fine-grid RHS (smooth manufactured source)."""
-        n = self.n
-        h = 1.0 / (n - 1)
-        xs = np.linspace(0, 1, n)
-        xx, yy = np.meshgrid(xs, xs, indexing="ij")
-        b = np.sin(np.pi * xx) * np.sin(np.pi * yy)
-        b[0, :] = b[-1, :] = b[:, 0] = b[:, -1] = 0.0
-        return b, h
-
-    def run(self) -> dict[str, float]:
-        """Solve; returns initial/final residual norms and the count of
-        V-cycles (the reduction factor is the test's contract)."""
-        b, h = self._problem()
-        x = np.zeros_like(b)
-        r0 = float(np.linalg.norm(b - poisson_apply(x, h)))
-        for _ in range(self.cycles):
-            x = v_cycle(x, b, h)
-        rN = float(np.linalg.norm(b - poisson_apply(x, h)))
-        self._solution = x
-        return {"initial_residual": r0, "final_residual": rN, "cycles": float(self.cycles)}
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         pts = self.n * self.n
@@ -175,11 +85,3 @@ class AMG2006:
                     )
                 )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

@@ -7,10 +7,7 @@ stencil point*.  That layout means ~29 simultaneous sequential streams
 (27 coefficient arrays + x + b) — the reason IRSmk consumes ~18 GB/s,
 is among the most prefetcher-sensitive codes in the paper (Fig 4),
 saturates after ~6 threads (Fig 2f) and is a chronic *offender*
-(Table III, Fig 5).
-
-``run()`` computes the real product (validated against an explicit
-triple-loop reference in the tests).
+(Table III, Fig 5).  The trace sweeps those streams once per matvec.
 """
 
 from __future__ import annotations
@@ -20,60 +17,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-
-#: The 27 stencil offsets in (dz, dy, dx) raster order.
-OFFSETS: tuple[tuple[int, int, int], ...] = tuple(
-    (dz, dy, dx) for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
-)
-
-
-def irsmk_matmul(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """27-point banded matvec: ``b = A(coef) @ x`` on the interior.
-
-    Args:
-        coef: (27, nz, ny, nx) per-point stencil coefficients.
-        x: (nz, ny, nx) input vector on the grid.
-
-    Returns:
-        (nz, ny, nx) output, zero on the boundary shell.
-    """
-    if coef.shape[0] != 27 or coef.shape[1:] != x.shape:
-        raise WorkloadError("coef must be (27, nz, ny, nx) matching x")
-    nz, ny, nx = x.shape
-    if min(nz, ny, nx) < 3:
-        raise WorkloadError("grid must be at least 3^3")
-    b = np.zeros_like(x)
-    inner = (slice(1, nz - 1), slice(1, ny - 1), slice(1, nx - 1))
-    for m, (dz, dy, dx) in enumerate(OFFSETS):
-        shifted = x[
-            1 + dz : nz - 1 + dz,
-            1 + dy : ny - 1 + dy,
-            1 + dx : nx - 1 + dx,
-        ]
-        b[inner] += coef[m][inner] * shifted
-    return b
-
-
-def irsmk_matmul_reference(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Explicit-loop reference implementation (tests only)."""
-    nz, ny, nx = x.shape
-    b = np.zeros_like(x)
-    for k in range(1, nz - 1):
-        for j in range(1, ny - 1):
-            for i in range(1, nx - 1):
-                acc = 0.0
-                for m, (dz, dy, dx) in enumerate(OFFSETS):
-                    acc += coef[m, k, j, i] * x[k + dz, j + dy, i + dx]
-                b[k, j, i] = acc
-    return b
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class IRSmk:
+class IRSmk(Workload):
     """Repeated 27-point matvec sweeps over a 3D grid."""
 
     name: ClassVar[str] = "IRSmk"
@@ -84,29 +34,15 @@ class IRSmk:
 
     n: int = 24
     sweeps: int = 4
-    seed: int = 8
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rng = np.random.default_rng(self.seed)
-        self.coef = rng.uniform(-1, 1, (27, self.n, self.n, self.n))
-        self.x = rng.uniform(-1, 1, (self.n, self.n, self.n))
         pts = self.n**3
         amap = AddressMap(base_line=1 << 33)
         amap.alloc("coef", 27 * pts, 8)
         amap.alloc("x", pts, 8)
         amap.alloc("b", pts, 8)
         self._amap = amap
-
-    def run(self) -> np.ndarray:
-        """Apply the operator ``sweeps`` times (b <- A x, x <- b/||b||)."""
-        x = self.x
-        b = x
-        for _ in range(self.sweeps):
-            b = irsmk_matmul(self.coef, x)
-            norm = np.abs(b).max()
-            x = b / norm if norm > 0 else b
-        return b
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         pts = self.n**3
@@ -135,11 +71,3 @@ class IRSmk:
                 )
             )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

@@ -1,14 +1,10 @@
 """LULESH: the Sedov-blast shock-hydrodynamics proxy app.
 
 LULESH solves the Sedov point-blast problem for one material on a 3D
-mesh.  We implement a genuine (if simplified) compressible-Euler solver
-with the same problem setup: an ideal-gas Lax-Friedrichs finite-volume
-scheme on a structured 3D grid, energy deposited at the corner cell,
-shock expanding outward.  The tests verify conservation of mass and the
-outward motion of the blast front — the physics LULESH exists to model.
-
-Memory behaviour: several full-grid field sweeps per timestep with
-neighbour reads (regular, prefetchable) and moderate FLOPs per point —
+mesh.  Each timestep makes several full-grid field sweeps: the state
+is read twice, and flux and scratch fields are written, with neighbour
+reads (regular, prefetchable) and moderate FLOPs per point.  The
+trace replays those sweeps for ``steps`` timesteps on an ``n``^3 grid;
 the paper measures good scalability (Fig 2f) and mid-range bandwidth.
 """
 
@@ -19,80 +15,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-
-GAMMA = 1.4
-
-
-def _flux(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Euler fluxes along each axis for state u = (rho, mx, my, mz, E)."""
-    rho = np.maximum(u[0], 1e-12)
-    vx, vy, vz = u[1] / rho, u[2] / rho, u[3] / rho
-    p = np.maximum((GAMMA - 1.0) * (u[4] - 0.5 * rho * (vx**2 + vy**2 + vz**2)), 1e-12)
-    fx = np.stack([u[1], u[1] * vx + p, u[2] * vx, u[3] * vx, (u[4] + p) * vx])
-    fy = np.stack([u[2], u[1] * vy, u[2] * vy + p, u[3] * vy, (u[4] + p) * vy])
-    fz = np.stack([u[3], u[1] * vz, u[2] * vz, u[3] * vz + p, (u[4] + p) * vz])
-    return fx, fy, fz
-
-
-def lax_friedrichs_step(u: np.ndarray, dt_dx: float) -> np.ndarray:
-    """One Lax-Friedrichs step with outflow boundaries.
-
-    ``u`` has shape (5, n, n, n); returns the advanced state.
-    """
-    if u.shape[0] != 5:
-        raise WorkloadError("state must have 5 conserved components")
-    if dt_dx <= 0 or dt_dx > 0.5:
-        raise WorkloadError("dt/dx must be in (0, 0.5] for stability")
-    fx, fy, fz = _flux(u)
-    new = u.copy()
-    c = (slice(None), slice(1, -1), slice(1, -1), slice(1, -1))
-
-    def sh(a, axis, d):
-        idx = [slice(None), slice(1, -1), slice(1, -1), slice(1, -1)]
-        idx[axis] = slice(1 + d, a.shape[axis] - 1 + d)
-        return a[tuple(idx)]
-
-    avg = (
-        sh(u, 1, 1) + sh(u, 1, -1)
-        + sh(u, 2, 1) + sh(u, 2, -1)
-        + sh(u, 3, 1) + sh(u, 3, -1)
-    ) / 6.0
-    div = (
-        (sh(fx, 1, 1) - sh(fx, 1, -1))
-        + (sh(fy, 2, 1) - sh(fy, 2, -1))
-        + (sh(fz, 3, 1) - sh(fz, 3, -1))
-    ) * (0.5 * dt_dx)
-    new[c] = avg - div
-    # Outflow: copy the adjacent interior cell into the boundary shell.
-    for axis in (1, 2, 3):
-        lo = [slice(None)] * 4
-        hi = [slice(None)] * 4
-        lo[axis], hi[axis] = 0, -1
-        lo_src, hi_src = list(lo), list(hi)
-        lo_src[axis], hi_src[axis] = 1, -2
-        new[tuple(lo)] = new[tuple(lo_src)]
-        new[tuple(hi)] = new[tuple(hi_src)]
-    return new
-
-
-def sedov_initial_state(n: int, blast_energy: float = 100.0) -> np.ndarray:
-    """Uniform cold gas with ``blast_energy`` deposited at the corner
-    cell — LULESH's standard Sedov setup (one octant symmetry)."""
-    if n < 4:
-        raise WorkloadError("grid must be at least 4^3")
-    u = np.zeros((5, n, n, n))
-    u[0] = 1.0  # density
-    u[4] = 1e-3  # background internal energy
-    u[4, 1, 1, 1] = blast_energy
-    return u
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class Lulesh:
+class Lulesh(Workload):
     """Sedov blast on an ``n``^3 grid for ``steps`` timesteps."""
 
     name: ClassVar[str] = "lulesh"
@@ -104,7 +33,6 @@ class Lulesh:
 
     n: int = 24
     steps: int = 12
-    dt_dx: float = 0.1
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -114,27 +42,6 @@ class Lulesh:
         amap.alloc("flux", 5 * pts, 8)
         amap.alloc("scratch", 5 * pts, 8)
         self._amap = amap
-
-    def run(self) -> np.ndarray:
-        """Advance the Sedov problem; returns the final state."""
-        u = sedov_initial_state(self.n)
-        for _ in range(self.steps):
-            u = lax_friedrichs_step(u, self.dt_dx)
-        return u
-
-    @staticmethod
-    def blast_radius(u: np.ndarray) -> float:
-        """Excess-energy-weighted mean distance (in cells) from the
-        blast corner — grows as the shock expands."""
-        background = float(np.median(u[4]))
-        w = np.maximum(u[4] - background, 0.0)
-        total = w.sum()
-        if total <= 0:
-            return 0.0
-        n = u.shape[1]
-        zz, yy, xx = np.meshgrid(*[np.arange(n)] * 3, indexing="ij")
-        r = np.sqrt(zz**2 + yy**2 + xx**2)
-        return float((w * r).sum() / total)
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         pts = self.n**3
@@ -155,11 +62,3 @@ class Lulesh:
                     )
                 )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

@@ -15,17 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-import numpy as np
-
 from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.trace.synth import conflict_chase
-from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class Bandit:
+class Bandit(Workload):
     """Same-set conflict chase sized against a target LLC geometry."""
 
     name: ClassVar[str] = "Bandit"
@@ -37,34 +34,17 @@ class Bandit:
     #: LLC set count of the target machine (Xeon E5-4650 LLC: 16384).
     llc_sets: int = 16384
     n_accesses: int = 200_000
-    seed: int = 15
 
     def __post_init__(self) -> None:
         if self.llc_sets <= 0 or self.n_accesses <= 0:
             raise WorkloadError("llc_sets and n_accesses must be positive")
-        # One line per access, all in set 0 of the LLC: the footprint
-        # that matters (LLC occupancy) is a single set's worth of lines.
-        self._amap = AddressMap(base_line=0)
-
-    def run(self) -> int:
-        """Execute the chase arithmetic (checksum of touched offsets)."""
-        # The real Bandit reads memory; the computation is trivially a
-        # running XOR so the loop cannot be optimized away.
-        offsets = (np.arange(self.n_accesses, dtype=np.int64) * self.llc_sets)
-        return int(np.bitwise_xor.reduce(offsets % (1 << 31)))
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
+        # One line per access, all in set 0 of the LLC: the footprint
+        # that matters (LLC occupancy) is a single set's worth of lines.
         return list(
             conflict_chase(
                 self.n_accesses, n_sets=self.llc_sets,
                 ip=1040, instructions_per_access=1.2, region=0, seed=seed,
             )
         )
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

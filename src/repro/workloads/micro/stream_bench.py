@@ -16,13 +16,13 @@ from typing import ClassVar
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class StreamBench:
+class StreamBench(Workload):
     """STREAM's four kernels over ``n_elems`` float64 per array."""
 
     name: ClassVar[str] = "Stream"
@@ -33,7 +33,6 @@ class StreamBench:
 
     n_elems: int = 1 << 18
     repetitions: int = 2
-    scalar: float = 3.0
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -44,34 +43,6 @@ class StreamBench:
         amap.alloc("b", self.n_elems, 8)
         amap.alloc("c", self.n_elems, 8)
         self._amap = amap
-
-    def run(self) -> dict[str, float]:
-        """Execute copy/scale/add/triad; returns checksums per kernel."""
-        a = np.arange(self.n_elems, dtype=np.float64)
-        b = np.full(self.n_elems, 2.0)
-        c = np.zeros(self.n_elems)
-        for _ in range(self.repetitions):
-            c[:] = a                      # copy
-            b[:] = self.scalar * c        # scale
-            c[:] = a + b                  # add
-            a[:] = b + self.scalar * c    # triad
-        return {
-            "copy": float(c.sum()),
-            "scale": float(b.sum()),
-            "triad": float(a.sum()),
-        }
-
-    def expected_triad(self) -> float:
-        """Closed-form checksum of the triad result (test contract)."""
-        a = np.arange(self.n_elems, dtype=np.float64)
-        b = np.full(self.n_elems, 2.0)
-        c = np.zeros(self.n_elems)
-        for _ in range(self.repetitions):
-            c = a.copy()
-            b = self.scalar * c
-            c = a + b
-            a = b + self.scalar * c
-        return float(a.sum())
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         idx = np.arange(0, self.n_elems, 8, dtype=np.int64)
@@ -99,11 +70,3 @@ class StreamBench:
                         )
                     )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

@@ -1,25 +1,9 @@
 """PARSEC workloads (Table I: blackscholes, freqmine, swaptions,
 streamcluster)."""
 
-from repro.workloads.parsec.blackscholes import BlackScholes, bs_price
-from repro.workloads.parsec.freqmine import (
-    FreqMine,
-    bruteforce_itemsets,
-    build_fp_tree,
-    fp_growth,
-)
-from repro.workloads.parsec.streamcluster import StreamCluster, assign_cost
-from repro.workloads.parsec.swaptions import Swaptions, vasicek_zcb_price
+from repro.workloads.parsec.blackscholes import BlackScholes
+from repro.workloads.parsec.freqmine import FreqMine
+from repro.workloads.parsec.streamcluster import StreamCluster
+from repro.workloads.parsec.swaptions import Swaptions
 
-__all__ = [
-    "BlackScholes",
-    "FreqMine",
-    "StreamCluster",
-    "Swaptions",
-    "assign_cost",
-    "bruteforce_itemsets",
-    "bs_price",
-    "build_fp_tree",
-    "fp_growth",
-    "vasicek_zcb_price",
-]
+__all__ = ["BlackScholes", "FreqMine", "StreamCluster", "Swaptions"]

@@ -1,11 +1,12 @@
 """PARSEC blackscholes: analytic European option pricing.
 
-Prices a portfolio of options with the closed-form Black-Scholes
-formula — the PARSEC benchmark's exact computation.  It is the
-archetypal *harmless* co-runner in the paper: hundreds of FLOPs per
-touched cache line, tiny working set, negligible bandwidth; neither a
-victim nor an offender in any pairing (Fig 5's near-all-1.0 row and
-column).
+The benchmark prices a portfolio of options with the closed-form
+Black-Scholes formula; the trace is its access stream: one sequential
+read of the six input arrays and one write of the prices per sweep,
+with ~45 instructions per touched line.  It is the archetypal
+*harmless* co-runner in the paper: hundreds of FLOPs per touched cache
+line, tiny working set, negligible bandwidth; neither a victim nor an
+offender in any pairing (Fig 5's near-all-1.0 row and column).
 """
 
 from __future__ import annotations
@@ -14,36 +15,14 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import ndtr
 
-from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-
-
-def bs_price(
-    spot: np.ndarray,
-    strike: np.ndarray,
-    rate: np.ndarray,
-    vol: np.ndarray,
-    expiry: np.ndarray,
-    is_call: np.ndarray,
-) -> np.ndarray:
-    """Vectorized Black-Scholes price for calls and puts."""
-    if np.any(vol <= 0) or np.any(expiry <= 0) or np.any(spot <= 0) or np.any(strike <= 0):
-        raise WorkloadError("spot/strike/vol/expiry must be positive")
-    sq = vol * np.sqrt(expiry)
-    d1 = (np.log(spot / strike) + (rate + 0.5 * vol * vol) * expiry) / sq
-    d2 = d1 - sq
-    disc = strike * np.exp(-rate * expiry)
-    call = spot * ndtr(d1) - disc * ndtr(d2)
-    put = disc * ndtr(-d2) - spot * ndtr(-d1)
-    return np.where(is_call, call, put)
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class BlackScholes:
+class BlackScholes(Workload):
     """Price ``n_options`` synthetic options, ``sweeps`` times over."""
 
     name: ClassVar[str] = "blackscholes"
@@ -54,32 +33,14 @@ class BlackScholes:
 
     n_options: int = 4096
     sweeps: int = 4
-    seed: int = 3
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rng = np.random.default_rng(self.seed)
         n = self.n_options
-        self._spot = rng.uniform(20, 120, n)
-        self._strike = rng.uniform(20, 120, n)
-        self._rate = rng.uniform(0.01, 0.06, n)
-        self._vol = rng.uniform(0.1, 0.6, n)
-        self._expiry = rng.uniform(0.1, 2.0, n)
-        self._is_call = rng.random(n) < 0.5
         amap = AddressMap(base_line=1 << 29)
         amap.alloc("inputs", 6 * n, 8)
         amap.alloc("prices", n, 8)
         self._amap = amap
-
-    def run(self) -> np.ndarray:
-        """Price the whole portfolio ``sweeps`` times; returns prices."""
-        prices = None
-        for _ in range(self.sweeps):
-            prices = bs_price(
-                self._spot, self._strike, self._rate,
-                self._vol, self._expiry, self._is_call,
-            )
-        return prices
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         n = self.n_options
@@ -107,11 +68,3 @@ class BlackScholes:
                 )
             )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

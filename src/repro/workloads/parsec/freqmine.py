@@ -1,9 +1,10 @@
 """PARSEC freqmine: frequent-itemset mining with FP-growth.
 
-A real FP-growth implementation: build the FP-tree over a synthetic
-transaction database, then mine all itemsets above the support
-threshold by recursive conditional-tree projection.  The test suite
-validates the result against brute-force itemset counting.
+The benchmark builds an FP-tree over a transaction database, then mines
+every itemset above the support threshold by recursive
+conditional-tree projection.  The trace is that run's access stream: a
+sequential scan of the transactions, then Zipf-skewed pointer chasing
+over the tree nodes.
 
 Memory behaviour: FP-tree construction and projection chase parent/
 child node links — irregular but over a modest footprint; the paper
@@ -12,103 +13,19 @@ measures low bandwidth and near-linear scalability for freqmine.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-
-
-class _FPNode:
-    """FP-tree node: item id, count, parent link, children map."""
-
-    __slots__ = ("item", "count", "parent", "children")
-
-    def __init__(self, item: int, parent: "_FPNode | None") -> None:
-        self.item = item
-        self.count = 0
-        self.parent = parent
-        self.children: dict[int, _FPNode] = {}
-
-
-def build_fp_tree(
-    transactions: list[list[int]], min_support: int
-) -> tuple[_FPNode, dict[int, list[_FPNode]], list[int]]:
-    """Build an FP-tree; returns (root, header table, frequent items)."""
-    counts = Counter(item for t in transactions for item in set(t))
-    frequent = [i for i, c in counts.items() if c >= min_support]
-    # Order by descending support (FP-growth's canonical item order).
-    frequent.sort(key=lambda i: (-counts[i], i))
-    rank = {item: r for r, item in enumerate(frequent)}
-    root = _FPNode(-1, None)
-    header: dict[int, list[_FPNode]] = defaultdict(list)
-    for t in transactions:
-        items = sorted({i for i in t if i in rank}, key=lambda i: rank[i])
-        node = root
-        for item in items:
-            child = node.children.get(item)
-            if child is None:
-                child = _FPNode(item, node)
-                node.children[item] = child
-                header[item].append(child)
-            child.count += 1
-            node = child
-    return root, header, frequent
-
-
-def fp_growth(transactions: list[list[int]], min_support: int) -> dict[frozenset, int]:
-    """All itemsets with support >= ``min_support`` and their counts."""
-    if min_support <= 0:
-        raise WorkloadError("min_support must be positive")
-    out: dict[frozenset, int] = {}
-
-    def mine(trans: list[tuple[list[int], int]], suffix: frozenset) -> None:
-        counts: Counter = Counter()
-        for items, mult in trans:
-            for i in set(items):
-                counts[i] += mult
-        for item, cnt in sorted(counts.items()):
-            if cnt < min_support:
-                continue
-            itemset = suffix | {item}
-            out[itemset] = cnt
-            # Conditional pattern base for this item.
-            cond: list[tuple[list[int], int]] = []
-            for items, mult in trans:
-                if item in items:
-                    prefix = [i for i in items if i != item and counts[i] >= min_support and i < item]
-                    if prefix:
-                        cond.append((prefix, mult))
-            if cond:
-                mine(cond, itemset)
-
-    mine([(list(t), 1) for t in transactions], frozenset())
-    return out
-
-
-def bruteforce_itemsets(
-    transactions: list[list[int]], min_support: int, max_size: int = 4
-) -> dict[frozenset, int]:
-    """Reference: count every itemset up to ``max_size`` (tests only)."""
-    from itertools import combinations
-
-    counts: Counter = Counter()
-    for t in transactions:
-        uniq = sorted(set(t))
-        for k in range(1, min(len(uniq), max_size) + 1):
-            for combo in combinations(uniq, k):
-                counts[frozenset(combo)] += 1
-    return {s: c for s, c in counts.items() if c >= min_support}
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class FreqMine:
-    """FP-growth over a synthetic Zipf-distributed transaction DB."""
+class FreqMine(Workload):
+    """FP-growth over ``n_transactions`` transactions of ``avg_len`` items."""
 
     name: ClassVar[str] = "freqmine"
     suite: ClassVar[str] = "PARSEC"
@@ -117,28 +34,14 @@ class FreqMine:
     )
 
     n_transactions: int = 800
-    n_items: int = 60
     avg_len: int = 8
-    min_support: int = 40
-    seed: int = 5
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rng = np.random.default_rng(self.seed)
-        probs = 1.0 / np.arange(1, self.n_items + 1)
-        probs /= probs.sum()
-        self.transactions = [
-            list(np.unique(rng.choice(self.n_items, size=max(1, rng.poisson(self.avg_len)), p=probs)))
-            for _ in range(self.n_transactions)
-        ]
         amap = AddressMap(base_line=1 << 31)
         amap.alloc("tree_nodes", 8 * self.n_transactions * self.avg_len, 8)
         amap.alloc("transactions", self.n_transactions * self.avg_len, 8)
         self._amap = amap
-
-    def run(self) -> dict[frozenset, int]:
-        """Mine all frequent itemsets."""
-        return fp_growth(self.transactions, self.min_support)
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         rng = np.random.default_rng(seed)
@@ -163,11 +66,3 @@ class FreqMine:
                 )
             )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

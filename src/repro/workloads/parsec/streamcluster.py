@@ -7,9 +7,9 @@ Those repeated linear sweeps over a block much larger than the LLC are
 why streamcluster is the bandwidth hog of PARSEC (Fig 3) and strongly
 prefetcher-sensitive (Fig 4), saturating after 4 threads (Table II).
 
-We implement the same structure: chunked streaming, cost-based center
-opening, and a local-search refinement; the test suite checks
-clustering quality against a k-means++-style baseline.
+The trace has the same structure: per streamed block, four full-block
+sweeps (each with a read of the ``k`` centers) and one write of the
+block's assignments.
 """
 
 from __future__ import annotations
@@ -20,23 +20,14 @@ from typing import ClassVar
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-
-
-def assign_cost(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest-center assignment and total squared-distance cost."""
-    if len(centers) == 0:
-        raise WorkloadError("need at least one center")
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    idx = d2.argmin(axis=1)
-    return idx, float(d2[np.arange(len(points)), idx].sum())
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class StreamCluster:
-    """Online k-median over a synthetic Gaussian-mixture stream."""
+class StreamCluster(Workload):
+    """Online k-median over ``n_points`` points of ``dim`` floats."""
 
     name: ClassVar[str] = "streamcluster"
     suite: ClassVar[str] = "PARSEC"
@@ -48,58 +39,16 @@ class StreamCluster:
     dim: int = 16
     k: int = 8
     block: int = 1024
-    seed: int = 6
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k <= 0 or self.block <= 0:
             raise WorkloadError("k and block must be positive")
-        rng = np.random.default_rng(self.seed)
-        true_centers = rng.normal(0, 10, (self.k, self.dim))
-        labels = rng.integers(0, self.k, self.n_points)
-        self.points = true_centers[labels] + rng.normal(0, 1.0, (self.n_points, self.dim))
         amap = AddressMap(base_line=1 << 32)
         amap.alloc("block_points", self.block * self.dim, 8)
         amap.alloc("centers", self.k * self.dim, 8)
         amap.alloc("assign", self.block, 8)
         self._amap = amap
-
-    def run(self) -> tuple[np.ndarray, float]:
-        """Stream all points; returns (final centers, final cost)."""
-        rng = np.random.default_rng(self.seed + 1)
-        centers: list[np.ndarray] = []
-        for lo in range(0, self.n_points, self.block):
-            blk = self.points[lo : lo + self.block]
-            if not centers:
-                centers.append(blk[0].copy())
-            # Gain evaluation: consider random candidates, open when the
-            # cost reduction beats the opening cost (simplified pgain).
-            for _ in range(3):
-                _, cost = assign_cost(blk, np.array(centers))
-                cand = blk[rng.integers(0, len(blk))]
-                trial = np.array(centers + [cand])
-                _, trial_cost = assign_cost(blk, trial)
-                open_cost = cost / (2 * max(len(centers), 1))
-                if len(centers) < self.k and cost - trial_cost > open_cost:
-                    centers.append(cand.copy())
-            # Local refinement: move each center to the mean of its
-            # assigned points within the block.
-            arr = np.array(centers)
-            idx, _ = assign_cost(blk, arr)
-            for c in range(len(centers)):
-                mine = blk[idx == c]
-                if len(mine):
-                    centers[c] = mine.mean(axis=0)
-        final = np.array(centers)
-        _, cost = assign_cost(self.points, final)
-        return final, cost
-
-    def baseline_cost(self) -> float:
-        """Quality baseline: cost of k uniformly sampled centers."""
-        rng = np.random.default_rng(self.seed + 2)
-        centers = self.points[rng.choice(self.n_points, self.k, replace=False)]
-        _, cost = assign_cost(self.points, centers)
-        return cost
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         out: list[AccessBatch] = []
@@ -129,11 +78,3 @@ class StreamCluster:
                 )
             )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

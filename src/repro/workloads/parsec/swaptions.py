@@ -1,10 +1,9 @@
 """PARSEC swaptions: Monte-Carlo interest-rate derivative pricing.
 
-The original prices swaptions under the HJM framework; we implement a
-Vasicek short-rate Monte-Carlo pricer for zero-coupon-bond options —
-the same computational shape (per-path stochastic simulation, tiny
-per-path state, heavy math) with a closed-form reference the test suite
-validates against (Vasicek ZCB prices are analytic).
+The original prices swaptions under the HJM framework by per-path
+stochastic simulation: tiny per-path state, heavy math.  The trace is
+that shape: every time step updates each path's state (~30
+instructions per path), and a final pass writes the discount factors.
 
 Like blackscholes it is compute-dense and cache-resident: the paper
 finds it completely Harmony in every pairing.
@@ -18,25 +17,14 @@ from typing import ClassVar
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-
-
-def vasicek_zcb_price(r0: float, kappa: float, theta: float, sigma: float, t: float) -> float:
-    """Closed-form Vasicek zero-coupon bond price P(0, t)."""
-    if kappa <= 0 or sigma < 0 or t <= 0:
-        raise WorkloadError("kappa, t must be positive; sigma non-negative")
-    b = (1.0 - np.exp(-kappa * t)) / kappa
-    a = np.exp(
-        (theta - sigma**2 / (2 * kappa**2)) * (b - t) - sigma**2 * b**2 / (4 * kappa)
-    )
-    return float(a * np.exp(-b * r0))
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class Swaptions:
-    """Monte-Carlo Vasicek bond pricing over ``n_paths`` paths."""
+class Swaptions(Workload):
+    """Monte-Carlo path simulation over ``n_paths`` paths."""
 
     name: ClassVar[str] = "swaptions"
     suite: ClassVar[str] = "PARSEC"
@@ -46,12 +34,6 @@ class Swaptions:
 
     n_paths: int = 4000
     n_steps: int = 64
-    maturity: float = 2.0
-    r0: float = 0.03
-    kappa: float = 0.8
-    theta: float = 0.05
-    sigma: float = 0.015
-    seed: int = 4
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -62,24 +44,6 @@ class Swaptions:
         amap.alloc("discounts", self.n_paths, 8)
         amap.alloc("rng_state", 64, 8)
         self._amap = amap
-
-    def run(self) -> float:
-        """Monte-Carlo P(0, maturity); exact Euler scheme per step."""
-        rng = np.random.default_rng(self.seed)
-        dt = self.maturity / self.n_steps
-        r = np.full(self.n_paths, self.r0)
-        integral = np.zeros(self.n_paths)
-        ek = np.exp(-self.kappa * dt)
-        sd = self.sigma * np.sqrt((1 - ek**2) / (2 * self.kappa))
-        for _ in range(self.n_steps):
-            integral += r * dt  # trapezoid start
-            r = self.theta + (r - self.theta) * ek + sd * rng.standard_normal(self.n_paths)
-            integral += 0.0  # state update only; integral uses left rule
-        return float(np.exp(-integral).mean())
-
-    def reference_price(self) -> float:
-        """Closed-form Vasicek price the MC estimate must approach."""
-        return vasicek_zcb_price(self.r0, self.kappa, self.theta, self.sigma, self.maturity)
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         out: list[AccessBatch] = []
@@ -105,11 +69,3 @@ class Swaptions:
             )
         )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

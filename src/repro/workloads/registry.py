@@ -1,11 +1,11 @@
 """Workload registry: one place that knows every application.
 
-Maps each of the 27 names to (a) a factory for the real kernel
-implementation and (b) its calibrated engine profile, so experiments
-and examples can look workloads up uniformly:
+Maps each of the 27 names to (a) a factory for its kernel, the trace
+generator the trace profiler measures, and (b) its calibrated engine
+profile, so experiments and examples can look workloads up uniformly:
 
 >>> from repro.workloads.registry import get_workload, get_profile
->>> kernel = get_workload("G-PR")     # runnable algorithm + trace
+>>> kernel = get_workload("G-PR")     # trace generator
 >>> profile = get_profile("G-PR")     # analytic profile for the engine
 """
 
@@ -24,7 +24,7 @@ from repro.workloads.calibration import (
 )
 
 
-def _factories() -> dict[str, Callable[[], Workload]]:
+def _factories() -> dict[str, Callable[..., Workload]]:
     from repro.workloads.dl import ATIS, ConvNetCIFAR, ConvNetMNIST, LSTMAn4
     from repro.workloads.graph.gemini import (
         GeminiBC,
@@ -86,10 +86,10 @@ def _factories() -> dict[str, Callable[[], Workload]]:
     }
 
 
-_FACTORY_CACHE: dict[str, Callable[[], Workload]] | None = None
+_FACTORY_CACHE: dict[str, Callable[..., Workload]] | None = None
 
 
-def _factory_map() -> dict[str, Callable[[], Workload]]:
+def _factory_map() -> dict[str, Callable[..., Workload]]:
     global _FACTORY_CACHE
     if _FACTORY_CACHE is None:
         _FACTORY_CACHE = _factories()
@@ -115,7 +115,7 @@ def suite_of(name: str) -> str:
 
 
 def get_workload(name: str, **kwargs) -> Workload:
-    """Instantiate the real kernel for ``name`` (kwargs go to its
+    """Instantiate the kernel for ``name`` (kwargs go to its
     constructor, e.g. ``scale=`` for graph workloads)."""
     try:
         factory = _factory_map()[name]

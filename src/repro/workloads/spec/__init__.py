@@ -1,52 +1,11 @@
 """SPEC CPU2017 workloads (Table I: mcf, fotonik3d, deepsjeng, nab,
 xalancbmk, cactuBSSN)."""
 
-from repro.workloads.spec.cactubssn import CactuBSSN, bssn_rhs, deriv4
-from repro.workloads.spec.deepsjeng import (
-    DeepSjeng,
-    SearchStats,
-    alphabeta,
-    child_state,
-    leaf_value,
-    minimax,
-)
-from repro.workloads.spec.fotonik3d import Fotonik3D, field_energy, yee_step
-from repro.workloads.spec.mcf import (
-    MCF,
-    min_cost_max_flow,
-    random_transport_network,
-)
-from repro.workloads.spec.nab import Nab, build_cell_list, lj_energy_forces
-from repro.workloads.spec.xalancbmk import (
-    Rule,
-    Xalancbmk,
-    XmlNode,
-    generate_document,
-    transform,
-)
+from repro.workloads.spec.cactubssn import CactuBSSN
+from repro.workloads.spec.deepsjeng import DeepSjeng
+from repro.workloads.spec.fotonik3d import Fotonik3D
+from repro.workloads.spec.mcf import MCF
+from repro.workloads.spec.nab import Nab
+from repro.workloads.spec.xalancbmk import Xalancbmk
 
-__all__ = [
-    "CactuBSSN",
-    "DeepSjeng",
-    "Fotonik3D",
-    "MCF",
-    "Nab",
-    "Rule",
-    "SearchStats",
-    "Xalancbmk",
-    "XmlNode",
-    "alphabeta",
-    "bssn_rhs",
-    "build_cell_list",
-    "child_state",
-    "deriv4",
-    "field_energy",
-    "generate_document",
-    "leaf_value",
-    "lj_energy_forces",
-    "min_cost_max_flow",
-    "minimax",
-    "random_transport_network",
-    "transform",
-    "yee_step",
-]
+__all__ = ["CactuBSSN", "DeepSjeng", "Fotonik3D", "MCF", "Nab", "Xalancbmk"]

@@ -2,10 +2,10 @@
 
 cactuBSSN evolves Einstein's equations in the BSSN formulation — its
 kernels are high-order finite-difference stencils over ~25 3D grid
-functions with heavy pointwise algebra.  We implement the
-representative computation: 4th-order centred first/second derivatives
-over several coupled fields plus a nonlinear pointwise RHS combine,
-validated against an explicit-loop reference.
+functions with heavy pointwise algebra.  The trace is the
+representative computation: per timestep, a sweep over four coupled
+fields at ~60 instructions per point (4th-order derivative taps plus a
+nonlinear right-hand side), then a write of the right-hand side.
 
 Systems profile: regular sweeps like fotonik3d, but with far more FLOPs
 per point, so it is compute- rather than bandwidth-bound: near-linear
@@ -19,65 +19,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-
-#: 4th-order centred first-derivative coefficients for offsets -2..2.
-_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-#: 4th-order centred second-derivative coefficients for offsets -2..2.
-_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-
-
-def deriv4(f: np.ndarray, axis: int, h: float, *, order: int = 1) -> np.ndarray:
-    """4th-order centred derivative along ``axis`` (zero at boundary).
-
-    Args:
-        f: 3-D field.
-        axis: 0, 1 or 2.
-        h: Grid spacing.
-        order: 1 (first derivative) or 2 (second).
-    """
-    if order not in (1, 2):
-        raise WorkloadError("order must be 1 or 2")
-    if f.ndim != 3:
-        raise WorkloadError("field must be 3-D")
-    coeffs = _D1 if order == 1 else _D2
-    scale = h if order == 1 else h * h
-    out = np.zeros_like(f)
-    inner = [slice(2, -2)] * 3
-    acc = np.zeros_like(f[tuple(inner)])
-    for k, c in zip(range(-2, 3), coeffs):
-        if c == 0.0:
-            continue
-        idx = [slice(2, -2)] * 3
-        idx[axis] = slice(2 + k, f.shape[axis] - 2 + k)
-        acc += c * f[tuple(idx)]
-    out[tuple(inner)] = acc / scale
-    return out
-
-
-def bssn_rhs(fields: dict[str, np.ndarray], h: float) -> dict[str, np.ndarray]:
-    """A representative BSSN-like right-hand side.
-
-    phi' = K; K' = laplacian(phi) - K^2; gxx' = -2 K gxx + d_x(beta).
-    Not the full Einstein system, but the same computational structure:
-    several coupled fields, 4th-order derivatives, nonlinear couplings.
-    """
-    phi, k, gxx, beta = fields["phi"], fields["K"], fields["gxx"], fields["beta"]
-    lap_phi = sum(deriv4(phi, ax, h, order=2) for ax in range(3))
-    return {
-        "phi": k.copy(),
-        "K": lap_phi - k * k,
-        "gxx": -2.0 * k * gxx + deriv4(beta, 0, h),
-        "beta": 0.5 * deriv4(gxx, 0, h),
-    }
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class CactuBSSN:
-    """RK2 evolution of the BSSN-like system on an ``n``^3 grid."""
+class CactuBSSN(Workload):
+    """BSSN-like right-hand-side sweeps on an ``n``^3 grid."""
 
     name: ClassVar[str] = "cactuBSSN"
     suite: ClassVar[str] = "SPEC CPU2017"
@@ -87,8 +36,6 @@ class CactuBSSN:
 
     n: int = 20
     steps: int = 6
-    dt: float = 0.01
-    seed: int = 14
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -97,25 +44,6 @@ class CactuBSSN:
         for f in ("phi", "K", "gxx", "beta", "rhs"):
             amap.alloc(f, pts, 8)
         self._amap = amap
-
-    def run(self) -> dict[str, float]:
-        """Evolve; returns the max-norm of each field at the end."""
-        rng = np.random.default_rng(self.seed)
-        n = self.n
-        h = 1.0 / n
-        fields = {
-            "phi": rng.normal(0, 0.01, (n, n, n)),
-            "K": rng.normal(0, 0.01, (n, n, n)),
-            "gxx": 1.0 + rng.normal(0, 0.01, (n, n, n)),
-            "beta": rng.normal(0, 0.01, (n, n, n)),
-        }
-        for _ in range(self.steps):
-            k1 = bssn_rhs(fields, h)
-            mid = {f: fields[f] + 0.5 * self.dt * k1[f] for f in fields}
-            k2 = bssn_rhs(mid, h)
-            fields = {f: fields[f] + self.dt * k2[f] for f in fields}
-        self._fields = fields
-        return {f: float(np.abs(v).max()) for f, v in fields.items()}
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         pts = self.n**3
@@ -139,11 +67,3 @@ class CactuBSSN:
                 )
             )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

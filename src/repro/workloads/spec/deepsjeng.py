@@ -1,12 +1,10 @@
 """SPEC CPU2017 631.deepsjeng_s: game-tree search.
 
 deepsjeng is a chess engine dominated by alpha-beta search with a
-transposition table.  We implement negamax alpha-beta with a real
-transposition table over a synthetic deterministic game: states are
-64-bit hashes, each position offers ``branching`` moves, child states
-collide intentionally (transpositions), and leaf values derive from the
-state hash.  Tests prove alpha-beta returns exactly the minimax value
-and that the transposition table prunes work.
+transposition table.  The trace is that search's access stream from
+``n_roots`` root positions: random probes into a 100,003-entry
+transposition table and writes to a small board stack, with ~40
+instructions per probe (move generation, evaluation).
 
 Systems profile: tiny working set (TT lookups hit in cache), high IPC,
 near-zero bandwidth — a perfect Harmony citizen (Fig 5) with linear
@@ -20,89 +18,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-
-_MASK = (1 << 61) - 1
-
-
-def child_state(state: int, move: int) -> int:
-    """Deterministic successor function with deliberate collisions."""
-    return ((state * 2862933555777941757 + move * 3202034522624059733 + 1) & _MASK) % 100_003
-
-
-def leaf_value(state: int) -> int:
-    """Static evaluation of a terminal position in [-50, 50]."""
-    return (state * 0x9E3779B97F4A7C15 & _MASK) % 101 - 50
-
-
-def minimax(state: int, depth: int, branching: int) -> int:
-    """Plain negamax without pruning (reference for tests)."""
-    if depth == 0:
-        return leaf_value(state)
-    best = -(10**9)
-    for move in range(branching):
-        best = max(best, -minimax(child_state(state, move), depth - 1, branching))
-    return best
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class SearchStats:
-    """Node/pruning accounting of one alpha-beta search."""
-
-    nodes: int = 0
-    tt_hits: int = 0
-    cutoffs: int = 0
-
-
-def alphabeta(
-    state: int,
-    depth: int,
-    branching: int,
-    *,
-    alpha: int = -(10**9),
-    beta: int = 10**9,
-    tt: dict[tuple[int, int], int] | None = None,
-    stats: SearchStats | None = None,
-) -> int:
-    """Negamax alpha-beta with an exact-depth transposition table."""
-    if depth < 0 or branching <= 0:
-        raise WorkloadError("depth must be >= 0, branching positive")
-    if stats is not None:
-        stats.nodes += 1
-    if depth == 0:
-        return leaf_value(state)
-    key = (state, depth)
-    if tt is not None and key in tt:
-        if stats is not None:
-            stats.tt_hits += 1
-        return tt[key]
-    best = -(10**9)
-    a = alpha
-    exact = True
-    for move in range(branching):
-        val = -alphabeta(
-            child_state(state, move), depth - 1, branching,
-            alpha=-beta, beta=-a, tt=tt, stats=stats,
-        )
-        best = max(best, val)
-        a = max(a, val)
-        if a >= beta:
-            if stats is not None:
-                stats.cutoffs += 1
-            exact = False
-            break
-    # Only exact (non-cutoff) values are safe to reuse at any window.
-    if tt is not None and exact:
-        tt[key] = best
-    return best
-
-
-@dataclass
-class DeepSjeng:
-    """Iterative-deepening alpha-beta from a batch of root positions."""
+class DeepSjeng(Workload):
+    """Alpha-beta search from ``n_roots`` root positions."""
 
     name: ClassVar[str] = "deepsjeng"
     suite: ClassVar[str] = "SPEC CPU2017"
@@ -110,8 +33,6 @@ class DeepSjeng:
         CodeRegion("search", "search.cpp", 404, 498),
     )
 
-    depth: int = 6
-    branching: int = 6
     n_roots: int = 4
     seed: int = 11
     _amap: AddressMap = field(init=False, repr=False)
@@ -121,16 +42,6 @@ class DeepSjeng:
         amap.alloc("tt", 100_003 * 2, 8)
         amap.alloc("board_stack", 4096, 8)
         self._amap = amap
-
-    def run(self) -> list[int]:
-        """Search every root; returns the root values."""
-        rng = np.random.default_rng(self.seed)
-        out = []
-        for _ in range(self.n_roots):
-            root = int(rng.integers(0, 100_003))
-            tt: dict[tuple[int, int], int] = {}
-            out.append(alphabeta(root, self.depth, self.branching, tt=tt))
-        return out
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         rng = np.random.default_rng(seed + self.seed)
@@ -155,11 +66,3 @@ class DeepSjeng:
                 )
             )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

@@ -9,8 +9,8 @@ collapse after 4 threads as it saturates the bus alone (Fig 2e), and
 the workload that inflates G-CC's runtime to ~2x (Fig 5).  The paper's
 Table IV profiles its ``UUS`` update region.
 
-``run()`` advances a real vacuum Yee scheme; tests validate against an
-explicit-loop reference and check the CFL-bounded field energy.
+The trace sweeps the six field arrays (read and write) in the ``UUS``
+region every timestep, then makes one ``power_sum`` reduction pass.
 """
 
 from __future__ import annotations
@@ -20,44 +20,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-
-
-def yee_step(
-    ex: np.ndarray, ey: np.ndarray, ez: np.ndarray,
-    hx: np.ndarray, hy: np.ndarray, hz: np.ndarray,
-    *, courant: float = 0.4,
-) -> None:
-    """One in-place vacuum Yee update (E then H) on co-located grids.
-
-    A simplified Yee scheme with fields on a common (n,n,n) grid and
-    one-sided curl differences; boundaries are held at zero (PEC box).
-    """
-    if not (0 < courant <= 0.5):
-        raise WorkloadError("courant number must be in (0, 0.5] for stability")
-    c = courant
-    i = slice(1, -1)
-    # E += c * curl(H)
-    ex[i, i, i] += c * ((hz[i, i, i] - hz[i, np.s_[:-2], i]) - (hy[i, i, i] - hy[i, i, np.s_[:-2]]))
-    ey[i, i, i] += c * ((hx[i, i, i] - hx[i, i, np.s_[:-2]]) - (hz[i, i, i] - hz[np.s_[:-2], i, i]))
-    ez[i, i, i] += c * ((hy[i, i, i] - hy[np.s_[:-2], i, i]) - (hx[i, i, i] - hx[i, np.s_[:-2], i]))
-    # H -= c * curl(E)
-    hx[i, i, i] -= c * ((ez[i, np.s_[2:], i] - ez[i, i, i]) - (ey[i, i, np.s_[2:]] - ey[i, i, i]))
-    hy[i, i, i] -= c * ((ex[i, i, np.s_[2:]] - ex[i, i, i]) - (ez[np.s_[2:], i, i] - ez[i, i, i]))
-    hz[i, i, i] -= c * ((ey[np.s_[2:], i, i] - ey[i, i, i]) - (ex[i, np.s_[2:], i] - ex[i, i, i]))
-
-
-def field_energy(*fields: np.ndarray) -> float:
-    """Sum of squared field magnitudes (discrete EM energy proxy)."""
-    return float(sum((f * f).sum() for f in fields))
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class Fotonik3D:
-    """Vacuum FDTD with a Gaussian Ez source at the box centre."""
+class Fotonik3D(Workload):
+    """Yee FDTD sweeps over six ``n``^3 field arrays."""
 
     name: ClassVar[str] = "fotonik3d"
     suite: ClassVar[str] = "SPEC CPU2017"
@@ -68,7 +38,6 @@ class Fotonik3D:
 
     n: int = 24
     steps: int = 10
-    courant: float = 0.4
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -77,19 +46,6 @@ class Fotonik3D:
         for f in ("ex", "ey", "ez", "hx", "hy", "hz"):
             amap.alloc(f, pts, 8)
         self._amap = amap
-
-    def run(self) -> dict[str, float]:
-        """Advance the FDTD; returns source/final energies."""
-        n = self.n
-        fields = [np.zeros((n, n, n)) for _ in range(6)]
-        ex, ey, ez, hx, hy, hz = fields
-        mid = n // 2
-        ez[mid, mid, mid] = 1.0
-        e0 = field_energy(*fields)
-        for _ in range(self.steps):
-            yee_step(ex, ey, ez, hx, hy, hz, courant=self.courant)
-        self._fields = fields
-        return {"initial_energy": e0, "final_energy": field_energy(*fields)}
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         pts = self.n**3
@@ -120,11 +76,3 @@ class Fotonik3D:
                 )
             )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

@@ -6,9 +6,8 @@ paper's Fig 3 shows it among the highest-bandwidth SPEC codes, yet it
 scales well (Table II High) because each instance is independent
 (SPEC-rate style).
 
-We implement successive shortest paths with Bellman-Ford (handles the
-negative reduced costs the real network simplex tolerates) on synthetic
-transportation networks, validated against networkx's min-cost-flow.
+The trace is that pricing loop: random walks over the arc structs,
+each followed by scattered node updates.
 """
 
 from __future__ import annotations
@@ -18,110 +17,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-
-
-def min_cost_max_flow(
-    n: int,
-    arcs: list[tuple[int, int, int, int]],
-    source: int,
-    sink: int,
-) -> tuple[int, int]:
-    """Successive-shortest-path min-cost max-flow.
-
-    Args:
-        n: Node count.
-        arcs: (u, v, capacity, cost) tuples.
-        source, sink: Terminal nodes.
-
-    Returns:
-        (max flow value, total cost of that flow).
-    """
-    if not (0 <= source < n and 0 <= sink < n) or source == sink:
-        raise WorkloadError("invalid source/sink")
-    # Residual graph in adjacency-list form with paired reverse arcs.
-    head: list[list[int]] = [[] for _ in range(n)]
-    to: list[int] = []
-    cap: list[int] = []
-    cost: list[int] = []
-
-    def add(u: int, v: int, c: int, w: int) -> None:
-        head[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        cost.append(w)
-        head[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-        cost.append(-w)
-
-    for u, v, c, w in arcs:
-        if c < 0:
-            raise WorkloadError("negative capacity")
-        add(u, v, c, w)
-
-    flow = total_cost = 0
-    while True:
-        # Bellman-Ford (SPFA) shortest path by cost in the residual net.
-        dist = [float("inf")] * n
-        in_q = [False] * n
-        prev_arc = [-1] * n
-        dist[source] = 0
-        queue = [source]
-        in_q[source] = True
-        while queue:
-            u = queue.pop(0)
-            in_q[u] = False
-            for e in head[u]:
-                if cap[e] > 0 and dist[u] + cost[e] < dist[to[e]]:
-                    dist[to[e]] = dist[u] + cost[e]
-                    prev_arc[to[e]] = e
-                    if not in_q[to[e]]:
-                        queue.append(to[e])
-                        in_q[to[e]] = True
-        if dist[sink] == float("inf"):
-            return flow, total_cost
-        # Bottleneck along the path.
-        push = float("inf")
-        v = sink
-        while v != source:
-            e = prev_arc[v]
-            push = min(push, cap[e])
-            v = to[e ^ 1]
-        v = sink
-        while v != source:
-            e = prev_arc[v]
-            cap[e] -= push
-            cap[e ^ 1] += push
-            v = to[e ^ 1]
-        flow += push
-        total_cost += push * dist[sink]
-
-
-def random_transport_network(
-    n_nodes: int, n_arcs: int, *, seed: int = 0
-) -> tuple[list[tuple[int, int, int, int]], int, int]:
-    """A connected random flow network (arcs, source, sink)."""
-    if n_nodes < 3:
-        raise WorkloadError("need at least 3 nodes")
-    rng = np.random.default_rng(seed)
-    source, sink = 0, n_nodes - 1
-    arcs: list[tuple[int, int, int, int]] = []
-    # A backbone path guarantees source-sink connectivity.
-    for u in range(n_nodes - 1):
-        arcs.append((u, u + 1, int(rng.integers(5, 20)), int(rng.integers(1, 10))))
-    for _ in range(max(0, n_arcs - (n_nodes - 1))):
-        u, v = rng.choice(n_nodes, 2, replace=False)
-        arcs.append((int(u), int(v), int(rng.integers(1, 25)), int(rng.integers(1, 15))))
-    return arcs, source, sink
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class MCF:
-    """Min-cost max-flow over a batch of synthetic networks."""
+class MCF(Workload):
+    """Min-cost flow pricing over ``n_nodes`` nodes and ``n_arcs`` arcs."""
 
     name: ClassVar[str] = "mcf"
     suite: ClassVar[str] = "SPEC CPU2017"
@@ -131,7 +34,6 @@ class MCF:
 
     n_nodes: int = 64
     n_arcs: int = 256
-    n_networks: int = 3
     seed: int = 10
     _amap: AddressMap = field(init=False, repr=False)
 
@@ -140,16 +42,6 @@ class MCF:
         amap.alloc("nodes", self.n_nodes * 8, 8)
         amap.alloc("arcs", self.n_arcs * 16, 8)
         self._amap = amap
-
-    def run(self) -> list[tuple[int, int]]:
-        """Solve all networks; returns (flow, cost) per network."""
-        out = []
-        for i in range(self.n_networks):
-            arcs, s, t = random_transport_network(
-                self.n_nodes, self.n_arcs, seed=self.seed + i
-            )
-            out.append(min_cost_max_flow(self.n_nodes, arcs, s, t))
-        return out
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         rng = np.random.default_rng(seed + self.seed)
@@ -173,11 +65,3 @@ class MCF:
                 )
             )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

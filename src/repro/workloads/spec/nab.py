@@ -1,10 +1,10 @@
 """SPEC CPU2017 644.nab_s: molecular dynamics.
 
-nab (Nucleic Acid Builder) spends its time in non-bonded force loops.
-We implement a real Lennard-Jones MD kernel — cutoff pair forces via a
-cell list, velocity-Verlet integration in a periodic box — with tests
-that check Newton's third law, force = -grad(energy) numerically, and
-bounded energy drift.
+nab (Nucleic Acid Builder) spends its time in non-bonded force loops:
+cutoff pair forces over cell-sorted neighbour lists, integrated with
+velocity Verlet.  The trace is that loop per timestep: piecewise-local
+gathers of particle positions (~25 instructions each), then a write
+of the forces.
 
 Systems profile: neighbour gathers have decent locality (cell-sorted),
 high FLOPs per byte — low bandwidth, near-linear scaling in the paper.
@@ -17,57 +17,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
-
-
-def lj_energy_forces(
-    pos: np.ndarray, box: float, cutoff: float, *, eps: float = 1.0, sigma: float = 1.0
-) -> tuple[float, np.ndarray]:
-    """Lennard-Jones energy and forces with minimum-image convention.
-
-    O(N^2) pair loop in vectorized numpy; the cell list in
-    :class:`Nab` only *orders* traversal (for the trace), physics is
-    identical.
-
-    Returns:
-        (total potential energy, (N, 3) forces).
-    """
-    n = len(pos)
-    if n < 2:
-        raise WorkloadError("need at least two particles")
-    if cutoff <= 0 or cutoff > box / 2:
-        raise WorkloadError("cutoff must be in (0, box/2]")
-    delta = pos[:, None, :] - pos[None, :, :]
-    delta -= box * np.round(delta / box)  # minimum image
-    r2 = (delta**2).sum(axis=2)
-    np.fill_diagonal(r2, np.inf)
-    mask = r2 < cutoff * cutoff
-    inv_r2 = np.where(mask, (sigma * sigma) / np.maximum(r2, 1e-12), 0.0)
-    inv_r6 = inv_r2**3
-    energy = float(4 * eps * (inv_r6 * (inv_r6 - 1.0))[mask].sum() / 2.0)
-    # F_i = sum_j 24 eps (2 r^-12 - r^-6) / r^2 * delta_ij
-    coeff = 24 * eps * (2 * inv_r6 * inv_r6 - inv_r6) * np.where(mask, 1.0 / np.maximum(r2, 1e-12), 0.0) * (sigma == sigma)
-    forces = (coeff[:, :, None] * delta).sum(axis=1)
-    return energy, forces
-
-
-def build_cell_list(pos: np.ndarray, box: float, cell: float) -> dict[tuple[int, int, int], list[int]]:
-    """Bin particles into cells of side >= ``cell`` (traversal order)."""
-    n_cells = max(1, int(box / cell))
-    side = box / n_cells
-    cells: dict[tuple[int, int, int], list[int]] = {}
-    for i, p in enumerate(pos):
-        key = tuple(int(c) % n_cells for c in (p // side))
-        cells.setdefault(key, []).append(i)
-    return cells
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class Nab:
-    """Velocity-Verlet LJ dynamics in a periodic box."""
+class Nab(Workload):
+    """Lennard-Jones force loop over ``n_particles`` particles."""
 
     name: ClassVar[str] = "nab"
     suite: ClassVar[str] = "SPEC CPU2017"
@@ -77,45 +34,15 @@ class Nab:
 
     n_particles: int = 64
     steps: int = 10
-    dt: float = 0.002
-    box: float = 8.0
-    cutoff: float = 2.5
     seed: int = 12
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rng = np.random.default_rng(self.seed)
-        # Start from a jittered lattice to avoid overlapping particles.
-        per_side = int(np.ceil(self.n_particles ** (1 / 3)))
-        grid = np.stack(
-            np.meshgrid(*[np.arange(per_side)] * 3, indexing="ij"), axis=-1
-        ).reshape(-1, 3)[: self.n_particles]
-        self.pos = (grid + 0.5) * (self.box / per_side) + rng.normal(0, 0.05, (self.n_particles, 3))
-        self.vel = rng.normal(0, 0.3, (self.n_particles, 3))
-        self.vel -= self.vel.mean(axis=0)  # zero net momentum
         amap = AddressMap(base_line=1 << 39)
         amap.alloc("pos", self.n_particles * 3, 8)
         amap.alloc("force", self.n_particles * 3, 8)
         amap.alloc("neigh", self.n_particles * 64, 8)
         self._amap = amap
-
-    def run(self) -> dict[str, float]:
-        """Integrate; returns initial/final total energy and momentum."""
-        pos, vel = self.pos.copy(), self.vel.copy()
-        e_pot, forces = lj_energy_forces(pos, self.box, self.cutoff)
-        e0 = e_pot + 0.5 * (vel**2).sum()
-        for _ in range(self.steps):
-            vel += 0.5 * self.dt * forces
-            pos = (pos + self.dt * vel) % self.box
-            e_pot, forces = lj_energy_forces(pos, self.box, self.cutoff)
-            vel += 0.5 * self.dt * forces
-        eN = e_pot + 0.5 * (vel**2).sum()
-        self.final_pos, self.final_vel = pos, vel
-        return {
-            "initial_energy": float(e0),
-            "final_energy": float(eN),
-            "momentum_norm": float(np.linalg.norm(vel.sum(axis=0))),
-        }
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         rng = np.random.default_rng(seed + self.seed)
@@ -142,11 +69,3 @@ class Nab:
                 )
             )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

@@ -2,10 +2,9 @@
 
 xalancbmk applies XSLT stylesheets to XML documents — tree walks with
 pointer-chasing over heap-allocated nodes, string handling, and very
-little arithmetic.  We implement a real document-tree transformer: a
-node tree built from a deterministic generator, a small rule language
-(rename / drop / unwrap by tag), recursive application, and
-serialization.  Tests validate every rule's semantics.
+little arithmetic.  The trace is one walk per stylesheet pass: a
+random permutation over the node heap and random reads of the string
+pool.
 
 Systems profile: irregular pointer chasing over a modest footprint,
 low bandwidth (Fig 3), Harmony in essentially all pairings.
@@ -18,88 +17,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import WorkloadError
-from repro.trace.stream import AccessBatch, take
+from repro.trace.stream import AccessBatch
 from repro.workloads.addr import AddressMap
-from repro.workloads.base import CodeRegion
+from repro.workloads.base import CodeRegion, Workload
 
 
 @dataclass
-class XmlNode:
-    """One element node: tag, text payload and children."""
-
-    tag: str
-    text: str = ""
-    children: list["XmlNode"] = field(default_factory=list)
-
-    def count(self) -> int:
-        """Number of nodes in this subtree (including self)."""
-        return 1 + sum(c.count() for c in self.children)
-
-    def serialize(self) -> str:
-        """Compact XML serialization."""
-        inner = self.text + "".join(c.serialize() for c in self.children)
-        return f"<{self.tag}>{inner}</{self.tag}>"
-
-
-@dataclass(frozen=True)
-class Rule:
-    """One stylesheet rule applied to matching tags.
-
-    ``action`` is one of ``rename`` (to ``arg``), ``drop`` (remove the
-    subtree) or ``unwrap`` (replace the node by its children).
-    """
-
-    match_tag: str
-    action: str
-    arg: str = ""
-
-    def __post_init__(self) -> None:
-        if self.action not in {"rename", "drop", "unwrap"}:
-            raise WorkloadError(f"unknown action {self.action!r}")
-        if self.action == "rename" and not self.arg:
-            raise WorkloadError("rename rule needs a target tag")
-
-
-def transform(node: XmlNode, rules: list[Rule]) -> list[XmlNode]:
-    """Apply ``rules`` bottom-up; returns the replacement node list
-    (empty if dropped, multiple if unwrapped)."""
-    new_children: list[XmlNode] = []
-    for child in node.children:
-        new_children.extend(transform(child, rules))
-    out = XmlNode(node.tag, node.text, new_children)
-    for rule in rules:
-        if rule.match_tag != out.tag:
-            continue
-        if rule.action == "drop":
-            return []
-        if rule.action == "rename":
-            out = XmlNode(rule.arg, out.text, out.children)
-        elif rule.action == "unwrap":
-            return out.children
-    return [out]
-
-
-def generate_document(
-    n_nodes: int, *, tags: tuple[str, ...] = ("a", "b", "c", "d"), seed: int = 0
-) -> XmlNode:
-    """Deterministic random tree with ``n_nodes`` nodes."""
-    if n_nodes < 1:
-        raise WorkloadError("document needs at least one node")
-    rng = np.random.default_rng(seed)
-    root = XmlNode("root")
-    pool = [root]
-    for i in range(n_nodes - 1):
-        parent = pool[int(rng.integers(0, len(pool)))]
-        node = XmlNode(str(tags[int(rng.integers(0, len(tags)))]), text=f"t{i}")
-        parent.children.append(node)
-        pool.append(node)
-    return root
-
-
-@dataclass
-class Xalancbmk:
-    """Transform a synthetic document with a fixed stylesheet."""
+class Xalancbmk(Workload):
+    """Stylesheet passes over an ``n_nodes``-node document."""
 
     name: ClassVar[str] = "xalancbmk"
     suite: ClassVar[str] = "SPEC CPU2017"
@@ -113,24 +38,10 @@ class Xalancbmk:
     _amap: AddressMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.rules = [
-            Rule("a", "rename", "alpha"),
-            Rule("b", "drop"),
-            Rule("c", "unwrap"),
-        ]
         amap = AddressMap(base_line=1 << 40)
         amap.alloc("nodes", self.n_nodes * 8, 8)
         amap.alloc("strings", self.n_nodes * 16, 8)
         self._amap = amap
-
-    def run(self) -> dict[str, int]:
-        """Transform; returns node counts before/after and output size."""
-        doc = generate_document(self.n_nodes, seed=self.seed)
-        before = doc.count()
-        result = transform(doc, self.rules)
-        after = sum(n.count() for n in result)
-        text = "".join(n.serialize() for n in result)
-        return {"nodes_before": before, "nodes_after": after, "output_chars": len(text)}
 
     def _trace_batches(self, seed: int) -> list[AccessBatch]:
         rng = np.random.default_rng(seed + self.seed)
@@ -153,11 +64,3 @@ class Xalancbmk:
                 )
             )
         return out
-
-    def trace(self, *, max_accesses: int | None = None, seed: int = 0):
-        """Memory-access trace of one run."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

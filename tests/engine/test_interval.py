@@ -9,6 +9,7 @@ from repro.errors import EngineError
 from repro.trace import MissRatioCurve
 from repro.units import GB, KiB, MiB
 from repro.workloads.base import ScalingModel
+from repro.workloads.registry import get_profile
 
 from .conftest import make_profile
 
@@ -210,3 +211,12 @@ class TestPropertyInvariants:
         res = IntervalEngine().solo_run(prof, threads=threads)
         expected = prof.total_kinstr * 1000 * prof.scaling.work_factor(threads)
         assert res.metrics.total.instructions == pytest.approx(expected, rel=1e-6)
+
+
+class TestEngineDeterminism:
+    def test_identical_runs_bitwise_equal(self):
+        a = IntervalEngine().co_run(get_profile("G-CC"), get_profile("Stream"))
+        b = IntervalEngine().co_run(get_profile("G-CC"), get_profile("Stream"))
+        assert a.fg.runtime_s == b.fg.runtime_s
+        assert a.fg.total.cycles == b.fg.total.cycles
+        assert a.bg_relative_rate == b.bg_relative_rate

@@ -1,29 +1,10 @@
-"""Tests for the three CNTK application models (training + traces)."""
-
-import numpy as np
-import pytest
+"""Tests for the CNTK application models' traces."""
 
 from repro.trace import TraceStats
 from repro.workloads.dl import ATIS, ConvNetCIFAR, ConvNetMNIST, LSTMAn4
 
 
 class TestConvNet:
-    def test_cifar_loss_decreases(self):
-        net = ConvNetCIFAR(steps=8, batch=8, image_size=16, seed=3)
-        losses = net.run()
-        assert losses[-1] < losses[0]
-
-    def test_mnist_shapes(self):
-        net = ConvNetMNIST(steps=2, batch=4, seed=4)
-        losses = net.run()
-        assert len(losses) == 2
-        assert all(np.isfinite(losses))
-
-    def test_deterministic(self):
-        a = ConvNetCIFAR(steps=2, batch=4, image_size=16, seed=5).run()
-        b = ConvNetCIFAR(steps=2, batch=4, image_size=16, seed=5).run()
-        assert a == b
-
     def test_trace_mostly_regular(self):
         net = ConvNetCIFAR(steps=1, batch=4, image_size=16)
         st = TraceStats.collect(net.trace(max_accesses=20000))
@@ -38,11 +19,6 @@ class TestConvNet:
 
 
 class TestLSTM:
-    def test_loss_decreases(self):
-        m = LSTMAn4(steps=8, seq_len=10, batch=4, hidden=32, input_dim=16, seed=6)
-        losses = m.run()
-        assert losses[-1] < losses[0]
-
     def test_weight_reuse_in_trace(self):
         m = LSTMAn4(steps=1, seq_len=6, batch=4, hidden=32, input_dim=16)
         st = TraceStats.collect(m.trace())
@@ -52,11 +28,6 @@ class TestLSTM:
 
 
 class TestATIS:
-    def test_loss_decreases(self):
-        m = ATIS(steps=8, seq_len=6, batch=4, hidden=24, embed_dim=16, seed=7)
-        losses = m.run()
-        assert losses[-1] < losses[0]
-
     def test_has_barrier_region(self):
         m = ATIS()
         names = [r.name for r in m.regions]
@@ -67,14 +38,3 @@ class TestATIS:
         st = TraceStats.collect(m.trace(max_accesses=20000))
         # ATIS barely touches memory (paper Fig 3: lowest bandwidth).
         assert st.footprint_bytes < 2 * 1024 * 1024
-
-    def test_embedding_gradient_sparse(self):
-        m = ATIS(steps=1, seq_len=3, batch=2, seed=8)
-        emb_before = m.params["emb"].copy()
-        m.train_step()
-        changed = np.flatnonzero(
-            np.abs(m.params["emb"] - emb_before).sum(axis=1) > 0
-        )
-        # Only touched vocabulary rows get updated.
-        touched = set(m._tokens[:1 + 2].ravel().tolist())
-        assert set(changed.tolist()) <= touched

@@ -1,6 +1,7 @@
 """Tests for graph generation, CSR, and the Gemini/PowerGraph suites.
 
-Algorithm results are validated against networkx on small deterministic
+The algorithms the traces depend on (G-BFS levels, the P-SSSP and P-CC
+supersteps) are validated against networkx on small deterministic
 graphs; trace generation is checked for shape properties (irregular
 gathers, footprint, instruction accounting).
 """
@@ -14,13 +15,9 @@ from repro.trace import TraceStats, total_accesses
 from repro.workloads.graph import (
     CSRGraph,
     EdgeList,
-    GeminiBC,
     GeminiBFS,
-    GeminiCC,
     GeminiPageRank,
-    GeminiSSSP,
     PowerGraphCC,
-    PowerGraphPageRank,
     PowerGraphSSSP,
     chung_lu,
     degree_histogram,
@@ -91,7 +88,7 @@ class TestCSR:
         g = small_graph()
         assert g.n_edges == 11
         assert g.neighbours(0).tolist() == [1, 2]
-        assert g.out_degree().tolist() == [2, 2, 2, 2, 1, 1, 1, 0]
+        assert np.diff(g.indptr).tolist() == [2, 2, 2, 2, 1, 1, 1, 0]
 
     def test_reversed(self):
         g = small_graph()
@@ -114,31 +111,12 @@ class TestCSR:
         with pytest.raises(WorkloadError):
             CSRGraph(2, np.array([0, 2, 1]), np.array([0]))  # decreasing
 
-    def test_unit_weights(self):
-        g = small_graph().with_unit_weights()
-        assert (g.weights == 1.0).all()
-
-
-class TestGeminiPageRank:
-    def test_matches_networkx(self):
-        g = small_graph()
-        pr = GeminiPageRank(graph=g)
-        pr.iterations = 100
-        ours = pr.run()
-        ref = nx.pagerank(nx_digraph(g), alpha=0.85, tol=1e-12, max_iter=1000)
-        for v in range(g.n_vertices):
-            assert ours[v] == pytest.approx(ref[v], abs=1e-6)
-
-    def test_ranks_sum_to_one(self):
-        pr = GeminiPageRank(graph=small_graph())
-        assert pr.run().sum() == pytest.approx(1.0, abs=1e-9)
-
 
 class TestGeminiBFS:
     def test_matches_networkx(self):
         g = small_graph()
         bfs = GeminiBFS(graph=g)
-        ours = bfs.run()
+        ours = bfs._levels()
         ref = nx.single_source_shortest_path_length(nx_digraph(g), 0)
         for v in range(g.n_vertices):
             assert ours[v] == ref.get(v, -1)
@@ -147,19 +125,12 @@ class TestGeminiBFS:
         src = np.array([0], dtype=np.int64)
         dst = np.array([1], dtype=np.int64)
         bfs = GeminiBFS(graph=CSRGraph.from_edges(EdgeList(3, src, dst)))
-        assert bfs.run().tolist() == [0, 1, -1]
-
-    def test_direction_optimizing_equals_topdown(self):
-        """Gemini's dense/sparse dual engine must agree with classic
-        top-down BFS on every vertex."""
-        g = CSRGraph.from_edges(chung_lu(300, 1800, seed=9))
-        bfs = GeminiBFS(graph=g)
-        assert np.array_equal(bfs.run(), bfs.run_topdown_only())
+        assert bfs._levels().tolist() == [0, 1, -1]
 
     def test_dense_mode_engages_on_powerlaw_graph(self):
         g = CSRGraph.from_edges(chung_lu(400, 4000, seed=10))
         bfs = GeminiBFS(graph=g)
-        bfs.run()
+        bfs._levels()
         assert "pull" in bfs.mode_history  # the fat middle frontier
         assert bfs.mode_history[0] == "push"  # root frontier is sparse
 
@@ -167,73 +138,15 @@ class TestGeminiBFS:
         g = CSRGraph.from_edges(chung_lu(200, 1200, seed=11))
         bfs = GeminiBFS(graph=g)
         bfs.dense_threshold = 1.1
-        bfs.run()
+        bfs._levels()
         assert set(bfs.mode_history) == {"push"}
 
 
-class TestGeminiCC:
-    def test_components(self):
-        # Two components: {0,1,2} and {3,4}.
-        src = np.array([0, 1, 3], dtype=np.int64)
-        dst = np.array([1, 2, 4], dtype=np.int64)
-        cc = GeminiCC(graph=CSRGraph.from_edges(EdgeList(5, src, dst)))
-        labels = cc.run()
-        assert labels[0] == labels[1] == labels[2]
-        assert labels[3] == labels[4]
-        assert labels[0] != labels[3]
-
-    def test_matches_networkx_on_random(self):
-        e = chung_lu(120, 300, seed=5)
-        g = CSRGraph.from_edges(e)
-        labels = GeminiCC(graph=g).run()
-        und = nx_digraph(g).to_undirected()
-        for comp in nx.connected_components(und):
-            comp = sorted(comp)
-            assert len({int(labels[v]) for v in comp}) == 1
-
-
-class TestGeminiSSSP:
-    def test_matches_networkx(self):
-        g = small_graph().with_random_weights(seed=11)
-        sssp = GeminiSSSP(graph=CSRGraph(g.n_vertices, g.indptr, g.indices))
-        sssp.seed = 11  # with_random_weights inside uses this seed
-        ours = sssp.run()
-        ref_g = nx.DiGraph()
-        wg = sssp._weighted()
-        for v in range(wg.n_vertices):
-            for k in range(wg.indptr[v], wg.indptr[v + 1]):
-                ref_g.add_edge(v, int(wg.indices[k]), weight=float(wg.weights[k]))
-        ref = nx.single_source_dijkstra_path_length(ref_g, 0)
-        for v in range(g.n_vertices):
-            if v in ref:
-                assert ours[v] == pytest.approx(ref[v])
-            else:
-                assert np.isinf(ours[v])
-
-
-class TestGeminiBC:
-    def test_matches_networkx(self):
-        g = small_graph()
-        bc = GeminiBC(graph=g)
-        bc.n_sources = g.n_vertices  # all sources = exact BC
-        ours = bc.run()
-        ref = nx.betweenness_centrality(nx_digraph(g), normalized=False)
-        for v in range(g.n_vertices):
-            assert ours[v] == pytest.approx(ref[v], abs=1e-9)
-
-
 class TestPowerGraph:
-    def test_pr_matches_gemini(self):
-        g = small_graph()
-        a = GeminiPageRank(graph=g)
-        b = PowerGraphPageRank(graph=g)
-        a.iterations = b.iterations = 50
-        assert np.allclose(a.run(), b.run(), atol=1e-9)
-
     def test_sssp_unit_weights_equals_hops(self):
         g = small_graph()
-        dist = PowerGraphSSSP(graph=g).run()
-        hops = GeminiBFS(graph=g).run()
+        dist, _ = PowerGraphSSSP(graph=g)._supersteps()
+        hops = GeminiBFS(graph=g)._levels()
         for v in range(g.n_vertices):
             if hops[v] >= 0:
                 assert dist[v] == pytest.approx(float(hops[v]))
@@ -243,14 +156,17 @@ class TestPowerGraph:
     def test_sssp_superstep_count_is_diameter_bound(self):
         g = small_graph()
         w = PowerGraphSSSP(graph=g)
-        w.run()
-        hops = GeminiBFS(graph=g).run()
+        hops = GeminiBFS(graph=g)._levels()
         assert w._superstep_count() >= hops.max()
 
-    def test_cc_matches_gemini(self):
+    def test_cc_matches_networkx(self):
         e = chung_lu(100, 250, seed=6)
         g = CSRGraph.from_edges(e)
-        assert np.array_equal(GeminiCC(graph=g).run(), PowerGraphCC(graph=g).run())
+        labels, _ = PowerGraphCC(graph=g)._supersteps()
+        comps = list(nx.connected_components(nx_digraph(g).to_undirected()))
+        for comp in comps:
+            assert {int(labels[v]) for v in comp} == {min(comp)}
+        assert len(set(labels.tolist())) == len(comps)
 
 
 class TestTraces:

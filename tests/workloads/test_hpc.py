@@ -1,47 +1,10 @@
-"""Tests for the HPC workload models (lulesh, IRSmk, AMG2006)."""
+"""Tests for the HPC workload models' traces (lulesh, IRSmk, AMG2006)."""
 
-import numpy as np
-import pytest
-
-from repro.errors import WorkloadError
 from repro.trace import TraceStats
-from repro.workloads.hpc import (
-    AMG2006,
-    IRSmk,
-    Lulesh,
-    irsmk_matmul,
-    irsmk_matmul_reference,
-    lax_friedrichs_step,
-    poisson_apply,
-    prolong_bilinear,
-    restrict_full_weighting,
-    sedov_initial_state,
-    v_cycle,
-)
+from repro.workloads.hpc import AMG2006, IRSmk, Lulesh
 
 
 class TestIRSmk:
-    def test_matches_loop_reference(self):
-        rng = np.random.default_rng(0)
-        coef = rng.uniform(-1, 1, (27, 6, 6, 6))
-        x = rng.uniform(-1, 1, (6, 6, 6))
-        assert np.allclose(irsmk_matmul(coef, x), irsmk_matmul_reference(coef, x))
-
-    def test_identity_stencil(self):
-        # Only the centre coefficient set to 1: b == x on the interior.
-        coef = np.zeros((27, 5, 5, 5))
-        coef[13] = 1.0  # (0,0,0) offset is index 13 in raster order
-        x = np.arange(125, dtype=float).reshape(5, 5, 5)
-        b = irsmk_matmul(coef, x)
-        assert np.allclose(b[1:-1, 1:-1, 1:-1], x[1:-1, 1:-1, 1:-1])
-        assert np.allclose(b[0], 0)
-
-    def test_shape_validation(self):
-        with pytest.raises(WorkloadError):
-            irsmk_matmul(np.zeros((26, 4, 4, 4)), np.zeros((4, 4, 4)))
-        with pytest.raises(WorkloadError):
-            irsmk_matmul(np.zeros((27, 2, 2, 2)), np.zeros((2, 2, 2)))
-
     def test_trace_is_highly_sequential(self):
         w = IRSmk(n=12, sweeps=1)
         st = TraceStats.collect(w.trace())
@@ -51,94 +14,13 @@ class TestIRSmk:
 
 
 class TestLulesh:
-    def test_mass_conserved_interior(self):
-        u = sedov_initial_state(12)
-        m0 = u[0].sum()
-        for _ in range(5):
-            u = lax_friedrichs_step(u, 0.1)
-        # Outflow boundaries leak a little; interior mass stays close.
-        assert u[0].sum() == pytest.approx(m0, rel=0.15)
-        assert np.all(np.isfinite(u))
-
-    def test_blast_expands(self):
-        w = Lulesh(n=16, steps=2, dt_dx=0.1)
-        u_early = w.run()
-        w2 = Lulesh(n=16, steps=10, dt_dx=0.1)
-        u_late = w2.run()
-        assert Lulesh.blast_radius(u_late) > Lulesh.blast_radius(u_early)
-
-    def test_stability_guard(self):
-        u = sedov_initial_state(8)
-        with pytest.raises(WorkloadError):
-            lax_friedrichs_step(u, 0.9)
-        with pytest.raises(WorkloadError):
-            sedov_initial_state(2)
-
     def test_trace_regular(self):
         w = Lulesh(n=12, steps=2)
         st = TraceStats.collect(w.trace(max_accesses=20000))
         assert st.sequential_fraction > 0.8
 
 
-class TestAMGComponents:
-    def test_poisson_apply_quadratic(self):
-        # For u = x^2 (1-D in x), -lap u = -2 -> our operator returns
-        # +(-d2/dx2)(u)*(-1)? Check against known: A u = -u'' with
-        # 5-point stencil on u(x,y)=x^2 gives 2 everywhere inside... sign:
-        n = 17
-        h = 1.0 / (n - 1)
-        xs = np.linspace(0, 1, n)
-        xx, _ = np.meshgrid(xs, xs, indexing="ij")
-        u = xx**2
-        out = poisson_apply(u, h)
-        assert np.allclose(out[2:-2, 2:-2], -2.0, atol=1e-6)
-
-    def test_restrict_prolong_roundtrip_smooth(self):
-        n = 17
-        xs = np.linspace(0, 1, n)
-        xx, yy = np.meshgrid(xs, xs, indexing="ij")
-        f = np.sin(np.pi * xx) * np.sin(np.pi * yy)
-        coarse = restrict_full_weighting(f)
-        back = prolong_bilinear(coarse, n)
-        # Full weighting damps the amplitude a little; the roundtrip of a
-        # smooth mode stays within ~6% absolute error.
-        assert np.abs(back[2:-2, 2:-2] - f[2:-2, 2:-2]).max() < 0.08
-
-    def test_restrict_shape_guard(self):
-        with pytest.raises(WorkloadError):
-            restrict_full_weighting(np.zeros((6, 6)))
-
-    def test_vcycle_reduces_residual(self):
-        n = 33
-        h = 1.0 / (n - 1)
-        xs = np.linspace(0, 1, n)
-        xx, yy = np.meshgrid(xs, xs, indexing="ij")
-        b = np.sin(np.pi * xx) * np.sin(np.pi * yy)
-        x = np.zeros_like(b)
-        r0 = np.linalg.norm(b - poisson_apply(x, h))
-        x = v_cycle(x, b, h)
-        x = v_cycle(x, b, h)
-        r2 = np.linalg.norm(b - poisson_apply(x, h))
-        assert r2 < 0.05 * r0
-
-
 class TestAMGWorkload:
-    def test_solver_converges(self):
-        w = AMG2006(k=5, cycles=5)
-        res = w.run()
-        assert res["final_residual"] < 1e-3 * res["initial_residual"]
-
-    def test_solution_matches_analytic(self):
-        # -lap u = f with f = sin(pi x) sin(pi y) has
-        # u = f / (2 pi^2); our operator is +A = -lap.
-        w = AMG2006(k=5, cycles=8)
-        w.run()
-        n = w.n
-        xs = np.linspace(0, 1, n)
-        xx, yy = np.meshgrid(xs, xs, indexing="ij")
-        expected = np.sin(np.pi * xx) * np.sin(np.pi * yy) / (2 * np.pi**2)
-        assert np.abs(w._solution - expected).max() < 5e-3
-
     def test_three_phase_trace(self):
         w = AMG2006(k=5, cycles=3)
         regions = {b.region for b in w.trace()}

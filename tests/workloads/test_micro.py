@@ -1,6 +1,5 @@
 """Tests for the Bandit and STREAM mini-benchmarks."""
 
-import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
@@ -10,11 +9,6 @@ from repro.workloads.micro import Bandit, StreamBench
 
 
 class TestStreamBench:
-    def test_triad_checksum(self):
-        w = StreamBench(n_elems=1024, repetitions=2)
-        res = w.run()
-        assert res["triad"] == pytest.approx(w.expected_triad())
-
     def test_trace_perfectly_sequential(self):
         w = StreamBench(n_elems=4096, repetitions=1)
         st = TraceStats.collect(w.trace())
@@ -37,9 +31,6 @@ class TestBandit:
         w = Bandit(llc_sets=1024, n_accesses=500)
         lines = concat_lines(w.trace())
         assert len({int(l) % 1024 for l in lines}) == 1
-
-    def test_run_checksum_deterministic(self):
-        assert Bandit(n_accesses=1000).run() == Bandit(n_accesses=1000).run()
 
     def test_validation(self):
         with pytest.raises(WorkloadError):

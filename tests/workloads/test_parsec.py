@@ -1,69 +1,22 @@
-"""Tests for the PARSEC workload models."""
+"""Tests for the PARSEC workload models' traces."""
 
-import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
 from repro.trace import TraceStats
-from repro.workloads.parsec import (
-    BlackScholes,
-    FreqMine,
-    StreamCluster,
-    Swaptions,
-    assign_cost,
-    bruteforce_itemsets,
-    bs_price,
-    build_fp_tree,
-    fp_growth,
-    vasicek_zcb_price,
-)
+from repro.workloads.parsec import BlackScholes, StreamCluster, Swaptions
 
 
 class TestBlackScholes:
-    def test_textbook_call(self):
-        # Hull's classic example: S=42, K=40, r=0.1, sigma=0.2, T=0.5.
-        p = bs_price(
-            np.array([42.0]), np.array([40.0]), np.array([0.1]),
-            np.array([0.2]), np.array([0.5]), np.array([True]),
-        )
-        assert p[0] == pytest.approx(4.76, abs=0.01)
-
-    def test_put_call_parity(self):
-        s, k, r, v, t = (np.array([x]) for x in (50.0, 55.0, 0.05, 0.3, 1.0))
-        call = bs_price(s, k, r, v, t, np.array([True]))[0]
-        put = bs_price(s, k, r, v, t, np.array([False]))[0]
-        assert call - put == pytest.approx(50.0 - 55.0 * np.exp(-0.05), abs=1e-9)
-
-    def test_invalid_inputs(self):
-        bad = np.array([-1.0])
-        ok = np.array([1.0])
-        with pytest.raises(WorkloadError):
-            bs_price(bad, ok, ok, ok, ok, np.array([True]))
-
-    def test_run_and_trace(self):
+    def test_trace_compute_dense(self):
         w = BlackScholes(n_options=512, sweeps=2)
-        prices = w.run()
-        assert len(prices) == 512 and np.all(prices >= 0)
         st = TraceStats.collect(w.trace(max_accesses=4000))
         # Compute-dense: many instructions per access.
         assert st.instructions > 10 * st.accesses
 
 
 class TestSwaptions:
-    def test_mc_converges_to_closed_form(self):
-        w = Swaptions(n_paths=40000, n_steps=64)
-        mc = w.run()
-        ref = w.reference_price()
-        assert mc == pytest.approx(ref, rel=0.01)
-
-    def test_closed_form_monotone_in_maturity(self):
-        p1 = vasicek_zcb_price(0.03, 0.8, 0.05, 0.015, 1.0)
-        p2 = vasicek_zcb_price(0.03, 0.8, 0.05, 0.015, 2.0)
-        assert 0 < p2 < p1 < 1
-
     def test_validation(self):
-        with pytest.raises(WorkloadError):
-            vasicek_zcb_price(0.03, 0.0, 0.05, 0.01, 1.0)
         with pytest.raises(WorkloadError):
             Swaptions(n_paths=0)
 
@@ -73,49 +26,12 @@ class TestSwaptions:
         assert st.footprint_bytes < 1 << 20
 
 
-class TestFreqMine:
-    def test_matches_bruteforce(self):
-        w = FreqMine(n_transactions=150, n_items=12, avg_len=5, min_support=10)
-        ours = w.run()
-        ref = bruteforce_itemsets(w.transactions, 10, max_size=12)
-        assert ours == ref
-
-    def test_support_threshold_respected(self):
-        w = FreqMine(n_transactions=100, n_items=10, min_support=20)
-        for itemset, count in w.run().items():
-            assert count >= 20
-            assert len(itemset) >= 1
-
-    def test_fp_tree_structure(self):
-        tx = [[1, 2], [1, 2, 3], [1], [2, 3]]
-        root, header, frequent = build_fp_tree(tx, 2)
-        assert root.item == -1
-        # Every header chain's counts sum to the item's support.
-        support = {1: 3, 2: 3, 3: 2}
-        for item, nodes in header.items():
-            assert sum(n.count for n in nodes) == support[item]
-        assert set(frequent) == {1, 2, 3}
-
-    def test_invalid_support(self):
-        with pytest.raises(WorkloadError):
-            fp_growth([[1]], 0)
-
-
 class TestStreamCluster:
-    def test_cost_beats_random_baseline(self):
-        w = StreamCluster(n_points=1024, dim=8, k=6, block=256)
-        _, cost = w.run()
-        assert cost < w.baseline_cost()
-
-    def test_centers_bounded(self):
-        w = StreamCluster(n_points=512, dim=4, k=4, block=128)
-        centers, _ = w.run()
-        assert len(centers) <= w.k
-        assert np.isfinite(centers).all()
-
-    def test_assign_cost_validation(self):
+    def test_validation(self):
         with pytest.raises(WorkloadError):
-            assign_cost(np.zeros((3, 2)), np.zeros((0, 2)))
+            StreamCluster(k=0)
+        with pytest.raises(WorkloadError):
+            StreamCluster(block=0)
 
     def test_trace_is_streaming(self):
         w = StreamCluster()

@@ -1,74 +1,10 @@
-"""Tests for the SPEC CPU2017 workload models."""
+"""Tests for the SPEC CPU2017 workload models' traces."""
 
-import networkx as nx
-import numpy as np
-import pytest
-
-from repro.errors import WorkloadError
 from repro.trace import TraceStats
-from repro.workloads.spec import (
-    MCF,
-    CactuBSSN,
-    DeepSjeng,
-    Fotonik3D,
-    Nab,
-    Rule,
-    SearchStats,
-    Xalancbmk,
-    XmlNode,
-    alphabeta,
-    bssn_rhs,
-    deriv4,
-    field_energy,
-    generate_document,
-    lj_energy_forces,
-    min_cost_max_flow,
-    minimax,
-    random_transport_network,
-    transform,
-    yee_step,
-)
+from repro.workloads.spec import MCF, Fotonik3D
 
 
 class TestMCF:
-    def test_simple_network(self):
-        # s ->(cap2,cost1) a ->(cap2,cost1) t plus s->t direct (cap1,cost5)
-        arcs = [(0, 1, 2, 1), (1, 2, 2, 1), (0, 2, 1, 5)]
-        flow, cost = min_cost_max_flow(3, arcs, 0, 2)
-        assert flow == 3
-        assert cost == 2 * 2 + 1 * 5
-
-    def test_matches_networkx(self):
-        for seed in range(3):
-            arcs, s, t = random_transport_network(12, 40, seed=seed)
-            flow, cost = min_cost_max_flow(12, arcs, s, t)
-            # networkx flow algorithms reject multigraphs: expand each
-            # parallel arc (u, v, c, w) into u -> m -> v via a fresh node.
-            g = nx.DiGraph()
-            g.add_nodes_from(range(12))
-            nxt = 12
-            for u, v, c, w in arcs:
-                g.add_edge(u, nxt, capacity=c, weight=w)
-                g.add_edge(nxt, v, capacity=c, weight=0)
-                nxt += 1
-            assert flow == nx.maximum_flow_value(g, s, t)
-            ref_cost = nx.cost_of_flow(g, nx.max_flow_min_cost(g, s, t))
-            assert cost == ref_cost
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            min_cost_max_flow(3, [(0, 1, -1, 1)], 0, 2)
-        with pytest.raises(WorkloadError):
-            min_cost_max_flow(3, [], 1, 1)
-        with pytest.raises(WorkloadError):
-            random_transport_network(2, 5)
-
-    def test_workload_runs(self):
-        w = MCF(n_nodes=16, n_arcs=48, n_networks=2)
-        results = w.run()
-        assert len(results) == 2
-        assert all(f > 0 for f, _ in results)
-
     def test_trace_irregular(self):
         w = MCF()
         st = TraceStats.collect(w.trace(max_accesses=20000))
@@ -76,211 +12,8 @@ class TestMCF:
 
 
 class TestFotonik3D:
-    def test_matches_reference_step(self):
-        n = 8
-        rng = np.random.default_rng(1)
-        ours = [rng.normal(0, 1, (n, n, n)) for _ in range(6)]
-        ref = [f.copy() for f in ours]
-        yee_step(*ours, courant=0.3)
-
-        # Explicit-loop reference on the E fields.
-        ex, ey, ez, hx, hy, hz = ref
-        ex2 = ex.copy()
-        for z in range(1, n - 1):
-            for y in range(1, n - 1):
-                for x in range(1, n - 1):
-                    ex2[z, y, x] += 0.3 * (
-                        (hz[z, y, x] - hz[z, y - 1, x]) - (hy[z, y, x] - hy[z, y, x - 1])
-                    )
-        assert np.allclose(ours[0], ex2)
-
-    def test_energy_stays_bounded(self):
-        w = Fotonik3D(n=12, steps=20, courant=0.3)
-        res = w.run()
-        assert res["final_energy"] < 10 * max(res["initial_energy"], 1e-12)
-        assert np.isfinite(res["final_energy"])
-
-    def test_wave_propagates(self):
-        w = Fotonik3D(n=16, steps=6)
-        w.run()
-        ez = w._fields[2]
-        mid = w.n // 2
-        # Field amplitude away from the source is now non-zero.
-        assert np.abs(ez[mid + 3, mid, mid]) >= 0 and np.abs(w._fields[3]).max() > 0
-
-    def test_courant_guard(self):
-        fields = [np.zeros((6, 6, 6)) for _ in range(6)]
-        with pytest.raises(WorkloadError):
-            yee_step(*fields, courant=0.9)
-
     def test_trace_is_streaming(self):
         w = Fotonik3D(n=12, steps=2)
         st = TraceStats.collect(w.trace())
         assert st.sequential_fraction > 0.9
         assert st.writes > 0
-
-
-class TestDeepSjeng:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_alphabeta_equals_minimax(self, seed):
-        rng = np.random.default_rng(seed)
-        root = int(rng.integers(0, 100_003))
-        for depth in (2, 3, 4):
-            assert alphabeta(root, depth, 4) == minimax(root, depth, 4)
-
-    def test_tt_equals_no_tt(self):
-        root = 1234
-        tt: dict = {}
-        assert alphabeta(root, 5, 4, tt=tt) == alphabeta(root, 5, 4)
-        assert len(tt) > 0
-
-    def test_pruning_reduces_nodes(self):
-        root, depth, branching = 999, 5, 5
-        s_ab = SearchStats()
-        alphabeta(root, depth, branching, stats=s_ab)
-        full_nodes = sum(branching**d for d in range(depth + 1))
-        assert s_ab.nodes < full_nodes
-        assert s_ab.cutoffs > 0
-
-    def test_tt_hits_occur(self):
-        s = SearchStats()
-        alphabeta(777, 6, 5, tt={}, stats=s)
-        assert s.tt_hits > 0  # collisions create transpositions
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            alphabeta(0, -1, 3)
-        with pytest.raises(WorkloadError):
-            alphabeta(0, 1, 0)
-
-    def test_workload_deterministic(self):
-        assert DeepSjeng(depth=4, n_roots=2).run() == DeepSjeng(depth=4, n_roots=2).run()
-
-
-class TestNab:
-    def test_forces_are_minus_grad_energy(self):
-        rng = np.random.default_rng(3)
-        pos = rng.uniform(1, 7, (6, 3))
-        box, cutoff = 8.0, 2.5
-        _, forces = lj_energy_forces(pos, box, cutoff)
-        eps = 1e-6
-        for i in range(3):
-            for d in range(3):
-                p_hi = pos.copy()
-                p_hi[i, d] += eps
-                p_lo = pos.copy()
-                p_lo[i, d] -= eps
-                e_hi, _ = lj_energy_forces(p_hi, box, cutoff)
-                e_lo, _ = lj_energy_forces(p_lo, box, cutoff)
-                num = -(e_hi - e_lo) / (2 * eps)
-                assert forces[i, d] == pytest.approx(num, abs=1e-4)
-
-    def test_newtons_third_law(self):
-        rng = np.random.default_rng(4)
-        pos = rng.uniform(0, 8, (10, 3))
-        _, forces = lj_energy_forces(pos, 8.0, 2.5)
-        assert np.allclose(forces.sum(axis=0), 0, atol=1e-10)
-
-    def test_momentum_conserved(self):
-        w = Nab(n_particles=27, steps=5)
-        res = w.run()
-        assert res["momentum_norm"] < 1e-9
-
-    def test_energy_drift_bounded(self):
-        w = Nab(n_particles=27, steps=20, dt=0.001)
-        res = w.run()
-        denom = max(abs(res["initial_energy"]), 1.0)
-        assert abs(res["final_energy"] - res["initial_energy"]) / denom < 0.05
-
-    def test_cutoff_guard(self):
-        with pytest.raises(WorkloadError):
-            lj_energy_forces(np.zeros((3, 3)), 8.0, 10.0)
-
-
-class TestXalancbmk:
-    def test_rename(self):
-        doc = XmlNode("root", children=[XmlNode("a", text="x")])
-        out = transform(doc, [Rule("a", "rename", "alpha")])
-        assert out[0].serialize() == "<root><alpha>x</alpha></root>"
-
-    def test_drop(self):
-        doc = XmlNode("root", children=[XmlNode("b"), XmlNode("c", text="keep")])
-        out = transform(doc, [Rule("b", "drop")])
-        assert out[0].serialize() == "<root><c>keep</c></root>"
-
-    def test_unwrap(self):
-        doc = XmlNode("root", children=[XmlNode("c", children=[XmlNode("d", text="in")])])
-        out = transform(doc, [Rule("c", "unwrap")])
-        assert out[0].serialize() == "<root><d>in</d></root>"
-
-    def test_rules_compose_bottom_up(self):
-        doc = XmlNode("root", children=[XmlNode("c", children=[XmlNode("b")])])
-        out = transform(doc, [Rule("b", "drop"), Rule("c", "unwrap")])
-        assert out[0].serialize() == "<root></root>"
-
-    def test_bad_rule(self):
-        with pytest.raises(WorkloadError):
-            Rule("a", "explode")
-        with pytest.raises(WorkloadError):
-            Rule("a", "rename")
-
-    def test_generate_document_count(self):
-        doc = generate_document(50, seed=5)
-        assert doc.count() == 50
-
-    def test_workload_shrinks_document(self):
-        w = Xalancbmk(n_nodes=500)
-        res = w.run()
-        assert res["nodes_before"] == 500
-        assert 0 < res["nodes_after"] <= 500
-        assert res["output_chars"] > 0
-
-
-class TestCactuBSSN:
-    def test_deriv4_exact_on_cubic(self):
-        n = 12
-        h = 0.1
-        xs = (np.arange(n) * h).reshape(n, 1, 1)
-        f = np.broadcast_to(xs**3, (n, n, n)).copy()
-        d = deriv4(f, 0, h, order=1)
-        expected = 3 * (xs**2)
-        inner = slice(2, -2)
-        assert np.allclose(
-            d[inner, inner, inner],
-            np.broadcast_to(expected, (n, n, n))[inner, inner, inner],
-            atol=1e-9,
-        )
-
-    def test_deriv4_second_order_exact_on_quadratic(self):
-        n = 10
-        h = 0.2
-        xs = (np.arange(n) * h).reshape(1, n, 1)
-        f = np.broadcast_to(xs**2, (n, n, n)).copy()
-        d2 = deriv4(f, 1, h, order=2)
-        inner = slice(2, -2)
-        assert np.allclose(d2[inner, inner, inner], 2.0, atol=1e-9)
-
-    def test_rhs_structure(self):
-        rng = np.random.default_rng(6)
-        n = 8
-        fields = {
-            "phi": rng.normal(0, 0.01, (n, n, n)),
-            "K": rng.normal(0, 0.01, (n, n, n)),
-            "gxx": 1.0 + rng.normal(0, 0.01, (n, n, n)),
-            "beta": rng.normal(0, 0.01, (n, n, n)),
-        }
-        rhs = bssn_rhs(fields, 0.1)
-        assert set(rhs) == set(fields)
-        assert np.allclose(rhs["phi"], fields["K"])
-
-    def test_evolution_stays_finite(self):
-        w = CactuBSSN(n=12, steps=4)
-        norms = w.run()
-        assert all(np.isfinite(v) for v in norms.values())
-        assert norms["gxx"] > 0.5  # stays near its background value 1
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            deriv4(np.zeros((4, 4, 4)), 0, 0.1, order=3)
-        with pytest.raises(WorkloadError):
-            deriv4(np.zeros((4, 4)), 0, 0.1)
