@@ -803,10 +803,14 @@ def _replay(args: argparse.Namespace, artifact: str, key: str, end: str, **knobs
 
 def _traffic_replay(args: argparse.Namespace) -> int:
     """``repro traffic-replay`` invoked directly: route the traffic
-    knobs into the registered runner (campaigns run its defaults)."""
+    knobs into the registered runner (campaigns run its defaults).  A
+    ``--traffic`` file's own seed and hours apply unless ``--seed`` or
+    ``--hours`` is given, as on every replay verb."""
+    seed = args.seed if args.traffic is not None and "seed" in args.given else None
     return _replay(
         args, "traffic-replay", "replay", "",
-        traffic=args.traffic, hours=args.hours, scale=args.scale, rate=args.rate,
+        traffic=args.traffic, seed=seed, hours=args.hours, scale=args.scale,
+        rate=args.rate,
     )
 
 

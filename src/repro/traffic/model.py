@@ -170,10 +170,17 @@ class TrafficModel:
         return path
 
 
-def load_model(path: "str | Path") -> TrafficModel:
+def load_model(
+    path: "str | Path",
+    *,
+    seed: "int | None" = None,
+    hours: "float | None" = None,
+) -> tuple[TrafficModel, int, float]:
     """Load a traffic-model JSON file (the :meth:`TrafficModel.payload`
-    shape, optionally with top-level ``seed`` / ``hours`` defaults the
-    generate helpers honor)."""
+    shape, optionally with top-level ``seed`` / ``hours`` keys): the
+    model, and the seed and hours to generate it with.  Explicit
+    arguments win over the file's keys; the fallbacks are seed 0 and a
+    full 24-hour day."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -181,7 +188,11 @@ def load_model(path: "str | Path") -> TrafficModel:
         raise TrafficError(f"cannot read traffic model {path}: {exc}") from None
     if not isinstance(payload, dict):
         raise TrafficError(f"traffic model {path} is not a JSON object")
-    return TrafficModel.from_payload(payload)
+    if seed is None:
+        seed = int(payload.get("seed", 0))
+    if hours is None:
+        hours = float(payload.get("hours", 24.0))
+    return TrafficModel.from_payload(payload), seed, hours
 
 
 def generate_from_file(
@@ -190,21 +201,9 @@ def generate_from_file(
     seed: "int | None" = None,
     hours: "float | None" = None,
 ) -> ArrivalTrace:
-    """Generate a trace from a model file.  Explicit arguments win over
-    the file's optional top-level ``seed`` / ``hours`` keys; the
-    fallbacks are seed 0 and a full 24-hour day."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise TrafficError(f"cannot read traffic model {path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise TrafficError(f"traffic model {path} is not a JSON object")
-    model = TrafficModel.from_payload(payload)
-    if seed is None:
-        seed = int(payload.get("seed", 0))
-    if hours is None:
-        hours = float(payload.get("hours", 24.0))
+    """Generate a trace from a model file, with the seed and hours
+    :func:`load_model` resolves."""
+    model, seed, hours = load_model(path, seed=seed, hours=hours)
     return model.generate(seed=seed, hours=hours)
 
 

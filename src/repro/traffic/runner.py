@@ -187,7 +187,7 @@ class TrafficReplayRunner(Runner):
         traffic: "str | None" = None,
         model: "TrafficModel | None" = None,
         seed: "int | None" = None,
-        hours: float = 24.0,
+        hours: "float | None" = None,
         scale: float = 60.0,
         rate: float = DEFAULT_RATE_PER_HOUR,
         departures: float = 0.0,
@@ -203,7 +203,7 @@ class TrafficReplayRunner(Runner):
         if traffic is not None and model is not None:
             raise TrafficError("pass either a traffic file or a model, not both")
         if traffic is not None:
-            model = load_model(traffic)
+            model, seed, hours = load_model(traffic, seed=seed, hours=hours)
         if model is None:
             model = TrafficModel(
                 mix=WorkloadMix.uniform(session.config.workloads),
@@ -213,6 +213,8 @@ class TrafficReplayRunner(Runner):
             )
         if seed is None:
             seed = session.config.seed
+        if hours is None:
+            hours = 24.0
         trace = model.generate(seed=seed, hours=hours)
         evaluator = PlacementEvaluator(session)
         reports = [

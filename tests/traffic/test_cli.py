@@ -130,6 +130,7 @@ class TestTrafficReplayCli:
         assert warm["replay"] == cold["replay"]
 
     def test_replay_accepts_model_file(self, model_file, tmp_path, capsys):
+        model = TrafficModel.from_payload(json.loads(open(model_file).read()))
         code, out, _ = run(capsys, [
             "traffic-replay", "--store", str(tmp_path / "st"),
             "--workloads", "G-CC,swaptions", "--traffic", model_file,
@@ -138,7 +139,23 @@ class TestTrafficReplayCli:
         assert code == 0
         replay = json.loads(out)["replay"]
         assert replay["model"]["rate_per_hour"] == 30.0
-        assert replay["seed"] == 0  # session seed, not the file's
+        # The file's own seed (2) and hours (2), as on every replay verb.
+        assert (replay["seed"], replay["hours"]) == (2, 2.0)
+        trace = model.generate(seed=2, hours=2.0)
+        assert replay["trace"] == json.loads(json.dumps(trace.payload()))
+
+    def test_replay_flags_override_model_file(self, model_file, tmp_path, capsys):
+        model = TrafficModel.from_payload(json.loads(open(model_file).read()))
+        code, out, _ = run(capsys, [
+            "traffic-replay", "--store", str(tmp_path / "st"),
+            "--workloads", "G-CC,swaptions", "--traffic", model_file,
+            "--seed", "7", "--hours", "1", "--json",
+        ])
+        assert code == 0
+        replay = json.loads(out)["replay"]
+        assert (replay["seed"], replay["hours"]) == (7, 1.0)
+        trace = model.generate(seed=7, hours=1.0)
+        assert replay["trace"] == json.loads(json.dumps(trace.payload()))
 
 
 class TestSchedAndServePlumbing:

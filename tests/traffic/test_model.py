@@ -156,7 +156,8 @@ class TestRoundTripAndFiles:
         payload["seed"] = 5
         payload["hours"] = 2.0
         path.write_text(json.dumps(payload))
-        assert load_model(path) == model
+        assert load_model(path) == (model, 5, 2.0)
+        assert load_model(path, seed=9, hours=1.0) == (model, 9, 1.0)
         from_file = generate_from_file(path)
         assert json.dumps(from_file.payload()) == json.dumps(
             model.generate(seed=5, hours=2.0).payload()
