@@ -1,10 +1,10 @@
 """ConvNet workloads: the CNTK image-recognition models (CIFAR, MNIST).
 
 Training runs im2col convolutions, max-pooling, a dense classifier and
-SGD.  The trace is one training step's GEMMs per step, as blocked-GEMM
-access streams over the im2col workspaces, weights and activations
-(the paper only measures the training phase's performance, not
-accuracy).
+SGD.  The trace is each training step's three GEMMs (the two im2col
+convolutions and the dense layer) as blocked-GEMM access streams over
+the im2col workspaces, weights and activations (the paper only
+measures the training phase's performance, not accuracy).
 
 The memory behaviour that matters for interference: the im2col
 workspace is streamed sequentially (GEMM-friendly, moderately

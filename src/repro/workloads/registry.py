@@ -24,7 +24,7 @@ from repro.workloads.calibration import (
 )
 
 
-def _factories() -> dict[str, Callable[..., Workload]]:
+def _factories() -> dict[str, Callable[[], Workload]]:
     from repro.workloads.dl import ATIS, ConvNetCIFAR, ConvNetMNIST, LSTMAn4
     from repro.workloads.graph.gemini import (
         GeminiBC,
@@ -86,10 +86,10 @@ def _factories() -> dict[str, Callable[..., Workload]]:
     }
 
 
-_FACTORY_CACHE: dict[str, Callable[..., Workload]] | None = None
+_FACTORY_CACHE: dict[str, Callable[[], Workload]] | None = None
 
 
-def _factory_map() -> dict[str, Callable[..., Workload]]:
+def _factory_map() -> dict[str, Callable[[], Workload]]:
     global _FACTORY_CACHE
     if _FACTORY_CACHE is None:
         _FACTORY_CACHE = _factories()

@@ -2,9 +2,9 @@
 
 deepsjeng is a chess engine dominated by alpha-beta search with a
 transposition table.  The trace is that search's access stream from
-``n_roots`` root positions: random probes into a 100,003-entry
-transposition table and writes to a small board stack, with ~40
-instructions per probe (move generation, evaluation).
+``n_roots`` root positions: random probes into the transposition
+table and writes to a small board stack, with ~40 instructions per
+probe (move generation, evaluation).
 
 Systems profile: tiny working set (TT lookups hit in cache), high IPC,
 near-zero bandwidth — a perfect Harmony citizen (Fig 5) with linear
