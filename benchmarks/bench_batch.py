@@ -9,13 +9,18 @@ resolved once up front and shipped inside the cells, so both paths
 time exactly the co-run solve (what ``Session.run_scenarios`` ships to
 them after planning).
 
-Three numbers land in BENCH_batch.json:
+Four numbers land in BENCH_batch.json:
 
 * the headline ``speedup`` — solver-level, dense shape, batch wall
   time best-of-three (the scalar reference is long enough to be
   stable single-shot);
 * ``pairwise`` — the same comparison on fig5's 2-app shape, the
   conservative number (2 apps leave most of the array width idle);
+* ``narrow`` — pair cells solved 1 and 6 per ``solve_batch`` call
+  against the same cells solved by the scalar solver (best of three
+  each): the width an admission decision asks for (a cold traffic day
+  averages 6.4 cells per call), and the ratio a single-solver engine
+  would pay on lone cells;
 * ``session`` — end-to-end ``Session.run_scenarios`` cold-sweep wall
   times, where planning/cache bookkeeping (paid identically by both
   paths) dilutes the ratio.
@@ -69,9 +74,8 @@ def _key(res):
     return (res.normalized_time, tuple(res.bg_relative_rates))
 
 
-def _measure_solver(engine, cells):
-    t0 = time.perf_counter()
-    scalar = [
+def _scalar(engine, cells):
+    return [
         engine.scenario_run(
             list(c.profiles),
             list(c.threads),
@@ -80,6 +84,11 @@ def _measure_solver(engine, cells):
         )
         for c in cells
     ]
+
+
+def _measure_solver(engine, cells):
+    t0 = time.perf_counter()
+    scalar = _scalar(engine, cells)
     scalar_s = time.perf_counter() - t0
     batch_s = float("inf")
     for _ in range(3):
@@ -88,6 +97,23 @@ def _measure_solver(engine, cells):
         batch_s = min(batch_s, time.perf_counter() - t0)
     assert [_key(r) for r in batched] == [_key(r) for r in scalar]
     return scalar_s, batch_s
+
+
+def _measure_narrow(engine, cells, width):
+    """Scalar and batch wall times over whole groups of ``width`` cells,
+    one ``solve_batch`` call per group (best of three each)."""
+    groups = [cells[a : a + width] for a in range(0, len(cells) - width + 1, width)]
+    used = [c for group in groups for c in group]
+    scalar_s = batch_s = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        scalar = _scalar(engine, used)
+        scalar_s = min(scalar_s, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        batched = [res for group in groups for res in solve_batch(engine, group)]
+        batch_s = min(batch_s, time.perf_counter() - t0)
+    assert [_key(r) for r in batched] == [_key(r) for r in scalar]
+    return len(used), scalar_s, batch_s
 
 
 def _measure_session(config, sweep):
@@ -109,7 +135,9 @@ def test_batch_engine_throughput(benchmark, exact_config, artifacts):
     scalar_s, batch_s = _measure_solver(engine, _cells(engine, dense))
 
     pair = ScenarioSet.pairwise(WORKLOADS, threads=4)
-    pair_scalar_s, pair_batch_s = _measure_solver(engine, _cells(engine, pair))
+    pair_cells = _cells(engine, pair)
+    pair_scalar_s, pair_batch_s = _measure_solver(engine, pair_cells)
+    narrow = {w: _measure_narrow(engine, pair_cells[:24], w) for w in (1, 6)}
 
     sess_scalar_s, sess_batch_s = _measure_session(exact_config, dense)
 
@@ -123,6 +151,10 @@ def test_batch_engine_throughput(benchmark, exact_config, artifacts):
         f"cold sweep, scalar vs batch engine ({len(WORKLOADS)} workloads)",
         row(f"solver, {n}-way x 1 thread", len(dense), scalar_s, batch_s),
         row("solver, pairwise x 4", len(pair), pair_scalar_s, pair_batch_s),
+        *(
+            row(f"solver, {w} cell(s) per call", n, s, b)
+            for w, (n, s, b) in narrow.items()
+        ),
         row("session end-to-end", len(dense), sess_scalar_s, sess_batch_s),
     ]
     artifacts(
@@ -139,6 +171,15 @@ def test_batch_engine_throughput(benchmark, exact_config, artifacts):
                 "scalar_seconds": round(pair_scalar_s, 6),
                 "batch_seconds": round(pair_batch_s, 6),
                 "speedup": round(pair_scalar_s / pair_batch_s, 3),
+            },
+            "narrow": {
+                str(w): {
+                    "cells": n,
+                    "scalar_seconds": round(s, 6),
+                    "batch_seconds": round(b, 6),
+                    "speedup": round(s / b, 3),
+                }
+                for w, (n, s, b) in narrow.items()
             },
             "session": {
                 "cells": len(dense),

@@ -17,6 +17,7 @@ from repro.engine.results import (
     AppMetrics,
     BandwidthSample,
     CoRunResult,
+    LazyTimeline,
     RegionMetrics,
     ScenarioRunResult,
     SoloRunResult,
@@ -30,6 +31,7 @@ __all__ = [
     "CoRunResult",
     "EngineConfig",
     "IntervalEngine",
+    "LazyTimeline",
     "MAX_BATCH_SLOTS",
     "MIN_SHARE_FRACTION",
     "PREFETCH_COVERAGE",

@@ -16,8 +16,9 @@ same bytes as the scalar one and warm stores stay fingerprint-stable.
 Two properties of the scalar path shape the implementation:
 
 * python ``sum()`` and numpy's small-array sum reduce strictly
-  left-to-right for fewer than eight elements, so per-slot reductions
-  are replayed as masked sequential adds and cells with eight or more
+  left-to-right for fewer than eight elements, so every per-slot
+  reduction is one ``np.add.accumulate`` along the slot axis (an
+  accumulate is strictly sequential) and cells with eight or more
   applications fall back to the scalar engine;
 * the fixed point *applies* the damped update and then tests
   convergence, so converged cells keep their final update and are
@@ -49,10 +50,10 @@ from repro.engine.interval import (
     _TOL,
     BatchCell,
 )
-from repro.engine.llc_sharing import MIN_SHARE_FRACTION, allocate_llc_ways
+from repro.engine.llc_sharing import MIN_SHARE_FRACTION, allocate_llc_groups, way_groups
 from repro.engine.results import (
     AppMetrics,
-    BandwidthSample,
+    LazyTimeline,
     RegionMetrics,
     ScenarioRunResult,
 )
@@ -67,22 +68,15 @@ MAX_BATCH_SLOTS = 7
 
 
 def _seq_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-cell sum over slots in slot order — exactly how ``sum()``
-    (and numpy below 8 elements) reduces.  ``sum()`` starts from 0.0;
-    starting from the first term instead is bit-identical because every
-    engine quantity summed this way is non-negative (only a -0.0 first
-    term could differ from ``0.0 + term``).  A fully-true mask (the
-    common case for the static slot-liveness masks) skips the
-    ``np.where`` masking entirely — ``where(True, v, 0.0)`` is ``v``."""
-    if mask.all():
-        total = values[:, 0]
-        for j in range(1, values.shape[1]):
-            total = total + values[:, j]
-        return total
-    total = np.where(mask[:, 0], values[:, 0], 0.0)
-    for j in range(1, values.shape[1]):
-        total = total + np.where(mask[:, j], values[:, j], 0.0)
-    return total
+    """Per-cell sum over the masked slots in slot order, as one
+    ``np.add.accumulate`` along the slot axis: an accumulate adds
+    strictly left to right, which is how ``sum()`` (and numpy below 8
+    elements) reduces.  ``sum()`` starts from 0.0; starting from the
+    first term instead is bit-identical because every engine quantity
+    summed this way is non-negative (only a -0.0 first term could differ
+    from ``0.0 + term``), and a masked-out slot adds 0.0, which leaves a
+    non-negative running total as it is."""
+    return np.add.accumulate(np.where(mask, values, 0.0), axis=1)[:, -1]
 
 
 def _waterfill_batch(
@@ -133,65 +127,74 @@ def _allocate_llc_batch(
 ) -> np.ndarray:
     """Vectorized ``llc_sharing.allocate_llc`` across the ``cells``
     mask: proportional waterfill capped by footprints plus the LRU
-    floor, with the zero-pressure even split."""
+    floor, with the zero-pressure even split.  Each waterfill round and
+    the LRU floor run on the rows still in them only; rows never mix,
+    so a row's arithmetic is the same whichever rows share a round."""
     n_slots = p.shape[1]
     psum = _seq_sum(p, alive)
     has_p = psum > 0.0
     floor = MIN_SHARE_FRACTION * cap_bytes
     alloc = np.zeros_like(p)
     active = alive & (p > 0.0)
-    todo = active.copy()
-    remaining = np.full(p.shape[0], cap_bytes)
-    running = cells & has_p
-    # In round one ``todo`` masks exactly the positive-pressure slots,
-    # so the masked sum equals ``psum`` term for term (zeros either
-    # way); later rounds recompute it after slots cap out.
-    pt = psum
+    # The waterfill's rows, and their state beside them, shrink to the
+    # rows still running.  In round one ``todo`` masks exactly the
+    # positive-pressure slots, so the masked sum equals ``psum`` term for
+    # term (zeros either way); later rounds recompute it after slots cap
+    # out.
+    rows = np.flatnonzero(cells & has_p)
+    todo = active[rows]
+    remaining = np.full(rows.size, cap_bytes)
+    pt = psum[rows]
+    pr, fr = p[rows], f[rows]
     for _ in range(n_slots + 1):
-        running = running & todo.any(axis=1) & (remaining > 0.0)
-        if not running.any():
+        keep = todo.any(axis=1) & (remaining > 0.0)
+        if not keep.all():
+            rows, todo, remaining = rows[keep], todo[keep], remaining[keep]
+            pt, pr, fr = pt[keep], pr[keep], fr[keep]
+        if not rows.size:
             break
         ptsafe = np.where(pt > 0.0, pt, 1.0)
-        trial = (p / ptsafe[:, None]) * remaining[:, None]
-        over = todo & (trial >= f)
+        trial = (pr / ptsafe[:, None]) * remaining[:, None]
+        over = todo & (trial >= fr)
         any_over = over.any(axis=1)
-        cont = running & any_over
-        if not cont.any():
-            # Every running cell finishes this round (the common case:
+        if not any_over.any():
+            # Every running row finishes this round (the common case:
             # no footprint cap was hit anywhere).
-            alloc = np.where(running[:, None] & todo, trial, alloc)
+            alloc[rows] = np.where(todo, trial, alloc[rows])
             break
-        finish = running & ~any_over
-        alloc = np.where(finish[:, None] & todo, trial, alloc)
-        hit = over & cont[:, None]
-        alloc = np.where(hit, f, alloc)
-        remaining = np.where(cont, remaining - _seq_sum(f, hit), remaining)
-        todo = todo & ~hit
-        running = cont
-        pt = _seq_sum(p, todo)
+        done = ~any_over
+        alloc[rows[done]] = np.where(todo[done], trial[done], alloc[rows[done]])
+        rows, todo, remaining = rows[any_over], todo[any_over], remaining[any_over]
+        pr, fr, over = pr[any_over], fr[any_over], over[any_over]
+        alloc[rows] = np.where(over, fr, alloc[rows])
+        remaining = remaining - _seq_sum(fr, over)
+        todo = todo & ~over
+        pt = _seq_sum(pr, todo)
     # LRU floor: steal proportionally from shares above the floor, one
     # beneficiary slot at a time (the scalar loop order).  Donors never
-    # drop below the floor, so a cell with no under-floor slot now
-    # never gains one — the whole phase can be skipped up front.
+    # drop below the floor, so only rows with an under-floor slot now
+    # ever change.
     minf = np.minimum(floor, f)
-    fl_cells = cells & has_p
-    if bool((fl_cells[:, None] & active & (alloc < minf)).any()):
+    rows = np.flatnonzero(cells & has_p & (active & (alloc < minf)).any(axis=1))
+    if rows.size:
+        a, act, minf = alloc[rows], active[rows], minf[rows]
         for i in range(n_slots):
-            needm = fl_cells & active[:, i] & (alloc[:, i] < minf[:, i])
+            needm = act[:, i] & (a[:, i] < minf[:, i])
             if not needm.any():
                 continue
-            need = minf[:, i] - alloc[:, i]
-            donors = active & (alloc > floor)
+            need = minf[:, i] - a[:, i]
+            donors = act & (a > floor)
             donors[:, i] = False
-            pool = _seq_sum(alloc - floor, donors)
+            pool = _seq_sum(a - floor, donors)
             ok = needm & (pool > 0.0)
             if not ok.any():
                 continue
             take = np.minimum(need, pool)
             poolsafe = np.where(pool > 0.0, pool, 1.0)
-            give = (take[:, None] * (alloc - floor)) / poolsafe[:, None]
-            alloc = np.where(ok[:, None] & donors, alloc - give, alloc)
-            alloc[:, i] = np.where(ok, alloc[:, i] + take, alloc[:, i])
+            give = (take[:, None] * (a - floor)) / poolsafe[:, None]
+            a = np.where(ok[:, None] & donors, a - give, a)
+            a[:, i] = np.where(ok, a[:, i] + take, a[:, i])
+        alloc[rows] = a
     if bool(has_p.all()):
         return alloc
     even = np.where(alive, np.minimum(f, (cap_bytes / n_apps)[:, None]), 0.0)
@@ -239,6 +242,8 @@ class _BatchRunner:
         self.acc_names: list[list[list[str]]] = []  # [c][s] -> unique names
         self.sync_names: list[list[str | None]] = []
         self.pin_cells: list[int] = []
+        #: cell -> its ways grouped by sharer signature (masked cells)
+        self.way_groups: dict[int, list] = {}
         mask_caps = np.zeros((C, S))
         has_masks = np.zeros(C, dtype=bool)
         RN = 1
@@ -283,6 +288,7 @@ class _BatchRunner:
             cell_masks = cell.llc_ways
             if cell_masks is not None and any(m is not None for m in cell_masks):
                 has_masks[c] = True
+                self.way_groups[c] = way_groups(spec.llc_ways, list(cell_masks))
                 for s in range(len(cell.profiles)):
                     m = cell_masks[s]
                     mask_caps[c, s] = (
@@ -451,7 +457,11 @@ class _BatchRunner:
         steps = np.zeros(C, dtype=np.int64)
         active = np.ones(C, dtype=bool)
         max_dt_full = np.array([c.max_dt for c in self.cells])
-        timelines: list[list[tuple[float, list[float]]]] = [[] for _ in range(C)]
+        # Timeline rows, one entry per pass that advanced cells: the
+        # cells, their step end times and their per-slot rates.
+        tl_cells: list[np.ndarray] = []
+        tl_times: list[np.ndarray] = []
+        tl_rates: list[np.ndarray] = []
         total_iters = 0
         total_steps = 0
         peak_pos = peak > 0.0
@@ -665,20 +675,19 @@ class _BatchRunner:
             # LLC reallocation targets.  numpy's vectorized pow rounds
             # differently from libm in the last ulp, so the pressure
             # exponent is applied per element on python floats —
-            # exactly the scalar engine's operation.
+            # exactly the scalar engine's operation — and to live slots
+            # only (dead slots have no pressure).
             any_masks = bool(hm_s.any())
             if any_masks or policy == "pressure":
                 pbase = ((gv["mpki"] * m) * new_rate) * teff_s
-                pressures = np.array(
-                    [
-                        v**LLC_PRESSURE_EXP
-                        for v in pbase.reshape(-1).tolist()
-                    ]
-                ).reshape(B, S)
+                pressures = np.zeros((B, S))
+                pressures[alive_s] = [
+                    v**LLC_PRESSURE_EXP for v in pbase[alive_s].tolist()
+                ]
             if policy == "pressure":
                 target = _allocate_llc_batch(
                     llc_cap,
-                    np.where(alive_s, pressures, 0.0),
+                    pressures,
                     gv["foot"],
                     alive_s,
                     napps_s,
@@ -695,10 +704,10 @@ class _BatchRunner:
                     i = int(i)
                     c = int(act[i])
                     n_c = int(napps_s[i])
-                    part = allocate_llc_ways(
+                    part = allocate_llc_groups(
                         llc_cap,
                         spec.llc_ways,
-                        list(self.cells[c].llc_ways),
+                        self.way_groups[c],
                         pressures[i, :n_c].tolist(),
                         gv["foot"][i, :n_c].tolist(),
                         policy,
@@ -802,14 +811,11 @@ class _BatchRunner:
             instr_done_k[ci_l, si] += inst_v
             instr_done[rows] = instr_done_k
 
-            # Timeline samples (per cell, in slot order).
+            # Timeline samples, kept as rows until assembly.
             t_next = now[rows] + dt
-            for i in range(K):
-                c = int(rows[i])
-                n_c = len(self.cells[c].profiles)
-                timelines[c].append(
-                    (float(t_next[i]), bps_k[i, :n_c].tolist())
-                )
+            tl_cells.append(rows)
+            tl_times.append(t_next)
+            tl_rates.append(bps_k)
             now[rows] = t_next
 
             # Region/phase transitions (few per pass: python
@@ -854,7 +860,7 @@ class _BatchRunner:
                 its_s = its_s[keep]
 
         return self._assemble(
-            acc, visited, total_instr, now, timelines
+            acc, visited, total_instr, now, (tl_cells, tl_times, tl_rates)
         ), total_steps, total_iters
 
     # -- result assembly ------------------------------------------------
@@ -865,8 +871,14 @@ class _BatchRunner:
         visited: np.ndarray,
         total_instr: np.ndarray,
         now: np.ndarray,
-        timelines: list,
+        timeline_rows: "tuple[list, list, list]",
     ) -> "list[ScenarioRunResult]":
+        # Each cell's timeline: its rows in pass order (a stable sort by
+        # cell keeps each cell's steps in order), as a lazy timeline.
+        tl_cells, tl_times, tl_rates = (np.concatenate(a) for a in timeline_rows)
+        order = np.argsort(tl_cells, kind="stable")
+        tl_times, tl_rates = tl_times[order], tl_rates[order]
+        ends = np.cumsum(np.bincount(tl_cells, minlength=self.C)).tolist()
         accl = {k: v.tolist() for k, v in acc.items()}
         visl = visited.tolist()
         til = total_instr.tolist()
@@ -920,14 +932,10 @@ class _BatchRunner:
                 relative_rates.append(
                     rate / solo_rate if solo_rate > 0 else 0.0
                 )
-            names_c = self.prof_names[c]
-            timeline = [
-                BandwidthSample(
-                    time_s=t_s,
-                    bytes_per_s=dict(zip(names_c, bps)),
-                )
-                for t_s, bps in timelines[c]
-            ]
+            lo, hi = ends[c - 1] if c else 0, ends[c]
+            timeline = LazyTimeline(
+                (tl_times[lo:hi], tl_rates[lo:hi, :n_c]), self.prof_names[c]
+            )
             results.append(
                 ScenarioRunResult(
                     apps=apps,

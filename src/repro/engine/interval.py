@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 from repro.errors import EngineError
 from repro.engine.bandwidth import resolve_bus
-from repro.engine.llc_sharing import allocate_llc, allocate_llc_ways
+from repro.engine.llc_sharing import allocate_llc, allocate_llc_groups, way_groups
 from repro.engine.results import (
     AppMetrics,
     BandwidthSample,
@@ -227,6 +227,8 @@ class IntervalEngine:
         # Per-app CAT way masks: when any app carries a bitmap the LLC
         # targets come from the masked allocator; the no-mask path below
         # is kept verbatim so unpartitioned runs stay bit-identical.
+        # The ways' sharer groups depend on the masks alone: grouped
+        # once here, not on every iteration.
         has_masks = any(a.llc_ways is not None for a in apps)
         mask_caps: list[float] = []
         if has_masks:
@@ -236,6 +238,7 @@ class IntervalEngine:
                 * spec.llc_way_bytes
                 for a in apps
             ]
+            groups = way_groups(spec.llc_ways, [a.llc_ways for a in apps])
         sols: list[_PhaseSolution] = []
         for _ in range(_MAX_ITER):
             from repro.machine.memory import queueing_latency_multiplier
@@ -334,10 +337,10 @@ class IntervalEngine:
                 ]
                 footprints = [a.region.footprint_bytes for a in apps]
             if has_masks:
-                target_alloc = allocate_llc_ways(
+                target_alloc = allocate_llc_groups(
                     llc_cap,
                     spec.llc_ways,
-                    [a.llc_ways for a in apps],
+                    groups,
                     pressures,
                     footprints,
                     cfg.llc_policy,

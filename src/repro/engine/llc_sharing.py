@@ -24,6 +24,26 @@ from repro.errors import EngineError
 MIN_SHARE_FRACTION = 0.02
 
 
+def way_groups(n_ways: int, masks: "list[int | None]") -> list[tuple[tuple[int, ...], int]]:
+    """The LLC's ways grouped by sharer signature: ``(sharers, ways)``
+    pairs, in the order of each group's lowest way.
+
+    Way ``w`` is shared by the apps whose mask includes its bit (an
+    unset mask means the full bitmap, CAT's default CLOS behaviour).
+    The grouping depends on the masks alone, so a solver computes it
+    once per scenario and hands it to :func:`allocate_llc_groups` on
+    every iteration of the fixed point.
+    """
+    full = (1 << n_ways) - 1
+    eff = [full if m is None else m for m in masks]
+    groups: dict[tuple[int, ...], int] = {}
+    for w in range(n_ways):
+        sharers = tuple(i for i, m in enumerate(eff) if m >> w & 1)
+        if sharers:
+            groups[sharers] = groups.get(sharers, 0) + 1
+    return list(groups.items())
+
+
 def allocate_llc_ways(
     capacity_bytes: float,
     n_ways: int,
@@ -32,12 +52,27 @@ def allocate_llc_ways(
     footprints: list[float],
     policy: str = "pressure",
 ) -> list[float]:
-    """Split LLC capacity under per-app CAT way-mask bitmaps.
+    """Split LLC capacity under per-app CAT way-mask bitmaps: the ways
+    grouped by sharer signature (:func:`way_groups`), then split group
+    by group (:func:`allocate_llc_groups`)."""
+    if len(pressures) != len(masks) or len(footprints) != len(masks):
+        raise EngineError("masks, pressures and footprints must align")
+    return allocate_llc_groups(
+        capacity_bytes, n_ways, way_groups(n_ways, masks), pressures, footprints, policy
+    )
 
-    Each way belongs to the apps whose mask includes its bit (an unset
-    mask means the full bitmap, CAT's default CLOS behaviour).  Ways are
-    grouped by their sharer signature; within one group capacity splits
-    by the active ``policy``:
+
+def allocate_llc_groups(
+    capacity_bytes: float,
+    n_ways: int,
+    groups: "list[tuple[tuple[int, ...], int]]",
+    pressures: list[float],
+    footprints: list[float],
+    policy: str = "pressure",
+) -> list[float]:
+    """Split LLC capacity over way groups (:func:`way_groups`).
+
+    Within one group capacity splits by the active ``policy``:
 
     * ``pressure`` — exclusive ways belong to their owner outright;
       overlapping ways share by insertion pressure, exactly like the
@@ -52,19 +87,9 @@ def allocate_llc_ways(
     app cannot keep lines it never touches, however many ways CAT
     grants it.
     """
-    n = len(masks)
-    if len(pressures) != n or len(footprints) != n:
-        raise EngineError("masks, pressures and footprints must align")
-    full = (1 << n_ways) - 1
-    eff = [full if m is None else m for m in masks]
     way_bytes = capacity_bytes / n_ways
-    groups: dict[tuple[int, ...], int] = {}
-    for w in range(n_ways):
-        sharers = tuple(i for i in range(n) if eff[i] >> w & 1)
-        if sharers:
-            groups[sharers] = groups.get(sharers, 0) + 1
-    alloc = [0.0] * n
-    for sharers, ways in groups.items():
+    alloc = [0.0] * len(pressures)
+    for sharers, ways in groups:
         cap_g = ways * way_bytes
         if policy == "static":
             for i in sharers:

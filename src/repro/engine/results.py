@@ -9,8 +9,10 @@ them per application *and* per code region so the provenance analysis
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import json
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 
 @dataclass
@@ -105,6 +107,85 @@ class BandwidthSample:
     @property
     def total_bytes_per_s(self) -> float:
         return sum(self.bytes_per_s.values())
+
+
+def samples_from_json(encoded: "list[dict[str, Any]]") -> list[BandwidthSample]:
+    """A timeline from its JSON form: one ``{"time_s", "bytes_per_s"}``
+    object per sample (what :mod:`repro.store.codec` writes)."""
+    return [
+        BandwidthSample(time_s=s["time_s"], bytes_per_s=dict(s["bytes_per_s"]))
+        for s in encoded
+    ]
+
+
+class LazyTimeline(Sequence):
+    """A read-only timeline kept in a compact source until first use.
+
+    Two sources hand one out.  The store's read path keeps an entry's
+    line 2, the encoded JSON, as bytes.  The batch engine keeps a cell's
+    timeline as rows, ``(times, rates)`` with ``names``: sample ``k`` is
+    at ``times[k]`` with ``rates[k][i]`` bytes/s for app ``names[i]``
+    (numpy arrays); a name that repeats keeps its first position and its
+    last rate, as the ``bytes_per_s`` dict of the scalar solver does.
+    :meth:`encoded` builds the JSON form straight from the source, so
+    writing a result to the store builds no :class:`BandwidthSample`,
+    and gives the same bytes whether or not the timeline was read first.
+
+    The first ``len``, index, iteration or ``==`` decodes the whole
+    list and publishes it with one assignment, so a concurrent first
+    access sees either no list or the complete one, and decoding twice
+    yields equal lists.  It is deliberately not a ``list`` subclass:
+    C-level list fast paths (``[] + x``, ``list.copy(x)``) read a
+    subclass's own storage, which is empty until decoded.
+    """
+
+    __slots__ = ("_source", "_names", "_list")
+
+    def __init__(
+        self, source: "bytes | tuple[Any, Any]", names: Sequence[str] = ()
+    ) -> None:
+        self._source = source
+        self._names = tuple(names)
+        self._list: list[BandwidthSample] | None = None
+
+    def encoded(self) -> list[dict[str, Any]]:
+        """The JSON form :func:`repro.store.codec.encode_timeline` writes,
+        built from the source."""
+        source = self._source
+        if isinstance(source, bytes):
+            return json.loads(source)
+        times, rates = source
+        names = self._names
+        return [
+            {"time_s": t, "bytes_per_s": dict(zip(names, row))}
+            for t, row in zip(times.tolist(), rates.tolist())
+        ]
+
+    def _decode(self) -> list[BandwidthSample]:
+        return samples_from_json(self.encoded())
+
+    def _samples(self) -> list[BandwidthSample]:
+        samples = self._list
+        if samples is None:
+            samples = self._list = self._decode()
+        return samples
+
+    def __len__(self) -> int:
+        return len(self._samples())
+
+    def __getitem__(self, index):
+        return self._samples()[index]
+
+    def __iter__(self) -> Iterator[BandwidthSample]:
+        return iter(self._samples())
+
+    def __eq__(self, other: object) -> bool:
+        return self._samples() == other
+
+    __hash__ = None  # type: ignore[assignment]  # unhashable, like list
+
+    def __repr__(self) -> str:
+        return repr(self._samples())
 
 
 @dataclass

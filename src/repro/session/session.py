@@ -403,8 +403,10 @@ class Session:
         two cells to solve, they go through the batch engine sharded
         over the executor; otherwise each is solved in process by the
         scalar :meth:`IntervalEngine.scenario_run`.  Fresh results are
-        cached and written behind to the store.  The returned list is
-        bit-identical either way, whatever the executor.
+        cached and written behind to the store, under one hold of its
+        shared lock (:meth:`~repro.store.store.ResultStore.writing`).
+        The returned list is bit-identical either way, whatever the
+        executor.
         """
         scens = list(scenarios)
         tracer = get_tracer()
@@ -464,11 +466,13 @@ class Session:
                     self._solve_task(self.engine(cfg, spec), task)
                     for task, (_, cfg, spec) in zip(tasks, parts)
                 ]
-            for key, res in zip(keys, solved):
-                if key is not None:
-                    self.stats.scenario_misses += 1
-                    self._scenarios[key] = res
-                    if self.store is not None:
+            fresh = [(key, res) for key, res in zip(keys, solved) if key is not None]
+            for key, res in fresh:
+                self.stats.scenario_misses += 1
+                self._scenarios[key] = res
+            if self.store is not None:
+                with self.store.writing():  # one lock hold for the pass
+                    for key, res in fresh:
                         self._save(*key, res)
             for i, j in owner.items():
                 results[i] = solved[j]

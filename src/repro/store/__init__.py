@@ -57,7 +57,7 @@ encoded result without its bandwidth timeline, and a truncated sha256
 of line 2.  Line 2 is the encoded timeline.  A store indexes a shard's
 segments on its first lookup there and reads an entry at its offset; it
 parses line 1 only, checks line 2 against the digest, and hands it over
-undecoded (:class:`~repro.store.codec.LazyTimeline`); only Fig 3,
+undecoded (:class:`~repro.engine.results.LazyTimeline`); only Fig 3,
 Table III and the ``scenario`` record ever decode one.
 
 Earlier versions wrote each entry to a file of its own,
@@ -80,7 +80,8 @@ mid-append) can only be a segment's tail, which readers skip until it
 is whole.  Records, manifests and ``store.json`` are written atomically
 (tmp + rename); each process appends index lines to its own
 ``index/<pid>-<token>.jsonl`` segment.  Cache writers hold the store
-lock *shared* around each append while ``store gc`` shard-pruning and
+lock *shared* around each append, or once around a session pass's run
+of appends (:meth:`ResultStore.writing`), while ``store gc`` shard-pruning and
 manifest freezes hold it *exclusive*; a writer whose shard gc pruned
 opens a new segment.  Readers treat torn, foreign or colliding entries
 as misses, never as data, and skipped foreign-schema index lines raise

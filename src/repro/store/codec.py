@@ -19,26 +19,33 @@ together to a segment log.  Line 1 is the envelope (key fingerprint
 first) with the result minus its bandwidth timeline (plus a digest of
 line 2); line 2 is the encoded timeline alone.  The timeline is most of
 an entry's bytes and only Fig 3, Table III and the ``scenario``
-record read it, so a reader hands line 2 to :class:`LazyTimeline`
-unparsed and the ``decode_*`` functions pass that through: it decodes
-on first use to exactly the list :func:`decode_timeline` would build.
+record read it, so a reader hands line 2 unparsed to a
+:class:`~repro.engine.results.LazyTimeline` (the type the batch engine
+keeps its timelines in, as rows) and the ``decode_*`` functions pass
+that through: it decodes on first use to exactly the list
+:func:`decode_timeline` would build.  :func:`encode_timeline` encodes a
+lazy timeline straight from its source, so a batch result goes to disk
+without a :class:`~repro.engine.results.BandwidthSample` being built.
 A one-line entry (timeline inline, as stores wrote into per-entry
-files before the split) decodes eagerly as before.
+files before the split) decodes eagerly as before.  The store appends
+a pass's entries under one hold of its shared lock
+(:meth:`~repro.store.store.ResultStore.writing`).
 """
 
 from __future__ import annotations
 
-import json
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 from repro.engine.results import (
     AppMetrics,
     BandwidthSample,
     CoRunResult,
+    LazyTimeline,
     RegionMetrics,
     ScenarioRunResult,
     SoloRunResult,
+    samples_from_json,
 )
 
 _REGION_FIELDS = (
@@ -90,6 +97,8 @@ def decode_app_metrics(data: dict[str, Any]) -> AppMetrics:
 
 
 def encode_timeline(timeline: Sequence[BandwidthSample]) -> list[dict[str, Any]]:
+    if isinstance(timeline, LazyTimeline):
+        return timeline.encoded()
     return [
         {"time_s": s.time_s, "bytes_per_s": dict(s.bytes_per_s)} for s in timeline
     ]
@@ -100,51 +109,7 @@ def decode_timeline(
 ) -> Sequence[BandwidthSample]:
     if isinstance(data, LazyTimeline):
         return data  # a store entry's line 2: decoded on first use
-    return [
-        BandwidthSample(time_s=s["time_s"], bytes_per_s=dict(s["bytes_per_s"]))
-        for s in data
-    ]
-
-
-class LazyTimeline(Sequence):
-    """A read-only timeline held as its encoded JSON until first use.
-
-    The first ``len``, index, iteration or ``==`` decodes the whole
-    list and swaps it in with one assignment, so a concurrent first
-    access sees either the raw bytes or the complete list, and decoding
-    twice yields equal lists.  It is deliberately not a ``list``
-    subclass: C-level list fast paths (``[] + x``, ``list.copy(x)``)
-    read a subclass's own storage, which is empty until decoded.
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self, raw: bytes) -> None:
-        self._data: bytes | list[BandwidthSample] = raw
-
-    def _samples(self) -> list[BandwidthSample]:
-        data = self._data
-        if isinstance(data, bytes):
-            data = decode_timeline(json.loads(data))
-            self._data = data
-        return data
-
-    def __len__(self) -> int:
-        return len(self._samples())
-
-    def __getitem__(self, index):
-        return self._samples()[index]
-
-    def __iter__(self) -> Iterator[BandwidthSample]:
-        return iter(self._samples())
-
-    def __eq__(self, other: object) -> bool:
-        return self._samples() == other
-
-    __hash__ = None  # type: ignore[assignment]  # unhashable, like list
-
-    def __repr__(self) -> str:
-        return repr(self._samples())
+    return samples_from_json(data)
 
 
 def encode_solo(res: SoloRunResult) -> dict[str, Any]:

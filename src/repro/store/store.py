@@ -33,7 +33,7 @@ A store indexes a shard on its first lookup there, reading each
 entry's key fingerprint at a fixed offset of line 1, and reads an entry
 at its offset through a descriptor it keeps open.  A read parses line 1
 only and returns a result whose timeline decodes on first use
-(:class:`~repro.store.codec.LazyTimeline`).
+(:class:`~repro.engine.results.LazyTimeline`).
 
 Versions before segment logs wrote each entry to a file of its own,
 ``<shard>/<slug>-<keyfp>.json``, one line (timeline inside ``result``)
@@ -57,7 +57,10 @@ Durability rules under many concurrent writer processes:
 * cache writers take the store lock **shared**, ``gc``'s shard pruning
   and manifest freezes take it **exclusive**
   (:mod:`repro.store.locking`), so a prune can never interleave with an
-  append.  Before each append a writer checks that its segment is still
+  append.  A put takes the lock around its append; inside
+  :meth:`ResultStore.writing` (a session pass's write-behind) a thread
+  takes it once, at its first put, and holds it for the rest of the
+  run.  Before each append a writer checks that its segment is still
   linked; if gc pruned the shard, it opens a new segment.  A reader may
   go on serving entries it indexed from a pruned segment it holds open:
   they are still right for their keys;
@@ -637,6 +640,9 @@ class ResultStore:
         self.sink = RecordSink(self.root)
         #: Guards the shard indexes, the descriptors and the appends.
         self._lock = threading.Lock()
+        #: Per thread: the shared store lock of the :meth:`writing` run
+        #: under way (``lock``), taken by the run's first put.
+        self._held = threading.local()
         self._pid = os.getpid()
         #: shard directory -> its index, built on the first lookup there
         self._shards: dict[str, _Shard] = {}
@@ -689,6 +695,7 @@ class ResultStore:
         opens its own and never appends to (or seeks in) the parent's."""
         if self._pid != os.getpid():
             self._lock = threading.Lock()
+            self._held = threading.local()
             self._close_descriptors()
             self._pid = os.getpid()
 
@@ -815,13 +822,44 @@ class ResultStore:
             os.close(segment.fd)
             segment.fd = None
 
+    @contextlib.contextmanager
+    def writing(self) -> Iterator[None]:
+        """Hold the *shared* store lock once for a run of puts from this
+        thread, instead of once per put.
+
+        The run's first put takes the lock and the run releases it when
+        the block ends, so a run that puts nothing takes no lock.  Puts
+        from other threads take their own hold as usual, and ``gc``
+        (exclusive) waits until the run ends.  A nested run is part of
+        the outer one."""
+        held = self._held
+        if getattr(held, "lock", None) is not None:
+            yield
+            return
+        held.lock = lock = store_lock(self.root, exclusive=False)
+        try:
+            yield
+        finally:
+            held.lock = None
+            lock.release()  # a no-op if no put took it
+
+    def _writer_lock(self) -> "contextlib.AbstractContextManager[Any]":
+        """What a put holds around its append: the shared store lock,
+        or, inside a :meth:`writing` run, nothing more than the run's
+        lock, which the run's first put takes."""
+        lock = getattr(self._held, "lock", None)
+        if lock is None:
+            return store_lock(self.root, exclusive=False)
+        lock.acquire()  # returns at once once held
+        return contextlib.nullcontext()
+
     def _publish_entry(
         self, file: str, kind: str, key: dict[str, Any], result: dict[str, Any]
     ) -> None:
         """Append one cache entry to this process's segment of its shard,
-        under the *shared* store lock, so a concurrent ``gc`` (exclusive)
-        can never prune the shard between this writer's check of its
-        segment and its append.
+        under the *shared* store lock (:meth:`_writer_lock`), so a
+        concurrent ``gc`` (exclusive) can never prune the shard between
+        this writer's check of its segment and its append.
 
         The entry is two lines written with one ``os.write``: the
         envelope (key fingerprint first) with the encoded result minus
@@ -843,7 +881,7 @@ class ResultStore:
         )
         data = f"{head}\n{timeline}\n".encode()
         self._owned()
-        with store_lock(self.root, exclusive=False), self._lock:
+        with self._writer_lock(), self._lock:
             shard = self._shard(shard_dir)
             segment = self._own_segment(shard)
             try:
@@ -1138,7 +1176,8 @@ class ResultStore:
         The counts are those of :meth:`cache_entries`: one per key in
         segments and per-entry files alike.  The scan-and-prune runs
         under the **exclusive** store lock: cache writers hold it shared
-        around each append, so a gc racing a mid-campaign process can
+        around each append (or a pass's run of appends, :meth:`writing`),
+        so a gc racing a mid-campaign process can
         never ``rmtree`` a shard between that writer's check of its
         segment and its append (the prune waits for the append, then —
         if the shard really is orphaned — removes the shard including

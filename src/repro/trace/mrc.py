@@ -52,6 +52,9 @@ class MissRatioCurve:
             raise TraceError("MRC must be non-increasing in capacity")
         object.__setattr__(self, "capacities_bytes", caps)
         object.__setattr__(self, "ratios", ratios)
+        # The interpolation's x samples, once per curve.  Not a field:
+        # fingerprints and equality see the samples alone.
+        object.__setattr__(self, "_log2_caps", np.log2(caps))
 
     # -- constructors ------------------------------------------------------
 
@@ -106,14 +109,12 @@ class MissRatioCurve:
         if capacity_bytes <= 0:
             # Zero allocation: everything that would have hit now misses.
             return float(self.ratios[0])
-        x = np.log2(capacity_bytes)
-        xs = np.log2(self.capacities_bytes)
-        return float(np.interp(x, xs, self.ratios))
+        return float(np.interp(np.log2(capacity_bytes), self._log2_caps, self.ratios))
 
     def miss_ratios(self, capacities_bytes: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`miss_ratio`."""
         caps = np.maximum(np.asarray(capacities_bytes, dtype=np.float64), 1.0)
-        return np.interp(np.log2(caps), np.log2(self.capacities_bytes), self.ratios)
+        return np.interp(np.log2(caps), self._log2_caps, self.ratios)
 
     @property
     def compulsory_ratio(self) -> float:

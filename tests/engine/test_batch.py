@@ -11,20 +11,28 @@ silently take the scalar fallback inside the same call.
 """
 
 import json
+import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import ExperimentConfig
 from repro.engine import (
     MAX_BATCH_SLOTS,
     BatchCell,
     EngineConfig,
     IntervalEngine,
+    LazyTimeline,
     solve_batch,
 )
-from repro.engine.batch import batchable
+from repro.engine.batch import _seq_sum, batchable
 from repro.engine.interval import LLC_POLICIES
 from repro.errors import EngineError
 from repro.machine.spec import small_test_machine, xeon_e5_4650
+from repro.session import ParallelExecutor, ScenarioSet, Session
+from repro.session.executors import MIN_PARALLEL_CELLS
 from repro.store.codec import encode_scenario_result
 from repro.workloads.registry import get_profile
 
@@ -138,6 +146,92 @@ class TestBitIdentity:
         cells = [cell(*APPS, threads=1), cell(*reversed(APPS), threads=1)]
         assert all(batchable(c) for c in cells)
         assert_batch_matches_scalar(engine, cells)
+
+
+    def test_mixed_widths_in_one_call_match_each_alone(self, engine):
+        """2-, 3- and 7-app cells padded into one call give the bytes each
+        gives alone and the scalar solver gives."""
+        cells = [
+            cell("G-CC", "Stream", threads=4),
+            cell("fotonik3d", "nab", "Bandit", threads=2),
+            cell(*APPS, threads=1),
+            cell("swaptions", "IRSmk", threads=(1, 3)),
+        ]
+        together = solve_batch(engine, cells)
+        for c, got in zip(cells, together):
+            [alone] = solve_batch(engine, [c])
+            assert canon(got) == canon(alone) == canon(scalar(engine, c))
+
+
+#: Non-negative finite float64 values, subnormals to huge (no -0.0).
+_SLOT_VALUES = st.floats(min_value=0.0, max_value=1e300, allow_nan=False)
+
+
+@st.composite
+def _slot_rows(draw):
+    """Rows of 1-7 slots and a mask: random, all true or all false."""
+    width = draw(st.integers(1, MAX_BATCH_SLOTS))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_SLOT_VALUES, min_size=width, max_size=width),
+                         min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("random", "all", "none")))
+    if kind == "random":
+        mask = draw(st.lists(st.lists(st.booleans(), min_size=width, max_size=width),
+                             min_size=n, max_size=n))
+    else:
+        mask = [[kind == "all"] * width for _ in range(n)]
+    return rows, mask
+
+
+class TestSlotSums:
+    @settings(max_examples=300, deadline=None)
+    @given(_slot_rows())
+    def test_accumulate_equals_python_sum_bit_for_bit(self, rows_mask):
+        rows, mask = rows_mask
+        got = _seq_sum(np.array(rows, dtype=np.float64), np.array(mask)).tolist()
+        want = [
+            float(sum(v for v, live in zip(row, live_row) if live))
+            for row, live_row in zip(rows, mask)
+        ]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+class TestEngineTimelines:
+    """A batch result keeps its timeline as rows until something reads it."""
+
+    CELLS = (("G-CC", "Stream"), ("G-CC", "G-CC"), ("fotonik3d", "nab", "Bandit"))
+
+    def test_rows_encode_alike_read_or_not_and_equal_the_scalar_list(self, engine):
+        cells = [cell(*names) for names in self.CELLS]
+        unread, read = solve_batch(engine, cells), solve_batch(engine, cells)
+        for c, a, b in zip(cells, unread, read):
+            assert isinstance(a.timeline, LazyTimeline)
+            assert not isinstance(a.timeline, list)
+            want = scalar(engine, c).timeline
+            assert isinstance(want, list)
+            assert list(b.timeline) == want  # b decoded before encoding
+            assert canon(a) == canon(b) == canon(scalar(engine, c))
+            assert a.timeline == want and want == a.timeline
+            assert len(a.timeline) == len(want) and a.timeline[-1] == want[-1]
+
+    def test_repeated_names_keep_the_scalar_dict(self, engine):
+        c = cell("G-CC", "G-CC", threads=(4, 2))  # one name, two rates
+        [got] = solve_batch(engine, [c])
+        assert list(got.timeline[0].bytes_per_s) == ["G-CC"]
+        assert got.timeline == scalar(engine, c).timeline
+
+    def test_timelines_survive_the_process_pool(self):
+        config = ExperimentConfig(workloads=("G-CC", "fotonik3d", "swaptions", "nab"), jitter=0.0)
+        sweep = ScenarioSet.pairwise(config.workloads, threads=4)
+        assert len(sweep) >= MIN_PARALLEL_CELLS
+        pooled = Session(config, executor=ParallelExecutor(max_workers=2)).run_scenarios(sweep)
+        scalars = Session(config, engine_batch=False).run_scenarios(sweep)
+        for p, q in zip(pooled, scalars):
+            assert isinstance(p.result.timeline, LazyTimeline)
+            assert canon(p.result) == canon(q.result)
+            assert p.result.timeline == q.result.timeline
+            again = pickle.loads(pickle.dumps(p.result))
+            assert canon(again) == canon(q.result)
 
 
 class TestFallbackAndErrors:

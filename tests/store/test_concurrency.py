@@ -10,6 +10,7 @@ can never prune a shard out from under a mid-write campaign process.
 
 import json
 import multiprocessing
+import sys
 import threading
 import time
 import warnings
@@ -21,6 +22,7 @@ from repro.errors import StoreWarning
 from repro.session import Scenario, Session
 from repro.session.record import RunRecord
 from repro.store import SCHEMA_VERSION, FileLock, ResultStore, store_lock
+from repro.store import locking
 from repro.store.locking import HAVE_FILE_LOCKS
 
 SUBSET = ("G-CC", "swaptions")
@@ -107,6 +109,120 @@ class TestFileLock:
         cold = Session(make_config(), store=ResultStore(store.root))
         cold.run_scenario(Scenario.pair("G-CC", "swaptions", threads=4))
         assert cold.stats.scenario_misses == 0
+
+
+class TestOneLockPerPass:
+    """A session pass appends its fresh entries under one hold of the
+    shared store lock, taken by this thread at the pass's first put."""
+
+    WARM = [Scenario.pair("G-CC", "swaptions", threads=4), Scenario.of("G-CC:2", "swaptions:2")]
+    COLD = [
+        Scenario.pair("swaptions", "G-CC", threads=4),
+        Scenario.pair("G-CC", "G-CC", threads=4),
+        Scenario.of("G-CC:2", "swaptions:2", "G-CC:2"),
+        Scenario.of("swaptions:2", "G-CC:2", "swaptions:2"),
+    ]
+
+    @pytest.fixture
+    def session(self, tmp_path):
+        """A session whose store already holds every solo reference, so
+        the cold pass puts scenario entries only."""
+        session = Session(make_config(), store=ResultStore(tmp_path / "st"))
+        session.run_scenarios(self.WARM)
+        return session
+
+    def test_a_cold_pass_takes_the_shared_lock_once(self, session, monkeypatch):
+        taken = []
+        real = locking._acquire
+
+        def counting(fh, *, exclusive, blocking):
+            taken.append((exclusive, blocking))
+            return real(fh, exclusive=exclusive, blocking=blocking)
+
+        monkeypatch.setattr(locking, "_acquire", counting)
+        session.run_scenarios(self.COLD)
+        assert session.stats.scenario_misses == len(self.WARM) + len(self.COLD)
+        assert taken == [(False, True)]
+        session.run_scenarios(self.COLD)  # all memory hits: no put, no lock
+        assert taken == [(False, True)]
+
+    @needs_locks
+    def test_gc_cannot_lock_while_the_pass_writes_and_a_second_thread_loses_nothing(
+        self, session, monkeypatch
+    ):
+        store = session.store
+        fp = session.engine_fingerprint()
+        extra = Scenario.of("swaptions:2", "swaptions:2", "G-CC:2", llc_policy="pressure")
+        extra_result = Session(make_config()).run_scenario(extra).result
+        gc_locked, side = [], []
+        put_extra = ResultStore.put_scenario
+
+        def watching(real):
+            def put(self, *args):
+                if not side:
+                    # Mid-pass, another thread puts through the same store.
+                    t = threading.Thread(
+                        target=lambda: side.append(put_extra(store, fp, extra, extra_result))
+                    )
+                    t.start()
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                real(self, *args)
+                gc = store_lock(store.root, exclusive=True)
+                gc_locked.append(gc.acquire(blocking=False))
+                gc.release()
+
+            return put
+
+        for name in ("put_scenario", "put_corun"):
+            monkeypatch.setattr(ResultStore, name, watching(getattr(ResultStore, name)))
+        results = session.run_scenarios(self.COLD)
+        assert side == [None] and gc_locked == [False] * len(self.COLD)
+        gc = store_lock(store.root, exclusive=True)
+        assert gc.acquire(blocking=False)  # the pass released its hold
+        gc.release()
+        monkeypatch.undo()
+
+        fresh = Session(make_config(), store=ResultStore(store.root))
+        assert [r.result for r in fresh.run_scenarios(self.COLD + [extra])] == [
+            r.result for r in results
+        ] + [extra_result]
+        assert fresh.stats.scenario_misses == 0
+        assert fresh.stats.scenario_disk_hits == len(self.COLD) + 1
+
+
+    @needs_locks
+    def test_threads_interleaving_runs_lose_no_entry_and_leak_no_hold(self, tmp_path):
+        store = ResultStore(tmp_path / "st")
+        solo = Session(make_config()).solo("G-CC", threads=4)
+        fp = "feedbeef0001"
+
+        def worker(k):
+            for j in range(1, 11):
+                with store.writing():
+                    store.put_solo(fp, f"w{k}", j, solo)
+                    with store.writing():  # nested: part of the outer run
+                        store.put_solo(fp, f"w{k}", j + 10, solo)
+                store.put_solo(fp, f"w{k}", j + 20, solo)  # outside any run
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        gc = store_lock(store.root, exclusive=True)
+        assert gc.acquire(blocking=False)  # every run released its hold
+        gc.release()
+        fresh = ResultStore(store.root)
+        assert all(
+            fresh.get_solo(fp, f"w{k}", t) == solo for k in range(4) for t in range(1, 31)
+        )
 
 
 class TestSegmentedIndex:

@@ -30,7 +30,7 @@ import pytest
 from repro.core import ExperimentConfig
 from repro.sched import PlacementEvaluator, parse_trace, replay_trace
 from repro.session import Scenario, Session, get_runner
-from repro.store import SCHEMA_VERSION, ResultStore, codec
+from repro.store import SCHEMA_VERSION, ResultStore
 from repro.store import store as store_mod
 from repro.store.codec import (
     LazyTimeline,
@@ -120,16 +120,16 @@ def warm(tmp_path):
 
 @pytest.fixture
 def materialized(monkeypatch):
-    """Counts lazy timelines decoded: a :class:`LazyTimeline` decodes by
-    handing its parsed line 2 (a plain list) to ``decode_timeline``."""
+    """Counts lazy timelines decoded: a :class:`LazyTimeline` builds its
+    samples in ``_decode``, once, on first use."""
     count = [0]
-    real = codec.decode_timeline
+    real = LazyTimeline._decode
 
-    def counting(data):
-        count[0] += not isinstance(data, LazyTimeline)
-        return real(data)
+    def counting(self):
+        count[0] += 1
+        return real(self)
 
-    monkeypatch.setattr(codec, "decode_timeline", counting)
+    monkeypatch.setattr(LazyTimeline, "_decode", counting)
     return count
 
 
