@@ -2,15 +2,16 @@
 
 Not a paper artifact — these keep the simulator layers honest:
 cache-model access throughput, reuse-distance computation, the engine's
-fixed-point solve, and a workload kernel's whole trace.
+fixed-point solve, and the trace profiler's characterization of a
+fixed synthetic stream.
 """
 
 import numpy as np
 
 from repro.engine import IntervalEngine
 from repro.machine import CoreCacheHierarchy, small_test_machine
-from repro.trace import reuse_distances, total_accesses
-from repro.workloads.registry import get_profile, get_workload
+from repro.trace import TraceProfiler, reuse_distances, synth
+from repro.workloads.registry import get_profile
 
 
 def test_cache_access_throughput(benchmark):
@@ -51,7 +52,9 @@ def test_engine_corun(benchmark):
     assert res.fg.runtime_s > 0
 
 
-def test_pagerank_kernel_end_to_end(benchmark):
-    w = get_workload("G-PR", scale=0.25)
-    n = benchmark(lambda: total_accesses(w.trace()))
-    assert n > 0
+def test_profiler_characterize(benchmark):
+    profiler = TraceProfiler(small_test_machine())
+    # Zipf-skewed gathers, then a sequential sweep the prefetchers cover.
+    trace = [*synth.zipf(2_000, 4096, seed=2), *synth.sequential(2_000)]
+    char = benchmark(profiler.characterize, trace, max_accesses=None)
+    assert char.accesses == 4_000

@@ -9,10 +9,10 @@ Interference" (Xu, Song, Mao — arXiv:2303.15763), built as a library:
   a one-core cache model (exact LRU caches and the four hardware
   prefetchers behind one switch) for the trace profiler;
 * :mod:`repro.trace` — access streams, reuse distances, miss-ratio
-  curves, and the kernel profiler;
+  curves, and the profiler that turns a user's own kernel trace into
+  an engine profile;
 * :mod:`repro.workloads` — the 25 applications of Table I plus the
-  Bandit/STREAM mini-benchmarks, each a kernel that generates its
-  memory-access trace, plus calibrated engine profiles;
+  Bandit/STREAM mini-benchmarks as calibrated engine profiles;
 * :mod:`repro.engine` — the interval engine that co-executes profiles
   under LLC sharing and memory-bus contention;
 * :mod:`repro.tools` — PCM-memory and VTune analogues;
@@ -84,7 +84,6 @@ from repro.workloads.base import WorkloadProfile
 from repro.workloads.registry import (
     get_all_profiles,
     get_profile,
-    get_workload,
     list_workloads,
 )
 
@@ -117,7 +116,6 @@ __all__ = [
     "get_all_profiles",
     "get_profile",
     "get_runner",
-    "get_workload",
     "list_workloads",
     "register_runner",
     "runner_names",

@@ -1,5 +1,6 @@
 """Trace layer: access streams, reuse distances, miss-ratio curves and
-the kernel profiler (the measurement methodology of Section III-C)."""
+the profiler that measures a user's own kernel (the measurement
+methodology of Section III-C)."""
 
 from repro.trace.mrc import MissRatioCurve
 from repro.trace.profiler import TraceCharacterization, TraceProfiler
@@ -12,7 +13,6 @@ from repro.trace.reuse import (
 from repro.trace.stream import (
     AccessBatch,
     TraceSource,
-    TraceStats,
     concat_lines,
     take,
     total_accesses,
@@ -26,7 +26,6 @@ __all__ = [
     "TraceCharacterization",
     "TraceProfiler",
     "TraceSource",
-    "TraceStats",
     "concat_lines",
     "miss_ratio_at",
     "reuse_distances",

@@ -10,7 +10,7 @@ generators efficient while the cache model consumes accesses one by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -115,44 +115,3 @@ def take(trace: TraceSource, max_accesses: int) -> Iterator[AccessBatch]:
             remaining = 0
         if remaining == 0:
             return
-
-
-@dataclass
-class TraceStats:
-    """Aggregate shape statistics of a trace (cheap, one pass)."""
-
-    accesses: int = 0
-    instructions: int = 0
-    writes: int = 0
-    distinct_lines: int = 0
-    #: Fraction of accesses whose line equals or is adjacent (+/-1) to
-    #: the previous access's line — a spatial-locality proxy used in
-    #: tests (an 8-byte-element array scan repeats each 64 B line 8x).
-    sequential_fraction: float = 0.0
-    _seen: set = field(default_factory=set, repr=False)
-
-    @staticmethod
-    def collect(trace: TraceSource) -> "TraceStats":
-        """Single-pass statistics over a trace."""
-        st = TraceStats()
-        prev_last: int | None = None
-        seq = 0
-        for batch in trace:
-            st.accesses += len(batch)
-            st.instructions += batch.instructions
-            st.writes += int(batch.writes.sum())
-            st._seen.update(np.unique(batch.lines).tolist())
-            if len(batch):
-                deltas = np.diff(batch.lines)
-                seq += int((np.abs(deltas) <= 1).sum())
-                if prev_last is not None and abs(int(batch.lines[0]) - prev_last) <= 1:
-                    seq += 1
-                prev_last = int(batch.lines[-1])
-        st.distinct_lines = len(st._seen)
-        st.sequential_fraction = seq / st.accesses if st.accesses else 0.0
-        return st
-
-    @property
-    def footprint_bytes(self) -> int:
-        """Distinct-line footprint in bytes (64-byte lines)."""
-        return self.distinct_lines * 64

@@ -1,13 +1,12 @@
 """Workload models: the 25 applications of Table I plus the two
-mini-benchmarks, each as a kernel (a trace generator for the trace
-profiler's pinned check) and as the calibrated analytic profile the
-interval engine consumes."""
+mini-benchmarks, each as the calibrated analytic profile the interval
+engine consumes, and the address-space helper a user's own kernel
+traces with."""
 
 from repro.workloads.base import (
     CodeRegion,
     RegionProfile,
     ScalingModel,
-    Workload,
     WorkloadProfile,
 )
 
@@ -15,6 +14,5 @@ __all__ = [
     "CodeRegion",
     "RegionProfile",
     "ScalingModel",
-    "Workload",
     "WorkloadProfile",
 ]

@@ -1,7 +1,7 @@
-"""Address-space layout helper for kernel trace generation.
+"""Address-space layout helper for tracing a user's own kernel.
 
-Kernels emit the cache-line addresses their data structures would
-occupy.  :class:`AddressMap` hands each named array a disjoint,
+A kernel's trace holds the cache-line addresses its data structures
+would occupy.  :class:`AddressMap` hands each named array a disjoint,
 page-aligned line range so traces from different arrays never alias,
 and converts element indices to line addresses in one vectorized step.
 """
@@ -49,13 +49,3 @@ class AddressMap:
                 f"array {name!r}: index out of bounds [0, {n_elems})"
             )
         return base + (idx * elem_bytes) // CACHE_LINE
-
-    def span_lines(self, name: str) -> tuple[int, int]:
-        """(first line, one-past-last line) of an array's region."""
-        base, elem_bytes, n_elems = self._arrays[name]
-        return base, base + -(-n_elems * elem_bytes // CACHE_LINE)
-
-    @property
-    def total_lines(self) -> int:
-        """Lines allocated so far (footprint upper bound)."""
-        return self._next

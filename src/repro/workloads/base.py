@@ -1,22 +1,13 @@
-"""Workload abstractions shared by every application model.
+"""Workload profiles: the analytic description the interval engine
+consumes.
 
-Two views of a workload coexist:
-
-* the **kernel** view (:class:`Workload`) — a trace generator: the
-  memory-access stream of one scaled-down execution of the application
-  (PageRank's edge sweeps, Black-Scholes' option pricing, an LSTM's
-  GEMMs...), which the trace profiler measures as the pinned
-  qualitative check on the calibrated profiles;
-* the **profile** view (:class:`WorkloadProfile`) — the analytic
-  description the interval engine consumes: ordered phases (one per
-  code region) with core IPC, L2 miss rate, an LLC miss-ratio curve,
-  prefetchable regularity and memory-level parallelism, plus a thread-
-  scaling law.
-
-Profiles can be *derived* from kernels by the trace profiler
-(:mod:`repro.trace.profiler`) or supplied by the calibration tables
-(:mod:`repro.workloads.calibration`), which anchor the solo-run
-characteristics to the paper's own measurements (Figs 2–4).
+A :class:`WorkloadProfile` is ordered phases (one per code region) with
+core IPC, L2 miss rate, an LLC miss-ratio curve, prefetchable
+regularity and memory-level parallelism, plus a thread-scaling law.
+The calibration tables (:mod:`repro.workloads.calibration`) supply one
+per application, anchored to the paper's own solo-run measurements
+(Figs 2–4); the trace profiler (:mod:`repro.trace.profiler`) derives
+one from a user's own memory-access trace.
 
 The key modelling assumption is the paper's own (Section VI-A): with
 private per-core L1/L2 and exclusive core bindings, the *L2 miss count
@@ -28,11 +19,9 @@ interference-dependent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterator
 
 from repro.errors import WorkloadError
 from repro.trace.mrc import MissRatioCurve
-from repro.trace.stream import AccessBatch, take
 from repro.units import MiB
 
 
@@ -195,32 +184,3 @@ class WorkloadProfile:
     def dominant_region(self) -> RegionProfile:
         """The phase with the largest instruction share (hotspot)."""
         return max(self.regions, key=lambda r: r.weight)
-
-
-class Workload:
-    """Kernel-side base every application model derives from.
-
-    A kernel is a trace generator.  Subclasses name the application
-    (``name``, ``suite``) and its code regions (``regions``: a batch's
-    ``region`` indexes this tuple), and implement ``_trace_batches``:
-    the batches of one execution, built from the kernel's own inputs
-    and the trace ``seed``.
-    """
-
-    name: ClassVar[str]
-    suite: ClassVar[str]
-    regions: ClassVar[tuple[CodeRegion, ...]]
-
-    def _trace_batches(self, seed: int) -> list[AccessBatch]:
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def trace(
-        self, *, max_accesses: int | None = None, seed: int = 0
-    ) -> Iterator[AccessBatch]:
-        """Memory-access trace of one execution, truncated to
-        ``max_accesses`` accesses if given."""
-        batches = self._trace_batches(seed)
-        if max_accesses is None:
-            yield from batches
-        else:
-            yield from take(iter(batches), max_accesses)

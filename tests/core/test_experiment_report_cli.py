@@ -1,11 +1,16 @@
 """Tests for experiment infrastructure, report rendering and the CLI."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core import ExperimentConfig, Jitter
 from repro.core.report import ascii_table, csv_table, shade, text_heatmap
 from repro.errors import ExperimentError
+from repro.machine.spec import MachineSpec
+from repro.units import GB
+from repro.workloads.registry import get_profile
 
 
 class TestExperimentConfig:
@@ -22,6 +27,14 @@ class TestExperimentConfig:
             ExperimentConfig(jitter=-0.1)
         with pytest.raises(ExperimentError):
             ExperimentConfig(workloads=())
+
+    def test_experiment_config_engine_spec_propagates(self):
+        spec = MachineSpec()
+        spec = replace(spec, memory=replace(spec.memory, peak_bandwidth_bytes=10 * GB))
+        cfg = ExperimentConfig(workloads=("IRSmk",), spec=spec)
+        res = cfg.make_engine().solo_run(get_profile("IRSmk"), threads=4)
+        # Starved bus: bandwidth pinned at or below the reduced peak.
+        assert res.metrics.avg_bandwidth_bytes <= 10 * GB * 1.01
 
 
 class TestJitter:

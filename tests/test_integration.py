@@ -1,8 +1,8 @@
 """Cross-layer integration tests: calibrated profiles -> interval
 engine -> measurement tools.
 
-The kernel-vs-calibration checks of the trace layer live in
-``tests/trace/test_kernel_calibration.py``.
+The trace layer's path from a trace to a co-running profile is tested
+in ``tests/trace/test_profiler.py``.
 """
 
 import pytest

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.trace import AccessBatch, TraceStats, concat_lines, take, total_accesses
+from repro.trace import AccessBatch, concat_lines, take, total_accesses
 
 
 def batch(lines, **kw):
@@ -73,25 +73,3 @@ class TestHelpers:
     def test_take_invalid(self):
         with pytest.raises(TraceError):
             list(take(iter([]), 0))
-
-
-class TestTraceStats:
-    def test_sequential_detected(self):
-        st = TraceStats.collect([batch(range(100))])
-        assert st.sequential_fraction > 0.98
-        assert st.distinct_lines == 100
-        assert st.footprint_bytes == 6400
-
-    def test_random_not_sequential(self):
-        rng = np.random.default_rng(0)
-        st = TraceStats.collect([batch(rng.integers(0, 1 << 30, 500))])
-        assert st.sequential_fraction < 0.05
-
-    def test_cross_batch_adjacency(self):
-        st = TraceStats.collect([batch([1, 2]), batch([3, 4])])
-        assert st.sequential_fraction > 0.7
-
-    def test_writes_counted(self):
-        st = TraceStats.collect([batch([1, 2], write=True), batch([3])])
-        assert st.writes == 2
-        assert st.accesses == 3
