@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from repro.engine import IntervalEngine
 from repro.errors import TraceError
 from repro.machine import CoreCacheHierarchy, small_test_machine
-from repro.trace import AccessBatch, TraceProfiler, synth
-from repro.units import KiB, MiB
+from repro.trace import AccessBatch, TraceProfiler, concat_lines, synth, take
+from repro.units import CACHE_LINE, KiB, MiB
 from repro.workloads.registry import get_profile
 
 
@@ -340,3 +340,46 @@ class TestEndToEndPipeline:
         benign = engine.co_run(profile, get_profile("swaptions"),
                                fg_solo_runtime_s=solo.runtime_s)
         assert benign.normalized_time < res.normalized_time + 1e-9
+
+
+def trace_of(name):
+    """The batches the profiler measured for stream ``name``."""
+    make, cap = STREAMS[name]
+    return list(take(make(), cap)) if cap is not None else list(make())
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+class TestEveryStream:
+    def test_counts_match_the_trace(self, measured, name):
+        char, batches = measured[name], trace_of(name)
+        assert char.accesses == sum(len(b) for b in batches)
+        assert char.instructions == sum(b.instructions for b in batches)
+        writes = sum(int(b.writes.sum()) for b in batches)
+        assert char.write_fraction == writes / char.accesses
+
+    def test_fractions_stay_in_unit_interval(self, measured, name):
+        char = measured[name]
+        for value in (char.l1_miss_ratio, char.l2_miss_ratio,
+                      char.regularity, char.write_fraction):
+            assert 0.0 <= value <= 1.0
+
+    def test_l2_mpki_is_the_product_of_the_miss_ratios(self, measured, name):
+        # The private pass sends exactly the L1 misses to L2.
+        char = measured[name]
+        assert char.l2_mpki == pytest.approx(
+            char.refs_per_kinstr * char.l1_miss_ratio * char.l2_miss_ratio
+        )
+
+    def test_footprint_is_every_distinct_line(self, measured, name):
+        # Without prefetch a line's first touch misses L1 and L2, so
+        # every distinct line reaches the L2-miss stream.
+        lines = np.unique(concat_lines(trace_of(name)))
+        assert measured[name].footprint_bytes == len(lines) * CACHE_LINE
+
+    def test_llc_mrc_floors_at_the_cold_share(self, measured, name):
+        # With unbounded capacity only first touches miss.
+        char = measured[name]
+        l2_misses = char.accesses * char.l1_miss_ratio * char.l2_miss_ratio
+        distinct = char.footprint_bytes / CACHE_LINE
+        assert char.llc_mrc.compulsory_ratio == pytest.approx(distinct / l2_misses)
+        assert char.llc_mrc.ratios[0] <= 1.0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import IntervalEngine
 from repro.errors import WorkloadError
 from repro.units import MiB
 from repro.workloads.calibration import (
@@ -12,10 +13,24 @@ from repro.workloads.calibration import (
     calibrated_profile,
 )
 from repro.workloads.registry import (
+    get_all_profiles,
     get_profile,
     list_workloads,
     suite_of,
 )
+
+#: Thread count of the solo runs below (the paper's Fig 3 column).
+SOLO_THREADS = 4
+
+
+@pytest.fixture(scope="module")
+def solo_runs():
+    """Every calibrated profile run alone at ``SOLO_THREADS``, once."""
+    engine = IntervalEngine()
+    return {
+        name: engine.solo_run(get_profile(name), threads=SOLO_THREADS).metrics
+        for name in list_workloads()
+    }
 
 
 class TestRoster:
@@ -108,3 +123,40 @@ class TestProfiles:
         assert get_profile("P-PR").regions[0].region.label == "pagerank.c:63-66"
         assert get_profile("G-PR").regions[0].region.label == "pagerank.c:63-70"
         assert get_profile("fotonik3d").regions[0].region.name == "UUS"
+
+
+@pytest.mark.parametrize("name", list_workloads())
+class TestEveryProfile:
+    def test_registered_under_its_name_and_suite(self, name):
+        prof = get_profile(name)
+        assert prof.name == name
+        assert prof.suite == suite_of(name)
+        assert get_all_profiles()[name] is prof
+
+    def test_solo_run_retires_the_profiled_work(self, name, solo_runs):
+        prof = get_profile(name)
+        metrics = solo_runs[name]
+        assert metrics.runtime_s > 0
+        assert set(metrics.by_region) == {r.region.name for r in prof.regions}
+        # Work inflation is the only thing that adds instructions.
+        assert metrics.total.instructions == pytest.approx(
+            prof.total_kinstr * 1000.0 * prof.scaling.work_factor(SOLO_THREADS)
+        )
+
+    def test_solo_l2_mpki_is_the_profiled_rate(self, name, solo_runs):
+        # Section VI-A: private L1/L2 fix the L2 misses per instruction;
+        # the LLC only sees that L2-miss traffic.
+        prof = get_profile(name)
+        total = solo_runs[name].total
+        assert total.l2_mpki == pytest.approx(
+            sum(r.weight * r.l2_mpki for r in prof.regions)
+        )
+        assert total.llc_mpki <= total.l2_mpki
+
+    def test_no_region_beats_its_core_ipc(self, name, solo_runs):
+        # ipc_core assumes every reference hits the private caches;
+        # stalls past L2 and synchronization only add cycles.
+        metrics = solo_runs[name]
+        for region in get_profile(name).regions:
+            achieved = metrics.by_region[region.region.name]
+            assert achieved.cpi >= 1.0 / region.ipc_core - 1e-12, region.region.name
