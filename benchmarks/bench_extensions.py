@@ -8,7 +8,6 @@ efficiency analysis quantifies its Section I energy motivation.
 """
 
 from repro.core import BubbleUpPredictor, ExperimentConfig, MatrixInsights
-from repro.core.report import ascii_table
 from repro.session import Session
 
 CFG = ExperimentConfig(jitter=0.0)

@@ -1,6 +1,6 @@
 """Fig 8: Gemini metrics under the real offenders (IRSmk/fotonik3d/CIFAR)."""
 
-from repro.core.provenance import GEMINI_APPS, OFFENDERS
+from repro.core.provenance import GEMINI_APPS
 from repro.session import Session
 
 

@@ -3,8 +3,7 @@
 Each ``bench_*`` module regenerates one paper artifact (figure or
 table): the benchmark measures the experiment's runtime, and the
 rendered rows/series are written to ``benchmarks/out/<artifact>.txt``
-so the regenerated data can be compared against the paper (see
-EXPERIMENTS.md).
+so the regenerated data can be compared against the paper.
 
 Benches that measure a speedup additionally persist a machine-readable
 ``benchmarks/out/BENCH_<name>.json`` (``{"bench", "cells",

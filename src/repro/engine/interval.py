@@ -441,10 +441,10 @@ class IntervalEngine:
         timeline.append(
             BandwidthSample(
                 time_s=now + dt,
+                # Every sample lists every app, finished or not: timelines
+                # are rectangular, which the store's packed entries rely on.
                 bytes_per_s={
-                    app.metrics.name: sol.bytes_per_s
-                    for app, sol in zip(apps, sols)
-                    if not app.finished or True
+                    app.metrics.name: sol.bytes_per_s for app, sol in zip(apps, sols)
                 },
             )
         )

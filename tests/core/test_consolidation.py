@@ -75,7 +75,7 @@ class TestFig5Shapes:
 
     def test_gcc_fotonik_strongest(self, matrix):
         # Paper: G-CC goes to ~198% with fotonik3d — worse than CIFAR.
-        # (model reproduces ~1.75x; see EXPERIMENTS.md)
+        # (model reproduces ~1.75x; benchmarks/out/fig5_heatmap.txt)
         assert matrix.value("G-CC", "fotonik3d") > 1.65
         assert matrix.value("G-CC", "fotonik3d") > matrix.value("G-CC", "CIFAR")
         v = matrix.classify("G-CC", "fotonik3d")

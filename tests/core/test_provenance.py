@@ -32,7 +32,7 @@ class TestFig7:
     def test_cpi_more_than_doubles(self, fig7):
         # Paper: every application's CPI increases more than 2x.  The
         # model reproduces >2x for the memory-heavy apps; the lighter
-        # G-BC/G-BFS land at ~1.8 (see EXPERIMENTS.md).
+        # G-BC/G-BFS land at ~1.8 (benchmarks/out/fig7_gemini_stream.txt).
         for app in GEMINI_APPS:
             assert fig7.inflation(app, "Stream").cpi > 1.7, app
         for app in ("G-PR", "G-CC", "G-SSSP"):
@@ -123,7 +123,7 @@ class TestTable4:
         # Paper: G-SSSP is by far the mildest neighbour for fotonik3d
         # (CPI 1.8 vs 3.2 with CIFAR).  The model reproduces the strong
         # IRSmk >> G-SSSP ordering exactly; CIFAR and G-SSSP land within
-        # a few percent of each other (see EXPERIMENTS.md).
+        # a few percent of each other (benchmarks/out/table4_regions.txt).
         gs = table4.quad("fotonik3d", "G-SSSP").cpi
         assert gs < table4.quad("fotonik3d", "IRSmk").cpi - 0.5
         assert gs <= table4.quad("fotonik3d", "CIFAR").cpi + 0.15

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.trace import MissRatioCurve
-from repro.units import GB, KiB, MiB
+from repro.units import KiB, MiB
 from repro.workloads.base import (
     CodeRegion,
     RegionProfile,

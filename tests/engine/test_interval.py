@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.engine import EngineConfig, IntervalEngine
 from repro.errors import EngineError
 from repro.trace import MissRatioCurve
-from repro.units import GB, KiB, MiB
+from repro.units import KiB, MiB
 from repro.workloads.base import ScalingModel
 from repro.workloads.registry import get_profile
 

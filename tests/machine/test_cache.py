@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.errors import MachineConfigError
 from repro.machine import CacheSpec, SetAssociativeCache
-from repro.units import KiB
 
 
 def tiny_cache(ways: int = 2, sets: int = 4) -> SetAssociativeCache:

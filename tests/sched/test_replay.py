@@ -13,7 +13,6 @@ from repro.sched import (
     Cluster,
     PlacementEvaluator,
     ReplayReport,
-    Tenant,
     TraceEvent,
     percentile,
     replay_trace,
