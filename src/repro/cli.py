@@ -20,6 +20,7 @@ Usage::
     repro --store .repro-store store show fig5
     repro --store .repro-store scenario ls      # persisted N-way scenarios
     repro --store .repro-store store gc --dry-run
+    repro --store .repro-store store migrate    # earlier layouts -> schema 2
     repro store diff A/manifest.json B/manifest.json
     repro --store .repro-store sched replay --trace seed:0:10 \\
         --policy interference --policy baseline  # placement policies head to head
@@ -90,7 +91,7 @@ from repro.session import (
     parse_way_mask,
     runner_names,
 )
-from repro.store import ResultStore
+from repro.store import SCHEMA_VERSION, ResultStore
 from repro.workloads.calibration import APPLICATIONS, MINI_BENCHMARKS
 
 #: Shipped placement policies (mirrors repro.sched.policy.POLICIES;
@@ -319,6 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("manifest_a", metavar="A", help="first manifest.json")
     diff.add_argument("manifest_b", metavar="B", help="second manifest.json")
     verb(subs, "stats", _store_stats, as_json, help="per-artifact runs, durations, hit rates")
+    verb(
+        subs, "migrate", _store_migrate,
+        help="rewrite the cache entries of an earlier store layout into the current one",
+    )
 
     subs = verbs.choices["scenario"].add_subparsers(metavar="SUB")
     run = verb(subs, "run", _scenario_run, csv, overrides, help="run one N-way scenario")
@@ -420,7 +425,7 @@ def _list(args: argparse.Namespace) -> int:
         lines.append(f"  {name:<12} {get_runner(name).title}")
     lines.append(
         "commands: run-all [--shard I/N] (campaign + manifest), "
-        "campaign (multi-process run-all), store ls/show/gc/diff/stats, "
+        "campaign (multi-process run-all), store ls/show/gc/diff/stats/migrate, "
         "scenario run [--ways NAME:BITMAP ...] [--pin NAME:CORES ...] / ls, "
         "sched replay [--trace seed:S:N] [--policy P ...] / decide APP[:T], "
         "trace show/export/summary (spans recorded with --telemetry), "
@@ -522,6 +527,19 @@ def _store_gc(args: argparse.Namespace) -> int:
     )
     for shard in summary["removed_dirs"]:
         print(f"  {shard}")
+    return 0
+
+
+def _store_migrate(args: argparse.Namespace) -> int:
+    """``repro store migrate``: rewrite an earlier layout into schema 2."""
+    from repro.store import migrate
+
+    summary = migrate(args.store)
+    print(
+        f"migrated {summary['migrated']} cache entr(ies) from schema "
+        f"{summary['from_schema']} to {SCHEMA_VERSION}; dropped {summary['dropped']} "
+        f"that did not check out; removed {summary['removed_files']} file(s)"
+    )
     return 0
 
 

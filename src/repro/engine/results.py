@@ -9,10 +9,12 @@ them per application *and* per code region so the provenance analysis
 
 from __future__ import annotations
 
-import json
+import base64
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 
 @dataclass
@@ -121,13 +123,14 @@ def samples_from_json(encoded: "list[dict[str, Any]]") -> list[BandwidthSample]:
 class LazyTimeline(Sequence):
     """A read-only timeline kept in a compact source until first use.
 
-    Two sources hand one out.  The store's read path keeps an entry's
-    line 2, the encoded JSON, as bytes.  The batch engine keeps a cell's
-    timeline as rows, ``(times, rates)`` with ``names``: sample ``k`` is
-    at ``times[k]`` with ``rates[k][i]`` bytes/s for app ``names[i]``
+    Two sources hand one out.  The batch engine keeps a cell's timeline
+    as rows, ``(times, rates)`` with ``names``: sample ``k`` is at
+    ``times[k]`` with ``rates[k][i]`` bytes/s for app ``names[i]``
     (numpy arrays); a name that repeats keeps its first position and its
     last rate, as the ``bytes_per_s`` dict of the scalar solver does.
-    :meth:`encoded` builds the JSON form straight from the source, so
+    The store's read path keeps an entry's line 2, the same rows packed
+    (:meth:`packed`), as bytes, with the names it was packed under.
+    :meth:`encoded` builds the JSON form straight from either source, so
     writing a result to the store builds no :class:`BandwidthSample`,
     and gives the same bytes whether or not the timeline was read first.
 
@@ -148,14 +151,35 @@ class LazyTimeline(Sequence):
         self._names = tuple(names)
         self._list: list[BandwidthSample] | None = None
 
+    def _rows(self) -> "tuple[Any, Any, tuple[str, ...]]":
+        """``(times, rates, names)`` with every name once: a repeated
+        name's column is its last one, at its first position."""
+        source, names = self._source, self._names
+        if isinstance(source, bytes):
+            table = np.frombuffer(base64.b64decode(source), dtype="<f8")
+            table = table.reshape(-1, len(names) + 1)
+            return table[:, 0], table[:, 1:], names
+        times, rates = source
+        if len(set(names)) < len(names):
+            last = {name: i for i, name in enumerate(names)}
+            return times, rates[:, list(last.values())], tuple(last)
+        return times, rates, names
+
+    def packed(self) -> "tuple[tuple[str, ...], bytes]":
+        """The names and the store's line-2 form of this timeline: the
+        rows, each a time then one rate per name, as little-endian
+        float64 in base64.  A timeline read from the store hands back
+        the bytes it was read from."""
+        if isinstance(self._source, bytes):
+            return self._names, self._source
+        times, rates, names = self._rows()
+        table = np.column_stack((times, rates)).astype("<f8", copy=False)
+        return names, base64.b64encode(table.tobytes())
+
     def encoded(self) -> list[dict[str, Any]]:
         """The JSON form :func:`repro.store.codec.encode_timeline` writes,
         built from the source."""
-        source = self._source
-        if isinstance(source, bytes):
-            return json.loads(source)
-        times, rates = source
-        names = self._names
+        times, rates, names = self._rows()
         return [
             {"time_s": t, "bytes_per_s": dict(zip(names, row))}
             for t, row in zip(times.tolist(), rates.tolist())

@@ -26,18 +26,20 @@ the sweep-campaign results database:
 * :func:`run_campaign` — ``repro campaign``: fork N worker processes
   over the runner registry with claim-file work-stealing, all sharing
   one store (see :mod:`repro.store.campaign`).
+* :func:`migrate` — ``repro store migrate``: rewrite a store of an
+  earlier layout into the current one (see below).
 
 Store layout (``<root>`` is the directory handed to ``--store``)::
 
     <root>/
-      store.json                   schema marker {"schema": 1, ...}
+      store.json                   schema marker {"schema": 2, ...}
       .lock                        advisory store lock (never deleted)
       solo/<engine_fp>/            cached solo runs,
         <pid>-<token>.jsonl          key: engine_fp x workload x threads
       corun/<engine_fp>/           cached plain pairs,
         <pid>-<token>.jsonl          key: engine_fp x fg x bg x fg_t x bg_t
       scenario/<engine_fp>/        every other cached scenario,
-        <pid>-<token>.jsonl          key: engine_fp x scenario fingerprint
+        <pid>-<token>.jsonl          key: engine_fp x scenario payload
       results/<artifact>/          streamed RunRecords
         <run_id>.json
       index/<pid>-<token>.jsonl    per-process record-index segments
@@ -50,27 +52,34 @@ Store layout (``<root>`` is the directory handed to ``--store``)::
 Each ``<pid>-<token>.jsonl`` in a cache shard is one process's segment
 log: every entry that process computed for the shard, appended in
 order, the segment created on its first put there.  An entry is two
-lines.  Line 1 is one JSON object, the envelope ``{"keyfp", "schema",
-"kind", "key", "result", "timeline_sha256"}``: the key fingerprint
-first (so a scan reads it at a fixed offset without parsing JSON), the
-encoded result without its bandwidth timeline, and a truncated sha256
-of line 2.  Line 2 is the encoded timeline.  A store indexes a shard's
-segments on its first lookup there and reads an entry at its offset; it
-parses line 1 only, checks line 2 against the digest, and hands it over
-undecoded (:class:`~repro.engine.results.LazyTimeline`); only Fig 3,
-Table III and the ``scenario`` record ever decode one.
+lines in the packed layout of store schema 2 (:mod:`repro.store.codec`
+has it field by field).  Line 1 is one JSON object, the envelope
+``{"keyfp", "schema", "kind", "key", "shape", "sha256", "numbers"}``:
+the key fingerprint first (so a scan reads it at a fixed offset without
+parsing JSON), the key, the result's shape (app names, threads, region
+names), a truncated sha256 of the numbers and line 2, and every number
+of the result as little-endian float64 in base64.  Line 2 is the
+bandwidth timeline's rows, packed the same way.  A store indexes a
+shard's segments on its first lookup there and reads an entry at its
+offset; it checks schema, kind and key as one byte prefix, checks the
+digest, unpacks the numbers without parsing any float text, and hands
+the timeline over undecoded (:class:`~repro.engine.results.LazyTimeline`);
+only Fig 3, Table III and the ``scenario`` record ever decode one.
 
-Earlier versions wrote each entry to a file of its own,
-``<shard>/<slug>-<keyfp>.json``: one line with the timeline inside
-``result``, or (later) the same two lines without ``keyfp``.  Such
-files keep serving, also beside segments; those versions find no
-per-entry files in a store written now, so they re-simulate (and write
-their files beside the segments).
+Stores of schema 1 kept every number as text: in segments, or in the
+per-entry files of versions before segment logs
+(``<shard>/<slug>-<keyfp>.json``, one line or two).  Opening one raises
+:class:`~repro.errors.StoreError` naming ``repro store migrate``
+(:func:`migrate`, :mod:`repro.store.migration`), which rewrites every
+entry the schema-1 reader would have served into schema 2, under the
+exclusive store lock; a re-run finishes a migrate that was cut short.
+Records, the record index and manifests keep their own schema
+(:data:`RECORD_SCHEMA`, unchanged).
 
-Keys reuse :func:`repro.session.session.fingerprint` exactly — the
-same function behind the session's engine fingerprints — so a result persisted
-under one machine spec / engine configuration can never warm a session
-running a different one.
+Every key holds the engine fingerprint of
+:func:`repro.session.session.fingerprint` — the same function behind
+the session's caches — so a result persisted under one machine spec /
+engine configuration can never warm a session running a different one.
 
 Concurrency semantics (:mod:`repro.store.locking`): any number of
 processes may share one store.  A cache entry is one append of both
@@ -81,8 +90,8 @@ is whole.  Records, manifests and ``store.json`` are written atomically
 (tmp + rename); each process appends index lines to its own
 ``index/<pid>-<token>.jsonl`` segment.  Cache writers hold the store
 lock *shared* around each append, or once around a session pass's run
-of appends (:meth:`ResultStore.writing`), while ``store gc`` shard-pruning and
-manifest freezes hold it *exclusive*; a writer whose shard gc pruned
+of appends (:meth:`ResultStore.writing`), while ``store gc`` shard-pruning,
+``store migrate`` and manifest freezes hold it *exclusive*; a writer whose shard gc pruned
 opens a new segment.  Readers treat torn, foreign or colliding entries
 as misses, never as data, and skipped foreign-schema index lines raise
 a one-time :class:`~repro.errors.StoreWarning`.
@@ -107,7 +116,9 @@ from repro.store.manifest import (
     write_manifest,
     write_manifest_from_store,
 )
+from repro.store.migration import migrate
 from repro.store.store import (
+    RECORD_SCHEMA,
     SCHEMA_VERSION,
     CacheEntry,
     IndexEntry,
@@ -117,6 +128,7 @@ from repro.store.store import (
 )
 
 __all__ = [
+    "RECORD_SCHEMA",
     "SCHEMA_VERSION",
     "CacheEntry",
     "FileLock",
@@ -134,6 +146,7 @@ __all__ = [
     "encode_solo",
     "live_engine_fingerprints",
     "load_manifest",
+    "migrate",
     "parse_shard",
     "render_diff",
     "run_campaign",

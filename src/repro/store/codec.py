@@ -1,39 +1,64 @@
-"""Exact JSON codec for the engine's result containers.
+"""Codecs for the engine's result containers: exact JSON, and the packed
+cache entry of store schema 2.
 
 The persistent cache only works if a round-tripped result is
 *bit-identical* to the in-memory original: a Fig 5 cell computed from a
 disk-loaded solo reference must equal the cell computed in the same
-process.  Python's ``json`` module serializes floats via ``repr``,
-whose shortest-round-trip representation re-parses to the exact same
-IEEE-754 value, and both ``dict`` and JSON objects preserve insertion
-order — so the per-region accumulation order (which matters for float
-summation in :attr:`AppMetrics.total`) survives the trip.
+process.
 
-The codec is deliberately explicit per type rather than reflective:
-the on-disk schema is a contract (see :data:`SCHEMA_VERSION` in
-:mod:`repro.store.store`), and silent field drift would corrupt warm
-stores.
+**JSON.**  ``encode_*`` / ``decode_*`` turn a result into plain JSON
+data and back.  Python's ``json`` module serializes floats via
+``repr``, whose shortest-round-trip representation re-parses to the
+exact same IEEE-754 value, and both ``dict`` and JSON objects preserve
+insertion order — so the per-region accumulation order (which matters
+for float summation in :attr:`AppMetrics.total`) survives the trip.
+Records (``results/``), run ids and output digests hash this form; the
+cache no longer stores it (``repro store migrate`` reads it from stores
+of schema 1).  The codec is deliberately explicit per type rather than
+reflective: silent field drift would change every digest.
 
-A store entry splits each encoded result into two lines, appended
-together to a segment log.  Line 1 is the envelope (key fingerprint
-first) with the result minus its bandwidth timeline (plus a digest of
-line 2); line 2 is the encoded timeline alone.  The timeline is most of
-an entry's bytes and only Fig 3, Table III and the ``scenario``
-record read it, so a reader hands line 2 unparsed to a
-:class:`~repro.engine.results.LazyTimeline` (the type the batch engine
-keeps its timelines in, as rows) and the ``decode_*`` functions pass
-that through: it decodes on first use to exactly the list
-:func:`decode_timeline` would build.  :func:`encode_timeline` encodes a
-lazy timeline straight from its source, so a batch result goes to disk
-without a :class:`~repro.engine.results.BandwidthSample` being built.
-A one-line entry (timeline inline, as stores wrote into per-entry
-files before the split) decodes eagerly as before.  The store appends
-a pass's entries under one hold of its shared lock
-(:meth:`~repro.store.store.ResultStore.writing`).
+**Packed entries** (:func:`pack_entry` / :func:`unpack_entry`).  A cache
+entry is two lines, appended together to a segment log.  Line 1 is a
+JSON object whose fields come in a fixed order::
+
+    {"keyfp": K, "schema": 2, "kind": KIND, "key": KEY, "shape": SHAPE,
+     "sha256": DIGEST, "numbers": NUMBERS}
+
+``keyfp`` is a truncated sha256 of ``KEY``'s bytes (:func:`entry_key`),
+first so a scan reads it at a fixed offset.  ``SHAPE`` holds what is not
+a number: ``{"apps": [[name, threads, [region, ...]], ...], "timeline":
+[name, ...]}``.  ``NUMBERS`` is every number of the result, as
+little-endian float64 in base64: the result's own scalars
+(``fg_solo_runtime_s`` then the background rates; a pair's
+``bg_relative_rate``; none for a solo run), then per app its
+``runtime_s`` followed by each region's six metrics in
+``_REGION_FIELDS`` order.  Line 2 is the bandwidth timeline's rows
+(:meth:`~repro.engine.results.LazyTimeline.packed`): each sample's time
+then one rate per ``SHAPE["timeline"]`` name, packed the same way.
+Every sample lists the same apps in the same order (the engine's
+timelines are rectangular); a timeline that does not is refused, not
+guessed at.  ``DIGEST`` is a truncated sha256 of ``NUMBERS`` followed
+by line 2.  base64 holds no newline, so an entry is always two lines.
+
+A read checks everything up to ``"shape"`` as one byte prefix built from
+the key it looks up (so schema, kind and key are compared without
+parsing), finds the shape's end, checks the digest, and unpacks the
+numbers with :mod:`struct`; nothing is parsed as float text.  Shapes
+repeat across entries, so each distinct one is parsed once per process.
+Line 2 is handed over unread as a
+:class:`~repro.engine.results.LazyTimeline` and decodes on first use,
+to the list :func:`decode_timeline` would build; only Fig 3, Table III
+and the ``scenario`` record ever read one.  A put packs straight from
+the result dataclasses and, for a batch result, from the engine's
+timeline rows.
 """
 
 from __future__ import annotations
 
+import base64
+import hashlib
+import json
+import struct
 from collections.abc import Sequence
 from typing import Any
 
@@ -47,6 +72,10 @@ from repro.engine.results import (
     SoloRunResult,
     samples_from_json,
 )
+
+#: Version of the store's on-disk layout (``store.json`` and every cache
+#: entry); bumped on incompatible change.
+SCHEMA_VERSION = 2
 
 _REGION_FIELDS = (
     "instructions",
@@ -104,11 +133,7 @@ def encode_timeline(timeline: Sequence[BandwidthSample]) -> list[dict[str, Any]]
     ]
 
 
-def decode_timeline(
-    data: "list[dict[str, Any]] | LazyTimeline",
-) -> Sequence[BandwidthSample]:
-    if isinstance(data, LazyTimeline):
-        return data  # a store entry's line 2: decoded on first use
+def decode_timeline(data: "list[dict[str, Any]]") -> Sequence[BandwidthSample]:
     return samples_from_json(data)
 
 
@@ -162,3 +187,151 @@ def decode_scenario_result(data: dict[str, Any]) -> ScenarioRunResult:
         bg_relative_rates=list(data["bg_relative_rates"]),
         timeline=decode_timeline(data["timeline"]),
     )
+
+
+# -- packed entries (schema 2) --------------------------------------------------
+
+
+def entry_key(key: dict[str, Any]) -> tuple[bytes, str]:
+    """The bytes an entry stores its key as, and the key fingerprint
+    that addresses it (one hash of those bytes)."""
+    data = json.dumps(key).encode()
+    return data, hashlib.sha256(data).hexdigest()[:12]
+
+
+def _pack(values: "Sequence[float]") -> bytes:
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values))
+
+
+def _digest(numbers: bytes, line2: bytes) -> bytes:
+    h = hashlib.sha256(numbers)
+    h.update(line2)
+    return h.hexdigest()[:16].encode()
+
+
+def _pack_timeline(timeline: Sequence[BandwidthSample]) -> tuple[Sequence[str], bytes]:
+    """A timeline's names and its line 2 (see the module docstring)."""
+    if isinstance(timeline, LazyTimeline):
+        return timeline.packed()
+    if not timeline:
+        return (), b""
+    names = list(timeline[0].bytes_per_s)
+    flat: list[float] = []
+    for sample in timeline:
+        rates = sample.bytes_per_s
+        if list(rates) != names:
+            raise ValueError(
+                f"timeline is not rectangular: a sample at {sample.time_s} lists "
+                f"{list(rates)}, the first lists {names}"
+            )
+        flat.append(sample.time_s)
+        flat.extend(rates.values())
+    return names, _pack(flat)
+
+
+def _parts(kind: str, result: Any) -> tuple[list[float], list[AppMetrics]]:
+    """A result's own scalars and its apps, in packing order."""
+    if kind == "solo":
+        return [], [result.metrics]
+    if kind == "corun":
+        return [result.fg_solo_runtime_s, result.bg_relative_rate], [result.fg, result.bg]
+    return [result.fg_solo_runtime_s, *result.bg_relative_rates], list(result.apps)
+
+
+def pack_entry(kind: str, keyfp: str, key: bytes, result: Any) -> bytes:
+    """Both lines of the cache entry of ``result`` under ``key`` (the
+    bytes :func:`entry_key` gives) and its fingerprint ``keyfp``."""
+    values, apps = _parts(kind, result)
+    shape_apps = []
+    for app in apps:
+        shape_apps.append([app.name, app.threads, list(app.by_region)])
+        values.append(app.runtime_s)
+        for rm in app.by_region.values():
+            values += (
+                rm.instructions, rm.cycles, rm.pending_cycles,
+                rm.l2_misses, rm.llc_misses, rm.bus_bytes,
+            )
+    names, line2 = _pack_timeline(result.timeline)
+    shape = json.dumps({"apps": shape_apps, "timeline": list(names)}).encode()
+    numbers = _pack(values)
+    return b"".join((
+        _prefix(kind, keyfp, key), shape,
+        b', "sha256": "', _digest(numbers, line2),
+        b'", "numbers": "', numbers, b'"}\n', line2, b"\n",
+    ))
+
+
+def _prefix(kind: str, keyfp: str, key: bytes) -> bytes:
+    """Line 1 up to its shape: the part a read compares byte for byte."""
+    return b'{"keyfp": "%s", "schema": %d, "kind": "%s", "key": %s, "shape": ' % (
+        keyfp.encode(), SCHEMA_VERSION, kind.encode(), key,
+    )
+
+
+_SHA = b', "sha256": "'
+_NUMBERS = b'", "numbers": "'
+_END = b'"}\n'
+
+#: Parsed shapes by their bytes: ``(apps, timeline names, numbers the
+#: apps hold)`` with ``apps`` as ``(name, threads, regions)`` tuples.
+_SHAPES: dict[bytes, tuple[tuple[tuple[str, int, tuple[str, ...]], ...], tuple[str, ...], int]] = {}
+_MAX_SHAPES = 4096
+
+
+def _shape(data: bytes) -> tuple[tuple[tuple[str, int, tuple[str, ...]], ...], tuple[str, ...], int]:
+    shape = _SHAPES.get(data)
+    if shape is None:
+        parsed = json.loads(data)
+        apps = tuple((name, threads, tuple(regions)) for name, threads, regions in parsed["apps"])
+        held = sum(1 + 6 * len(regions) for _, _, regions in apps)
+        shape = (apps, tuple(parsed["timeline"]), held)
+        if len(_SHAPES) >= _MAX_SHAPES:
+            _SHAPES.clear()
+        _SHAPES[data] = shape
+    return shape
+
+
+def unpack_entry(raw: bytes, kind: str, keyfp: str, key: bytes) -> Any | None:
+    """The result in one entry's bytes (both lines, as appended), or
+    ``None`` if they are not a whole schema-2 entry of ``kind`` under
+    ``key`` whose digest holds."""
+    prefix = _prefix(kind, keyfp, key)
+    if not raw.startswith(prefix) or not raw.endswith(b"\n"):
+        return None
+    start = len(prefix)
+    sha = raw.find(_SHA, start)
+    numbers_at = sha + len(_SHA) + 16
+    if sha < 0 or not raw.startswith(_NUMBERS, numbers_at):
+        return None
+    numbers_at += len(_NUMBERS)
+    end = raw.find(b'"', numbers_at)
+    if end < 0 or not raw.startswith(_END, end):
+        return None
+    numbers, line2 = raw[numbers_at:end], raw[end + len(_END) : -1]
+    if raw[sha + len(_SHA) : sha + len(_SHA) + 16] != _digest(numbers, line2):
+        return None
+    try:
+        apps_shape, names, held = _shape(raw[start:sha])
+        data = base64.b64decode(numbers, validate=True)
+        values = struct.unpack(f"<{len(data) // 8}d", data)
+    except (ValueError, TypeError, KeyError, struct.error):
+        return None
+    own = len(values) - held  # the result's own scalars, before the apps
+    if own < 0:
+        return None
+    it = iter(values[own:])
+    apps = [
+        AppMetrics(
+            name, threads, next(it),
+            {region: RegionMetrics(*six) for region, six in zip(regions, zip(it, it, it, it, it, it))},
+        )
+        for name, threads, regions in apps_shape
+    ]
+    timeline = LazyTimeline(line2, names)
+    if kind == "solo":
+        return SoloRunResult(apps[0], timeline) if own == 0 and len(apps) == 1 else None
+    if kind == "corun":
+        if own != 2 or len(apps) != 2:
+            return None
+        return CoRunResult(apps[0], apps[1], values[0], values[1], timeline)
+    return ScenarioRunResult(apps, values[0], list(values[1:own]), timeline) if own else None

@@ -33,7 +33,7 @@ from repro.session.base import fingerprint
 from repro.session.registry import runner_names
 from repro.store.locking import store_lock
 from repro.store.store import (
-    SCHEMA_VERSION,
+    RECORD_SCHEMA,
     ResultStore,
     _atomic_write_text,
     pick_latest,
@@ -54,7 +54,7 @@ def build_manifest(session: Any, store: ResultStore | None = None) -> dict[str, 
             row["path"] = store.sink.record_relpath(record, run_id)
         artifacts[record.artifact] = row
     return {
-        "schema": SCHEMA_VERSION,
+        "schema": RECORD_SCHEMA,
         "config": {
             "seed": config.seed,
             "threads": config.threads,
@@ -134,7 +134,7 @@ def build_manifest_from_store(
         for key, delta in (record.provenance.get("cache") or {}).items():
             cache_totals[key] = cache_totals.get(key, 0) + delta
     return {
-        "schema": SCHEMA_VERSION,
+        "schema": RECORD_SCHEMA,
         "config": {
             "seed": config.seed,
             "threads": config.threads,
@@ -190,8 +190,8 @@ def load_manifest(path: str | Path) -> dict[str, Any]:
         data = json.loads(p.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise StoreError(f"manifest missing or unreadable: {p}") from exc
-    if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
-        raise StoreError(f"{p} is not a schema-{SCHEMA_VERSION} campaign manifest")
+    if not isinstance(data, dict) or data.get("schema") != RECORD_SCHEMA:
+        raise StoreError(f"{p} is not a schema-{RECORD_SCHEMA} campaign manifest")
     return data
 
 

@@ -14,32 +14,32 @@ Layout under one store root (see the package docstring in
       index.jsonl                 # legacy single-file index (read-only)
       manifest.json               # written by `repro run-all` / `repro campaign`
 
-Cache entries are content-addressed by a
-:func:`repro.session.session.fingerprint` of their key
-(``engine_fingerprint x workload x threads`` for solos,
+A cache entry is addressed by its section, the engine fingerprint that
+names its shard, and its key fingerprint: one sha256 of the entry key's
+bytes (:func:`~repro.store.codec.entry_key`; the key is
+``engine_fingerprint x workload x threads`` for solos,
 ``engine_fingerprint x fg x bg x fg_threads x bg_threads`` for plain
-pairs, ``engine_fingerprint x scenario fingerprint`` for every other
-scenario) inside a shard per engine fingerprint, so a warm store can
-never serve a result computed under a different machine spec or engine
-configuration.
+pairs, ``engine_fingerprint x scenario payload`` for every other
+scenario), so a warm store can never serve a result computed under a
+different machine spec or engine configuration.
 
 Each process appends the entries it writes to its own **segment** in
 the entry's shard, ``<pid>-<token>.jsonl``, opened on its first put
-there.  An entry is two lines: line 1 is the JSON envelope (``keyfp``,
-the key fingerprint, always first; ``schema``, ``kind``, ``key``, the
-encoded ``result`` without its timeline, and ``timeline_sha256``, a
-truncated sha256 of line 2); line 2 is the encoded bandwidth timeline.
-A store indexes a shard on its first lookup there, reading each
-entry's key fingerprint at a fixed offset of line 1, and reads an entry
-at its offset through a descriptor it keeps open.  A read parses line 1
-only and returns a result whose timeline decodes on first use
+there.  An entry is two lines in the packed layout of schema 2
+(:mod:`repro.store.codec`): line 1 is a JSON envelope, key fingerprint
+first, holding the key, the result's shape and its numbers as packed
+float64; line 2 is the packed bandwidth timeline.  A store indexes a
+shard on its first lookup there, reading each entry's key fingerprint
+at a fixed offset of line 1, and reads an entry at its offset through a
+descriptor it keeps open.  A read checks the entry against the key it
+looks up byte for byte, checks its digest, and returns a result whose
+timeline decodes on first use
 (:class:`~repro.engine.results.LazyTimeline`).
 
-Versions before segment logs wrote each entry to a file of its own,
-``<shard>/<slug>-<keyfp>.json``, one line (timeline inside ``result``)
-or, later, the same two lines without ``keyfp``.  A key no segment
-holds is still read from such a file, so those stores keep serving;
-those versions find no files in a store written now and re-simulate.
+Stores of schema 1 (float text in segments, and the per-entry files of
+earlier versions) are not read: opening one raises
+:class:`~repro.errors.StoreError` naming ``repro store migrate``
+(:mod:`repro.store.migration`), which rewrites them into schema 2.
 
 Durability rules under many concurrent writer processes:
 
@@ -49,13 +49,13 @@ Durability rules under many concurrent writer processes:
   segment's tail.  A scan indexes whole entries only (both lines end in
   a newline) and starts again at a torn tail, so an append that was
   still under way serves once it completes;
-* readers treat unparseable, schema-mismatched or colliding entries,
-  and entries whose line 2 does not match its digest, as cache misses
-  (a crash mid-write costs a re-simulation, never a wrong number);
-  a copy that fails is dropped from the index, and an older copy of the
-  same key, if any, serves instead;
-* cache writers take the store lock **shared**, ``gc``'s shard pruning
-  and manifest freezes take it **exclusive**
+* readers treat torn, foreign-schema or colliding entries, and entries
+  whose digest (over the packed numbers and line 2) does not hold, as
+  cache misses (a crash mid-write costs a re-simulation, never a wrong
+  number); a copy that fails is dropped from the index, and an older
+  copy of the same key, if any, serves instead;
+* cache writers take the store lock **shared**; ``gc``'s shard pruning,
+  ``migrate`` and manifest freezes take it **exclusive**
   (:mod:`repro.store.locking`), so a prune can never interleave with an
   append.  A put takes the lock around its append; inside
   :meth:`ResultStore.writing` (a session pass's write-behind) a thread
@@ -79,7 +79,6 @@ Durability rules under many concurrent writer processes:
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import logging
 import os
@@ -98,18 +97,11 @@ from repro.session.base import fingerprint
 from repro.session.record import RunRecord
 from repro.session.registry import get_runner
 from repro.session.scenario import Scenario
-from repro.store.codec import (
-    LazyTimeline,
-    decode_corun,
-    decode_scenario_result,
-    decode_solo,
-    encode_corun,
-    encode_scenario_result,
-    encode_solo,
-)
+from repro.store.codec import SCHEMA_VERSION, entry_key, pack_entry, unpack_entry
 
-#: Version of the on-disk layout; bumped on incompatible change.
-SCHEMA_VERSION = 1
+#: Version of the record layout: index lines and campaign manifests.
+#: Schema 2 changed the cache entries only, so it stays 1.
+RECORD_SCHEMA = 1
 
 #: The cache sections, one directory each under the store root.
 _SECTIONS = ("solo", "corun", "scenario")
@@ -152,11 +144,6 @@ def _read_json(path: Path) -> Any | None:
         return None
 
 
-def _digest(data: bytes) -> str:
-    """The line-2 digest a cache entry's first line carries."""
-    return hashlib.sha256(data).hexdigest()[:16]
-
-
 #: Line 1 of an appended entry opens with its key fingerprint at a fixed
 #: offset, so a scan indexes entries without parsing JSON.
 _KEYFP_PREFIX = b'{"keyfp": "'
@@ -188,51 +175,6 @@ def _listdir(path: str) -> list[str]:
         return os.listdir(path)
     except OSError:
         return []
-
-
-def _check_entry(raw: bytes, kind: str, key: dict[str, Any]) -> Any | None:
-    """The encoded result in one entry's bytes, or ``None`` for a torn,
-    foreign-schema or colliding entry.
-
-    Only line 1 is parsed.  Line 2 is checked against line 1's digest
-    and handed over unparsed as a :class:`LazyTimeline`, so a bad line 2
-    is a miss here and never an error later.  A one-line entry (a
-    per-entry file written before the split) carries its timeline
-    inline and decodes as is.
-    """
-    head, _, rest = raw.partition(b"\n")
-    try:
-        data = json.loads(head)
-    except ValueError:
-        return None
-    if (
-        not isinstance(data, dict)
-        or data.get("schema") != SCHEMA_VERSION
-        or data.get("kind") != kind
-        or data.get("key") != key
-        or not isinstance(data.get("result"), dict)
-    ):
-        return None
-    result = data["result"]
-    if "timeline" not in result:
-        # The digest covers line 2 without its line terminator, which
-        # text-mode writes translate on some platforms.
-        if data.get("timeline_sha256") != _digest(rest.rstrip(b"\r\n")):
-            return None
-        result["timeline"] = LazyTimeline(rest)
-    return result
-
-
-def _load_file(path: str, kind: str, key: dict[str, Any]) -> Any | None:
-    """An entry in a file of its own, as versions before segment logs
-    wrote them; ``None`` if there is no such file or it does not check
-    out."""
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            raw = fh.read()
-    except OSError:
-        return None
-    return _check_entry(raw, kind, key)
 
 
 def _scan_entries(fh: BinaryIO, pos: int, found: Callable[[str, int, int], None]) -> int:
@@ -284,7 +226,7 @@ class _Segment:
 class _Shard:
     """The in-memory index of one ``<section>/<engine_fp>`` directory."""
 
-    __slots__ = ("dir", "index", "older", "segments", "numbers", "own", "files")
+    __slots__ = ("dir", "index", "older", "segments", "numbers", "own")
 
     def __init__(self, shard_dir: str) -> None:
         self.dir = shard_dir
@@ -301,8 +243,6 @@ class _Shard:
         self.numbers: dict[str, int] = {}
         #: the segment this store appends to, once it has put an entry here
         self.own: _Segment | None = None
-        #: names of the per-entry files the last listing showed
-        self.files: set[str] = set()
 
     def segment(self, name: str) -> _Segment:
         number = self.numbers.get(name)
@@ -332,10 +272,9 @@ class CacheEntry(NamedTuple):
 
     engine_fp: str
     keyfp: str
-    #: The segment or per-entry file holding the entry, relative to the
-    #: store root.
+    #: The segment holding the entry, relative to the store root.
     path: str
-    #: Where the entry's line 1 starts in ``path`` (0 in a per-entry file).
+    #: Where the entry's line 1 starts in ``path``.
     offset: int
 
 
@@ -436,7 +375,7 @@ class IndexEntry:
         return not self.arguments
 
     def to_line(self) -> str:
-        return json.dumps({"schema": SCHEMA_VERSION, **asdict(self)})
+        return json.dumps({"schema": RECORD_SCHEMA, **asdict(self)})
 
 
 def pick_latest(entries: "list[IndexEntry]") -> "IndexEntry | None":
@@ -573,7 +512,7 @@ class RecordSink:
         first (append timestamp; legacy lines carry none and sort
         before all segmented lines, preserving their file order).
 
-        Lines whose ``schema`` differs from :data:`SCHEMA_VERSION` are
+        Lines whose ``schema`` differs from :data:`RECORD_SCHEMA` are
         skipped — but not silently: the first full merge that drops any
         emits one :class:`~repro.errors.StoreWarning` with the count,
         so ``store ls`` / ``store diff`` on a mixed-version store
@@ -592,7 +531,7 @@ class RecordSink:
                     continue
                 try:
                     data = json.loads(line)
-                    if data.get("schema") != SCHEMA_VERSION:
+                    if data.get("schema") != RECORD_SCHEMA:
                         foreign += 1
                         continue
                     data.pop("schema")
@@ -603,7 +542,7 @@ class RecordSink:
             self._warned_foreign_schema = True
             warnings.warn(
                 f"skipped {foreign} index line(s) with a schema other than "
-                f"{SCHEMA_VERSION} in {self.root} (written by a different "
+                f"{RECORD_SCHEMA} in {self.root} (written by a different "
                 "tool version; re-run it there to query them)",
                 StoreWarning,
                 stacklevel=2,
@@ -662,33 +601,24 @@ class ResultStore:
                 ),
             )
             return
-        if meta.get("schema") != SCHEMA_VERSION:
+        schema = meta.get("schema")
+        if schema != SCHEMA_VERSION:
+            hint = (
+                f": run `repro store migrate --store {self.root}` to rewrite it"
+                if isinstance(schema, int) and schema < SCHEMA_VERSION
+                else ""
+            )
             raise StoreError(
-                f"store at {self.root} has schema {meta.get('schema')!r}; "
-                f"this build reads schema {SCHEMA_VERSION}"
+                f"store at {self.root} has schema {schema!r}; "
+                f"this build reads schema {SCHEMA_VERSION}{hint}"
             )
 
     # -- solo / pair / scenario cache -----------------------------------------
     #
-    # An entry's address is the string ``_*_file`` builds: its shard
-    # directory, and a file name ending in its key fingerprint.  The
-    # file itself is where versions before segment logs kept the entry;
-    # reads still look there for keys no segment holds.  Paths are
-    # formatted, not joined: building a Path costs about as much as
-    # opening the file.
-
-    def _solo_file(self, engine_fp: str, workload: str, threads: int) -> str:
-        keyfp = fingerprint("solo", engine_fp, workload, threads)
-        return f"{self._root}/solo/{engine_fp}/{_safe_name(workload)}-t{threads}-{keyfp}.json"
-
-    def _corun_file(
-        self, engine_fp: str, fg: str, bg: str, fg_threads: int, bg_threads: int
-    ) -> str:
-        keyfp = fingerprint("corun", engine_fp, fg, bg, fg_threads, bg_threads)
-        return (
-            f"{self._root}/corun/{engine_fp}/{_safe_name(fg)}-vs-{_safe_name(bg)}"
-            f"-{fg_threads}x{bg_threads}-{keyfp}.json"
-        )
+    # An entry's address is its shard directory, ``<section>/<engine_fp>``
+    # (a string: entry paths are formatted, not joined, since building a
+    # Path costs about as much as opening the file), and its key
+    # fingerprint.  The section names the entry's kind as well.
 
     def _owned(self) -> None:
         """After a fork, forget the parent's segments: this process
@@ -736,16 +666,11 @@ class ResultStore:
 
     def _refresh(self, shard: _Shard) -> bool:
         """Index segments that appeared in the shard and bytes other
-        writers appended since the last scan, and note the shard's
-        per-entry files: one listing of the shard plus one ``stat`` per
-        segment this store does not write.  True if anything new was
-        indexed."""
+        writers appended since the last scan: one listing of the shard
+        plus one ``stat`` per segment this store does not write.  True if
+        anything new was indexed."""
         added = False
-        shard.files = set()
         for name in _listdir(shard.dir):  # empty: no shard yet, or gc pruned it
-            if name.endswith(".json"):
-                shard.files.add(name)
-                continue
             if not name.endswith(".jsonl"):
                 continue
             segment = shard.segment(name)
@@ -760,38 +685,35 @@ class ResultStore:
             added |= self._scan(shard, segment)
         return added
 
-    def _cached(self, shard: _Shard, keyfp: str, kind: str, key: dict[str, Any]) -> Any | None:
-        """The encoded result of the newest indexed copy of a key that
-        checks out; copies that do not are dropped from the index."""
+    def _cached(self, shard: _Shard, keyfp: str, kind: str, key: bytes) -> Any | None:
+        """The result in the newest indexed copy of a key that checks
+        out; copies that do not are dropped from the index."""
         while (copy := shard.index.get(keyfp)) is not None:
             segment = shard.segments[copy >> 80]
             try:
                 raw = _read_at(self._descriptor(segment), copy & _LOW40, copy >> 40 & _LOW40)
             except OSError:
                 raw = b""
-            payload = _check_entry(raw, kind, key)
-            if payload is not None:
-                return payload
+            result = unpack_entry(raw, kind, keyfp, key)
+            if result is not None:
+                return result
             shard.drop(keyfp)
         return None
 
-    def _load_entry(self, file: str, kind: str, key: dict[str, Any]) -> Any | None:
-        """The encoded result stored under one entry address, or ``None``.
+    def _get(self, section: str, engine_fp: str, key: dict[str, Any]) -> Any | None:
+        """The result stored under one key, or ``None``.
 
-        A shard is indexed on its first lookup.  A key the index does not
-        hold refreshes the shard once, unless the last listing showed its
-        per-entry file (where versions before segment logs wrote it);
-        then that file is read."""
-        shard_dir, _, name = file.rpartition("/")
-        keyfp = name[-_KEYFP_LEN - 5 : -5]
+        A shard is indexed on its first lookup; a key the index does not
+        hold refreshes the shard once."""
+        data, keyfp = entry_key(key)
+        shard_dir = f"{self._root}/{section}/{engine_fp}"
         self._owned()
         with self._lock:
             shard = self._shard(shard_dir)
-            payload = self._cached(shard, keyfp, kind, key)
-            if payload is None and name not in shard.files and self._refresh(shard):
-                payload = self._cached(shard, keyfp, kind, key)
-            legacy = payload is None and name in shard.files
-        return _load_file(file, kind, key) if legacy else payload
+            result = self._cached(shard, keyfp, section, data)
+            if result is None and self._refresh(shard):
+                result = self._cached(shard, keyfp, section, data)
+        return result
 
     def _own_segment(self, shard: _Shard) -> _Segment:
         """The segment this store appends to in ``shard``, opened on the
@@ -853,36 +775,20 @@ class ResultStore:
         lock.acquire()  # returns at once once held
         return contextlib.nullcontext()
 
-    def _publish_entry(
-        self, file: str, kind: str, key: dict[str, Any], result: dict[str, Any]
-    ) -> None:
+    def _put(self, section: str, engine_fp: str, key: dict[str, Any], result: Any) -> None:
         """Append one cache entry to this process's segment of its shard,
         under the *shared* store lock (:meth:`_writer_lock`), so a
         concurrent ``gc`` (exclusive) can never prune the shard between
         this writer's check of its segment and its append.
 
-        The entry is two lines written with one ``os.write``: the
-        envelope (key fingerprint first) with the encoded result minus
-        its timeline plus a digest of line 2, then the encoded timeline
-        (see :mod:`repro.store.codec`).  A failed or short write retires
+        The entry is both of its lines (:func:`~repro.store.codec.pack_entry`)
+        written with one ``os.write``.  A failed or short write retires
         the segment, so a torn entry can only be a segment's tail."""
-        shard_dir, _, name = file.rpartition("/")
-        keyfp = name[-_KEYFP_LEN - 5 : -5]
-        timeline = json.dumps(result.pop("timeline"))
-        head = json.dumps(
-            {
-                "keyfp": keyfp,
-                "schema": SCHEMA_VERSION,
-                "kind": kind,
-                "key": key,
-                "result": result,
-                "timeline_sha256": _digest(timeline.encode()),
-            }
-        )
-        data = f"{head}\n{timeline}\n".encode()
+        data, keyfp = entry_key(key)
+        data = pack_entry(section, keyfp, data, result)
         self._owned()
         with self._writer_lock(), self._lock:
-            shard = self._shard(shard_dir)
+            shard = self._shard(f"{self._root}/{section}/{engine_fp}")
             segment = self._own_segment(shard)
             try:
                 written = os.write(segment.fd, data)
@@ -917,49 +823,41 @@ class ResultStore:
         except Exception:  # interpreter shutdown, or __init__ never finished
             pass
 
-    def get_solo(
-        self, engine_fp: str, workload: str, threads: int
-    ) -> SoloRunResult | None:
-        key = {"engine_fingerprint": engine_fp, "workload": workload, "threads": threads}
-        payload = self._load_entry(
-            self._solo_file(engine_fp, workload, threads), "solo", key
-        )
-        if payload is None:
-            return None
-        try:
-            return decode_solo(payload)
-        except (KeyError, TypeError, ValueError, AttributeError):
-            return None  # corrupt-but-parseable entry: a miss, never data
+    # The entry keys, field for field in the order their bytes follow.
 
-    def put_solo(
-        self, engine_fp: str, workload: str, threads: int, result: SoloRunResult
-    ) -> None:
-        self._publish_entry(
-            self._solo_file(engine_fp, workload, threads),
-            "solo",
-            {
-                "engine_fingerprint": engine_fp,
-                "workload": workload,
-                "threads": threads,
-            },
-            encode_solo(result),
-        )
+    @staticmethod
+    def _solo_key(engine_fp: str, workload: str, threads: int) -> dict[str, Any]:
+        return {"engine_fingerprint": engine_fp, "workload": workload, "threads": threads}
 
-    def _scenario_file(
-        self, engine_fp: str, scenario: Scenario, payload: dict[str, Any]
-    ) -> str:
-        """Entry address of ``scenario``, whose ``payload()`` the caller
-        passes in (the entry key holds it too)."""
+    @staticmethod
+    def _corun_key(
+        engine_fp: str, fg: str, bg: str, fg_threads: int, bg_threads: int
+    ) -> dict[str, Any]:
+        return {
+            "engine_fingerprint": engine_fp,
+            "fg": fg,
+            "bg": bg,
+            "fg_threads": fg_threads,
+            "bg_threads": bg_threads,
+        }
+
+    @staticmethod
+    def _scenario_key(engine_fp: str, scenario: Scenario) -> dict[str, Any]:
         if not scenario.cacheable:
             raise ScenarioError(
                 "scenarios with in-band profiles or solo overrides are never cached"
             )
-        # fingerprint("scenario", payload) is scenario.fingerprint.
-        keyfp = fingerprint("scenario", engine_fp, fingerprint("scenario", payload))
-        slug = "+".join(
-            f"{_safe_name(p.workload)}.{p.threads}" for p in scenario.placements
-        )[:64]
-        return f"{self._root}/scenario/{engine_fp}/{slug}-{keyfp}.json"
+        return {"engine_fingerprint": engine_fp, "scenario": scenario.payload()}
+
+    def get_solo(
+        self, engine_fp: str, workload: str, threads: int
+    ) -> SoloRunResult | None:
+        return self._get("solo", engine_fp, self._solo_key(engine_fp, workload, threads))
+
+    def put_solo(
+        self, engine_fp: str, workload: str, threads: int, result: SoloRunResult
+    ) -> None:
+        self._put("solo", engine_fp, self._solo_key(engine_fp, workload, threads), result)
 
     def get_scenario(
         self, engine_fp: str, scenario: Scenario
@@ -967,36 +865,19 @@ class ResultStore:
         """Cached scenario result, or ``None``.
 
         Plain pairs are *not* stored here — the session keeps them in
-        the ``corun/`` section (:meth:`get_corun`), so pre-redesign
-        warm stores keep serving them unchanged.
+        the ``corun/`` section (:meth:`get_corun`).
         """
-        scenario_payload = scenario.payload()
-        key = {"engine_fingerprint": engine_fp, "scenario": scenario_payload}
-        payload = self._load_entry(
-            self._scenario_file(engine_fp, scenario, scenario_payload), "scenario", key
-        )
-        if payload is None:
-            return None
-        try:
-            return decode_scenario_result(payload)
-        except (KeyError, TypeError, ValueError, AttributeError):
-            return None  # corrupt-but-parseable entry: a miss, never data
+        return self._get("scenario", engine_fp, self._scenario_key(engine_fp, scenario))
 
     def put_scenario(
         self, engine_fp: str, scenario: Scenario, result: ScenarioRunResult
     ) -> None:
-        scenario_payload = scenario.payload()
-        self._publish_entry(
-            self._scenario_file(engine_fp, scenario, scenario_payload),
-            "scenario",
-            {"engine_fingerprint": engine_fp, "scenario": scenario_payload},
-            encode_scenario_result(result),
-        )
+        self._put("scenario", engine_fp, self._scenario_key(engine_fp, scenario), result)
 
     def scenarios(self) -> list[dict[str, Any]]:
         """Key metadata of every persisted scenario entry (``repro
         scenario ls``): engine fingerprint, placements, overrides, and
-        the ``path`` of the segment or file that holds it.
+        the ``path`` of the segment that holds it.
 
         Listing parses only each entry's first line (the envelope that
         holds the key), never the timeline on line 2.
@@ -1019,22 +900,8 @@ class ResultStore:
     def get_corun(
         self, engine_fp: str, fg: str, bg: str, fg_threads: int, bg_threads: int
     ) -> CoRunResult | None:
-        key = {
-            "engine_fingerprint": engine_fp,
-            "fg": fg,
-            "bg": bg,
-            "fg_threads": fg_threads,
-            "bg_threads": bg_threads,
-        }
-        payload = self._load_entry(
-            self._corun_file(engine_fp, fg, bg, fg_threads, bg_threads), "corun", key
-        )
-        if payload is None:
-            return None
-        try:
-            return decode_corun(payload)
-        except (KeyError, TypeError, ValueError, AttributeError):
-            return None  # corrupt-but-parseable entry: a miss, never data
+        key = self._corun_key(engine_fp, fg, bg, fg_threads, bg_threads)
+        return self._get("corun", engine_fp, key)
 
     def put_corun(
         self,
@@ -1045,30 +912,19 @@ class ResultStore:
         bg_threads: int,
         result: CoRunResult,
     ) -> None:
-        self._publish_entry(
-            self._corun_file(engine_fp, fg, bg, fg_threads, bg_threads),
-            "corun",
-            {
-                "engine_fingerprint": engine_fp,
-                "fg": fg,
-                "bg": bg,
-                "fg_threads": fg_threads,
-                "bg_threads": bg_threads,
-            },
-            encode_corun(result),
-        )
+        key = self._corun_key(engine_fp, fg, bg, fg_threads, bg_threads)
+        self._put("corun", engine_fp, key, result)
 
     def cache_entries(self, section: str) -> list[CacheEntry]:
         """Every entry of one cache section (``solo``, ``corun`` or
         ``scenario``) as it is on disk: one row per shard and key
-        fingerprint, across segments and per-entry files, ordered by
-        shard and key fingerprint.
+        fingerprint, ordered by shard and key fingerprint.
 
         A row names the last whole copy found in the shard's segments
-        (in name order), else the per-entry file.  Rows are not checked:
-        reading one back can still miss (a damaged line 2, a foreign
-        schema).  This is the one walk behind :meth:`describe`,
-        :meth:`scenarios` and the counts of :meth:`gc`.
+        (in name order).  Rows are not checked: reading one back can
+        still miss (a damaged entry, a foreign schema).  This is the one
+        walk behind :meth:`describe`, :meth:`scenarios` and the counts of
+        :meth:`gc`.
         """
         rows: list[CacheEntry] = []
         base = f"{self._root}/{section}"
@@ -1076,18 +932,17 @@ class ResultStore:
             shard_dir = f"{base}/{shard}"
             where: dict[str, tuple[str, int]] = {}
             for name in sorted(_listdir(shard_dir)):
-                if name.endswith(".jsonl"):
+                if not name.endswith(".jsonl"):
+                    continue
 
-                    def found(keyfp: str, offset: int, size: int, name: str = name) -> None:
-                        where[keyfp] = (name, offset)
+                def found(keyfp: str, offset: int, size: int, name: str = name) -> None:
+                    where[keyfp] = (name, offset)
 
-                    try:
-                        with open(f"{shard_dir}/{name}", "rb", _SCAN_BUFFER) as fh:
-                            _scan_entries(fh, 0, found)
-                    except OSError:
-                        continue
-                elif name.endswith(".json"):
-                    where.setdefault(name[:-5].rpartition("-")[2], (name, 0))
+                try:
+                    with open(f"{shard_dir}/{name}", "rb", _SCAN_BUFFER) as fh:
+                        _scan_entries(fh, 0, found)
+                except OSError:
+                    continue
             rows.extend(
                 CacheEntry(shard, keyfp, f"{section}/{shard}/{name}", offset)
                 for keyfp, (name, offset) in sorted(where.items())

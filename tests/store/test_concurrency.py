@@ -21,7 +21,7 @@ from repro.core import ExperimentConfig
 from repro.errors import StoreWarning
 from repro.session import Scenario, Session
 from repro.session.record import RunRecord
-from repro.store import SCHEMA_VERSION, FileLock, ResultStore, store_lock
+from repro.store import RECORD_SCHEMA, FileLock, ResultStore, store_lock
 from repro.store import locking
 from repro.store.locking import HAVE_FILE_LOCKS
 
@@ -308,7 +308,7 @@ class TestConcurrentWriters:
         ]
         assert len(raw_lines) == 4
         for line in raw_lines:
-            assert json.loads(line)["schema"] == SCHEMA_VERSION
+            assert json.loads(line)["schema"] == RECORD_SCHEMA
         # A warm run over the shared store serves everything from disk.
         warm = Session(make_config(), store=ResultStore(root))
         warm.run("fig5")

@@ -1,30 +1,32 @@
 """Cache entries: two lines appended to a per-process segment log.
 
-Line 1 is the envelope, key fingerprint first, with the result minus its
-bandwidth timeline plus a digest of line 2; line 2 is the encoded
-timeline, decoded lazily on first use.  Each process appends to its own
+Line 1 is the envelope, key fingerprint first, with the key, the
+result's shape and its numbers packed as float64, plus a digest of the
+numbers and line 2; line 2 is the packed timeline, decoded lazily on
+first use.  Each process appends to its own
 ``<section>/<engine_fp>/<pid>-<token>.jsonl`` segment.
 
-Covers the layout, compatibility with the per-entry files of earlier
-versions (one-line and two-line; both keep serving, also beside
-segments), the failure rules (a torn tail, a bad line 2, a foreign or
-colliding entry and a failed write are misses, never errors; a damaged
-copy re-published serves again; a fork child and a writer whose shard gc
-pruned open segments of their own), the cost of a miss, the
-:class:`LazyTimeline` contract, and that no scheduler path decodes a
-timeline.
+Covers the layout, the failure rules (a torn tail, damaged numbers or a
+bad line 2, a foreign or colliding entry and a failed write are misses,
+never errors; a damaged copy re-published serves again; a fork child and
+a writer whose shard gc pruned open segments of their own), the cost of
+a miss, the :class:`LazyTimeline` contract, and that no scheduler path
+decodes a timeline.  Earlier layouts are covered by ``test_migrate.py``.
 """
 
+import base64
 import gc
 import json
 import multiprocessing
 import os
 import pickle
+import struct
 import sys
 import threading
 from collections.abc import Sequence
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core import ExperimentConfig
@@ -35,12 +37,11 @@ from repro.store import store as store_mod
 from repro.store.codec import (
     LazyTimeline,
     decode_timeline,
-    encode_corun,
     encode_scenario_result,
     encode_solo,
     encode_timeline,
 )
-from tests.store.layouts import LAYOUTS, SECTIONS, entry_file, entry_lines, explode
+from tests.store.layouts import SECTIONS, encoded, entry_lines, read_back
 
 SUBSET = ("G-CC", "fotonik3d", "swaptions")
 PAIR = Scenario.pair("G-CC", "fotonik3d", threads=4)
@@ -66,21 +67,9 @@ def entries(root):
     return rows
 
 
-def read_back(store, section, key):
-    """One entry through the public API, with its encoder."""
-    fp = key["engine_fingerprint"]
-    if section == "solo":
-        return store.get_solo(fp, key["workload"], key["threads"]), encode_solo
-    if section == "corun":
-        args = (key["fg"], key["bg"], key["fg_threads"], key["bg_threads"])
-        return store.get_corun(fp, *args), encode_corun
-    scenario = Scenario.from_payload(key["scenario"])
-    return store.get_scenario(fp, scenario), encode_scenario_result
-
-
-def encoded(store, section, key):
-    result, encode = read_back(store, section, key)
-    return None if result is None else json.dumps(encode(result))
+def encoded_at(store, section, key):
+    result = read_back(store, section, key)
+    return None if result is None else encoded(section, result)
 
 
 def segments(root):
@@ -141,26 +130,26 @@ def lookups(session):
     )
 
 
-def served_from_disk(session):
-    stats = session.stats
-    return (stats.solo_misses, stats.scenario_misses) == (0, 0)
-
-
 class TestLayout:
     def test_every_section_appends_two_lines(self, warm):
         root, _ = warm
-        for _, entry, _ in entries(root):
+        for section, entry, key in entries(root):
             line1, line2 = entry_lines(root, entry)
             assert line1.startswith(b'{"keyfp": "%s", ' % entry.keyfp.encode())
             envelope = json.loads(line1)
-            assert "timeline" not in envelope["result"]
-            assert len(envelope["timeline_sha256"]) == 16
-            assert isinstance(json.loads(line2), list)
+            assert list(envelope) == ["keyfp", "schema", "kind", "key", "shape", "sha256", "numbers"]
+            assert (envelope["schema"], envelope["kind"]) == (SCHEMA_VERSION, section)
+            assert envelope["key"] == key and len(envelope["sha256"]) == 16
+            apps = envelope["shape"]["apps"]
+            regions = sum(len(app[2]) for app in apps)
+            own = {"solo": 0, "corun": 2}.get(section, len(apps))
+            assert len(base64.b64decode(envelope["numbers"])) == 8 * (own + len(apps) + 6 * regions)
+            rows = base64.b64decode(line2[:-1], validate=True)
+            assert rows and len(rows) % (8 * (1 + len(envelope["shape"]["timeline"]))) == 0
 
     def test_one_segment_per_shard_and_no_entry_files(self, warm):
         """One process wrote everything: each shard holds one segment,
-        named after that process, and no per-entry file, so an earlier
-        version reading this store finds nothing and re-simulates."""
+        named after that process, and no per-entry file."""
         root, _ = warm
         shards = [p for s in SECTIONS for p in (root / s).iterdir()]
         assert len(shards) == 3
@@ -209,95 +198,32 @@ class TestLayout:
         assert len(calls) == 1
 
 
-class TestEarlierLayouts:
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_entry_files_keep_serving(self, warm, layout):
-        root, expected = warm
-        originals = {
-            entry.keyfp: encoded(ResultStore(root), section, key)
-            for section, entry, key in entries(root)
-        }
-        assert explode(root, layout) == len(originals)
-        assert not segments(root)
-        store = ResultStore(root)
-        for section, entry, key in entries(root):
-            assert entry.path.endswith(".json")
-            assert entry_file(store, section, key) == root / entry.path
-            result, encode = read_back(store, section, key)
-            lazy = isinstance(result.timeline, LazyTimeline)
-            assert lazy == (layout == "two-line")  # one-line decodes inline
-            assert json.dumps(encode(result)) == originals[entry.keyfp]
-
-        session = Session(make_config(), store=store)
-        assert lookups(session) == tuple(expected.values())
-        assert served_from_disk(session)
-        assert session.stats.solo_disk_hits == 1 and session.stats.scenario_disk_hits == 2
-        assert not segments(root)  # serving wrote nothing
-
-    def test_crlf_line_endings_still_serve(self, warm):
-        """A text-mode write on Windows ended each line of a per-entry
-        file with CRLF; the digest covers line 2 without its terminator."""
-        root, expected = warm
-        explode(root, "two-line")
-        for _, entry, _ in entries(root):
-            path = root / entry.path
-            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        session = Session(make_config(), store=root)
-        assert lookups(session) == tuple(expected.values())
-        assert served_from_disk(session)
-
-    def test_mixed_store_serves_from_both(self, warm):
-        """Per-entry files of an earlier version and the segments this
-        version appends beside them in the same shards both serve."""
-        root, expected = warm
-        explode(root, "two-line")
-        extra = Scenario.of("G-CC:1", "swaptions:1", "fotonik3d:1")
-        writer = Session(make_config(), store=root)
-        want = writer.run_scenario(extra).result
-        assert segments(root)  # the new cells went to segments
-        store = ResultStore(root)
-        assert {e.path[-5:] for s in SECTIONS for e in store.cache_entries(s)} == {
-            ".json", "jsonl",
-        }
-        session = Session(make_config(), store=store)
-        assert lookups(session) == tuple(expected.values())
-        assert session.run_scenario(extra).result == want
-        assert served_from_disk(session)
-
-
 class TestDamage:
     """Whatever a segment holds, a read is a hit with the right result
     or a miss, never an error or another key's result."""
 
-    @pytest.mark.parametrize("where", ["segment", "entry-file"])
-    def test_garbled_line_two_is_a_miss_and_resimulates(self, warm, where):
+    @pytest.mark.parametrize("where", ["line 1 numbers", "line 2"])
+    def test_garbled_numbers_are_a_miss_and_resimulate(self, warm, where):
+        """The digest covers every packed number: a changed byte in
+        line 1's numbers or in line 2 is a miss."""
         root, expected = warm
-        if where == "entry-file":
-            explode(root, "two-line")
         for _, entry, _ in entries(root):
-            line2 = entry_lines(root, entry)[1]
-            overwrite(root, entry, 2, garbled(line2))
+            line1, line2 = entry_lines(root, entry)
+            if where == "line 2":
+                overwrite(root, entry, 2, garbled(line2))
+            else:
+                at = line1.index(b'"numbers": "') + 14
+                flipped = b"B" if line1[at : at + 1] != b"B" else b"C"
+                overwrite(root, entry, 1, line1[:at] + flipped + line1[at + 1 :])
         store = ResultStore(root)
         for section, _, key in entries(root):
-            assert read_back(store, section, key)[0] is None
+            assert read_back(store, section, key) is None
 
         session = Session(make_config(), store=store)
         assert lookups(session) == tuple(expected.values())
         assert session.stats.scenario_disk_hits == 0
         assert session.stats.solo_disk_hits == 0
         assert session.stats.scenario_misses == 2
-
-    @pytest.mark.parametrize("how", ["missing", "truncated"])
-    def test_bad_line_two_of_an_entry_file_is_a_miss(self, warm, how):
-        root, _ = warm
-        explode(root, "two-line")
-        for _, entry, _ in entries(root):
-            path = root / entry.path
-            line1, _, line2 = path.read_bytes().partition(b"\n")
-            path.write_bytes(line1 + b"\n" + (b"" if how == "missing" else line2[: len(line2) // 2]))
-        store = ResultStore(root)
-        for section, _, key in entries(root):
-            assert read_back(store, section, key)[0] is None
 
     def test_torn_tail_is_skipped_then_rescanned(self, warm):
         """A segment's incomplete tail is not indexed; the next refresh
@@ -306,20 +232,20 @@ class TestDamage:
         root, _ = warm
         rows = [r for r in entries(root) if r[0] == "solo"]
         section, entry, key = max(rows, key=lambda r: r[1].offset)  # the tail
-        want = encoded(ResultStore(root), section, key)
+        want = encoded_at(ResultStore(root), section, key)
         path = root / entry.path
         whole = path.read_bytes()
         tail = whole[entry.offset:]
         for cut in (len(tail) - 1, len(tail) // 2, 3):
             path.write_bytes(whole[: entry.offset + cut])
             reader = ResultStore(root)
-            assert read_back(reader, section, key)[0] is None
+            assert read_back(reader, section, key) is None
             for _, other, other_key in rows:
                 if other != entry:
-                    assert encoded(reader, section, other_key) is not None
+                    assert encoded_at(reader, section, other_key) is not None
             with open(path, "ab") as fh:
                 fh.write(tail[cut:])  # the writer finishes its append
-            assert encoded(reader, section, key) == want
+            assert encoded_at(reader, section, key) == want
 
     def test_foreign_schema_and_colliding_entries_are_misses(self, warm, tmp_path):
         """An entry under a key's fingerprint whose envelope has another
@@ -329,41 +255,40 @@ class TestDamage:
         pair = next(r for r in rows if r[0] == "corun")
         trio = next(r for r in rows if r[0] == "scenario")
         line1, line2 = entry_lines(root, pair[1])
-        foreign = json.loads(line1)
-        foreign["schema"] = SCHEMA_VERSION + 1
-        colliding = json.loads(line1)  # the pair's key under the trio's fingerprint
-        colliding["keyfp"] = trio[1].keyfp
+        foreign = line1.replace(b'"schema": %d' % SCHEMA_VERSION, b'"schema": %d' % (SCHEMA_VERSION + 1))
+        # The pair's entry under the trio's fingerprint.
+        colliding = line1.replace(pair[1].keyfp.encode(), trio[1].keyfp.encode(), 1)
         other = tmp_path / "other"
-        for (section, entry, _), envelope in ((pair, foreign), (trio, colliding)):
+        for (section, entry, _), head in ((pair, foreign), (trio, colliding)):
             shard = other / section / entry.engine_fp
             shard.mkdir(parents=True)
-            (shard / "1-00000000.jsonl").write_bytes(json.dumps(envelope).encode() + b"\n" + line2)
+            (shard / "1-00000000.jsonl").write_bytes(head + line2)
         store = ResultStore(other)
         assert [e.keyfp for e in store.cache_entries("scenario")] == [trio[1].keyfp]
         for section, _, key in (pair, trio):
-            assert read_back(store, section, key)[0] is None
+            assert read_back(store, section, key) is None
 
     def test_stray_lines_do_not_hide_later_entries(self, warm):
         """Lines that open no envelope, and an envelope whose line 2 is
         missing, are skipped; the entries after them still serve."""
         root, _ = warm
         section, entry, key = entries(root)[0]
-        want = encoded(ResultStore(root), section, key)
+        want = encoded_at(ResultStore(root), section, key)
         path = root / entry.path
         line1, line2 = entry_lines(root, entry)
         path.write_bytes(b"junk\n" + line1 + b"[1, 2]\n\n" + line1 + line1 + line2)
-        assert encoded(ResultStore(root), section, key) == want
+        assert encoded_at(ResultStore(root), section, key) == want
 
     def test_damaged_newest_copy_falls_back_to_an_older_one(self, warm):
         root, _ = warm
         section, entry, key = entries(root)[0]
-        want = encoded(ResultStore(root), section, key)
+        want = encoded_at(ResultStore(root), section, key)
         line1, line2 = entry_lines(root, entry)
         with open(root / entry.path, "ab") as fh:
             fh.write(line1 + garbled(line2))  # a newer, damaged copy
         store = ResultStore(root)
-        assert encoded(store, section, key) == want
-        assert encoded(store, section, key) == want  # the bad copy was dropped
+        assert encoded_at(store, section, key) == want
+        assert encoded_at(store, section, key) == want  # the bad copy was dropped
 
     def test_rewritten_entry_serves_again(self, warm):
         """A damaged entry that a session re-simulates is re-published and
@@ -485,11 +410,11 @@ class TestDescriptors:
         before = open_descriptors()
         store = ResultStore(root)
         for section, _, key in entries(root):
-            assert read_back(store, section, key)[0] is not None
+            assert read_back(store, section, key) is not None
         assert open_descriptors() > before
         store.close()
         assert open_descriptors() == before
-        assert read_back(store, section, key)[0] is not None  # reopens
+        assert read_back(store, section, key) is not None  # reopens
         del store
         gc.collect()
         assert open_descriptors() == before
@@ -556,6 +481,7 @@ class TestLazyTimeline:
         root, expected = warm
         fp = Session(make_config()).engine_fingerprint()
         co = ResultStore(root).get_corun(fp, "G-CC", "fotonik3d", 4, 4)
+        assert isinstance(co.timeline._source, bytes)  # as read, not yet decoded
         return co.timeline, expected["pair"].timeline
 
     def test_behaves_like_the_eager_list(self, pair):
@@ -581,26 +507,40 @@ class TestLazyTimeline:
         assert list(lazy) == eager  # the explicit conversion works
 
     def test_empty_timeline_is_falsy(self):
-        lazy = LazyTimeline(b"[]\n")
+        lazy = LazyTimeline(b"", ("a", "b"))
         assert not lazy and len(lazy) == 0 and lazy == []
+        assert lazy.encoded() == [] and lazy.packed() == (("a", "b"), b"")
 
     def test_decodes_once(self, materialized):
         encoded = [{"time_s": 0.5, "bytes_per_s": {"a": 1.0, "b": 2.5}}]
-        lazy = LazyTimeline(json.dumps(encoded).encode())
+        lazy = LazyTimeline(base64.b64encode(struct.pack("<3d", 0.5, 1.0, 2.5)), ("a", "b"))
         assert materialized[0] == 0
         first = lazy[0]
         assert lazy[0] is first and list(lazy)[0] is first and len(lazy) == 1
         assert materialized[0] == 1
         assert lazy == decode_timeline(encoded)
 
+    def test_rows_with_a_repeated_name_pack_like_the_scalar_dict(self):
+        """A repeated name keeps its first position and its last rate,
+        in the JSON form and in the packed one."""
+        rows = (np.array([0.5, 1.0]), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        lazy = LazyTimeline(rows, ("a", "b", "a"))
+        assert lazy.encoded() == [
+            {"time_s": 0.5, "bytes_per_s": {"a": 3.0, "b": 2.0}},
+            {"time_s": 1.0, "bytes_per_s": {"a": 6.0, "b": 5.0}},
+        ]
+        names, line2 = lazy.packed()
+        assert names == ("a", "b")
+        assert LazyTimeline(line2, names).encoded() == lazy.encoded()
+
     def test_concurrent_first_access_sees_a_whole_list(self, pair):
-        _, eager = pair
-        raw = (json.dumps(encode_timeline(eager)) + "\n").encode()
+        lazy_read, eager = pair
+        names, raw = lazy_read.packed()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                lazy = LazyTimeline(raw)
+                lazy = LazyTimeline(raw, names)
                 seen = []
                 barrier = threading.Barrier(4, timeout=10)
 

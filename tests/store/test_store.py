@@ -20,6 +20,7 @@ from repro.core import ExperimentConfig
 from repro.errors import StoreError
 from repro.session import ParallelExecutor, Scenario, Session, runner_names
 from repro.store import (
+    RECORD_SCHEMA,
     SCHEMA_VERSION,
     ResultStore,
     decode_corun,
@@ -94,46 +95,56 @@ class TestResultStoreCache:
         assert store.get_corun(fp, "fotonik3d", "G-CC", 4, 4) is None
 
     def test_partial_file_is_a_miss(self, store):
-        """A per-entry file torn by a crash mid-write (as earlier versions
-        wrote entries) costs a re-simulation, never bad data."""
-        path = Path(store._solo_file("feedbeef0123", "G-CC", 4))
-        path.parent.mkdir(parents=True)
-        path.write_text('{"schema": 1, "kind": "solo", "resu')  # torn write
-        assert store.get_solo("feedbeef0123", "G-CC", 4) is None
+        """A segment whose only entry a crash tore mid-write costs a
+        re-simulation, never bad data."""
+        session = Session(make_config())
+        fp = session.engine_fingerprint()
+        store.put_solo(fp, "G-CC", 4, session.solo("G-CC", threads=4))
+        [segment] = Path(store.root, "solo", fp).iterdir()
+        data = segment.read_bytes()
+        for cut in (len(data) - 1, data.index(b"\n") + 1, 40):
+            segment.write_bytes(data[:cut])
+            assert ResultStore(store.root).get_solo(fp, "G-CC", 4) is None
 
     def test_tmp_sibling_is_ignored(self, store):
         session = Session(make_config())
         solo = session.solo("G-CC", threads=4)
         fp = session.engine_fingerprint()
         store.put_solo(fp, "G-CC", 4, solo)
-        # Leftover tmp file of a crashed earlier-version writer in the shard.
-        path = Path(store._solo_file(fp, "G-CC", 4))
-        path.with_name(path.name + ".tmp-999").write_text("garbage")
-        assert store.get_solo(fp, "G-CC", 4) == solo
+        # Leftovers in the shard: a migrate cut short before it published
+        # its segment, and a crashed earlier-version writer's tmp file.
+        [segment] = Path(store.root, "solo", fp).iterdir()
+        segment.with_name(segment.name + ".tmp").write_bytes(segment.read_bytes())
+        (segment.parent / "G-CC-t4-000000000000.json.tmp-999").write_text("garbage")
+        fresh = ResultStore(store.root)
+        assert fresh.get_solo(fp, "G-CC", 4) == solo
+        assert len(fresh.cache_entries("solo")) == 1
 
     def test_corrupt_but_parseable_entry_is_a_miss(self, store):
-        """Valid JSON envelope, broken result payload: still a miss."""
+        """A whole entry with its digest intact whose numbers do not fit
+        its shape: still a miss."""
         session = Session(make_config(workloads=("swaptions",)))
         fp = session.engine_fingerprint()
-        path = Path(store._solo_file(fp, "swaptions", 4))
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps({
-            "schema": SCHEMA_VERSION,
-            "kind": "solo",
-            "key": {"engine_fingerprint": fp, "workload": "swaptions", "threads": 4},
-            "result": {"metrics": {"name": "swaptions"}, "timeline": []},  # fields missing
-        }))
-        assert store.get_solo(fp, "swaptions", 4) is None
+        store.put_solo(fp, "swaptions", 4, session.solo("swaptions", threads=4))
+        [segment] = Path(store.root, "solo", fp).iterdir()
+        line1, line2 = segment.read_bytes().split(b"\n")[:2]
+        envelope = json.loads(line1)
+        envelope["shape"]["apps"][0][2].append("extra-region")  # six numbers short
+        segment.write_bytes(json.dumps(envelope).encode() + b"\n" + line2 + b"\n")
+        assert ResultStore(store.root).get_solo(fp, "swaptions", 4) is None
         # A session over the damaged store transparently re-simulates.
-        warm = Session(make_config(workloads=("swaptions",)), store=store)
+        warm = Session(make_config(workloads=("swaptions",)), store=store.root)
         warm.solo("swaptions", threads=4)
         assert warm.stats.solo_misses == 1
 
     def test_foreign_schema_file_is_a_miss(self, store):
-        path = Path(store._solo_file("cafecafe0123", "G-CC", 4))
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps({"schema": 999, "kind": "solo", "result": {}}))
-        assert store.get_solo("cafecafe0123", "G-CC", 4) is None
+        session = Session(make_config())
+        fp = session.engine_fingerprint()
+        store.put_solo(fp, "G-CC", 4, session.solo("G-CC", threads=4))
+        [segment] = Path(store.root, "solo", fp).iterdir()
+        data = segment.read_bytes()
+        segment.write_bytes(data.replace(b'"schema": 2,', b'"schema": 9,', 1))
+        assert ResultStore(store.root).get_solo(fp, "G-CC", 4) is None
 
     def test_store_schema_mismatch_raises(self, tmp_path):
         root = tmp_path / "old-store"
@@ -338,7 +349,7 @@ class TestRunAllManifest:
         capsys.readouterr()
         manifest_path = tmp_path / "st" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["schema"] == SCHEMA_VERSION
+        assert manifest["schema"] == RECORD_SCHEMA
         # Every registered runner is in the campaign with provenance.
         assert sorted(manifest["artifacts"]) == sorted(runner_names())
         for name, row in manifest["artifacts"].items():

@@ -27,6 +27,11 @@ def populate(store_dir):
     return store, session
 
 
+#: One whole entry in a segment, as the store's listing (and gc's counts)
+#: see it; no reader would serve it.
+FORGED = b'{"keyfp": "000000000000", "schema": 2}\nAAAA\n'
+
+
 class TestStoreGc:
     def test_gc_prunes_only_orphaned_shards(self, tmp_path):
         store, session = populate(tmp_path / "st")
@@ -35,7 +40,7 @@ class TestStoreGc:
         for section in ("solo", "corun", "scenario"):
             orphan = store.root / section / "deadbeef0000"
             orphan.mkdir(parents=True)
-            (orphan / "x.json").write_text("{}")
+            (orphan / "1-00000000.jsonl").write_bytes(FORGED)
         before = store.describe()
 
         dry = store.gc({live_fp}, dry_run=True)
@@ -135,7 +140,7 @@ class TestStoreGc:
         populate(st)
         orphan = tmp_path / "st" / "corun" / "feedfacecafe"
         orphan.mkdir(parents=True)
-        (orphan / "x.json").write_text("{}")
+        (orphan / "1-00000000.jsonl").write_bytes(FORGED)
         assert main(["store", "gc", "--store", st, "--dry-run"]) == 0
         assert "would prune 1" in capsys.readouterr().out
         assert orphan.exists()

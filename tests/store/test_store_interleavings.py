@@ -2,14 +2,19 @@
 
 Two :class:`ResultStore` instances put and get a few solo, corun and
 scenario keys, are reopened, see segment tails truncated or extended
-with garbage, and see ``gc`` prune shards.  Whatever the interleaving:
+with garbage, see ``gc`` prune shards, find entries an earlier version
+left in the schema-1 layouts (a segment of its own, one-line and
+two-line per-entry files), and see ``migrate`` rewrite those, at times
+cut short at a random entry and run again.  Whatever the interleaving:
 
 * a get returns ``None`` or exactly the encoded result put under its
   key, never another key's result, and never raises;
 * a freshly opened store serves every entry whose bytes are intact and
-  start a line (a whole entry after a torn line is not framed).
+  start a line (a whole entry after a torn line is not framed), and
+  after a migrate also every key that had an intact schema-1 copy.
 
-The model learns where each put landed by watching which segment grew.
+The model learns where each put landed by watching which segment grew,
+and where a migrate put each key by reading the segments it wrote.
 """
 
 import functools
@@ -24,8 +29,9 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import ExperimentConfig
 from repro.session import Scenario, Session
-from repro.store import ResultStore
-from repro.store.codec import encode_corun, encode_scenario_result, encode_solo
+from repro.store import ResultStore, migration
+from repro.store.codec import encode_corun, encode_scenario_result, encode_solo, entry_key
+from tests.store.layouts import schema1_file, schema1_file_bytes, schema1_lines
 
 FPS = ("feedbeef0001", "feedbeef0002")
 SECTIONS = ("solo", "corun", "scenario")
@@ -69,6 +75,22 @@ def segment_sizes(root):
     return {p: p.stat().st_size for p in sorted(Path(root).glob("*/*/*.jsonl"))}
 
 
+def key_of(key):
+    """The entry key of one of :func:`keyed_results`' keys."""
+    section, args, _ = keyed_results()[key]
+    if section == "scenario":
+        return ResultStore._scenario_key(*args)
+    return getattr(ResultStore, f"_{section}_key")(*args)
+
+
+def framed_at(path, offset):
+    return offset == 0 or path.read_bytes()[offset - 1 : offset] == b"\n"
+
+
+class Interrupted(Exception):
+    """A migrate cut short."""
+
+
 KEYS = st.sampled_from(sorted(keyed_results()))
 SLOTS = st.integers(0, 1)
 
@@ -80,6 +102,10 @@ class TwoStores(RuleBasedStateMachine):
         self.stores = [ResultStore(self.root), ResultStore(self.root)]
         #: key -> intact copies, as (segment path, offset, size)
         self.copies: dict[str, list[tuple[Path, int, int]]] = {}
+        #: key -> intact schema-1 copies, in the same form (a per-entry
+        #: file is one copy at offset 0)
+        self.old: dict[str, list[tuple[Path, int, int]]] = {}
+        self.keys_by_fp = {entry_key(key_of(k))[1]: k for k in keyed_results()}
 
     def teardown(self):
         for store in self.stores:
@@ -94,8 +120,7 @@ class TwoStores(RuleBasedStateMachine):
         after = segment_sizes(self.root)
         [grown] = [p for p in after if after[p] != before.get(p)]  # one append
         offset = before.get(grown, 0)
-        framed = offset == 0 or grown.read_bytes()[offset - 1 : offset] == b"\n"
-        if framed:
+        if framed_at(grown, offset):
             self.copies.setdefault(key, []).append((grown, offset, after[grown] - offset))
 
     @rule(slot=SLOTS, key=KEYS)
@@ -118,7 +143,7 @@ class TwoStores(RuleBasedStateMachine):
         cut = int(sizes[path] * keep)
         with open(path, "r+b") as fh:
             fh.truncate(cut)
-        for copies in self.copies.values():
+        for copies in (*self.copies.values(), *self.old.values()):
             copies[:] = [c for c in copies if c[0] != path or c[1] + c[2] <= cut]
 
     @rule(pick=st.integers(0, 50), garbage=st.binary(min_size=1, max_size=40)
@@ -138,8 +163,71 @@ class TwoStores(RuleBasedStateMachine):
         summary = ResultStore(self.root).gc(live)
         assert f"{section}/deadbeef0000" in summary["removed_dirs"]
         assert not orphan.exists()
-        for copies in self.copies.values():
+        for copies in (*self.copies.values(), *self.old.values()):
             copies[:] = [c for c in copies if c[0].parent.name in live]
+
+    @rule(key=KEYS, layout=st.sampled_from(["segment", "one-line", "two-line"]))
+    def an_earlier_version_writes(self, key, layout):
+        """An entry in a schema-1 layout, as an earlier version wrote it."""
+        section, _, result = keyed_results()[key]
+        line1, line2 = schema1_lines(section, key_of(key), result)
+        if layout == "segment":
+            path = self.root / section / key_of(key)["engine_fingerprint"] / "1-schema1.jsonl"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            offset = path.stat().st_size if path.exists() else 0
+            with open(path, "ab") as fh:
+                fh.write(line1 + line2)
+            if not framed_at(path, offset):
+                return
+        else:
+            path = schema1_file(self.root, section, key_of(key))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(schema1_file_bytes(layout, line1, line2))
+            offset = 0
+        self.old.setdefault(key, []).append((path, offset, len(line1) + len(line2)))
+
+    @rule(cut=st.none() | st.integers(0, 8))
+    def migrate(self, cut):
+        """Migrate, at times cut short at entry ``cut`` first and then
+        run again."""
+        before = set(segment_sizes(self.root))
+        expected = [key for key, copies in self.old.items() if copies]
+        if cut is not None:
+            real, calls = migration.pack_entry, []
+
+            def cut_short(*args):
+                if len(calls) == cut:
+                    raise Interrupted
+                calls.append(1)
+                return real(*args)
+
+            migration.pack_entry = cut_short
+            try:
+                migration.migrate(self.root)
+            except Interrupted:
+                pass
+            finally:
+                migration.pack_entry = real
+        migration.migrate(self.root)
+        assert not list(self.root.glob("*/*/*.json")), "schema-1 files left behind"
+        self.old.clear()
+        for path in set(segment_sizes(self.root)) - before:
+            data = path.read_bytes()
+            offset = 0
+            for line1, line2 in zip(*[iter(data.split(b"\n")[:-1])] * 2):
+                size = len(line1) + len(line2) + 2
+                key = self.keys_by_fp[line1[11:23].decode()]
+                self.copies.setdefault(key, []).append((path, offset, size))
+                offset += size
+        fresh = ResultStore(self.root)
+        try:
+            for key in expected:
+                section, _, result = keyed_results()[key]
+                got = get(fresh, key)
+                assert got is not None and encoded(section, got) == encoded(section, result), key
+                assert self.copies.get(key), key
+        finally:
+            fresh.close()
 
     @invariant()
     def a_fresh_store_serves_every_intact_entry(self):
@@ -147,7 +235,7 @@ class TwoStores(RuleBasedStateMachine):
         try:
             for key, (section, _, result) in keyed_results().items():
                 got = get(fresh, key)
-                if self.copies.get(key):
+                if self.copies.get(key):  # schema-1 copies serve after a migrate
                     assert got is not None, key
                 if got is not None:
                     assert encoded(section, got) == encoded(section, result)
