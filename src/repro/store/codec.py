@@ -62,6 +62,8 @@ import struct
 from collections.abc import Sequence
 from typing import Any
 
+import numpy as np
+
 from repro.engine.results import (
     AppMetrics,
     BandwidthSample,
@@ -199,10 +201,6 @@ def entry_key(key: dict[str, Any]) -> tuple[bytes, str]:
     return data, hashlib.sha256(data).hexdigest()[:12]
 
 
-def _pack(values: "Sequence[float]") -> bytes:
-    return base64.b64encode(struct.pack(f"<{len(values)}d", *values))
-
-
 def _digest(numbers: bytes, line2: bytes) -> bytes:
     h = hashlib.sha256(numbers)
     h.update(line2)
@@ -216,17 +214,16 @@ def _pack_timeline(timeline: Sequence[BandwidthSample]) -> tuple[Sequence[str], 
     if not timeline:
         return (), b""
     names = list(timeline[0].bytes_per_s)
-    flat: list[float] = []
+    rates = []
     for sample in timeline:
-        rates = sample.bytes_per_s
-        if list(rates) != names:
+        if list(sample.bytes_per_s) != names:
             raise ValueError(
                 f"timeline is not rectangular: a sample at {sample.time_s} lists "
-                f"{list(rates)}, the first lists {names}"
+                f"{list(sample.bytes_per_s)}, the first lists {names}"
             )
-        flat.append(sample.time_s)
-        flat.extend(rates.values())
-    return names, _pack(flat)
+        rates.append(list(sample.bytes_per_s.values()))
+    rows = (np.array([s.time_s for s in timeline]), np.array(rates).reshape(len(rates), len(names)))
+    return LazyTimeline(rows, names).packed()
 
 
 def _parts(kind: str, result: Any) -> tuple[list[float], list[AppMetrics]]:
@@ -253,7 +250,7 @@ def pack_entry(kind: str, keyfp: str, key: bytes, result: Any) -> bytes:
             )
     names, line2 = _pack_timeline(result.timeline)
     shape = json.dumps({"apps": shape_apps, "timeline": list(names)}).encode()
-    numbers = _pack(values)
+    numbers = base64.b64encode(struct.pack(f"<{len(values)}d", *values))
     return b"".join((
         _prefix(kind, keyfp, key), shape,
         b', "sha256": "', _digest(numbers, line2),
@@ -272,13 +269,16 @@ _SHA = b', "sha256": "'
 _NUMBERS = b'", "numbers": "'
 _END = b'"}\n'
 
-#: Parsed shapes by their bytes: ``(apps, timeline names, numbers the
-#: apps hold)`` with ``apps`` as ``(name, threads, regions)`` tuples.
-_SHAPES: dict[bytes, tuple[tuple[tuple[str, int, tuple[str, ...]], ...], tuple[str, ...], int]] = {}
+#: A parsed shape: ``(apps, timeline names, numbers the apps hold)``,
+#: each app a ``(name, threads, regions)`` tuple.
+_Shape = tuple[tuple[tuple[str, int, tuple[str, ...]], ...], tuple[str, ...], int]
+
+#: Parsed shapes by their bytes, at most ``_MAX_SHAPES`` of them.
+_SHAPES: dict[bytes, _Shape] = {}
 _MAX_SHAPES = 4096
 
 
-def _shape(data: bytes) -> tuple[tuple[tuple[str, int, tuple[str, ...]], ...], tuple[str, ...], int]:
+def _shape(data: bytes) -> _Shape:
     shape = _SHAPES.get(data)
     if shape is None:
         parsed = json.loads(data)

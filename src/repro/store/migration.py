@@ -57,8 +57,6 @@ from repro.store.codec import (
 )
 from repro.store.locking import store_lock
 from repro.store.store import (
-    _KEYFP_LEN,
-    _KEYFP_PREFIX,
     _SCAN_BUFFER,
     _SECTIONS,
     ResultStore,
@@ -69,10 +67,6 @@ from repro.store.store import (
 )
 
 _DECODERS = {"solo": decode_solo, "corun": decode_corun, "scenario": decode_scenario_result}
-
-#: Where a schema-2 segment's first line names its schema.
-_SCHEMA_AT = len(_KEYFP_PREFIX) + _KEYFP_LEN
-_SCHEMA_MARK = b'", "schema": %d, ' % SCHEMA_VERSION
 
 
 def _canonical_key(section: str, engine_fp: str, key: Any) -> dict[str, Any] | None:
@@ -128,12 +122,14 @@ def _schema1_entry(raw: bytes, section: str, engine_fp: str) -> tuple[dict[str, 
 
 
 def _is_schema2_segment(path: str) -> bool:
+    """Whether a segment's first line is a schema-2 envelope.  A segment
+    whose first entry is torn holds nothing readable: it is not one."""
     try:
         with open(path, "rb") as fh:
-            head = fh.read(_SCHEMA_AT + len(_SCHEMA_MARK))
-    except OSError:
+            head = json.loads(fh.readline())
+    except (OSError, ValueError):
         return False
-    return head.startswith(_KEYFP_PREFIX) and head[_SCHEMA_AT:] == _SCHEMA_MARK
+    return isinstance(head, dict) and head.get("schema") == SCHEMA_VERSION
 
 
 def _whole_entries(path: str) -> list[tuple[str, bytes]]:

@@ -147,7 +147,7 @@ def _read_json(path: Path) -> Any | None:
 #: Line 1 of an appended entry opens with its key fingerprint at a fixed
 #: offset, so a scan indexes entries without parsing JSON.
 _KEYFP_PREFIX = b'{"keyfp": "'
-_KEYFP_LEN = 12  # characters in a fingerprint()
+_KEYFP_LEN = 12  # characters in a key fingerprint (codec.entry_key)
 
 #: Offsets and sizes in a packed index entry (see :class:`_Shard`).
 _LOW40 = (1 << 40) - 1
@@ -1028,8 +1028,8 @@ class ResultStore:
         cache — they are never collected.  With ``dry_run`` nothing is
         deleted; the returned summary reports what would be.
 
-        The counts are those of :meth:`cache_entries`: one per key in
-        segments and per-entry files alike.  The scan-and-prune runs
+        The counts are those of :meth:`cache_entries`: one per key in a
+        shard's segments.  The scan-and-prune runs
         under the **exclusive** store lock: cache writers hold it shared
         around each append (or a pass's run of appends, :meth:`writing`),
         so a gc racing a mid-campaign process can
