@@ -57,7 +57,7 @@ has it field by field).  Line 1 is one JSON object, the envelope
 ``{"keyfp", "schema", "kind", "key", "shape", "sha256", "numbers"}``:
 the key fingerprint first (so a scan reads it at a fixed offset without
 parsing JSON), the key, the result's shape (app names, threads, region
-names), a truncated sha256 of the numbers and line 2, and every number
+names), a truncated sha256 of the shape, the numbers and line 2, and every number
 of the result as little-endian float64 in base64.  Line 2 is the
 bandwidth timeline's rows, packed the same way.  A store indexes a
 shard's segments on its first lookup there and reads an entry at its

@@ -37,12 +37,14 @@ little-endian float64 in base64: the result's own scalars
 then one rate per ``SHAPE["timeline"]`` name, packed the same way.
 Every sample lists the same apps in the same order (the engine's
 timelines are rectangular); a timeline that does not is refused, not
-guessed at.  ``DIGEST`` is a truncated sha256 of ``NUMBERS`` followed
-by line 2.  base64 holds no newline, so an entry is always two lines.
+guessed at.  ``DIGEST`` is a truncated sha256 of ``SHAPE``,
+``NUMBERS`` and line 2, in that order.  base64 holds no newline, so an
+entry is always two lines.
 
 A read checks everything up to ``"shape"`` as one byte prefix built from
 the key it looks up (so schema, kind and key are compared without
-parsing), finds the shape's end, checks the digest, and unpacks the
+parsing), finds the shape's end, checks the digest (so every other byte
+of the entry is checked too), and unpacks the
 numbers with :mod:`struct`; nothing is parsed as float text.  Shapes
 repeat across entries, so each distinct one is parsed once per process.
 Line 2 is handed over unread as a
@@ -201,8 +203,9 @@ def entry_key(key: dict[str, Any]) -> tuple[bytes, str]:
     return data, hashlib.sha256(data).hexdigest()[:12]
 
 
-def _digest(numbers: bytes, line2: bytes) -> bytes:
-    h = hashlib.sha256(numbers)
+def _digest(shape: bytes, numbers: bytes, line2: bytes) -> bytes:
+    h = hashlib.sha256(shape)
+    h.update(numbers)
     h.update(line2)
     return h.hexdigest()[:16].encode()
 
@@ -253,7 +256,7 @@ def pack_entry(kind: str, keyfp: str, key: bytes, result: Any) -> bytes:
     numbers = base64.b64encode(struct.pack(f"<{len(values)}d", *values))
     return b"".join((
         _prefix(kind, keyfp, key), shape,
-        b', "sha256": "', _digest(numbers, line2),
+        b', "sha256": "', _digest(shape, numbers, line2),
         b'", "numbers": "', numbers, b'"}\n', line2, b"\n",
     ))
 
@@ -307,11 +310,11 @@ def unpack_entry(raw: bytes, kind: str, keyfp: str, key: bytes) -> Any | None:
     end = raw.find(b'"', numbers_at)
     if end < 0 or not raw.startswith(_END, end):
         return None
-    numbers, line2 = raw[numbers_at:end], raw[end + len(_END) : -1]
-    if raw[sha + len(_SHA) : sha + len(_SHA) + 16] != _digest(numbers, line2):
+    shape, numbers, line2 = raw[start:sha], raw[numbers_at:end], raw[end + len(_END) : -1]
+    if raw[sha + len(_SHA) : sha + len(_SHA) + 16] != _digest(shape, numbers, line2):
         return None
     try:
-        apps_shape, names, held = _shape(raw[start:sha])
+        apps_shape, names, held = _shape(shape)
         data = base64.b64decode(numbers, validate=True)
         values = struct.unpack(f"<{len(data) // 8}d", data)
     except (ValueError, TypeError, KeyError, struct.error):
@@ -320,13 +323,12 @@ def unpack_entry(raw: bytes, kind: str, keyfp: str, key: bytes) -> Any | None:
     if own < 0:
         return None
     it = iter(values[own:])
-    apps = [
-        AppMetrics(
-            name, threads, next(it),
-            {region: RegionMetrics(*six) for region, six in zip(regions, zip(it, it, it, it, it, it))},
-        )
-        for name, threads, regions in apps_shape
-    ]
+    apps = []
+    for name, threads, regions in apps_shape:
+        runtime_s = next(it)
+        metrics = zip(it, it, it, it, it, it)  # one region's six at a time
+        by_region = {region: RegionMetrics(*six) for region, six in zip(regions, metrics)}
+        apps.append(AppMetrics(name, threads, runtime_s, by_region))
     timeline = LazyTimeline(line2, names)
     if kind == "solo":
         return SoloRunResult(apps[0], timeline) if own == 0 and len(apps) == 1 else None

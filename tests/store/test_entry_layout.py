@@ -202,19 +202,22 @@ class TestDamage:
     """Whatever a segment holds, a read is a hit with the right result
     or a miss, never an error or another key's result."""
 
-    @pytest.mark.parametrize("where", ["line 1 numbers", "line 2"])
+    @pytest.mark.parametrize("where", ["line 1 shape", "line 1 numbers", "line 2"])
     def test_garbled_numbers_are_a_miss_and_resimulate(self, warm, where):
-        """The digest covers every packed number: a changed byte in
-        line 1's numbers or in line 2 is a miss."""
+        """The digest covers the shape and every packed number: a changed
+        byte in line 1's shape or numbers, or in line 2, is a miss."""
         root, expected = warm
         for _, entry, _ in entries(root):
             line1, line2 = entry_lines(root, entry)
             if where == "line 2":
                 overwrite(root, entry, 2, garbled(line2))
-            else:
-                at = line1.index(b'"numbers": "') + 14
-                flipped = b"B" if line1[at : at + 1] != b"B" else b"C"
-                overwrite(root, entry, 1, line1[:at] + flipped + line1[at + 1 :])
+                continue
+            # The first letter of the first app's name, or of the numbers.
+            at = line1.index(b'"numbers": "') + 14 if where == "line 1 numbers" else (
+                line1.index(b'"apps": [["') + 11
+            )
+            flipped = b"B" if line1[at : at + 1] != b"B" else b"C"
+            overwrite(root, entry, 1, line1[:at] + flipped + line1[at + 1 :])
         store = ResultStore(root)
         for section, _, key in entries(root):
             assert read_back(store, section, key) is None

@@ -275,11 +275,9 @@ class TestReruns:
         key = {"engine_fingerprint": fp, "scenario": extra.payload()}
         line1, line2 = schema1_lines("scenario", key, result)
         schema1_file(store, "scenario", key).write_bytes(schema1_file_bytes("one-line", line1, line2))
-        [(section, trio)] = [k for k in want if k[0] == "scenario"]
-        trio_line1, trio_line2 = schema1_lines("scenario", json.loads(trio), read_back(
-            ResultStore(store), "scenario", json.loads(trio)))
-        schema1_file(store, "scenario", json.loads(trio)).write_bytes(
-            schema1_file_bytes("two-line", trio_line1, trio_line2))
+        [trio] = [json.loads(key) for section, key in want if section == "scenario"]
+        old1, old2 = schema1_lines("scenario", trio, read_back(ResultStore(store), "scenario", trio))
+        schema1_file(store, "scenario", trio).write_bytes(schema1_file_bytes("two-line", old1, old2))
         summary = migrate(store)
         assert (summary["migrated"], summary["removed_files"]) == (1, 2)
         got = contents(store)
