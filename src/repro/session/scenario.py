@@ -34,8 +34,9 @@ Identity and caching
 A cacheable scenario is its own in-memory cache key (the session keys
 one map by ``(engine fingerprint, canonical Scenario)``).
 ``scenario.fingerprint`` hashes the canonical :meth:`Scenario.payload`
-through the same :func:`~repro.session.base.fingerprint` that keys
-the store.  On disk a **plain pair** *reduces to its pair key*:
+through :func:`~repro.session.base.fingerprint`; the store keys an
+entry by that same payload (:func:`repro.store.codec.entry_key`).  On
+disk a **plain pair** *reduces to its pair key*:
 :meth:`Scenario.corun_key` exposes the ``(fg, bg, fg_threads,
 bg_threads)`` tuple the store's ``corun/`` section is keyed by — which
 is why a warm store written before the scenario redesign still serves

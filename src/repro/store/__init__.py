@@ -57,14 +57,15 @@ has it field by field).  Line 1 is one JSON object, the envelope
 ``{"keyfp", "schema", "kind", "key", "shape", "sha256", "numbers"}``:
 the key fingerprint first (so a scan reads it at a fixed offset without
 parsing JSON), the key, the result's shape (app names, threads, region
-names), a truncated sha256 of the shape, the numbers and line 2, and every number
-of the result as little-endian float64 in base64.  Line 2 is the
-bandwidth timeline's rows, packed the same way.  A store indexes a
-shard's segments on its first lookup there and reads an entry at its
+names), a truncated sha256 of the shape, the numbers and line 2, and
+every number of the result as little-endian float64 in base64.  Line 2
+is the bandwidth timeline's rows, packed the same way.  A store indexes
+a shard's segments on its first lookup there and reads an entry at its
 offset; it checks schema, kind and key as one byte prefix, checks the
 digest, unpacks the numbers without parsing any float text, and hands
-the timeline over undecoded (:class:`~repro.engine.results.LazyTimeline`);
-only Fig 3, Table III and the ``scenario`` record ever decode one.
+the timeline over undecoded
+(:class:`~repro.engine.results.LazyTimeline`); only Fig 3, Table III
+and the ``scenario`` record ever decode one.
 
 Stores of schema 1 kept every number as text: in segments, or in the
 per-entry files of versions before segment logs
@@ -90,9 +91,9 @@ is whole.  Records, manifests and ``store.json`` are written atomically
 (tmp + rename); each process appends index lines to its own
 ``index/<pid>-<token>.jsonl`` segment.  Cache writers hold the store
 lock *shared* around each append, or once around a session pass's run
-of appends (:meth:`ResultStore.writing`), while ``store gc`` shard-pruning,
-``store migrate`` and manifest freezes hold it *exclusive*; a writer whose shard gc pruned
-opens a new segment.  Readers treat torn, foreign or colliding entries
+of appends (:meth:`ResultStore.writing`), while ``store gc``
+shard-pruning, ``store migrate`` and manifest freezes hold it
+*exclusive*; a writer whose shard gc pruned opens a new segment.  Readers treat torn, foreign or colliding entries
 as misses, never as data, and skipped foreign-schema index lines raise
 a one-time :class:`~repro.errors.StoreWarning`.
 """
