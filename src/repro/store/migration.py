@@ -13,10 +13,10 @@ An entry migrates when the schema-1 reader would have served it: line 1
 parses, its schema is 1 and its kind is the section's, its line 2
 matches the digest line 1 carries, its key is one this version builds
 (the shard's engine fingerprint, the fields a put writes) and its result
-decodes.  Of several copies of a key, the last whole copy in the
-segments (in name order) wins, else the per-entry file, as
-:meth:`~repro.store.store.ResultStore.cache_entries` listed them.  What
-does not check out was a miss before and is dropped.
+decodes.  Of several copies of a key, the last one in the segments (in
+name order) that checks out wins, else the per-entry file's, as the
+schema-1 reader served them.  What does not check out was a miss before
+and is dropped.
 
 The whole rewrite runs under the **exclusive** store lock, in three
 steps, so that a run cut short anywhere loses no entry that was
@@ -24,11 +24,13 @@ readable before and a re-run finishes the job:
 
 1. per shard, every migrated entry goes to one new segment, written
    under a temporary name and published with :func:`os.replace`; keys a
-   schema-2 segment of the shard already serves are left out, so a
-   re-run writes no second copy;
+   schema-2 entry of the shard already serves are left out, so a re-run
+   writes no second copy;
 2. ``store.json`` is rewritten with schema 2;
-3. every file of a shard that is not a schema-2 segment (schema-1
-   segments, per-entry files, temporary files) is removed.
+3. every file of a shard that holds no schema-2 entry (schema-1
+   segments, per-entry files, temporary files) is removed.  Whether a
+   segment holds one is decided entry by entry, so a stray line before
+   its first entry does not make it stale.
 
 Migrating a store that is already at schema 2 only removes such files
 (it migrates their entries first).  Records, the record index and
@@ -121,13 +123,11 @@ def _schema1_entry(raw: bytes, section: str, engine_fp: str) -> tuple[dict[str, 
         return None
 
 
-def _is_schema2_segment(path: str) -> bool:
-    """Whether a segment's first line is a schema-2 envelope.  A segment
-    whose first entry is torn holds nothing readable: it is not one."""
+def _is_schema2(raw: bytes) -> bool:
+    """Whether an entry's line 1 is a schema-2 envelope."""
     try:
-        with open(path, "rb") as fh:
-            head = json.loads(fh.readline())
-    except (OSError, ValueError):
+        head = json.loads(raw.partition(b"\n")[0])
+    except ValueError:
         return False
     return isinstance(head, dict) and head.get("schema") == SCHEMA_VERSION
 
@@ -146,47 +146,51 @@ def _whole_entries(path: str) -> list[tuple[str, bytes]]:
 
 def _migrate_shard(section: str, shard_dir: str, engine_fp: str) -> tuple[int, int, list[str]]:
     """Step 1 for one shard: returns the entries written, the entries
-    dropped, and the files step 3 removes."""
-    names = sorted(_listdir(shard_dir))
-    current = [n for n in names if n.endswith(".jsonl") and _is_schema2_segment(f"{shard_dir}/{n}")]
-    stale = [n for n in names if n not in current]
-    have: dict[str, list[bytes]] = {}
-    for name in current:
-        for keyfp, raw in _whole_entries(f"{shard_dir}/{name}"):
-            have.setdefault(keyfp, []).append(raw)
-    entries: dict[str, bytes] = {}
-    dropped = 0
-
-    def take(raw: bytes) -> None:
-        nonlocal dropped
-        got = _schema1_entry(raw, section, engine_fp)
-        if got is None:
-            dropped += 1
-            return
-        key, result = got
-        data, keyfp = entry_key(key)
-        if not any(unpack_entry(copy, section, keyfp, data) for copy in have.get(keyfp, ())):
-            entries[keyfp] = pack_entry(section, keyfp, data, result)
-
-    # Per-entry files first: a copy in a segment takes their place.
-    for name in stale:
+    dropped, and the files step 3 removes: every file that holds no
+    schema-2 entry (a file that cannot be read is left as it is)."""
+    have: dict[str, list[bytes]] = {}  # schema-2 copies by key fingerprint
+    files: list[bytes] = []  # per-entry files
+    old: list[bytes] = []  # the other entries of segments
+    stale: list[str] = []
+    for name in sorted(_listdir(shard_dir)):
         path = f"{shard_dir}/{name}"
         try:
             if name.endswith(".json"):
                 with open(path, "rb") as fh:
-                    take(fh.read())
+                    files.append(fh.read())
             elif name.endswith(".jsonl"):
-                for _, raw in _whole_entries(path):
-                    take(raw)
+                current = False
+                for keyfp, raw in _whole_entries(path):
+                    if _is_schema2(raw):
+                        have.setdefault(keyfp, []).append(raw)
+                        current = True
+                    else:
+                        old.append(raw)
+                if current:
+                    continue
         except OSError:
             continue
+        stale.append(path)
+    entries: dict[str, bytes] = {}
+    dropped = 0
+    # Per-entry files first, then segments in name order: the last copy
+    # that checks out wins, so a segment copy takes a file's place.
+    for raw in files + old:
+        got = _schema1_entry(raw, section, engine_fp)
+        if got is None:
+            dropped += 1
+            continue
+        key, result = got
+        data, keyfp = entry_key(key)
+        if not any(unpack_entry(copy, section, keyfp, data) for copy in have.get(keyfp, ())):
+            entries[keyfp] = pack_entry(section, keyfp, data, result)
     if entries:
         name = f"{os.getpid()}-{os.urandom(4).hex()}.jsonl"
         tmp = f"{shard_dir}/{name}.tmp"
         with open(tmp, "wb") as fh:
             fh.write(b"".join(entries.values()))
         os.replace(tmp, f"{shard_dir}/{name}")
-    return len(entries), dropped, [f"{shard_dir}/{n}" for n in stale]
+    return len(entries), dropped, stale
 
 
 def migrate(root: str | os.PathLike[str]) -> dict[str, Any]:

@@ -8,9 +8,12 @@ the last schema-1 version itself (``fixtures/schema1``, see
 entry with no miss and the same encoded result; opening one before
 migrating raises and names the command; a migrate cut short anywhere
 loses nothing and a re-run finishes it without writing a second copy;
-entries the schema-1 reader would not have served are dropped.
+of a key's copies, the one the schema-1 reader served migrates; entries
+it would not have served are dropped; a segment whose first line is
+stray keeps its entries.
 """
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -147,6 +150,38 @@ class TestEveryLayoutMigrates:
             digest = hashlib.sha256(encoded(row["section"], result).encode()).hexdigest()
             assert digest == row["encoded_sha256"], row["key"]
         assert copies(root) == len(expected)
+
+
+class TestCopies:
+    @pytest.mark.parametrize("layout", ["one-line", "two-line"])
+    def test_a_segment_copy_wins_over_a_per_entry_file(self, store, want, layout):
+        """The schema-1 reader served a key's segment copy and read its
+        per-entry file only when no segment copy checked out; the
+        migrated store serves the segment's numbers too, though the
+        file's name sorts after the segment's."""
+        section, key = "solo", json.loads(min(k for s, k in want if s == "solo"))
+        result = read_back(ResultStore(store), section, key)
+        metrics = dataclasses.replace(result.metrics, runtime_s=2 * result.metrics.runtime_s)
+        other = dataclasses.replace(result, metrics=metrics)
+        downgrade(store, "segments")
+        path = schema1_file(store, section, key)
+        path.write_bytes(schema1_file_bytes(layout, *schema1_lines(section, key, other)))
+        [segment] = path.parent.glob("*.jsonl")
+        assert segment.name < path.name
+        assert migrate(store)["migrated"] == len(want)
+        assert contents(store) == want
+        assert copies(store) == len(want)
+
+    def test_a_segment_that_opens_with_a_stray_line_keeps_its_entries(self, store, want):
+        """A reader skips a line that opens no envelope, so the entries
+        after it serve; migrate keeps such a segment."""
+        for segment in Path(store).glob("*/*/*.jsonl"):
+            segment.write_bytes(b"junk\n" + segment.read_bytes())
+        assert contents(store) == want
+        summary = migrate(store)
+        assert summary == {"from_schema": SCHEMA_VERSION, "migrated": 0, "dropped": 0,
+                           "removed_files": 0}
+        assert contents(store) == want
 
 
 class TestDamage:
