@@ -54,16 +54,16 @@ log: every entry that process computed for the shard, appended in
 order, the segment created on its first put there.  An entry is two
 lines in the packed layout of store schema 2 (:mod:`repro.store.codec`
 has it field by field).  Line 1 is one JSON object, the envelope
-``{"keyfp", "schema", "kind", "key", "shape", "sha256", "numbers"}``:
+``{"keyfp", "schema", "kind", "key", "shape", "numbers", "sha256"}``:
 the key fingerprint first (so a scan reads it at a fixed offset without
 parsing JSON), the key, the result's shape (app names, threads, region
-names), a truncated sha256 of the shape, the numbers and line 2, and
-every number of the result as little-endian float64 in base64.  Line 2
-is the bandwidth timeline's rows, packed the same way.  A store indexes
-a shard's segments on its first lookup there and reads an entry at its
-offset; it checks schema, kind and key as one byte prefix, checks the
-digest, unpacks the numbers without parsing any float text, and hands
-the timeline over undecoded
+names), every number of the result as little-endian float64 in base64,
+and last a truncated sha256 of the bytes before it and of line 2.
+Line 2 is the bandwidth timeline's rows, packed the same way.  A store
+indexes a shard's segments on its first lookup there and reads an entry
+at its offset; it checks schema, kind and key as one byte prefix, checks
+the digest, unpacks the numbers without parsing any float text, and
+hands the timeline over undecoded
 (:class:`~repro.engine.results.LazyTimeline`); only Fig 3, Table III
 and the ``scenario`` record ever decode one.
 

@@ -22,7 +22,7 @@ entry is two lines, appended together to a segment log.  Line 1 is a
 JSON object whose fields come in a fixed order::
 
     {"keyfp": K, "schema": 2, "kind": KIND, "key": KEY, "shape": SHAPE,
-     "sha256": DIGEST, "numbers": NUMBERS}
+     "numbers": NUMBERS, "sha256": DIGEST}
 
 ``keyfp`` is a truncated sha256 of ``KEY``'s bytes (:func:`entry_key`),
 first so a scan reads it at a fixed offset.  ``SHAPE`` holds what is not
@@ -37,17 +37,15 @@ little-endian float64 in base64: the result's own scalars
 then one rate per ``SHAPE["timeline"]`` name, packed the same way.
 Every sample lists the same apps in the same order (the engine's
 timelines are rectangular); a timeline that does not is refused, not
-guessed at.  ``DIGEST`` is a truncated sha256 of ``SHAPE``,
-``NUMBERS`` and line 2, in that order.  base64 holds no newline, so an
-entry is always two lines.
+guessed at.  ``DIGEST``, line 1's last field, is a truncated sha256 of
+every byte of line 1 before it and of line 2.  base64 holds no newline,
+so an entry is always two lines.
 
-A read checks everything up to ``"shape"`` as one byte prefix built from
-the key it looks up (so schema, kind and key are compared without
-parsing), finds the shape's end, checks the digest (so every other byte
-of the entry is checked too), and unpacks the
-numbers with :mod:`struct`; nothing is parsed as float text.  Shapes
-repeat across entries, so each distinct one is parsed once per process.
-Line 2 is handed over unread as a
+A read compares line 1 up to ``SHAPE`` with the bytes the key it looks
+up gives (so schema, kind and key are checked without parsing JSON),
+checks the digest, parses ``SHAPE`` (once per distinct shape, see
+:func:`_shape`) and unpacks the numbers with :mod:`struct`; nothing is
+parsed as float text.  Line 2 is handed over unread as a
 :class:`~repro.engine.results.LazyTimeline` and decodes on first use,
 to the list :func:`decode_timeline` would build; only Fig 3, Table III
 and the ``scenario`` record ever read one.  A put packs straight from
@@ -58,6 +56,7 @@ timeline rows.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import struct
@@ -203,9 +202,8 @@ def entry_key(key: dict[str, Any]) -> tuple[bytes, str]:
     return data, hashlib.sha256(data).hexdigest()[:12]
 
 
-def _digest(shape: bytes, numbers: bytes, line2: bytes) -> bytes:
-    h = hashlib.sha256(shape)
-    h.update(numbers)
+def _digest(body: bytes, line2: bytes) -> bytes:
+    h = hashlib.sha256(body)
     h.update(line2)
     return h.hexdigest()[:16].encode()
 
@@ -238,6 +236,19 @@ def _parts(kind: str, result: Any) -> tuple[list[float], list[AppMetrics]]:
     return [result.fg_solo_runtime_s, *result.bg_relative_rates], list(result.apps)
 
 
+def _prefix(kind: str, keyfp: str, key: bytes) -> bytes:
+    """Line 1 up to its shape: what a read compares with its lookup's key."""
+    return b'{"keyfp": "%s", "schema": %d, "kind": "%s", "key": %s, "shape": ' % (
+        keyfp.encode(), SCHEMA_VERSION, kind.encode(), key,
+    )
+
+
+_NUMBERS = b', "numbers": "'
+_SHA = b', "sha256": "'
+#: The bytes of line 1 from ``_SHA`` on: the digest and the closing brace.
+_TAIL = len(_SHA) + 16 + len(b'"}')
+
+
 def pack_entry(kind: str, keyfp: str, key: bytes, result: Any) -> bytes:
     """Both lines of the cache entry of ``result`` under ``key`` (the
     bytes :func:`entry_key` gives) and its fingerprint ``keyfp``."""
@@ -252,71 +263,46 @@ def pack_entry(kind: str, keyfp: str, key: bytes, result: Any) -> bytes:
                 rm.l2_misses, rm.llc_misses, rm.bus_bytes,
             )
     names, line2 = _pack_timeline(result.timeline)
-    shape = json.dumps({"apps": shape_apps, "timeline": list(names)}).encode()
-    numbers = base64.b64encode(struct.pack(f"<{len(values)}d", *values))
-    return b"".join((
-        _prefix(kind, keyfp, key), shape,
-        b', "sha256": "', _digest(shape, numbers, line2),
-        b'", "numbers": "', numbers, b'"}\n', line2, b"\n",
+    body = b"".join((
+        _prefix(kind, keyfp, key),
+        json.dumps({"apps": shape_apps, "timeline": list(names)}).encode(),
+        _NUMBERS,
+        base64.b64encode(struct.pack(f"<{len(values)}d", *values)),
+        b'"',
     ))
+    return b"".join((body, _SHA, _digest(body, line2), b'"}\n', line2, b"\n"))
 
 
-def _prefix(kind: str, keyfp: str, key: bytes) -> bytes:
-    """Line 1 up to its shape: the part a read compares byte for byte."""
-    return b'{"keyfp": "%s", "schema": %d, "kind": "%s", "key": %s, "shape": ' % (
-        keyfp.encode(), SCHEMA_VERSION, kind.encode(), key,
-    )
-
-
-_SHA = b', "sha256": "'
-_NUMBERS = b'", "numbers": "'
-_END = b'"}\n'
-
-#: A parsed shape: ``(apps, timeline names, numbers the apps hold)``,
-#: each app a ``(name, threads, regions)`` tuple.
-_Shape = tuple[tuple[tuple[str, int, tuple[str, ...]], ...], tuple[str, ...], int]
-
-#: Parsed shapes by their bytes, at most ``_MAX_SHAPES`` of them.
-_SHAPES: dict[bytes, _Shape] = {}
-_MAX_SHAPES = 4096
-
-
-def _shape(data: bytes) -> _Shape:
-    shape = _SHAPES.get(data)
-    if shape is None:
-        parsed = json.loads(data)
-        apps = tuple((name, threads, tuple(regions)) for name, threads, regions in parsed["apps"])
-        held = sum(1 + 6 * len(regions) for _, _, regions in apps)
-        shape = (apps, tuple(parsed["timeline"]), held)
-        if len(_SHAPES) >= _MAX_SHAPES:
-            _SHAPES.clear()
-        _SHAPES[data] = shape
-    return shape
+@functools.lru_cache(maxsize=2048)
+def _shape(
+    data: bytes,
+) -> tuple[tuple[tuple[str, int, tuple[str, ...]], ...], tuple[str, ...], int]:
+    """A shape's apps as ``(name, threads, regions)``, its timeline
+    names, and how many numbers its apps hold.  Shapes repeat across
+    entries (a serve day's 4,212 reads hold about 930 distinct ones), so
+    each is parsed once while it stays among the last 2048 used."""
+    parsed = json.loads(data)
+    apps = tuple((name, threads, tuple(regions)) for name, threads, regions in parsed["apps"])
+    return apps, tuple(parsed["timeline"]), sum(1 + 6 * len(regions) for _, _, regions in apps)
 
 
 def unpack_entry(raw: bytes, kind: str, keyfp: str, key: bytes) -> Any | None:
     """The result in one entry's bytes (both lines, as appended), or
     ``None`` if they are not a whole schema-2 entry of ``kind`` under
-    ``key`` whose digest holds."""
+    ``key`` (the bytes :func:`entry_key` gives) whose digest holds."""
+    head, _, line2 = raw.partition(b"\n")
     prefix = _prefix(kind, keyfp, key)
-    if not raw.startswith(prefix) or not raw.endswith(b"\n"):
+    body = head[:-_TAIL]
+    if not (line2.endswith(b"\n") and body.startswith(prefix)):
         return None
-    start = len(prefix)
-    sha = raw.find(_SHA, start)
-    numbers_at = sha + len(_SHA) + 16
-    if sha < 0 or not raw.startswith(_NUMBERS, numbers_at):
+    line2 = line2[:-1]
+    if head[len(body) :] != b'%s%s"}' % (_SHA, _digest(body, line2)):
         return None
-    numbers_at += len(_NUMBERS)
-    end = raw.find(b'"', numbers_at)
-    if end < 0 or not raw.startswith(_END, end):
-        return None
-    shape, numbers, line2 = raw[start:sha], raw[numbers_at:end], raw[end + len(_END) : -1]
-    if raw[sha + len(_SHA) : sha + len(_SHA) + 16] != _digest(shape, numbers, line2):
-        return None
+    shape, _, numbers = body[len(prefix) : -1].rpartition(_NUMBERS)
     try:
         apps_shape, names, held = _shape(shape)
-        data = base64.b64decode(numbers, validate=True)
-        values = struct.unpack(f"<{len(data) // 8}d", data)
+        packed = base64.b64decode(numbers, validate=True)
+        values = struct.unpack(f"<{len(packed) // 8}d", packed)
     except (ValueError, TypeError, KeyError, struct.error):
         return None
     own = len(values) - held  # the result's own scalars, before the apps

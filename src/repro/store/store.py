@@ -50,8 +50,7 @@ Durability rules under many concurrent writer processes:
   a newline) and starts again at a torn tail, so an append that was
   still under way serves once it completes;
 * readers treat torn, foreign-schema or colliding entries, and entries
-  whose digest (over the shape, the packed numbers and line 2) does not
-  hold, as
+  whose digest (over the rest of line 1 and line 2) does not hold, as
   cache misses (a crash mid-write costs a re-simulation, never a wrong
   number); a copy that fails is dropped from the index, and an older
   copy of the same key, if any, serves instead;

@@ -2,7 +2,7 @@
 
 Line 1 is the envelope, key fingerprint first, with the key, the
 result's shape and its numbers packed as float64, plus a digest of the
-numbers and line 2; line 2 is the packed timeline, decoded lazily on
+rest of the entry; line 2 is the packed timeline, decoded lazily on
 first use.  Each process appends to its own
 ``<section>/<engine_fp>/<pid>-<token>.jsonl`` segment.
 
@@ -137,7 +137,7 @@ class TestLayout:
             line1, line2 = entry_lines(root, entry)
             assert line1.startswith(b'{"keyfp": "%s", ' % entry.keyfp.encode())
             envelope = json.loads(line1)
-            assert list(envelope) == ["keyfp", "schema", "kind", "key", "shape", "sha256", "numbers"]
+            assert list(envelope) == ["keyfp", "schema", "kind", "key", "shape", "numbers", "sha256"]
             assert (envelope["schema"], envelope["kind"]) == (SCHEMA_VERSION, section)
             assert envelope["key"] == key and len(envelope["sha256"]) == 16
             apps = envelope["shape"]["apps"]
