@@ -10,8 +10,8 @@ paper phenomenon:
 4. memory-level-parallelism overlap on/off.
 """
 
-from repro.core.report import ascii_table
 from repro.engine import EngineConfig, IntervalEngine
+from repro.tables import ascii_table
 from repro.workloads.registry import get_profile
 
 PAIRS = (("G-CC", "Stream"), ("G-CC", "fotonik3d"), ("fotonik3d", "IRSmk"))

@@ -1,6 +1,6 @@
 """Table I: the application roster."""
 
-from repro.core.report import ascii_table
+from repro.tables import ascii_table
 from repro.workloads.registry import list_workloads, suite_of
 
 

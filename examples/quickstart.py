@@ -187,7 +187,7 @@ def main() -> None:
     # foreground keeps its working set however hard STREAM inserts.
     # contiguous_split covers *all* of the machine's ways (a hand-rolled
     # nibble pair like 0xF0/0x0F would leave the other ways unused).
-    from repro.core.catsweep import contiguous_split
+    from repro.sched.policy import contiguous_split
 
     print("\n== CAT way masks: xalancbmk fenced off from STREAM ==")
     cat_session = Session(

@@ -38,7 +38,9 @@ _CLI_RE = re.compile(r"python3? -m repro\.cli\b|(?:^|[\s;&|(])repro\s")
 _VAR_RE = re.compile(r"\$(?:\{[^}]*\}|\w+|!)")
 
 #: Redirects (``> out``, ``2>err``, ``2>&1``, ``<<'EOF'``) are not arguments.
-_REDIRECT_RE = re.compile(r"(?<!\S)\d*(?:>>?|<<?)&?\s*\S+")
+#: A target ends where the shell ends a word: at a blank or at one of
+#: ``;|&()`` (``2> err; then`` leaves ``; then`` to the lexer).
+_REDIRECT_RE = re.compile(r"(?<!\S)\d*(?:>>?|<<?)&?\s*[^\s;|&()]+")
 
 #: Leading ``NAME=value`` environment assignments.
 _ASSIGN_RE = re.compile(r"^\w+=")

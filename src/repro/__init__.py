@@ -15,18 +15,29 @@ Interference" (Xu, Song, Mao — arXiv:2303.15763), built as a library:
   Bandit/STREAM mini-benchmarks as calibrated engine profiles;
 * :mod:`repro.engine` — the interval engine that co-executes profiles
   under LLC sharing and memory-bus contention;
-* :mod:`repro.tools` — PCM-memory and VTune analogues;
-* :mod:`repro.core` — the paper's experiments: one registered runner
-  per figure and table;
 * :mod:`repro.session` — the unified experiment substrate: a
-  :class:`Session` owns the machine spec, cross-experiment solo and
-  scenario caches, the seeded jitter model, and a pluggable executor
-  that shards batch solves over a process or thread pool;
+  :class:`Session` runs an :class:`ExperimentConfig` and owns the
+  machine spec, cross-experiment solo and scenario caches, the seeded
+  jitter model, a pluggable executor that shards batch solves over a
+  process or thread pool, and the registry of runners;
 * :mod:`repro.store` — the persistent results database: a
   fingerprint-keyed on-disk solo/scenario cache (warm stores make cold
   processes bit-identical and ~15x faster), streamed ``RunRecord``\\ s
   with an append-only index and query API, and the ``repro run-all``
-  campaign manifest.
+  campaign manifest;
+* :mod:`repro.sched`, :mod:`repro.serve`, :mod:`repro.traffic` — the
+  interference-aware scheduler, its daemon and its diurnal traffic
+  days; :mod:`repro.telemetry` — spans and metrics of the pipeline;
+* :mod:`repro.tools` — PCM-memory and VTune analogues;
+* :mod:`repro.core` — the paper's experiments: one registered runner
+  per figure and table, at the top of the stack.
+
+No module beneath :mod:`repro.core` imports it or the CLI, and each
+package resolves the names it re-exports on first use
+(:mod:`repro._lazy`): ``import repro`` loads this package alone,
+``from repro import Session`` loads the session layer and what it
+stands on, and an artifact's runner loads when that artifact first
+runs.
 
 Quick start::
 
@@ -54,38 +65,7 @@ consolidations, LLC-policy ablations and SMT spec variants::
     session.run_scenarios(ScenarioSet.consolidations(apps, n=3, threads=2))
 """
 
-from repro.core import (
-    ExperimentConfig,
-    NWayVerdict,
-    PairClass,
-    classify_nway,
-    classify_pair,
-)
-from repro.engine import EngineConfig, IntervalEngine
-from repro.machine import MachineSpec, xeon_e5_4650
-from repro.session import (
-    AppPlacement,
-    ParallelExecutor,
-    RunRecord,
-    Runner,
-    Scenario,
-    ScenarioResult,
-    ScenarioSet,
-    SerialExecutor,
-    Session,
-    ThreadExecutor,
-    get_runner,
-    register_runner,
-    runner_names,
-)
-from repro.store import ResultStore
-from repro.trace import MissRatioCurve, TraceProfiler
-from repro.workloads.base import WorkloadProfile
-from repro.workloads.registry import (
-    get_all_profiles,
-    get_profile,
-    list_workloads,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
@@ -121,3 +101,19 @@ __all__ = [
     "runner_names",
     "xeon_e5_4650",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.engine": ("EngineConfig", "IntervalEngine"),
+    "repro.machine.spec": ("MachineSpec", "xeon_e5_4650"),
+    "repro.sched.classify": ("NWayVerdict", "PairClass", "classify_nway", "classify_pair"),
+    "repro.session": (
+        "AppPlacement", "ExperimentConfig", "ParallelExecutor", "RunRecord", "Runner",
+        "Scenario", "ScenarioResult", "ScenarioSet", "SerialExecutor", "Session",
+        "ThreadExecutor", "get_runner", "register_runner", "runner_names",
+    ),
+    "repro.store": ("ResultStore",),
+    "repro.trace.mrc": ("MissRatioCurve",),
+    "repro.trace.profiler": ("TraceProfiler",),
+    "repro.workloads.base": ("WorkloadProfile",),
+    "repro.workloads.registry": ("get_all_profiles", "get_profile", "list_workloads"),
+})

@@ -77,10 +77,10 @@ import os
 import sys
 from pathlib import Path
 
-from repro.core import ExperimentConfig
 from repro.engine.interval import LLC_POLICIES
 from repro.errors import ReproError, SchedError, StoreError
 from repro.session import (
+    ExperimentConfig,
     ParallelExecutor,
     Runner,
     Scenario,
@@ -91,6 +91,7 @@ from repro.session import (
     parse_way_mask,
     runner_names,
 )
+from repro.session.registry import runner_title
 from repro.store import SCHEMA_VERSION, ResultStore
 from repro.workloads.calibration import APPLICATIONS, MINI_BENCHMARKS
 
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verbs = parser.add_subparsers(metavar="VERB", required=True)
     for name in runner_names():
-        title = get_runner(name).title
+        title = runner_title(name)
         if name == "traffic-replay":
             verb(verbs, name, _traffic_replay, model, day, placement, replan, as_json, help=title)
         elif name in _SCENARIO_ARTIFACTS:
@@ -422,7 +423,7 @@ def _list(args: argparse.Namespace) -> int:
     """``repro list``: the artifacts, commands and workloads."""
     lines = ["experiments:"]
     for name in runner_names():
-        lines.append(f"  {name:<12} {get_runner(name).title}")
+        lines.append(f"  {name:<12} {runner_title(name)}")
     lines.append(
         "commands: run-all [--shard I/N] (campaign + manifest), "
         "campaign (multi-process run-all), store ls/show/gc/diff/stats/migrate, "
@@ -592,7 +593,7 @@ def _store_stats(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps({"store": str(store.root), "artifacts": stats}, sort_keys=True))
         return 0
-    from repro.core.report import ascii_table
+    from repro.tables import ascii_table
 
     rows = [
         [
@@ -751,7 +752,7 @@ def _traffic_gen(args: argparse.Namespace) -> int:
 
 def _traffic_show(args: argparse.Namespace) -> int:
     """``repro traffic show``: the trace event by event."""
-    from repro.core.report import ascii_table
+    from repro.tables import ascii_table
 
     trace = _traffic_day(args)
     if args.json:
@@ -857,8 +858,8 @@ def _sched_replay(args: argparse.Namespace) -> int:
 def _sched_decide(args: argparse.Namespace) -> int:
     """``repro sched decide <app[:threads]> [--cluster FILE]``: one
     admission what-if; exit 0 admit, 1 reject."""
-    from repro.core.classify import VICTIM_THRESHOLD
     from repro.sched import PlacementEvaluator, Tenant, get_policy
+    from repro.sched.classify import VICTIM_THRESHOLD
     from repro.session.scenario import parse_placement
 
     session = _session(args)

@@ -20,52 +20,17 @@ Fig 7     Gemini metrics under STREAM                 ``fig7``
 Fig 8     Gemini metrics under real offenders         ``fig8``
 Table IV  region-level profiles (gather / UUS)        ``table4``
 ========  ==========================================  ============
+
+The registry imports a runner's module on the first lookup of its
+name (:data:`~repro.session.registry.BUILTIN_RUNNERS`) and this
+package resolves its exports on first use, so ``import repro.core``
+loads no runner.  Some exports live beneath it: ``ExperimentConfig``
+and ``Jitter`` in :mod:`repro.session`, the taxonomy in
+:mod:`repro.sched.classify`, ``contiguous_split`` in
+:mod:`repro.sched.policy` and ``ascii_table`` in :mod:`repro.tables`.
 """
 
-from repro.core.bandwidth_sweep import FIG3_THREADS, BandwidthResult
-from repro.core.classify import (
-    VICTIM_THRESHOLD,
-    NWayVerdict,
-    PairClass,
-    PairVerdict,
-    classify_nway,
-    classify_pair,
-)
-from repro.core.catsweep import CatSweepPoint, CatSweepResult, contiguous_split
-from repro.core.consolidation import ConsolidationMatrix
-from repro.core.allocation import AllocationPoint, AllocationSweep
-from repro.core.efficiency import EfficiencyResult, EfficiencyRow
-from repro.core.experiment import ExperimentConfig, Jitter
-from repro.core.insights import AppRoleScores, MatrixInsights
-from repro.core.predictor import (
-    DEFAULT_LEVELS,
-    BubbleUpPredictor,
-    PredictionReport,
-    SensitivityCurve,
-    bubble_profile,
-)
-from repro.core import roster  # noqa: F401  (registers table1/solo runners)
-from repro.core.minibench import MINI_BENCH_BACKGROUNDS, MiniBenchResult
-from repro.core.nway import NWayCell, NWayDegradationTable
-from repro.core.pair_bandwidth import TABLE3_PAIRS, PairBandwidthResult, PairBandwidthRow
-from repro.core.prefetch import SENSITIVE_THRESHOLD, PrefetchResult
-from repro.core.provenance import (
-    GEMINI_APPS,
-    OFFENDERS,
-    TABLE4_SUBJECTS,
-    MetricQuad,
-    ProvenanceResult,
-)
-from repro.core.report import ascii_table, csv_table, shade, text_heatmap
-from repro.sched import runner as _sched_runner  # noqa: F401  (registers sched-replay)
-from repro.traffic import runner as _traffic_runner  # noqa: F401  (registers traffic-replay)
-from repro.core.scalability import (
-    HIGH_THRESHOLD,
-    LOW_THRESHOLD,
-    ScalabilityClass,
-    ScalabilityResult,
-    classify_speedup,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AllocationPoint",
@@ -117,3 +82,35 @@ __all__ = [
     "shade",
     "text_heatmap",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.core.allocation": ("AllocationPoint", "AllocationSweep"),
+    "repro.core.bandwidth_sweep": ("FIG3_THREADS", "BandwidthResult"),
+    "repro.core.catsweep": ("CatSweepPoint", "CatSweepResult"),
+    "repro.core.consolidation": ("ConsolidationMatrix",),
+    "repro.core.efficiency": ("EfficiencyResult", "EfficiencyRow"),
+    "repro.core.insights": ("AppRoleScores", "MatrixInsights"),
+    "repro.core.minibench": ("MINI_BENCH_BACKGROUNDS", "MiniBenchResult"),
+    "repro.core.nway": ("NWayCell", "NWayDegradationTable"),
+    "repro.core.pair_bandwidth": ("TABLE3_PAIRS", "PairBandwidthResult", "PairBandwidthRow"),
+    "repro.core.predictor": (
+        "DEFAULT_LEVELS", "BubbleUpPredictor", "PredictionReport", "SensitivityCurve",
+        "bubble_profile",
+    ),
+    "repro.core.prefetch": ("SENSITIVE_THRESHOLD", "PrefetchResult"),
+    "repro.core.provenance": (
+        "GEMINI_APPS", "OFFENDERS", "TABLE4_SUBJECTS", "MetricQuad", "ProvenanceResult",
+    ),
+    "repro.core.report": ("csv_table", "shade", "text_heatmap"),
+    "repro.core.scalability": (
+        "HIGH_THRESHOLD", "LOW_THRESHOLD", "ScalabilityClass", "ScalabilityResult",
+        "classify_speedup",
+    ),
+    "repro.sched.classify": (
+        "VICTIM_THRESHOLD", "NWayVerdict", "PairClass", "PairVerdict", "classify_nway",
+        "classify_pair",
+    ),
+    "repro.sched.policy": ("contiguous_split",),
+    "repro.session": ("ExperimentConfig", "Jitter"),
+    "repro.tables": ("ascii_table",),
+})

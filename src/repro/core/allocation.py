@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.report import ascii_table
 from repro.errors import ExperimentError
 from repro.session.base import Runner
 from repro.session.registry import register_runner
 from repro.session.scenario import Scenario
+from repro.tables import ascii_table
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,7 @@ class AllocationSweep:
         )
 
 
-@register_runner(
-    "allocation",
-    title="asymmetric core-allocation sweep (extension)",
-    artifact=False,
-    order=140,
-)
+@register_runner("allocation")
 class AllocationSweepRunner(Runner):
     """Core-split sweep through the session substrate: every split is a
     2-app :class:`~repro.session.scenario.Scenario` with asymmetric

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.report import ascii_table
 from repro.session.base import Runner
 from repro.session.registry import register_runner
+from repro.tables import ascii_table
 from repro.tools.pcm import PcmMemoryMonitor
 from repro.units import MB
 from repro.workloads.calibration import SUITES
@@ -50,7 +50,7 @@ class BandwidthResult:
         )
 
 
-@register_runner("fig3", title="solo memory bandwidth at 1/4/8 threads", order=30)
+@register_runner("fig3")
 class BandwidthSweepRunner(Runner):
     """Fig 3 through the session substrate (solo runs shared)."""
 

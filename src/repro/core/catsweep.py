@@ -20,32 +20,24 @@ orphan them), and re-renders from a warm store with zero simulations.
 Beyond the classic contiguous pair sweep, the runner supports
 **interleaved** (non-contiguous, way-striped) splits and **N >= 3**
 layouts (one foreground vs several backgrounds sharing the remaining
-ways) — the same :func:`way_partition` / :func:`equal_way_shares`
-helpers the scheduler's departure re-planner uses to re-fence the
-residents of a vacated machine.
+ways) — through the way-mask helpers of :mod:`repro.sched.policy`
+(:func:`~repro.sched.policy.contiguous_split`,
+:func:`~repro.sched.policy.way_partition`,
+:func:`~repro.sched.policy.equal_way_shares`), the ones the scheduler's
+departure re-planner uses to re-fence the residents of a vacated
+machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.report import ascii_table
 from repro.errors import ScenarioError
+from repro.sched.policy import contiguous_split, equal_way_shares, way_partition
 from repro.session.base import Runner
 from repro.session.registry import register_runner
 from repro.session.scenario import AppPlacement, Scenario
-
-
-def contiguous_split(n_ways: int, fg_ways: int) -> tuple[int, int]:
-    """The (fg, bg) bitmaps of a contiguous two-way partition: the
-    foreground owns the top ``fg_ways`` ways, the background the rest
-    (``contiguous_split(8, 4) == (0xF0, 0x0F)``)."""
-    if not 1 <= fg_ways < n_ways:
-        raise ScenarioError(
-            f"fg_ways must lie in [1, {n_ways - 1}], got {fg_ways}"
-        )
-    bg_ways = n_ways - fg_ways
-    return ((1 << fg_ways) - 1) << bg_ways, (1 << bg_ways) - 1
+from repro.tables import ascii_table
 
 
 def interleaved_split(n_ways: int, fg_ways: int) -> tuple[int, int]:
@@ -62,40 +54,6 @@ def interleaved_split(n_ways: int, fg_ways: int) -> tuple[int, int]:
     for i in range(fg_ways):
         fg_mask |= 1 << (i * n_ways) // fg_ways
     return fg_mask, ((1 << n_ways) - 1) ^ fg_mask
-
-
-def equal_way_shares(n_ways: int, parts: int) -> tuple[int, ...]:
-    """``parts`` way counts as equal as integers allow (larger shares
-    first), summing to ``n_ways`` — the share vector an N-way equal
-    re-partition hands to :func:`way_partition`."""
-    if parts < 1:
-        raise ScenarioError(f"parts must be >= 1, got {parts}")
-    if parts > n_ways:
-        raise ScenarioError(
-            f"cannot split {n_ways} way(s) into {parts} non-empty share(s)"
-        )
-    base, extra = divmod(n_ways, parts)
-    return tuple(base + (1 if i < extra else 0) for i in range(parts))
-
-
-def way_partition(n_ways: int, shares: "tuple[int, ...] | list[int]") -> tuple[int, ...]:
-    """Disjoint contiguous way bitmaps covering the whole LLC, one per
-    share, first share on top (``way_partition(8, (4, 4)) ==
-    contiguous_split(8, 4)``).  Generalizes the two-way split to the
-    N-way layouts a multi-tenant re-partition needs."""
-    shares = tuple(shares)
-    if not shares or any(s < 1 for s in shares):
-        raise ScenarioError(f"every share needs >= 1 way, got {shares}")
-    if sum(shares) != n_ways:
-        raise ScenarioError(
-            f"shares {shares} must sum to the {n_ways} LLC ways"
-        )
-    masks: list[int] = []
-    top = n_ways
-    for s in shares:
-        masks.append(((1 << s) - 1) << (top - s))
-        top -= s
-    return tuple(masks)
 
 
 def _chunk_positions(mask: int, parts: int) -> tuple[int, ...]:
@@ -217,12 +175,7 @@ class CatSweepResult:
         return table
 
 
-@register_runner(
-    "cat-sweep",
-    title="CAT way-mask allocation sweep with Pareto frontier (extension)",
-    artifact=False,
-    order=149,
-)
+@register_runner("cat-sweep")
 class CatSweepRunner(Runner):
     """Sweep contiguous CAT partitions of the LLC for one fg/bg pair
     (plus the three global policies as reference points) and report the

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.classify import PairClass, PairVerdict, classify_pair
-from repro.core.experiment import ExperimentConfig, Jitter
 from repro.core.report import csv_table, text_heatmap
 from repro.errors import ExperimentError
+from repro.sched.classify import PairClass, PairVerdict, classify_pair
 from repro.session.base import Runner
 from repro.session.registry import register_runner
 from repro.session.scenario import ScenarioSet
+from repro.session.session import ExperimentConfig, Jitter
 
 
 @dataclass
@@ -106,7 +106,7 @@ def cell_value(
     return measured / fg_solo_runtime_s
 
 
-@register_runner("fig5", title="625-pair consolidation heat map", order=50)
+@register_runner("fig5")
 class ConsolidationRunner(Runner):
     """Fig 5 through the session substrate (subsets allowed).
 

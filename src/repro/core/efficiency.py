@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.report import ascii_table
 from repro.errors import ExperimentError
 from repro.machine.energy import EnergySpec, energy_of_window
 from repro.session.base import Runner
 from repro.session.registry import register_runner
 from repro.session.scenario import Scenario
+from repro.tables import ascii_table
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,7 @@ class EfficiencyResult:
         )
 
 
-@register_runner(
-    "efficiency",
-    title="consolidation energy/throughput trade-off (extension)",
-    artifact=False,
-    order=130,
-)
+@register_runner("efficiency")
 class EfficiencyRunner(Runner):
     """Time-shared vs consolidated comparison through the session."""
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import mean
 
-from repro.core.classify import PairClass
 from repro.core.consolidation import ConsolidationMatrix
-from repro.core.report import ascii_table
+from repro.sched.classify import PairClass
 from repro.session.base import Runner
 from repro.session.registry import register_runner
+from repro.tables import ascii_table
 from repro.workloads.registry import suite_of
 
 
@@ -124,12 +124,7 @@ class MatrixInsights:
         return "\n".join(lines)
 
 
-@register_runner(
-    "insights",
-    title="derived Section V findings from the Fig 5 matrix",
-    artifact=False,
-    order=110,
-)
+@register_runner("insights")
 class InsightsRunner(Runner):
     """Matrix insights: reuses the session's Fig 5 record."""
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import mean
 
-from repro.core.report import ascii_table
 from repro.errors import ExperimentError
 from repro.session.base import Runner
 from repro.session.registry import register_runner
+from repro.tables import ascii_table
 from repro.workloads.calibration import SUITES
 from repro.workloads.registry import suite_of
 
@@ -63,7 +63,7 @@ class MiniBenchResult:
         )
 
 
-@register_runner("fig6", title="co-run with Bandit / STREAM", order=70)
+@register_runner("fig6")
 class MiniBenchRunner(Runner):
     """Fig 6: a consolidation sweep against the two mini-benchmarks.
 

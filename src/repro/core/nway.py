@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.classify import VICTIM_THRESHOLD, NWayVerdict, classify_nway
-from repro.core.report import ascii_table
 from repro.errors import ScenarioError
+from repro.sched.classify import VICTIM_THRESHOLD, NWayVerdict, classify_nway
 from repro.session.base import Runner
 from repro.session.registry import register_runner
 from repro.session.scenario import (
@@ -38,6 +37,7 @@ from repro.session.scenario import (
     ScenarioResult,
     ScenarioSet,
 )
+from repro.tables import ascii_table
 
 
 def rotation_verdicts(
@@ -133,12 +133,7 @@ def render_scenario_result(sres: ScenarioResult) -> str:
     )
 
 
-@register_runner(
-    "scenario",
-    title="one declarative consolidation scenario (extension)",
-    artifact=False,
-    order=145,
-)
+@register_runner("scenario")
 class ScenarioRunner(Runner):
     """Run one :class:`Scenario` through the session (CLI: ``repro
     scenario run <app:threads> ...``); defaults to a small N-way
@@ -296,12 +291,7 @@ def default_sweep(session, *, llc_policy: str | None = None, smt: bool = False) 
     return sweep
 
 
-@register_runner(
-    "scenario-set",
-    title="persisted ScenarioSet sweep with per-cell provenance (extension)",
-    artifact=False,
-    order=147,
-)
+@register_runner("scenario-set")
 class ScenarioSetRunner(Runner):
     """Persist a whole :class:`ScenarioSet` sweep as one artifact.
 
@@ -520,12 +510,7 @@ class NWayDegradationTable:
         return table
 
 
-@register_runner(
-    "consolidate-n",
-    title="N-way consolidation degradation table (extension)",
-    artifact=False,
-    order=146,
-)
+@register_runner("consolidate-n")
 class NWayConsolidationRunner(Runner):
     """Every size-N combination of the workload pool, each member taking
     a turn as the measured foreground — the degradation surface the

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.report import ascii_table
 from repro.engine import CoRunResult
 from repro.session.base import Runner
 from repro.session.registry import register_runner
 from repro.session.scenario import Scenario
+from repro.tables import ascii_table
 from repro.tools.pcm import PcmMemoryMonitor
 from repro.units import GB
 
@@ -97,7 +97,7 @@ def _pair_row(
     )
 
 
-@register_runner("table3", title="problematic-pair bandwidth", order=60)
+@register_runner("table3")
 class PairBandwidthRunner(Runner):
     """Table III through the session substrate.
 

@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.consolidation import ConsolidationMatrix
-from repro.core.experiment import ExperimentConfig
 from repro.errors import ExperimentError
 from repro.session.base import Runner
 from repro.session.registry import register_runner
 from repro.session.scenario import AppPlacement, Scenario
+from repro.session.session import ExperimentConfig, Session
 from repro.trace.mrc import MissRatioCurve
 from repro.units import KiB, MiB
 from repro.workloads.base import CodeRegion, RegionProfile, WorkloadProfile
@@ -157,8 +157,6 @@ class BubbleUpPredictor:
         executor.  Without ``session`` a fresh ``Session(self.config)``
         measures them.
         """
-        from repro.session import Session
-
         apps = apps if apps is not None else self.config.workloads
         if session is None:
             session = Session(self.config)
@@ -266,12 +264,7 @@ class PredictionReport:
         return "\n".join(lines)
 
 
-@register_runner(
-    "predict",
-    title="Bubble-Up prediction vs engine ground truth (extension)",
-    artifact=False,
-    order=120,
-)
+@register_runner("predict")
 class PredictorRunner(Runner):
     """Fit the O(N) predictor and score it against the session's Fig 5."""
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.core.report import ascii_table
 from repro.errors import ExperimentError
 from repro.session.base import Runner
 from repro.session.registry import register_runner
+from repro.tables import ascii_table
 from repro.workloads.calibration import SUITES
 from repro.workloads.registry import suite_of
 
@@ -49,7 +49,7 @@ class PrefetchResult:
         )
 
 
-@register_runner("fig4", title="prefetcher sensitivity (MSR 0x1A4)", order=40)
+@register_runner("fig4")
 class PrefetchSensitivityRunner(Runner):
     """Fig 4 through the session substrate: the prefetcher-off engine is
     a second engine configuration with its own fingerprinted solo cache."""

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.report import ascii_table
 from repro.engine.results import RegionMetrics
 from repro.errors import ExperimentError
 from repro.session.base import Runner
 from repro.session.registry import register_runner
 from repro.session.scenario import Scenario
+from repro.tables import ascii_table
 from repro.tools.vtune import VtuneProfiler
 from repro.workloads.registry import get_profile
 
@@ -124,7 +124,7 @@ def _gemini_subjects(backgrounds: tuple[str, ...]) -> tuple[tuple[str, str, tupl
     )
 
 
-@register_runner("fig7", title="Gemini metrics under STREAM", order=80)
+@register_runner("fig7")
 class GeminiVsStreamRunner(Runner):
     """Fig 7: GeminiGraph applications co-running with STREAM."""
 
@@ -135,7 +135,7 @@ class GeminiVsStreamRunner(Runner):
         return result.render("Fig 7: Gemini applications co-running with Stream")
 
 
-@register_runner("fig8", title="Gemini metrics under real offenders", order=81)
+@register_runner("fig8")
 class GeminiVsOffendersRunner(Runner):
     """Fig 8: GeminiGraph applications vs IRSmk / fotonik3d / CIFAR."""
 
@@ -146,7 +146,7 @@ class GeminiVsOffendersRunner(Runner):
         return result.render("Fig 8: Gemini applications co-running with offenders")
 
 
-@register_runner("table4", title="region-level profiles (gather / UUS)", order=90)
+@register_runner("table4")
 class Table4Runner(Runner):
     """Table IV: P-PR (gather) and fotonik3d (UUS) region profiles."""
 

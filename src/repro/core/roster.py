@@ -10,16 +10,16 @@ shared caches.
 
 from __future__ import annotations
 
-from repro.core.report import ascii_table
 from repro.core.scalability import classify_speedup
 from repro.session.base import Runner
 from repro.session.registry import register_runner
+from repro.tables import ascii_table
 from repro.tools.vtune import VtuneProfiler
 from repro.units import GB
 from repro.workloads.registry import list_workloads, suite_of
 
 
-@register_runner("table1", title="application roster", order=10)
+@register_runner("table1")
 class RosterRunner(Runner):
     """Table I: applications chosen for each suite."""
 
@@ -34,12 +34,7 @@ class RosterRunner(Runner):
         )
 
 
-@register_runner(
-    "solo",
-    title="full solo characterization card per workload",
-    artifact=False,
-    order=100,
-)
+@register_runner("solo")
 class SoloCardRunner(Runner):
     """One characterization card per configured workload."""
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.core.report import ascii_table
 from repro.errors import ExperimentError
 from repro.session.base import Runner
 from repro.session.registry import register_runner
+from repro.tables import ascii_table
 from repro.workloads.calibration import SUITES
 from repro.workloads.registry import suite_of
 
@@ -96,7 +96,7 @@ class ScalabilityResult:
         )
 
 
-@register_runner("fig2", title="thread scalability curves", order=20)
+@register_runner("fig2")
 class ScalabilityRunner(Runner):
     """Fig 2 through the session substrate (solo runs shared)."""
 
@@ -123,7 +123,7 @@ class ScalabilityRunner(Runner):
         return result.render_fig2()
 
 
-@register_runner("table2", title="Low/Medium/High scalability classes", order=21)
+@register_runner("table2")
 class ScalabilityClassRunner(Runner):
     """Table II: same measurement as Fig 2, rendered as classes."""
 

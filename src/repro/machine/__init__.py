@@ -12,17 +12,8 @@ Public surface:
   memory bus's queueing-delay curve the interval engine uses.
 """
 
-from repro.machine.cache import AccessOutcome, CacheStats, SetAssociativeCache
-from repro.machine.energy import EnergyBreakdown, EnergySpec, energy_of_run, energy_of_window
-from repro.machine.hierarchy import CoreCacheHierarchy
+from repro._lazy import lazy_exports
 from repro.machine.memory import queueing_latency_multiplier
-from repro.machine.prefetcher import (
-    CorePrefetchers,
-    L1IpStridePrefetcher,
-    L1NextLinePrefetcher,
-    L2AdjacentLinePrefetcher,
-    L2StreamerPrefetcher,
-)
 from repro.machine.spec import (
     CacheSpec,
     MachineSpec,
@@ -54,3 +45,17 @@ __all__ = [
     "small_test_machine",
     "xeon_e5_4650",
 ]
+
+# The trace profiler's cache model and the energy accounting of the
+# efficiency study: no engine solve or admission runs them.
+__getattr__ = lazy_exports(__name__, {
+    "repro.machine.cache": ("AccessOutcome", "CacheStats", "SetAssociativeCache"),
+    "repro.machine.energy": (
+        "EnergyBreakdown", "EnergySpec", "energy_of_run", "energy_of_window",
+    ),
+    "repro.machine.hierarchy": ("CoreCacheHierarchy",),
+    "repro.machine.prefetcher": (
+        "CorePrefetchers", "L1IpStridePrefetcher", "L1NextLinePrefetcher",
+        "L2AdjacentLinePrefetcher", "L2StreamerPrefetcher",
+    ),
+})

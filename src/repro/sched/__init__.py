@@ -2,10 +2,12 @@
 
 PRs 1-5 built the measurement machinery: any N-way placement with CAT
 way masks and pinning can be simulated (Scenario API), classified
-(:func:`~repro.core.classify.classify_nway`) and persisted
+(:func:`~repro.sched.classify.classify_nway`) and persisted
 (ResultStore).  This package is the payoff the ROADMAP names first —
 something that *decides* placements with that machinery:
 
+* :mod:`~repro.sched.classify` — Section V's victim/offender taxonomy
+  and its 1.5x threshold, shared with the paper artifacts;
 * :mod:`~repro.sched.cluster` — the cluster state: named machines,
   resident tenants, slot/core/way capacity, engine-ready layouts;
 * :mod:`~repro.sched.trace` — deterministic seeded arrival traces
@@ -14,8 +16,9 @@ something that *decides* placements with that machinery:
   per-tenant slowdowns via foreground rotation through the Session,
   with the result store as the scheduler's warm cache;
 * :mod:`~repro.sched.policy` — candidate enumeration (shared / CAT /
-  pinned variants) and the two shipped policies: the naive slot
-  bin-packer and the SLO-guarded interference-aware one;
+  pinned variants), the CAT way-mask helpers, and the two shipped
+  policies: the naive slot bin-packer and the SLO-guarded
+  interference-aware one;
 * :mod:`~repro.sched.scheduler` — the event-driven :class:`Scheduler`
   and :func:`replay_trace`: simulated time where interference
   stretches residency, per-tenant slowdown percentiles, SLO
@@ -24,8 +27,8 @@ something that *decides* placements with that machinery:
   (``repro sched replay``) comparing policies head to head.
 """
 
+from repro._lazy import lazy_exports
 from repro.sched.cluster import Cluster, Machine, Tenant, cores_needed
-from repro.sched.driver import LocalPort, SchedulerPort, drive_trace
 from repro.sched.policy import (
     POLICIES,
     BaselinePolicy,
@@ -40,7 +43,6 @@ from repro.sched.policy import (
     enumerate_layouts,
     get_policy,
 )
-from repro.sched.runner import DEFAULT_POLICIES, ReplayComparison, SchedReplayRunner
 from repro.sched.scheduler import (
     HourBucket,
     ReplayReport,
@@ -87,3 +89,10 @@ __all__ = [
     "percentile",
     "replay_trace",
 ]
+
+# What a replay runs (the ``sched-replay`` artifact and the trace
+# driver), not a live admission.
+__getattr__ = lazy_exports(__name__, {
+    "repro.sched.driver": ("LocalPort", "SchedulerPort", "drive_trace"),
+    "repro.sched.runner": ("DEFAULT_POLICIES", "ReplayComparison", "SchedReplayRunner"),
+})

@@ -36,15 +36,63 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.catsweep import contiguous_split, equal_way_shares, way_partition
-from repro.core.classify import VICTIM_THRESHOLD
-from repro.errors import SchedError
+from repro.errors import ScenarioError, SchedError
+from repro.sched.classify import VICTIM_THRESHOLD
 from repro.sched.cluster import Cluster, Machine, Tenant, cores_needed
 from repro.sched.score import PlacementEvaluator
 from repro.session.scenario import AppPlacement
 
 #: Variant enumeration order — also the deterministic tie-break rank.
 VARIANTS = ("shared", "cat", "pinned")
+
+
+# -- CAT way masks ----------------------------------------------------------
+
+
+def contiguous_split(n_ways: int, fg_ways: int) -> tuple[int, int]:
+    """The (fg, bg) bitmaps of a contiguous two-way partition: the
+    foreground owns the top ``fg_ways`` ways, the background the rest
+    (``contiguous_split(8, 4) == (0xF0, 0x0F)``)."""
+    if not 1 <= fg_ways < n_ways:
+        raise ScenarioError(
+            f"fg_ways must lie in [1, {n_ways - 1}], got {fg_ways}"
+        )
+    bg_ways = n_ways - fg_ways
+    return ((1 << fg_ways) - 1) << bg_ways, (1 << bg_ways) - 1
+
+
+def equal_way_shares(n_ways: int, parts: int) -> tuple[int, ...]:
+    """``parts`` way counts as equal as integers allow (larger shares
+    first), summing to ``n_ways`` — the share vector an N-way equal
+    re-partition hands to :func:`way_partition`."""
+    if parts < 1:
+        raise ScenarioError(f"parts must be >= 1, got {parts}")
+    if parts > n_ways:
+        raise ScenarioError(
+            f"cannot split {n_ways} way(s) into {parts} non-empty share(s)"
+        )
+    base, extra = divmod(n_ways, parts)
+    return tuple(base + (1 if i < extra else 0) for i in range(parts))
+
+
+def way_partition(n_ways: int, shares: "tuple[int, ...] | list[int]") -> tuple[int, ...]:
+    """Disjoint contiguous way bitmaps covering the whole LLC, one per
+    share, first share on top (``way_partition(8, (4, 4)) ==
+    contiguous_split(8, 4)``).  Generalizes the two-way split to the
+    N-way layouts a multi-tenant re-partition needs."""
+    shares = tuple(shares)
+    if not shares or any(s < 1 for s in shares):
+        raise ScenarioError(f"every share needs >= 1 way, got {shares}")
+    if sum(shares) != n_ways:
+        raise ScenarioError(
+            f"shares {shares} must sum to the {n_ways} LLC ways"
+        )
+    masks: list[int] = []
+    top = n_ways
+    for s in shares:
+        masks.append(((1 << s) - 1) << (top - s))
+        top -= s
+    return tuple(masks)
 
 
 @dataclass(frozen=True)
@@ -158,7 +206,7 @@ def enumerate_layouts(machine: Machine) -> list[Layout]:
     """Every re-partition of a machine's *current* residents, in
     :data:`VARIANTS` order: ``shared`` (masks and pins cleared), ``cat``
     (an equal N-way contiguous way partition — the
-    :func:`~repro.core.catsweep.way_partition` shape), and ``pinned``
+    :func:`way_partition` shape), and ``pinned``
     (disjoint contiguous core blocks) when capacity allows.  Machines
     with fewer than two residents have nothing to arbitrate and
     enumerate nothing (eviction already canonicalizes them)."""

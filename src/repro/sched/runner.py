@@ -20,14 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.classify import VICTIM_THRESHOLD
-from repro.core.report import ascii_table
 from repro.errors import SchedError
+from repro.sched.classify import VICTIM_THRESHOLD
 from repro.sched.scheduler import ReplayReport, replay_trace
 from repro.sched.score import PlacementEvaluator
 from repro.sched.trace import ArrivalTrace, parse_trace
 from repro.session.base import Runner
 from repro.session.registry import register_runner
+from repro.tables import ascii_table
 
 #: Default policies of a comparison, in presentation order.
 DEFAULT_POLICIES = ("baseline", "interference")
@@ -81,12 +81,7 @@ class ReplayComparison:
         return table + "".join(r.render() for r in self.reports)
 
 
-@register_runner(
-    "sched-replay",
-    title="placement policies replayed over a seeded arrival trace (extension)",
-    artifact=False,
-    order=150,
-)
+@register_runner("sched-replay")
 class SchedReplayRunner(Runner):
     """Replay one arrival trace under each policy; the store doubles as
     the scheduler's warm cache, so repeated candidate scenarios are

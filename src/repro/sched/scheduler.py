@@ -38,9 +38,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.core.classify import VICTIM_THRESHOLD
-from repro.core.report import ascii_table
 from repro.errors import SchedError
+from repro.sched.classify import VICTIM_THRESHOLD
 from repro.sched.cluster import Cluster, Tenant
 from repro.sched.policy import (
     Decision,
@@ -53,6 +52,7 @@ from repro.sched.policy import (
 )
 from repro.sched.score import PlacementEvaluator
 from repro.sched.trace import ArrivalTrace
+from repro.tables import ascii_table
 from repro.telemetry.tracer import get_tracer
 
 logger = logging.getLogger(__name__)

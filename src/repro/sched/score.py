@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from repro.core.classify import VICTIM_THRESHOLD, NWayVerdict, classify_nway
 from repro.machine.spec import MachineSpec
+from repro.sched.classify import VICTIM_THRESHOLD, NWayVerdict, classify_nway
 from repro.session.scenario import AppPlacement, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -22,9 +22,9 @@ drives a whole trace in-process); this package makes it a *daemon*:
 CLI: ``repro serve start|submit|drain|stop|metrics``.
 """
 
+from repro._lazy import lazy_exports
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeDaemon
-from repro.serve.drain import DrainResult, RemotePort, drain_trace
 from repro.serve.http import Request, read_request, read_response
 
 __all__ = [
@@ -37,3 +37,8 @@ __all__ = [
     "read_request",
     "read_response",
 ]
+
+# ``serve drain``'s trace driver.
+__getattr__ = lazy_exports(__name__, {
+    "repro.serve.drain": ("DrainResult", "RemotePort", "drain_trace"),
+})

@@ -51,8 +51,8 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any
 
-from repro.core.classify import VICTIM_THRESHOLD
 from repro.errors import ReproError, ServeError
+from repro.sched.classify import VICTIM_THRESHOLD
 from repro.sched.cluster import Cluster, Tenant
 from repro.sched.policy import get_policy
 from repro.sched.scheduler import Scheduler, percentile

@@ -5,7 +5,7 @@ and scenario caches, the seeded jitter model and a pluggable executor;
 each paper artifact is a registered :class:`Runner` returning a
 structured :class:`RunRecord`::
 
-    from repro import ExperimentConfig, Session
+    from repro.session import ExperimentConfig, Session
 
     session = Session(ExperimentConfig(), executor="parallel")
     record = session.run("fig5")
@@ -33,12 +33,14 @@ from repro.session.scenario import (
     parse_placement,
     parse_way_mask,
 )
-from repro.session.session import CacheStats, Session
+from repro.session.session import CacheStats, ExperimentConfig, Jitter, Session
 
 __all__ = [
     "AppPlacement",
     "CacheStats",
     "Executor",
+    "ExperimentConfig",
+    "Jitter",
     "MIN_PARALLEL_CELLS",
     "ParallelExecutor",
     "RunRecord",

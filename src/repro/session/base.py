@@ -13,8 +13,11 @@ or an extension study) behind a uniform interface:
   round-trips.
 
 Concrete runners live next to their result types in ``repro.core.*``
+(and ``repro.sched.runner`` / ``repro.traffic.runner``), are listed in
+the registry's table (:data:`~repro.session.registry.BUILTIN_RUNNERS`)
 and register themselves with
-:func:`~repro.session.registry.register_runner`.
+:func:`~repro.session.registry.register_runner` when their module is
+first imported.
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ what lets the three backends produce identical bits.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.errors import ExperimentError
@@ -97,6 +96,10 @@ class ParallelExecutor:
         cells = sum(len(b) for b in items)
         if len(items) <= 1 or cells < MIN_PARALLEL_CELLS:
             return [fn(b) for b in items]
+        # Imported here: the pool pulls in multiprocessing, which no
+        # serial or in-process fan-out needs.
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
                 return list(pool.map(fn, items, chunksize=1))

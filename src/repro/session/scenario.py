@@ -60,15 +60,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
-from repro.core.experiment import ExperimentConfig
 from repro.engine import BatchCell, IntervalEngine, ScenarioRunResult
 from repro.engine.interval import LLC_POLICIES
 from repro.errors import ScenarioError
 from repro.session.base import fingerprint
 from repro.workloads.base import WorkloadProfile
 from repro.workloads.registry import get_profile
+
+if TYPE_CHECKING:
+    from repro.session.session import ExperimentConfig
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ to construct privately:
   ``engine fingerprint x canonical Scenario`` — every cacheable cell,
   the paper's pairs included, so Table III's five pairs and Fig 8's
   offender cells are free once the Fig 5 sweep ran;
-* the seeded :class:`~repro.core.experiment.Jitter` model, keyed
-  per-measurement so results do not depend on iteration order (which is
-  what makes the parallel executor bit-identical to the serial one);
+* the :class:`ExperimentConfig` it runs and the seeded :class:`Jitter`
+  model, keyed per-measurement so results do not depend on iteration
+  order (which is what makes the parallel executor bit-identical to
+  the serial one);
 * a pluggable :class:`~repro.session.executors.Executor` that shards
   the batch engine's solves over a process or thread pool;
 * optionally a persistent :class:`~repro.store.store.ResultStore`
@@ -40,18 +41,22 @@ from __future__ import annotations
 
 import inspect
 import logging
+import statistics
 import time
-from dataclasses import asdict, dataclass, replace
+import zlib
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Iterable
 
-from repro.core.experiment import ExperimentConfig, Jitter
+import numpy as np
+
 from repro.engine import (
     EngineConfig,
     IntervalEngine,
     ScenarioRunResult,
     SoloRunResult,
 )
-from repro.machine.spec import MachineSpec
+from repro.errors import ExperimentError
+from repro.machine.spec import MachineSpec, xeon_e5_4650
 from repro.session.base import fingerprint
 from repro.session.executors import Executor, resolve_executor
 from repro.session.record import RunRecord
@@ -67,11 +72,75 @@ from repro.session.scenario import (
 )
 from repro.telemetry.tracer import get_tracer
 from repro.workloads.base import WorkloadProfile
+from repro.workloads.calibration import APPLICATIONS
 from repro.workloads.registry import get_profile
 
-__all__ = ["CacheStats", "Session", "fingerprint"]
+__all__ = ["CacheStats", "ExperimentConfig", "Jitter", "Session", "fingerprint"]
 
 logger = logging.getLogger(__name__)
+
+
+@dataclass
+class ExperimentConfig:
+    """Common knobs for all experiments: which applications, how many
+    threads (the paper pins 4 per app), how many repetitions (the paper
+    runs each pair three times), and the seeded :class:`Jitter` model
+    that exercises the repetition protocol the way real hardware does."""
+
+    threads: int = 4
+    repetitions: int = 3
+    #: Fractional stddev of multiplicative measurement noise applied to
+    #: runtimes per repetition (0 disables the jitter model).
+    jitter: float = 0.01
+    seed: int = 0
+    workloads: tuple[str, ...] = APPLICATIONS
+    spec: MachineSpec = field(default_factory=xeon_e5_4650)
+    engine_config: EngineConfig = field(default_factory=EngineConfig)
+
+    def __post_init__(self) -> None:
+        if self.repetitions < 1:
+            raise ExperimentError("repetitions must be >= 1")
+        if self.jitter < 0:
+            raise ExperimentError("jitter must be >= 0")
+        if not self.workloads:
+            raise ExperimentError("need at least one workload")
+
+    def make_engine(self) -> IntervalEngine:
+        """A fresh engine honouring this config."""
+        return IntervalEngine(spec=self.spec, config=self.engine_config)
+
+
+class Jitter:
+    """Seeded multiplicative measurement noise (the 'three runs' model).
+
+    Constructed bare, draws come from one sequential stream seeded by
+    ``config.seed``.  Constructed via :meth:`for_key`, the stream is
+    derived from ``(config.seed, key)`` so each named measurement gets
+    its own independent, order-free noise — the property that lets the
+    parallel executor reproduce the serial sweep bit-for-bit.
+    """
+
+    def __init__(self, config: ExperimentConfig, *, key: str | None = None) -> None:
+        if key is None:
+            self._rng = np.random.default_rng(config.seed)
+        else:
+            # crc32 (not hash()) so the derivation is stable across
+            # processes and interpreter runs.
+            self._rng = np.random.default_rng([config.seed, zlib.crc32(key.encode())])
+        self._sigma = config.jitter
+        self._reps = config.repetitions
+
+    @classmethod
+    def for_key(cls, config: ExperimentConfig, *parts: object) -> "Jitter":
+        """Jitter stream for one named measurement (e.g. a Fig 5 cell)."""
+        return cls(config, key="|".join(str(p) for p in parts))
+
+    def measure(self, true_value: float) -> float:
+        """Median of ``repetitions`` noisy observations of a value."""
+        if self._sigma == 0 or true_value == 0:
+            return true_value
+        obs = true_value * (1.0 + self._rng.normal(0.0, self._sigma, self._reps))
+        return float(statistics.median(obs))
 
 
 @dataclass
@@ -235,6 +304,23 @@ class Session:
         name, and only registry-resolved profiles are guaranteed stable
         under one engine fingerprint.
         """
+        unsaved: "list[tuple[str, str, int, SoloRunResult]]" = []
+        res = self._solo(name, threads, engine_config, profile, spec, unsaved)
+        for entry in unsaved:
+            self.store.put_solo(*entry)
+        return res
+
+    def _solo(
+        self,
+        name: str,
+        threads: int,
+        engine_config: EngineConfig | None,
+        profile: WorkloadProfile | None,
+        spec: MachineSpec | None,
+        unsaved: "list[tuple[str, str, int, SoloRunResult]]",
+    ) -> SoloRunResult:
+        """:meth:`solo`, leaving a fresh result's store put in
+        ``unsaved`` for the caller to write."""
         engine_fp = self.engine_fingerprint(engine_config, spec)
         key = (engine_fp, name, threads)
         hit = self._solos.get(key)
@@ -252,7 +338,7 @@ class Session:
         res = self.engine(engine_config, spec).solo_run(prof, threads=threads)
         self._solos[key] = res
         if self.store is not None and profile is None:
-            self.store.put_solo(engine_fp, name, threads, res)
+            unsaved.append((engine_fp, name, threads, res))
         return res
 
     def solo_runtime(
@@ -306,30 +392,22 @@ class Session:
         scenario: Scenario,
         engine_config: EngineConfig,
         spec: MachineSpec | None,
+        unsaved: "list[tuple[str, str, int, SoloRunResult]]",
     ) -> tuple[float, tuple[float, ...]]:
         """Resolve a scenario's solo references through the shared cache
         (honouring per-placement overrides), so serial loops and pool
-        workers all see identical floats."""
+        workers all see identical floats.  Fresh solo results are left
+        in ``unsaved`` for the pass to write."""
         fg = scenario.placements[0]
-        fg_runtime = self.solo(
-            fg.workload,
-            threads=fg.threads,
-            engine_config=engine_config,
-            profile=fg.profile,
-            spec=spec,
+        fg_runtime = self._solo(
+            fg.workload, fg.threads, engine_config, fg.profile, spec, unsaved
         ).runtime_s
         rates: list[float] = []
         for p in scenario.placements[1:]:
             if p.solo_rate_override is not None:
                 rates.append(p.solo_rate_override)
                 continue
-            solo = self.solo(
-                p.workload,
-                threads=p.threads,
-                engine_config=engine_config,
-                profile=p.profile,
-                spec=spec,
-            )
+            solo = self._solo(p.workload, p.threads, engine_config, p.profile, spec, unsaved)
             rates.append(solo.metrics.total.instructions / solo.runtime_s)
         return fg_runtime, tuple(rates)
 
@@ -402,9 +480,10 @@ class Session:
         solved).  With :attr:`engine_batch` (the default) and at least
         two cells to solve, they go through the batch engine sharded
         over the executor; otherwise each is solved in process by the
-        scalar :meth:`IntervalEngine.scenario_run`.  Fresh results are
-        cached and written behind to the store, under one hold of its
-        shared lock (:meth:`~repro.store.store.ResultStore.writing`).
+        scalar :meth:`IntervalEngine.scenario_run`.  Fresh results, and
+        the solo references the pass simulated for them, are cached and
+        written behind to the store after the solve, under one hold of
+        its shared lock (:meth:`~repro.store.store.ResultStore.writing`).
         The returned list is bit-identical either way, whatever the
         executor.
         """
@@ -431,6 +510,7 @@ class Session:
         keys: "list[tuple[str, Scenario] | None]" = []
         planned: dict[tuple[str, Scenario], int] = {}
         owner: dict[int, int] = {}  # cell index -> task index
+        unsaved_solos: "list[tuple[str, str, int, SoloRunResult]]" = []
         for i, s in enumerate(scens):
             engine_fp, engine_config, spec, canon = self._scenario_parts(s)
             key = (engine_fp, canon) if s.cacheable else None
@@ -453,7 +533,7 @@ class Session:
                         tiers[i] = "disk"
                         continue
                 planned[key] = len(tasks)
-            fg_runtime, rates = self._scenario_solo_refs(s, engine_config, spec)
+            fg_runtime, rates = self._scenario_solo_refs(s, engine_config, spec, unsaved_solos)
             owner[i] = len(tasks)
             tasks.append(_ScenarioTask(s, fg_runtime, rates))
             parts.append((engine_fp, engine_config, spec))
@@ -471,7 +551,11 @@ class Session:
                 self.stats.scenario_misses += 1
                 self._scenarios[key] = res
             if self.store is not None:
-                with self.store.writing():  # one lock hold for the pass
+                # One lock hold for the pass, taken after the solve: the
+                # solo references it simulated, then its cells.
+                with self.store.writing():
+                    for entry in unsaved_solos:
+                        self.store.put_solo(*entry)
                     for key, res in fresh:
                         self._save(*key, res)
             for i, j in owner.items():

@@ -98,7 +98,7 @@ as misses, never as data, and skipped foreign-schema index lines raise
 a one-time :class:`~repro.errors.StoreWarning`.
 """
 
-from repro.store.campaign import parse_shard, run_campaign, shard_names
+from repro._lazy import lazy_exports
 from repro.store.codec import (
     decode_corun,
     decode_scenario_result,
@@ -108,16 +108,6 @@ from repro.store.codec import (
     encode_solo,
 )
 from repro.store.locking import FileLock, store_lock
-from repro.store.manifest import (
-    build_manifest,
-    build_manifest_from_store,
-    diff_manifests,
-    load_manifest,
-    render_diff,
-    write_manifest,
-    write_manifest_from_store,
-)
-from repro.store.migration import migrate
 from repro.store.store import (
     RECORD_SCHEMA,
     SCHEMA_VERSION,
@@ -156,3 +146,13 @@ __all__ = [
     "write_manifest",
     "write_manifest_from_store",
 ]
+
+# The campaign, manifest and migration verbs' own modules.
+__getattr__ = lazy_exports(__name__, {
+    "repro.store.campaign": ("parse_shard", "run_campaign", "shard_names"),
+    "repro.store.manifest": (
+        "build_manifest", "build_manifest_from_store", "diff_manifests", "load_manifest",
+        "render_diff", "write_manifest", "write_manifest_from_store",
+    ),
+    "repro.store.migration": ("migrate",),
+})

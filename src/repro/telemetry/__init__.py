@@ -42,15 +42,7 @@ byte-identical (timestamps live only in the out-of-band sink); the
 test suite and CI ``store diff`` that invariant.
 """
 
-from repro.telemetry.export import (
-    chrome_trace,
-    metrics_snapshot,
-    read_events,
-    read_spans,
-    render_summary,
-    summarize,
-    summary_rows,
-)
+from repro._lazy import lazy_exports
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
@@ -95,3 +87,11 @@ __all__ = [
     "summarize",
     "summary_rows",
 ]
+
+# The ``trace show|export|summary`` readers.
+__getattr__ = lazy_exports(__name__, {
+    "repro.telemetry.export": (
+        "chrome_trace", "metrics_snapshot", "read_events", "read_spans", "render_summary",
+        "summarize", "summary_rows",
+    ),
+})

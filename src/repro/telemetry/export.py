@@ -212,7 +212,7 @@ def summary_rows(summary: dict[str, Any]) -> list[list[str]]:
 
 def render_summary(summary: dict[str, Any]) -> str:
     """Human-readable ``repro trace summary`` output."""
-    from repro.core.report import ascii_table
+    from repro.tables import ascii_table
 
     rows = [
         [

@@ -2,22 +2,14 @@
 the profiler that measures a user's own kernel (the measurement
 methodology of Section III-C)."""
 
+from repro._lazy import lazy_exports
 from repro.trace.mrc import MissRatioCurve
-from repro.trace.profiler import TraceCharacterization, TraceProfiler
 from repro.trace.reuse import (
     COLD,
     miss_ratio_at,
     reuse_distances,
     reuse_distances_bruteforce,
 )
-from repro.trace.stream import (
-    AccessBatch,
-    TraceSource,
-    concat_lines,
-    take,
-    total_accesses,
-)
-from repro.trace import synth
 
 __all__ = [
     "AccessBatch",
@@ -34,3 +26,13 @@ __all__ = [
     "take",
     "total_accesses",
 ]
+
+# What measures a user's own kernel: every workload profile needs only
+# its miss-ratio curves.
+__getattr__ = lazy_exports(__name__, {
+    "repro.trace.profiler": ("TraceCharacterization", "TraceProfiler"),
+    "repro.trace.stream": (
+        "AccessBatch", "TraceSource", "concat_lines", "take", "total_accesses",
+    ),
+    "repro.trace.synth": ("synth",),
+})

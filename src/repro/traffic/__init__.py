@@ -17,6 +17,7 @@ See ``docs/trace-format.md`` for the trace schema and the
 ``diurnal:S[:H[:T]]`` / ``--traffic FILE`` spec grammar.
 """
 
+from repro._lazy import lazy_exports
 from repro.traffic.diurnal import DiurnalCurve
 from repro.traffic.mix import WorkloadComponent, WorkloadMix
 from repro.traffic.model import (
@@ -25,7 +26,6 @@ from repro.traffic.model import (
     load_model,
     parse_diurnal,
 )
-from repro.traffic.stats import TraceStats, trace_stats
 
 __all__ = [
     "DiurnalCurve",
@@ -38,3 +38,8 @@ __all__ = [
     "load_model",
     "parse_diurnal",
 ]
+
+# ``traffic stats``' per-hour summary.
+__getattr__ = lazy_exports(__name__, {
+    "repro.traffic.stats": ("TraceStats", "trace_stats"),
+})

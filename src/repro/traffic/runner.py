@@ -24,15 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.classify import VICTIM_THRESHOLD
-from repro.core.report import ascii_table
 from repro.errors import TrafficError
+from repro.sched.classify import VICTIM_THRESHOLD
 from repro.sched.runner import DEFAULT_POLICIES
 from repro.sched.scheduler import HourBucket, ReplayReport, replay_trace
 from repro.sched.score import PlacementEvaluator
 from repro.sched.trace import ArrivalTrace
 from repro.session.base import Runner
 from repro.session.registry import register_runner
+from repro.tables import ascii_table
 from repro.traffic.diurnal import DiurnalCurve
 from repro.traffic.mix import WorkloadMix
 from repro.traffic.model import DEFAULT_RATE_PER_HOUR, TrafficModel, load_model
@@ -169,12 +169,7 @@ class TrafficReplay:
         )
 
 
-@register_runner(
-    "traffic-replay",
-    title="a diurnal traffic day replayed per policy, by the hour (extension)",
-    artifact=False,
-    order=152,
-)
+@register_runner("traffic-replay")
 class TrafficReplayRunner(Runner):
     """Generate one seeded diurnal day and replay it under each policy;
     the per-hour buckets expose the peak-vs-trough story a whole-day

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.report import ascii_table
 from repro.errors import TrafficError
 from repro.sched.trace import ArrivalTrace
+from repro.tables import ascii_table
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,11 @@ from repro.core.catsweep import (
     CatSweepPoint,
     CatSweepResult,
     _chunk_positions,
-    contiguous_split,
-    equal_way_shares,
     interleaved_split,
-    way_partition,
 )
 from repro.errors import ScenarioError
 from repro.machine.spec import CacheSpec, MachineSpec
+from repro.sched.policy import contiguous_split, equal_way_shares, way_partition
 from repro.session import Session
 from repro.units import MiB
 

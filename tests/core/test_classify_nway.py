@@ -5,15 +5,15 @@ pair-reduction equivalence ``NWayVerdict(2 apps) == PairVerdict``."""
 import pytest
 
 from repro.core import ExperimentConfig
-from repro.core.classify import (
+from repro.core.nway import rotation_verdicts
+from repro.errors import ExperimentError
+from repro.sched.classify import (
     VICTIM_THRESHOLD,
     NWayVerdict,
     PairClass,
     classify_nway,
     classify_pair,
 )
-from repro.core.nway import rotation_verdicts
-from repro.errors import ExperimentError
 from repro.session import Session
 
 

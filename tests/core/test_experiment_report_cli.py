@@ -6,9 +6,10 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core import ExperimentConfig, Jitter
-from repro.core.report import ascii_table, csv_table, shade, text_heatmap
+from repro.core.report import csv_table, shade, text_heatmap
 from repro.errors import ExperimentError
 from repro.machine.spec import MachineSpec
+from repro.tables import ascii_table
 from repro.units import GB
 from repro.workloads.registry import get_profile
 

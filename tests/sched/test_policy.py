@@ -17,7 +17,7 @@ from repro.sched import (
     enumerate_candidates,
     get_policy,
 )
-from repro.core.catsweep import contiguous_split
+from repro.sched.policy import contiguous_split
 
 SPEC = xeon_e5_4650()
 

@@ -48,6 +48,11 @@ def canon(results):
     ]
 
 
+#: Where :class:`ParallelExecutor` looks the process pool up: it imports
+#: it when a map fans out, so a test swaps it there.
+POOL = "concurrent.futures.process.ProcessPoolExecutor"
+
+
 class TestBatchPath:
     def test_batch_matches_scalar_bit_for_bit(self):
         scalar = Session(make_config(), engine_batch=False).run_scenarios(sweep())
@@ -65,8 +70,6 @@ class TestBatchPath:
         assert canon(got) == canon(reference)
 
     def test_scalar_reference_solves_in_process_on_a_pool(self, monkeypatch):
-        import repro.session.executors as ex
-
         batched = Session(make_config()).run_scenarios(sweep())
         assert len(batched) > MIN_PARALLEL_CELLS  # big enough for a pool
 
@@ -74,7 +77,7 @@ class TestBatchPath:
             def __init__(self, *a, **kw):
                 raise AssertionError("scalar reference spawned a process pool")
 
-        monkeypatch.setattr(ex, "ProcessPoolExecutor", Boom)
+        monkeypatch.setattr(POOL, Boom)
         scalar = Session(
             make_config(), executor=ParallelExecutor(2), engine_batch=False
         ).run_scenarios(sweep())
@@ -163,13 +166,11 @@ class TestEvaluatorBatching:
 
 class TestExecutorFallback:
     def test_small_maps_never_touch_the_pool(self, monkeypatch):
-        import repro.session.executors as ex
-
         class Boom:
             def __init__(self, *a, **kw):
                 raise AssertionError("pool spawned for a tiny sweep")
 
-        monkeypatch.setattr(ex, "ProcessPoolExecutor", Boom)
+        monkeypatch.setattr(POOL, Boom)
         assert ParallelExecutor(2).map_batches(len, [[1, 2], [3]]) == [2, 1]
 
     @pytest.mark.parametrize(
@@ -188,7 +189,6 @@ class TestExecutorFallback:
     def test_a_dead_worker_is_an_experiment_error(self, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
 
-        import repro.session.executors as ex
         from repro.errors import ExperimentError
 
         class DeadPool:
@@ -204,7 +204,7 @@ class TestExecutorFallback:
             def map(self, *a, **kw):
                 raise BrokenProcessPool("a worker was killed")
 
-        monkeypatch.setattr(ex, "ProcessPoolExecutor", DeadPool)
+        monkeypatch.setattr(POOL, DeadPool)
         shards = [tuple(range(MIN_PARALLEL_CELLS))] * 2
         with pytest.raises(ExperimentError, match="worker process died"):
             ParallelExecutor(2).map_batches(list, shards)

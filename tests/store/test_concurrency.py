@@ -131,7 +131,9 @@ class TestOneLockPerPass:
         session.run_scenarios(self.WARM)
         return session
 
-    def test_a_cold_pass_takes_the_shared_lock_once(self, session, monkeypatch):
+    @staticmethod
+    def count_acquires(monkeypatch) -> list:
+        """Every store lock acquire from now on, as (exclusive, blocking)."""
         taken = []
         real = locking._acquire
 
@@ -140,11 +142,28 @@ class TestOneLockPerPass:
             return real(fh, exclusive=exclusive, blocking=blocking)
 
         monkeypatch.setattr(locking, "_acquire", counting)
+        return taken
+
+    def test_a_cold_pass_takes_the_shared_lock_once(self, session, monkeypatch):
+        taken = self.count_acquires(monkeypatch)
         session.run_scenarios(self.COLD)
         assert session.stats.scenario_misses == len(self.WARM) + len(self.COLD)
         assert taken == [(False, True)]
         session.run_scenarios(self.COLD)  # all memory hits: no put, no lock
         assert taken == [(False, True)]
+
+    def test_solo_references_the_pass_solves_join_its_one_hold(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "st")
+        session = Session(make_config(), store=store)
+        taken = self.count_acquires(monkeypatch)
+        session.run_scenarios(self.COLD)
+        assert session.stats.solo_misses == 4  # G-CC and swaptions at 4 and 2 threads
+        assert taken == [(False, True)]
+        assert len(store.cache_entries("solo")) == session.stats.solo_misses
+        monkeypatch.undo()
+        warm = Session(make_config(), store=ResultStore(store.root))
+        warm.run_scenarios(self.COLD)
+        assert warm.stats.solo_misses == warm.stats.scenario_misses == 0
 
     @needs_locks
     def test_gc_cannot_lock_while_the_pass_writes_and_a_second_thread_loses_nothing(

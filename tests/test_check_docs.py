@@ -78,6 +78,9 @@ class TestLineExtraction:
             "run: PYTHONPATH=src python -m repro.cli store ls --store .st":
                 [["store", "ls", "--store", ".st"]],
             "from repro import Session": [],
+            "if PYTHONPATH=src python -m repro.cli store ls --store X 2> open.err; then":
+                [["store", "ls", "--store", "X"]],
+            "repro fig5 --csv > out.txt|tee y": [["fig5", "--csv"]],
         }
         for command, expected in cases.items():
             assert check_docs.cli_invocations(command) == expected, command
