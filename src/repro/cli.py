@@ -77,7 +77,7 @@ import os
 import sys
 from pathlib import Path
 
-from repro.engine.interval import LLC_POLICIES
+from repro.engine.config import LLC_POLICIES
 from repro.errors import ReproError, SchedError, StoreError
 from repro.session import (
     ExperimentConfig,

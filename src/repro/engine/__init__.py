@@ -1,27 +1,16 @@
 """Interval engine: analytic co-execution simulation (Section V's
-methodology as a predictive model)."""
+methodology as a predictive model).
 
-from repro.engine.bandwidth import BusState, resolve_bus
-from repro.engine.batch import MAX_BATCH_SLOTS, solve_batch
-from repro.engine.interval import (
-    PREFETCH_COVERAGE,
-    PREFETCH_HIDE,
-    PREFETCH_OVERFETCH,
-    SMT_MARGINAL_THROUGHPUT,
-    BatchCell,
-    EngineConfig,
-    IntervalEngine,
-)
-from repro.engine.llc_sharing import MIN_SHARE_FRACTION, allocate_llc
-from repro.engine.results import (
-    AppMetrics,
-    BandwidthSample,
-    CoRunResult,
-    LazyTimeline,
-    RegionMetrics,
-    ScenarioRunResult,
-    SoloRunResult,
-)
+Every name resolves on first use (:mod:`repro._lazy`).  The engine's
+knobs and cells (:mod:`repro.engine.config`) and its result containers
+(:mod:`repro.engine.results`) import no numpy; the two solvers
+(:mod:`repro.engine.interval`, :mod:`repro.engine.batch`) and the
+models they stand on load when a process first asks for one of their
+names, that is when it first builds an engine or solves a batch.  A
+process that only reads results from a warm store never loads them.
+"""
+
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AppMetrics",
@@ -45,3 +34,18 @@ __all__ = [
     "resolve_bus",
     "solve_batch",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.engine.bandwidth": ("BusState", "resolve_bus"),
+    "repro.engine.batch": ("MAX_BATCH_SLOTS", "solve_batch"),
+    "repro.engine.config": ("BatchCell", "EngineConfig"),
+    "repro.engine.interval": (
+        "IntervalEngine", "PREFETCH_COVERAGE", "PREFETCH_HIDE", "PREFETCH_OVERFETCH",
+        "SMT_MARGINAL_THROUGHPUT",
+    ),
+    "repro.engine.llc_sharing": ("MIN_SHARE_FRACTION", "allocate_llc"),
+    "repro.engine.results": (
+        "AppMetrics", "BandwidthSample", "CoRunResult", "LazyTimeline", "RegionMetrics",
+        "ScenarioRunResult", "SoloRunResult",
+    ),
+})

@@ -38,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.engine.bandwidth import MIX_SENSITIVITY, ROW_HIT_BONUS
+from repro.engine.config import BatchCell
 from repro.engine.interval import (
     LLC_PRESSURE_EXP,
     PREFETCH_COVERAGE,
@@ -48,7 +49,6 @@ from repro.engine.interval import (
     _MAX_ITER,
     _MAX_STEPS,
     _TOL,
-    BatchCell,
 )
 from repro.engine.llc_sharing import MIN_SHARE_FRACTION, allocate_llc_groups, way_groups
 from repro.engine.results import (
@@ -440,7 +440,6 @@ class _BatchRunner:
         region_i = np.zeros((C, S), dtype=np.int64)
         instr_done = np.zeros((C, S))
         total_instr = np.zeros((C, S))
-        runs_completed = np.zeros((C, S), dtype=np.int64)
         visited = np.zeros((C, S, self.RT), dtype=bool)
         acc = {
             k: np.zeros((C, S, self.RN))
@@ -830,7 +829,6 @@ class _BatchRunner:
                 nxt = int(region_i[c, s]) + 1
                 if nxt >= self.n_regions[c][s]:
                     nxt = 0
-                    runs_completed[c, s] += 1
                     if s == 0:
                         active[c] = False
                         finished = True

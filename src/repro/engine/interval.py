@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 from repro.errors import EngineError
 from repro.engine.bandwidth import resolve_bus
+from repro.engine.config import BatchCell, EngineConfig
 from repro.engine.llc_sharing import allocate_llc, allocate_llc_groups, way_groups
 from repro.engine.results import (
     AppMetrics,
@@ -62,8 +63,6 @@ _TOL = 1e-5
 _DAMP = 0.5
 #: Step-count safety valve.
 _MAX_STEPS = 200_000
-#: Valid LLC sharing policies (the CAT-style partitioning axis).
-LLC_POLICIES = ("pressure", "even", "static")
 
 
 @dataclass
@@ -76,7 +75,6 @@ class _LiveApp:
     metrics: AppMetrics
     region_i: int = 0
     instr_done_in_region: float = 0.0
-    runs_completed: int = 0
     finished: bool = False
     total_instructions: float = 0.0
     #: CAT way-mask bitmap restricting this app's LLC reach; ``None``
@@ -111,45 +109,6 @@ class _PhaseSolution:
     bytes_per_s: float      # app-wide bus traffic
     llc_miss_ratio: float
     llc_alloc_bytes: float
-
-
-@dataclass
-class EngineConfig:
-    """Tunable engine knobs (ablation benches sweep these)."""
-
-    prefetchers_on: bool = True
-    #: Count prefetch overfetch against the bus (ablation #3).
-    prefetch_bandwidth_tax: bool = True
-    #: LLC policy: "pressure" (default), "even", or "static" (no
-    #: sharing penalty — infinite LLC for everyone; ablation #1).
-    llc_policy: str = "pressure"
-    #: Apply memory-level-parallelism overlap (ablation #4).
-    use_mlp: bool = True
-    #: Apply the queueing latency curve (ablation #2).
-    use_queueing: bool = True
-
-    def __post_init__(self) -> None:
-        if self.llc_policy not in LLC_POLICIES:
-            raise EngineError(f"unknown llc_policy {self.llc_policy!r}")
-
-
-@dataclass(frozen=True)
-class BatchCell:
-    """One scenario in engine terms: the arguments of
-    :meth:`IntervalEngine.scenario_run` as one value, and the unit
-    :func:`~repro.engine.batch.solve_batch` stacks.
-
-    ``profiles[0]`` is the measured foreground, every other profile
-    loops for as long as the foreground runs.
-    """
-
-    profiles: tuple[WorkloadProfile, ...]
-    threads: tuple[int, ...]
-    fg_solo_runtime_s: float | None = None
-    bg_solo_rates: tuple[float, ...] | None = None
-    llc_ways: "tuple[int | None, ...] | None" = None
-    pinnings: "tuple[tuple[int, ...] | None, ...] | None" = None
-    max_dt: float = 5.0
 
 
 class IntervalEngine:
@@ -434,7 +393,6 @@ class IntervalEngine:
                 app.region_i += 1
                 if app.region_i >= len(app.profile.regions):
                     app.region_i = 0
-                    app.runs_completed += 1
                     if not app.looping:
                         app.finished = True
 

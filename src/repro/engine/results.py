@@ -14,8 +14,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 
 @dataclass
 class RegionMetrics:
@@ -137,7 +135,9 @@ class LazyTimeline(Sequence):
     The first ``len``, index, iteration or ``==`` decodes the whole
     list and publishes it with one assignment, so a concurrent first
     access sees either no list or the complete one, and decoding twice
-    yields equal lists.  It is deliberately not a ``list`` subclass:
+    yields equal lists.  numpy is imported only then (or by
+    :meth:`packed` over rows), so a process that reads entries without
+    their timelines never loads it.  It is deliberately not a ``list`` subclass:
     C-level list fast paths (``[] + x``, ``list.copy(x)``) read a
     subclass's own storage, which is empty until decoded.
     """
@@ -156,6 +156,8 @@ class LazyTimeline(Sequence):
         name's column is its last one, at its first position."""
         source, names = self._source, self._names
         if isinstance(source, bytes):
+            import numpy as np
+
             table = np.frombuffer(base64.b64decode(source), dtype="<f8")
             table = table.reshape(-1, len(names) + 1)
             return table[:, 0], table[:, 1:], names
@@ -172,6 +174,8 @@ class LazyTimeline(Sequence):
         the bytes it was read from."""
         if isinstance(self._source, bytes):
             return self._names, self._source
+        import numpy as np
+
         times, rates, names = self._rows()
         table = np.column_stack((times, rates)).astype("<f8", copy=False)
         return names, base64.b64encode(table.tobytes())

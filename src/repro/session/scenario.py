@@ -62,8 +62,8 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
-from repro.engine import BatchCell, IntervalEngine, ScenarioRunResult
-from repro.engine.interval import LLC_POLICIES
+from repro.engine.config import LLC_POLICIES, BatchCell
+from repro.engine.results import ScenarioRunResult
 from repro.errors import ScenarioError
 from repro.session.base import fingerprint
 from repro.workloads.base import WorkloadProfile
@@ -616,6 +616,7 @@ def run_scenario_batch_task(batch: _ScenarioBatchTask) -> list[ScenarioRunResult
     scalar per-cell path (``solve_batch``'s contract).
     """
     from repro.engine import solve_batch
+    from repro.engine.interval import IntervalEngine
 
     spec, cfg = scenario_engine_parts(batch.config, batch.tasks[0].scenario)
     engine = IntervalEngine(spec=spec, config=cfg)

@@ -45,16 +45,10 @@ import statistics
 import time
 import zlib
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-import numpy as np
-
-from repro.engine import (
-    EngineConfig,
-    IntervalEngine,
-    ScenarioRunResult,
-    SoloRunResult,
-)
+from repro.engine.config import EngineConfig
+from repro.engine.results import ScenarioRunResult, SoloRunResult
 from repro.errors import ExperimentError
 from repro.machine.spec import MachineSpec, xeon_e5_4650
 from repro.session.base import fingerprint
@@ -74,6 +68,9 @@ from repro.telemetry.tracer import get_tracer
 from repro.workloads.base import WorkloadProfile
 from repro.workloads.calibration import APPLICATIONS
 from repro.workloads.registry import get_profile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.interval import IntervalEngine
 
 __all__ = ["CacheStats", "ExperimentConfig", "Jitter", "Session", "fingerprint"]
 
@@ -107,6 +104,8 @@ class ExperimentConfig:
 
     def make_engine(self) -> IntervalEngine:
         """A fresh engine honouring this config."""
+        from repro.engine.interval import IntervalEngine
+
         return IntervalEngine(spec=self.spec, config=self.engine_config)
 
 
@@ -117,10 +116,14 @@ class Jitter:
     ``config.seed``.  Constructed via :meth:`for_key`, the stream is
     derived from ``(config.seed, key)`` so each named measurement gets
     its own independent, order-free noise — the property that lets the
-    parallel executor reproduce the serial sweep bit-for-bit.
+    parallel executor reproduce the serial sweep bit-for-bit.  The
+    first one a process builds imports numpy, whose generator it draws
+    from.
     """
 
     def __init__(self, config: ExperimentConfig, *, key: str | None = None) -> None:
+        import numpy as np
+
         if key is None:
             self._rng = np.random.default_rng(config.seed)
         else:
@@ -280,6 +283,8 @@ class Session:
         cfg = engine_config if engine_config is not None else self.config.engine_config
         fp = self.engine_fingerprint(cfg, spec)
         if fp not in self._engines:
+            from repro.engine.interval import IntervalEngine
+
             self._engines[fp] = IntervalEngine(
                 spec=spec if spec is not None else self.spec, config=cfg
             )

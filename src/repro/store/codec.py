@@ -63,8 +63,6 @@ import struct
 from collections.abc import Sequence
 from typing import Any
 
-import numpy as np
-
 from repro.engine.results import (
     AppMetrics,
     BandwidthSample,
@@ -223,6 +221,8 @@ def _pack_timeline(timeline: Sequence[BandwidthSample]) -> tuple[Sequence[str], 
                 f"{list(sample.bytes_per_s)}, the first lists {names}"
             )
         rates.append(list(sample.bytes_per_s.values()))
+    import numpy as np
+
     rows = (np.array([s.time_s for s in timeline]), np.array(rates).reshape(len(rates), len(names)))
     return LazyTimeline(rows, names).packed()
 

@@ -303,7 +303,7 @@ def live_engine_fingerprints(spec: Any, engine_config: Any) -> set[str]:
     from dataclasses import fields, replace
     from itertools import product
 
-    from repro.engine.interval import LLC_POLICIES
+    from repro.engine.config import LLC_POLICIES
 
     axes: dict[str, tuple[Any, ...]] = {
         f.name: (True, False)

@@ -3,13 +3,6 @@ the profiler that measures a user's own kernel (the measurement
 methodology of Section III-C)."""
 
 from repro._lazy import lazy_exports
-from repro.trace.mrc import MissRatioCurve
-from repro.trace.reuse import (
-    COLD,
-    miss_ratio_at,
-    reuse_distances,
-    reuse_distances_bruteforce,
-)
 
 __all__ = [
     "AccessBatch",
@@ -27,10 +20,14 @@ __all__ = [
     "total_accesses",
 ]
 
-# What measures a user's own kernel: every workload profile needs only
-# its miss-ratio curves.
+# Every name loads on first use: the curves and reuse distances are
+# numpy code, and a workload profile needs them only once it is built.
 __getattr__ = lazy_exports(__name__, {
+    "repro.trace.mrc": ("MissRatioCurve",),
     "repro.trace.profiler": ("TraceCharacterization", "TraceProfiler"),
+    "repro.trace.reuse": (
+        "COLD", "miss_ratio_at", "reuse_distances", "reuse_distances_bruteforce",
+    ),
     "repro.trace.stream": (
         "AccessBatch", "TraceSource", "concat_lines", "take", "total_accesses",
     ),

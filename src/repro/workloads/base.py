@@ -19,10 +19,13 @@ interference-dependent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import WorkloadError
-from repro.trace.mrc import MissRatioCurve
 from repro.units import MiB
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.trace.mrc import MissRatioCurve
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,21 @@ Parameter provenance (how each field was chosen):
 * ``scaling`` encodes the two algorithmic pathologies the paper calls
   out: ATIS's barrier (sync CPI) and P-SSSP's identical-weight
   redundancy (work inflation), plus AMG's serial setup phases.
+
+The name tables (:data:`SUITES`, :data:`APPLICATIONS`,
+:data:`MINI_BENCHMARKS`) are plain tuples, ready at import.  The 27
+profiles and their miss-ratio curves (numpy arrays) are built on the
+first lookup (:func:`calibrated_profile` or :func:`all_profiles`), once
+per process, so the CLI's parsers and a daemon answering from a warm
+store never build them.
 """
 
 from __future__ import annotations
 
+import threading
+from typing import TYPE_CHECKING
+
 from repro.errors import WorkloadError
-from repro.trace.mrc import MissRatioCurve
 from repro.units import KiB, MiB
 from repro.workloads.base import (
     CodeRegion,
@@ -43,8 +52,13 @@ from repro.workloads.base import (
     WorkloadProfile,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.trace.mrc import MissRatioCurve
+
 
 def _mrc(*points: tuple[float, float]) -> MissRatioCurve:
+    from repro.trace.mrc import MissRatioCurve
+
     return MissRatioCurve.from_points(list(points))
 
 
@@ -79,40 +93,41 @@ def _one_region(
     )
 
 
-#: Steep graph-analytics MRC: big win from LLC capacity, the paper's
-#: victim mechanism (Figs 7c/8c).
-_GRAPH_MRC = _mrc((512 * KiB, 0.95), (2 * MiB, 0.86), (6 * MiB, 0.72), (20 * MiB, 0.36))
-_GRAPH_MRC_LIGHT = _mrc((512 * KiB, 0.97), (2 * MiB, 0.85), (6 * MiB, 0.58), (20 * MiB, 0.28))
-
-
 def _build_profiles() -> dict[str, WorkloadProfile]:
+    from repro.trace.mrc import MissRatioCurve
+
+    # Steep graph-analytics MRCs: big win from LLC capacity, the paper's
+    # victim mechanism (Figs 7c/8c).
+    graph_mrc = _mrc((512 * KiB, 0.95), (2 * MiB, 0.86), (6 * MiB, 0.72), (20 * MiB, 0.36))
+    graph_mrc_light = _mrc((512 * KiB, 0.97), (2 * MiB, 0.85), (6 * MiB, 0.58), (20 * MiB, 0.28))
+
     p: dict[str, WorkloadProfile] = {}
 
     # ---------------- GeminiGraph ----------------
     gem = ScalingModel()
     p["G-PR"] = _one_region(
         "G-PR", "GeminiGraph", CodeRegion("pull_edge_loop", "pagerank.c", 63, 70),
-        kinstr=3.6e8, ipc=2.2, mpki=65, mrc=_GRAPH_MRC, reg=0.15, mlp=8.0,
+        kinstr=3.6e8, ipc=2.2, mpki=65, mrc=graph_mrc, reg=0.15, mlp=8.0,
         fp=26 * MiB, scaling=gem,
     )
     p["G-CC"] = _one_region(
         "G-CC", "GeminiGraph", CodeRegion("label_propagate", "cc.c", 64, 72),
-        kinstr=3.2e8, ipc=2.2, mpki=72, mrc=_GRAPH_MRC, reg=0.15, mlp=8.0,
+        kinstr=3.2e8, ipc=2.2, mpki=72, mrc=graph_mrc, reg=0.15, mlp=8.0,
         fp=28 * MiB, scaling=gem,
     )
     p["G-BC"] = _one_region(
         "G-BC", "GeminiGraph", CodeRegion("dependency_accum", "bc.c", 76, 88),
-        kinstr=4.0e8, ipc=2.2, mpki=52, mrc=_GRAPH_MRC_LIGHT, reg=0.15, mlp=7.5,
+        kinstr=4.0e8, ipc=2.2, mpki=52, mrc=graph_mrc_light, reg=0.15, mlp=7.5,
         fp=24 * MiB, scaling=gem,
     )
     p["G-BFS"] = _one_region(
         "G-BFS", "GeminiGraph", CodeRegion("frontier_expand", "bfs.c", 53, 61),
-        kinstr=2.4e8, ipc=2.3, mpki=40, mrc=_GRAPH_MRC_LIGHT, reg=0.15, mlp=6.5,
+        kinstr=2.4e8, ipc=2.3, mpki=40, mrc=graph_mrc_light, reg=0.15, mlp=6.5,
         fp=22 * MiB, scaling=gem,
     )
     p["G-SSSP"] = _one_region(
         "G-SSSP", "GeminiGraph", CodeRegion("relax_edges", "sssp.c", 65, 74),
-        kinstr=3.0e8, ipc=2.2, mpki=42, mrc=_GRAPH_MRC, reg=0.12, mlp=4.0,
+        kinstr=3.0e8, ipc=2.2, mpki=42, mrc=graph_mrc, reg=0.12, mlp=4.0,
         fp=24 * MiB,
         scaling=ScalingModel(work_inflation_coeff=0.06, work_inflation_exp=1.0),
     )
@@ -315,8 +330,6 @@ def _build_profiles() -> dict[str, WorkloadProfile]:
     return p
 
 
-_PROFILES: dict[str, WorkloadProfile] = _build_profiles()
-
 #: The 25 applications of Table I, grouped by suite (display order).
 SUITES: dict[str, tuple[str, ...]] = {
     "GeminiGraph": ("G-BC", "G-BFS", "G-CC", "G-PR", "G-SSSP"),
@@ -336,16 +349,33 @@ APPLICATIONS: tuple[str, ...] = tuple(
 MINI_BENCHMARKS: tuple[str, ...] = ("Bandit", "Stream")
 
 
+_PROFILES: "dict[str, WorkloadProfile] | None" = None
+_BUILD_LOCK = threading.Lock()
+
+
+def _profiles() -> dict[str, WorkloadProfile]:
+    """The 27 profiles, built on the first lookup, once per process even
+    when threads look up first together: the batch solver groups slots
+    by miss-ratio-curve identity, so a second build would split them."""
+    global _PROFILES
+    if _PROFILES is None:
+        with _BUILD_LOCK:
+            if _PROFILES is None:
+                _PROFILES = _build_profiles()
+    return _PROFILES
+
+
 def calibrated_profile(name: str) -> WorkloadProfile:
     """The calibrated engine profile of one application."""
+    profiles = _profiles()
     try:
-        return _PROFILES[name]
+        return profiles[name]
     except KeyError:
         raise WorkloadError(
-            f"no calibrated profile for {name!r}; known: {sorted(_PROFILES)}"
+            f"no calibrated profile for {name!r}; known: {sorted(profiles)}"
         ) from None
 
 
 def all_profiles() -> dict[str, WorkloadProfile]:
     """All 27 calibrated profiles keyed by name."""
-    return dict(_PROFILES)
+    return dict(_profiles())

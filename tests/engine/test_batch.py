@@ -28,7 +28,7 @@ from repro.engine import (
     solve_batch,
 )
 from repro.engine.batch import _seq_sum, batchable
-from repro.engine.interval import LLC_POLICIES
+from repro.engine.config import LLC_POLICIES
 from repro.errors import EngineError
 from repro.machine.spec import small_test_machine, xeon_e5_4650
 from repro.session import ParallelExecutor, ScenarioSet, Session

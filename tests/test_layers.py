@@ -8,6 +8,12 @@
   campaign/manifest/migration code, no trace export and no process
   pool.  They are checked in fresh interpreters, from ``sys.modules``:
   ``-X importtime`` does not log modules ``importlib`` loads.
+* Nothing loads numpy, the two solvers or the miss-ratio curves before
+  it solves: not those imports, not ``repro list`` or any verb's
+  ``--help``, and not a daemon over a whole warm admission pass.  Two
+  cold cells still load them and give the pinned bytes, and the
+  calibrated profiles are built once per process, however many
+  threads ask first.
 * Every name a package exports still resolves, ``repro list`` is the
   same bytes and imports no runner, and the registry's runner table
   agrees with what the runner modules register.
@@ -26,6 +32,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.sched import PlacementEvaluator, parse_trace, replay_trace
+from repro.serve import ServeClient, drain_trace
 from repro.session import (
     ExperimentConfig,
     Runner,
@@ -56,12 +64,27 @@ NEVER = re.compile(
     r"|concurrent\.futures\.process"
 )
 
+#: What only a solve loads: numpy, the solvers and the curves.
+SOLVERS = re.compile(
+    r"numpy(\..*)?"
+    r"|repro\.engine\.(interval|batch|bandwidth|llc_sharing)"
+    r"|repro\.trace\.(mrc|reuse)"
+)
+
 #: The packages whose ``__all__`` must resolve.
 PACKAGES = (
     "repro", "repro.core", "repro.engine", "repro.machine", "repro.sched", "repro.serve",
     "repro.session", "repro.store", "repro.telemetry", "repro.tools", "repro.trace",
     "repro.traffic", "repro.workloads",
 )
+
+#: The warm serve pass: its roster and trace (arrivals and departures).
+SERVE_ROSTER = ("G-CC", "swaptions")
+SERVE_TRACE = "seed:0:8:2:0.5"
+
+#: Two cold cells solved in a fresh process: the digest of their JSON
+#: codec form.
+TWO_CELLS_DIGEST = "aac4b38c3ca2ca38"
 
 #: ``print(json.dumps(sorted(sys.modules)))`` as the last line of a script.
 DUMP = "import json, sys; print(json.dumps(sorted(sys.modules)))"
@@ -85,6 +108,10 @@ def run_fresh(code: str) -> "tuple[str, set[str]]":
 
 def never_loaded(modules: "set[str]") -> "list[str]":
     return sorted(m for m in modules if NEVER.fullmatch(m))
+
+
+def solvers_loaded(modules: "set[str]") -> "list[str]":
+    return sorted(m for m in modules if SOLVERS.fullmatch(m))
 
 
 def runner_modules(modules: "set[str]") -> "set[str]":
@@ -130,21 +157,58 @@ class TestWhatEntryPointsLoad:
             "import repro.session",
             "import repro.store",
             "import repro.traffic",
+            "import repro.trace",
+            "import repro.workloads.registry",
         ],
     )
     def test_a_layer_loads_no_verb_only_module(self, code):
+        """Nor numpy or a solver."""
         _, modules = run_fresh(code)
         assert never_loaded(modules) == []
         assert runner_modules(modules) == set()
+        assert solvers_loaded(modules) == []
 
     def test_import_repro_loads_only_the_package(self):
         _, modules = run_fresh("import repro")
         assert {m for m in modules if m.startswith("repro")} == {"repro", "repro._lazy"}
 
+    def test_repro_list_and_every_help_load_no_solver(self):
+        code = (
+            "import argparse, contextlib, io\n"
+            "from repro.cli import build_parser, main\n"
+            "def verbs(parser, argv=()):\n"
+            "    yield argv\n"
+            "    for action in parser._actions:\n"
+            "        if isinstance(action, argparse._SubParsersAction):\n"
+            "            for name, sub in action.choices.items():\n"
+            "                yield from verbs(sub, (*argv, name))\n"
+            "helps = [[*argv, '--help'] for argv in verbs(build_parser())]\n"
+            "for argv in [['list'], *helps]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            main(argv)\n"
+            "        except SystemExit:\n"
+            "            pass\n"
+            "print(len(helps))\n"
+        )
+        out, modules = run_fresh(code)
+        assert int(out) > 40  # the root parser, every verb and every sub-verb
+        assert solvers_loaded(modules) == []
+        assert never_loaded(modules) == []
+
     def test_a_serve_pass_loads_no_verb_only_module(self, tmp_path):
-        """``repro serve start`` over one admission, one departure and
-        the read endpoints; the daemon dumps ``sys.modules`` as it
-        exits after SIGTERM."""
+        """``repro serve start`` over a whole warm admission pass: a
+        trace's arrivals and departures, then the read endpoints.  The
+        daemon dumps ``sys.modules`` as it exits after SIGTERM.  Its
+        store, warmed in this process by the same replay, answers every
+        lookup, so the daemon loads no solver either."""
+        store = tmp_path / "st"
+        trace = parse_trace(SERVE_TRACE, SERVE_ROSTER)
+        config = ExperimentConfig(workloads=SERVE_ROSTER, threads=2)
+        local = replay_trace(
+            trace, PlacementEvaluator(Session(config, store=store)),
+            machines=2, policy="interference", replan=True,
+        )
         dump = tmp_path / "modules.json"
         script = (
             "import atexit, json, sys\n"
@@ -154,8 +218,8 @@ class TestWhatEntryPointsLoad:
         )
         proc = subprocess.Popen(
             [sys.executable, "-c", script, str(dump), "serve", "start",
-             "--store", str(tmp_path / "st"), "--port", "0",
-             "--workloads", "G-CC,swaptions", "--threads", "2"],
+             "--store", str(store), "--port", "0",
+             "--workloads", ",".join(SERVE_ROSTER), "--threads", "2"],
             env=_env(), cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
@@ -163,21 +227,16 @@ class TestWhatEntryPointsLoad:
             assert "serve: listening on" in line, (line, proc.stderr.read())
             port = int(line.split()[3].rsplit(":", 1)[1])
 
-            async def admit_and_depart():
-                from repro.serve import ServeClient
-
+            async def warm_pass():
                 async with ServeClient("127.0.0.1", port) as client:
                     await client.wait_ready()
-                    rec = await client.arrival(
-                        tenant="t0", workload="G-CC", threads=2, solo_s=1.0, time_s=0.0
-                    )
-                    await client.departure("t0", time_s=1.0)
+                    drained = await drain_trace(client, trace)
                     await client.cluster()
-                    await client.metrics()
+                    metrics = await client.metrics()
                     await client.decisions()
-                    return rec
+                    return drained, metrics
 
-            assert asyncio.run(admit_and_depart())["decision"]["admitted"]
+            drained, metrics = asyncio.run(warm_pass())
             proc.send_signal(signal.SIGTERM)
             out, err = proc.communicate(timeout=30)
             assert proc.returncode == 0, err
@@ -185,10 +244,69 @@ class TestWhatEntryPointsLoad:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
+        assert drained.report.decision_log() == local.decision_log()
+        cache = metrics["cache"]
+        assert (cache["solo_misses"], cache["scenario_misses"]) == (0, 0)
+        assert cache["scenario_disk_hits"] > 0
         modules = set(json.loads(dump.read_text()))
         assert "repro.serve.daemon" in modules
         assert never_loaded(modules) == []
         assert runner_modules(modules) == set()
+        assert solvers_loaded(modules) == []
+
+
+class TestFirstSolve:
+    def test_two_cold_cells_load_the_solvers_and_give_the_pinned_bytes(self):
+        code = (
+            "import hashlib, json\n"
+            "from repro.session import ExperimentConfig, Scenario, Session\n"
+            "from repro.store.codec import encode_scenario_result\n"
+            "session = Session(ExperimentConfig(workloads=('G-CC', 'swaptions'), threads=2))\n"
+            "results = session.run_scenarios([\n"
+            "    Scenario.pair('G-CC', 'swaptions', threads=2),\n"
+            "    Scenario.pair('swaptions', 'G-CC', threads=2),\n"
+            "])\n"
+            "blob = json.dumps([encode_scenario_result(r.result) for r in results]).encode()\n"
+            "print(hashlib.sha256(blob).hexdigest()[:16], session.stats.scenario_misses)\n"
+        )
+        out, modules = run_fresh(code)
+        assert out == f"{TWO_CELLS_DIGEST} 2\n"
+        assert {"numpy", "repro.engine.interval", "repro.engine.batch", "repro.trace.mrc"} <= modules
+
+    def test_threads_that_ask_first_build_the_profiles_once(self):
+        """Eight threads' first lookups (more threads than cores, a short
+        switch interval) return one object, the one ``get_all_profiles``
+        holds; the build is slowed so that every thread asks while the
+        first one builds."""
+        code = (
+            "import sys, threading, time\n"
+            "from repro.workloads import calibration\n"
+            "from repro.workloads.registry import get_all_profiles, get_profile\n"
+            "build, builds = calibration._build_profiles, []\n"
+            "def slow_build():\n"
+            "    builds.append(threading.get_ident())\n"
+            "    time.sleep(0.2)\n"
+            "    return build()\n"
+            "calibration._build_profiles = slow_build\n"
+            "barrier, got = threading.Barrier(8), []\n"
+            "def first():\n"
+            "    barrier.wait()\n"
+            "    got.append(get_profile('G-PR'))\n"
+            "threads = [threading.Thread(target=first) for _ in range(8)]\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "try:\n"
+            "    for t in threads:\n"
+            "        t.start()\n"
+            "    for t in threads:\n"
+            "        t.join(timeout=60)\n"
+            "finally:\n"
+            "    sys.setswitchinterval(0.005)\n"
+            "assert not any(t.is_alive() for t in threads)\n"
+            "held = get_all_profiles()['G-PR']\n"
+            "print(len(builds), len(got), all(p is held for p in got))\n"
+        )
+        out, _ = run_fresh(code)
+        assert out == "1 8 True\n"
 
 
 class TestExports:
