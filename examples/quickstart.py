@@ -100,8 +100,8 @@ def main() -> None:
         print(f"{fg:>12}: normalized execution time {matrix.value(fg, bg):.2f}x")
     verdict = matrix.classify(FOREGROUND, BACKGROUND)
     print(f"relationship: {verdict.relationship.value}"
-          + (f"   victim={verdict.victim} offender={verdict.offender}"
-             if verdict.victim else ""))
+          + (f"   victim={', '.join(verdict.victims)} offender={', '.join(verdict.offenders)}"
+             if verdict.offenders else ""))
 
     # --- provenance (Fig 7 / Table IV style) ---
     print(f"\n== where does {FOREGROUND} lose its cycles? ==")

@@ -92,7 +92,6 @@ __all__ = [
     "WorkloadProfile",
     "__version__",
     "classify_nway",
-    "classify_pair",
     "get_all_profiles",
     "get_profile",
     "get_runner",
@@ -105,7 +104,7 @@ __all__ = [
 __getattr__ = lazy_exports(__name__, {
     "repro.engine": ("EngineConfig", "IntervalEngine"),
     "repro.machine.spec": ("MachineSpec", "xeon_e5_4650"),
-    "repro.sched.classify": ("NWayVerdict", "PairClass", "classify_nway", "classify_pair"),
+    "repro.sched.classify": ("NWayVerdict", "PairClass", "classify_nway"),
     "repro.session": (
         "AppPlacement", "ExperimentConfig", "ParallelExecutor", "RunRecord", "Runner",
         "Scenario", "ScenarioResult", "ScenarioSet", "SerialExecutor", "Session",

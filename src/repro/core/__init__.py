@@ -13,7 +13,7 @@ Table II  Low/Medium/High scalability classes         ``table2``
 Fig 3     solo bandwidth at 1/4/8 threads             ``fig3``
 Fig 4     prefetcher sensitivity (MSR 0x1A4)          ``fig4``
 Fig 5     625-pair consolidation heat map             ``fig5``
-—         Harmony / Victim-Offender / Both-Victim     :func:`classify_pair`
+—         Harmony / Victim-Offender / Both-Victim     :func:`classify_nway`
 Table III problematic-pair bandwidth                  ``table3``
 Fig 6     co-run with Bandit / STREAM                 ``fig6``
 Fig 7     Gemini metrics under STREAM                 ``fig7``
@@ -65,7 +65,6 @@ __all__ = [
     "PairBandwidthResult",
     "PairBandwidthRow",
     "PairClass",
-    "PairVerdict",
     "PredictionReport",
     "PrefetchResult",
     "ProvenanceResult",
@@ -76,7 +75,6 @@ __all__ = [
     "TABLE4_SUBJECTS",
     "VICTIM_THRESHOLD",
     "ascii_table",
-    "classify_pair",
     "classify_speedup",
     "csv_table",
     "shade",
@@ -106,10 +104,7 @@ __getattr__ = lazy_exports(__name__, {
         "HIGH_THRESHOLD", "LOW_THRESHOLD", "ScalabilityClass", "ScalabilityResult",
         "classify_speedup",
     ),
-    "repro.sched.classify": (
-        "VICTIM_THRESHOLD", "NWayVerdict", "PairClass", "PairVerdict", "classify_nway",
-        "classify_pair",
-    ),
+    "repro.sched.classify": ("VICTIM_THRESHOLD", "NWayVerdict", "PairClass", "classify_nway"),
     "repro.sched.policy": ("contiguous_split",),
     "repro.session": ("ExperimentConfig", "Jitter"),
     "repro.tables": ("ascii_table",),

@@ -98,15 +98,16 @@ class AllocationSweepRunner(Runner):
             for fg_t, bg_t in splits
         ]
         for (fg_t, bg_t), sres in zip(splits, session.run_scenarios(scenarios)):
-            res = sres.result.to_corun()
-            fg_rate = res.fg.total.instructions / res.fg.runtime_s
-            bg_rate = res.bg.total.instructions / res.fg.runtime_s
+            res = sres.result
+            fg_app, bg_app = res.apps
+            fg_rate = fg_app.total.instructions / fg_app.runtime_s
+            bg_rate = bg_app.total.instructions / fg_app.runtime_s
             sweep.points.append(
                 AllocationPoint(
                     fg_threads=fg_t,
                     bg_threads=bg_t,
                     fg_slowdown=res.normalized_time,
-                    bg_relative_rate=res.bg_relative_rate,
+                    bg_relative_rate=res.bg_relative_rates[0],
                     weighted_speedup=fg_rate / fg_ref_rate + bg_rate / bg_ref_rate,
                 )
             )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.core.report import csv_table, text_heatmap
 from repro.errors import ExperimentError
-from repro.sched.classify import PairClass, PairVerdict, classify_pair
+from repro.sched.classify import NWayVerdict, PairClass, classify_nway
 from repro.session.base import Runner
 from repro.session.registry import register_runner
 from repro.session.scenario import ScenarioSet
@@ -40,10 +40,10 @@ class ConsolidationMatrix:
         except KeyError:
             raise ExperimentError(f"no cell for fg={fg!r} bg={bg!r}") from None
 
-    def classify(self, app_a: str, app_b: str) -> PairVerdict:
+    def classify(self, app_a: str, app_b: str) -> NWayVerdict:
         """Section V relationship of the unordered pair (A, B)."""
-        return classify_pair(
-            app_a, app_b, self.value(app_a, app_b), self.value(app_b, app_a)
+        return classify_nway(
+            (app_a, app_b), (self.value(app_a, app_b), self.value(app_b, app_a))
         )
 
     def classification_counts(self) -> dict[PairClass, int]:
@@ -113,7 +113,7 @@ class ConsolidationRunner(Runner):
     The matrix is one :class:`~repro.session.scenario.ScenarioSet`
     pairwise product; uncached cells fan out over the session executor
     through the generic scenario machinery and land in the shared
-    co-run cache, so later artifacts (Table III, Figs 7-8) reuse them
+    scenario cache, so later artifacts (Table III, Figs 7-8) reuse them
     like any serial measurement.
     """
 

@@ -189,7 +189,8 @@ class SweepCell:
     engine_fingerprint: str
     #: The scenario's stable cache fingerprint.
     fingerprint: str
-    #: Store section: ``"corun"`` (plain pairs) or ``"scenario"``.
+    #: The store section the store places the cell in: ``"corun"``
+    #: (plain pairs) or ``"scenario"``.
     tier: str
     #: Foreground co-run time / foreground solo time.
     fg_slowdown: float

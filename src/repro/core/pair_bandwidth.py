@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine import CoRunResult
+from repro.engine import ScenarioRunResult
 from repro.session.base import Runner
 from repro.session.registry import register_runner
 from repro.session.scenario import Scenario
@@ -75,7 +75,7 @@ class PairBandwidthResult:
 
 
 def _pair_row(
-    co: CoRunResult,
+    co: ScenarioRunResult,
     *,
     app_a: str,
     app_b: str,
@@ -87,7 +87,8 @@ def _pair_row(
     report = PcmMemoryMonitor(granularity_s=pcm_granularity_s).observe(co.timeline)
     pair_bw = report.average_bytes_per_s(None)
     if pair_bw == 0.0:  # run shorter than one PCM window
-        pair_bw = co.fg.avg_bandwidth_bytes + co.bg.avg_bandwidth_bytes
+        fg, bg = co.apps
+        pair_bw = fg.avg_bandwidth_bytes + bg.avg_bandwidth_bytes
     return PairBandwidthRow(
         app_a=app_a,
         app_b=app_b,
@@ -102,9 +103,9 @@ class PairBandwidthRunner(Runner):
     """Table III through the session substrate.
 
     Each pair is a 2-app :class:`~repro.session.scenario.Scenario`:
-    the co-runs hit the session's co-run cache when Fig 5 already swept
-    them, otherwise the uncached pairs fan out over the executor via
-    the generic scenario machinery.
+    the co-runs hit the session's scenario cache when Fig 5 already
+    swept them, otherwise the uncached pairs fan out over the executor
+    via the generic scenario machinery.
     """
 
     def execute(
@@ -126,7 +127,7 @@ class PairBandwidthRunner(Runner):
         for (a, b), sres in zip(pairs, session.run_scenarios(scenarios)):
             result.rows.append(
                 _pair_row(
-                    sres.result.to_corun(),
+                    sres.result,
                     app_a=a,
                     app_b=b,
                     solo_a_bw=solos[a].metrics.avg_bandwidth_bytes,

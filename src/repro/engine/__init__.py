@@ -17,7 +17,6 @@ __all__ = [
     "BandwidthSample",
     "BatchCell",
     "BusState",
-    "CoRunResult",
     "EngineConfig",
     "IntervalEngine",
     "LazyTimeline",
@@ -45,7 +44,7 @@ __getattr__ = lazy_exports(__name__, {
     ),
     "repro.engine.llc_sharing": ("MIN_SHARE_FRACTION", "allocate_llc"),
     "repro.engine.results": (
-        "AppMetrics", "BandwidthSample", "CoRunResult", "LazyTimeline", "RegionMetrics",
-        "ScenarioRunResult", "SoloRunResult",
+        "AppMetrics", "BandwidthSample", "LazyTimeline", "RegionMetrics", "ScenarioRunResult",
+        "SoloRunResult",
     ),
 })

@@ -33,7 +33,6 @@ from repro.engine.llc_sharing import allocate_llc, allocate_llc_groups, way_grou
 from repro.engine.results import (
     AppMetrics,
     BandwidthSample,
-    CoRunResult,
     ScenarioRunResult,
     SoloRunResult,
 )
@@ -672,14 +671,13 @@ class IntervalEngine:
         fg_solo_runtime_s: float | None = None,
         bg_solo_rate: float | None = None,
         max_dt: float = 5.0,
-    ) -> CoRunResult:
+    ) -> ScenarioRunResult:
         """Consolidate fg and bg (the paper's protocol): bg loops for as
         long as fg runs; fg's time is measured.
 
         ``bg_threads`` defaults to ``threads`` (the paper's symmetric
         4+4 split); asymmetric splits model core-allocation policies.
-        A thin 2-app wrapper over :meth:`scenario_run` — the one code
-        path guarantees pair results equal 2-app scenario results.
+        The 2-app :meth:`scenario_run`, so a pair is a 2-app scenario.
         """
         bg_threads = bg_threads if bg_threads is not None else threads
         if threads < 1 or bg_threads < 1:
@@ -690,7 +688,7 @@ class IntervalEngine:
             fg_solo_runtime_s=fg_solo_runtime_s,
             bg_solo_rates=None if bg_solo_rate is None else [bg_solo_rate],
             max_dt=max_dt,
-        ).to_corun()
+        )
 
     def speedup_curve(
         self, profile: WorkloadProfile, *, max_threads: int = 8

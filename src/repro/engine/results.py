@@ -229,43 +229,15 @@ class SoloRunResult:
 
 
 @dataclass
-class CoRunResult:
-    """Outcome of a foreground/background consolidation pair.
-
-    The background application restarts for as long as the foreground
-    runs (the paper's protocol); ``bg_progress_rate`` is its steady
-    instruction throughput relative to its solo throughput.
-    """
-
-    fg: AppMetrics
-    bg: AppMetrics
-    fg_solo_runtime_s: float
-    bg_relative_rate: float
-    timeline: Sequence[BandwidthSample] = field(default_factory=list)
-
-    @property
-    def normalized_time(self) -> float:
-        """Fig 5's cell value: fg co-run time / fg solo time."""
-        if self.fg_solo_runtime_s <= 0:
-            return 0.0
-        return self.fg.runtime_s / self.fg_solo_runtime_s
-
-    @property
-    def bg_slowdown(self) -> float:
-        """Background slowdown factor (>= 1 when it is hurt)."""
-        return 1.0 / self.bg_relative_rate if self.bg_relative_rate > 0 else float("inf")
-
-
-@dataclass
 class ScenarioRunResult:
-    """Outcome of an N-way consolidation scenario.
+    """Outcome of a consolidation of any size, pairs included.
 
-    ``apps[0]`` is the measured foreground (the paper's protocol
-    generalized): every other application loops for as long as the
-    foreground runs, and each background's progress is reported
-    relative to its solo instruction rate.  For exactly two apps this
-    carries the same observables as :class:`CoRunResult` —
-    :meth:`to_corun` / :meth:`from_corun` convert losslessly.
+    ``apps[0]`` is the measured foreground (the paper's protocol,
+    generalized to N apps): every other application loops for as long
+    as the foreground runs, and each background's progress is reported
+    relative to its solo instruction rate.  A Fig 5 cell is the 2-app
+    case: ``apps[1]`` is its background and ``bg_relative_rates[0]``
+    that background's rate.
     """
 
     apps: list[AppMetrics]
@@ -295,27 +267,3 @@ class ScenarioRunResult:
         return [
             1.0 / r if r > 0 else float("inf") for r in self.bg_relative_rates
         ]
-
-    def to_corun(self) -> CoRunResult:
-        """Lossless view of a 2-app scenario as a legacy pair result."""
-        if len(self.apps) != 2:
-            raise ValueError(
-                f"only 2-app scenarios convert to CoRunResult, got {len(self.apps)}"
-            )
-        return CoRunResult(
-            fg=self.apps[0],
-            bg=self.apps[1],
-            fg_solo_runtime_s=self.fg_solo_runtime_s,
-            bg_relative_rate=self.bg_relative_rates[0],
-            timeline=self.timeline,
-        )
-
-    @staticmethod
-    def from_corun(co: CoRunResult) -> "ScenarioRunResult":
-        """Lift a legacy pair result into the scenario container."""
-        return ScenarioRunResult(
-            apps=[co.fg, co.bg],
-            fg_solo_runtime_s=co.fg_solo_runtime_s,
-            bg_relative_rates=[co.bg_relative_rate],
-            timeline=co.timeline,
-        )

@@ -9,13 +9,13 @@ increase each side suffers, with a 1.5x threshold:
 * **Both-Victim** — both sides at or above 1.5x ("should definitely be
   avoided for cloud/warehouse-scale computing").
 
-:func:`classify_nway` generalizes the same taxonomy to N-way
-consolidations measured by *foreground rotation* (every member takes a
-turn as the measured foreground against the rest): an app whose own
+:func:`classify_nway` applies the same taxonomy to consolidations of
+any size measured by *foreground rotation* (every member takes a turn
+as the measured foreground against the rest): an app whose own
 rotation slows at or past the threshold is a **victim**; when someone
 is victimized, every co-runner that stays under the threshold is an
-**offender** of that consolidation.  For N = 2 the verdict reduces
-exactly to the pair taxonomy (:meth:`NWayVerdict.to_pair`).
+**offender** of that consolidation.  A pair is the 2-app case: its
+two slowdowns are cells (A, B) and (B, A) of Fig 5.
 """
 
 from __future__ import annotations
@@ -39,65 +39,14 @@ class PairClass(Enum):
 
 
 @dataclass(frozen=True)
-class PairVerdict:
-    """Classification of one (A, B) pair from both slowdowns."""
-
-    app_a: str
-    app_b: str
-    slowdown_a: float
-    slowdown_b: float
-    relationship: PairClass
-
-    @property
-    def victim(self) -> str | None:
-        """The victim in a Victim-Offender pair (None otherwise)."""
-        if self.relationship is not PairClass.VICTIM_OFFENDER:
-            return None
-        return self.app_a if self.slowdown_a >= VICTIM_THRESHOLD else self.app_b
-
-    @property
-    def offender(self) -> str | None:
-        """The offender in a Victim-Offender pair (None otherwise)."""
-        victim = self.victim
-        if victim is None:
-            return None
-        return self.app_b if victim == self.app_a else self.app_a
-
-
-def classify_pair(
-    app_a: str,
-    app_b: str,
-    slowdown_a: float,
-    slowdown_b: float,
-    *,
-    threshold: float = VICTIM_THRESHOLD,
-) -> PairVerdict:
-    """Classify one pair from its two normalized execution times."""
-    if slowdown_a <= 0 or slowdown_b <= 0:
-        raise ExperimentError("slowdowns must be positive")
-    a_victim = slowdown_a >= threshold
-    b_victim = slowdown_b >= threshold
-    if a_victim and b_victim:
-        rel = PairClass.BOTH_VICTIM
-    elif a_victim or b_victim:
-        rel = PairClass.VICTIM_OFFENDER
-    else:
-        rel = PairClass.HARMONY
-    return PairVerdict(
-        app_a=app_a, app_b=app_b,
-        slowdown_a=slowdown_a, slowdown_b=slowdown_b,
-        relationship=rel,
-    )
-
-
-@dataclass(frozen=True)
 class NWayVerdict:
-    """Classification of one N-way consolidation from every member's
-    foreground-rotation slowdown.
+    """Classification of one consolidation of N >= 2 apps from every
+    member's foreground-rotation slowdown.
 
     ``apps[i]`` slowed by ``slowdowns[i]`` while it was the measured
     foreground against the other N-1 members (the ``consolidate-n``
-    rotation protocol).  The taxonomy is the pair one generalized:
+    rotation protocol; for a pair, its two Fig 5 cells).  The taxonomy
+    is the pair one generalized:
 
     * ``HARMONY`` — nobody reaches the threshold;
     * ``VICTIM_OFFENDER`` — some members are victimized, the rest are
@@ -138,21 +87,6 @@ class NWayVerdict:
         if app in self.offenders:
             return "offender"
         return "harmony"
-
-    def to_pair(self) -> PairVerdict:
-        """The exact :class:`PairVerdict` this verdict reduces to when
-        N = 2 — the equivalence that anchors the generalization."""
-        if len(self.apps) != 2:
-            raise ExperimentError(
-                f"only 2-app verdicts reduce to PairVerdict, got {len(self.apps)}"
-            )
-        return classify_pair(
-            self.apps[0],
-            self.apps[1],
-            self.slowdowns[0],
-            self.slowdowns[1],
-            threshold=self.threshold,
-        )
 
     @property
     def label(self) -> str:

@@ -25,8 +25,8 @@ core-allocation policies beyond thread counts).  Both join the
 scenario payload **only when set**, so mask-free, pin-free scenarios
 keep their pre-CAT fingerprints and every warm store keeps serving.
 Masked or pinned *pairs* have no pair key (the pair key cannot encode
-a bitmap): they persist under their scenario fingerprint in the
-store's ``scenario/`` section instead.
+a bitmap): the store keeps them under their scenario fingerprint in
+its ``scenario/`` section instead.
 
 Identity and caching
 --------------------
@@ -35,14 +35,14 @@ A cacheable scenario is its own in-memory cache key (the session keys
 one map by ``(engine fingerprint, canonical Scenario)``).
 ``scenario.fingerprint`` hashes the canonical :meth:`Scenario.payload`
 through :func:`~repro.session.base.fingerprint`; the store keys an
-entry by that same payload (:func:`repro.store.codec.entry_key`).  On
-disk a **plain pair** *reduces to its pair key*:
-:meth:`Scenario.corun_key` exposes the ``(fg, bg, fg_threads,
-bg_threads)`` tuple the store's ``corun/`` section is keyed by — which
-is why a warm store written before the scenario redesign still serves
-2-app scenarios bit-identically, with zero re-simulation.  Every other
-shape lives in the store's ``scenario/`` section under its
-fingerprint.
+entry by that same payload (:func:`repro.store.codec.entry_key`).  The
+store decides where a scenario lives, and on disk a **plain pair**
+*reduces to its pair key*: :meth:`Scenario.corun_key` exposes the
+``(fg, bg, fg_threads, bg_threads)`` tuple the store's ``corun/``
+section is keyed by — which is why a warm store written before the
+scenario redesign still serves 2-app scenarios bit-identically, with
+zero re-simulation.  Every other shape lives in the store's
+``scenario/`` section under its fingerprint.
 
 Synthetic applications (the Bubble-Up predictor's tunable balloon) can
 be placed **in-band** via ``AppPlacement(profile=...)``; such
@@ -333,11 +333,13 @@ class Scenario:
         """The pair key ``(fg, bg, fg_threads, bg_threads)`` when this
         scenario *is* a classic co-run, else ``None``.
 
-        The store keeps plain pairs in its ``corun/`` section under this
-        key, so warm stores written before the scenario redesign stay
-        bit-identical and are never re-simulated.  Way-masked or pinned
-        pairs have *no* pair key — it cannot encode a CAT bitmap, so
-        they persist under their scenario fingerprint instead.
+        The store files a scenario that has one in its ``corun/``
+        section under this key
+        (:meth:`~repro.store.store.ResultStore.get_scenario`), so warm
+        stores written before the scenario redesign stay bit-identical
+        and are never re-simulated.  Way-masked or pinned pairs have
+        *no* pair key — it cannot encode a CAT bitmap, so the store
+        keeps them under their scenario fingerprint instead.
         """
         if len(self.placements) != 2 or not self.cacheable or self.partitioned:
             return None

@@ -421,35 +421,15 @@ class Session:
         the persistent identity a cacheable scenario's result lives
         under in any store sharing this session's configuration.
 
-        ``cache_tier`` names the store section the result lives in:
-        ``"corun"`` for plain 2-app scenarios (see :meth:`_load`) and
+        ``cache_tier`` names the store section the store places the
+        result in: ``"corun"`` for plain 2-app scenarios and
         ``"scenario"`` for every other shape.  This is the per-cell
         provenance the ``scenario-set`` campaign artifact records.
         """
+        from repro.store.store import ResultStore
+
         engine_fp, _, _, canon = self._scenario_parts(scenario)
-        tier = "corun" if scenario.corun_key() is not None else "scenario"
-        return engine_fp, canon.fingerprint, tier
-
-    def _load(self, engine_fp: str, canon: Scenario) -> ScenarioRunResult | None:
-        """Read one canonical scenario from the attached store.
-
-        Plain pairs live in the store's ``corun/`` section under their
-        pair key (where every store written so far keeps them, so warm
-        stores keep serving); every other shape lives in ``scenario/``.
-        """
-        pair = canon.corun_key()
-        if pair is None:
-            return self.store.get_scenario(engine_fp, canon)
-        co = self.store.get_corun(engine_fp, *pair)
-        return None if co is None else ScenarioRunResult.from_corun(co)
-
-    def _save(self, engine_fp: str, canon: Scenario, result: ScenarioRunResult) -> None:
-        """Write one canonical scenario behind to the store (see :meth:`_load`)."""
-        pair = canon.corun_key()
-        if pair is None:
-            self.store.put_scenario(engine_fp, canon, result)
-        else:
-            self.store.put_corun(engine_fp, *pair, result.to_corun())
+        return engine_fp, canon.fingerprint, ResultStore._address(engine_fp, canon)[0]
 
     def run_scenario(self, scenario: Scenario) -> ScenarioResult:
         """The one measurement primitive: run a declarative scenario.
@@ -530,7 +510,7 @@ class Session:
                         results[i] = hit
                     continue
                 if self.store is not None:
-                    hit = self._load(*key)
+                    hit = self.store.get_scenario(*key)
                     if hit is not None:
                         self.stats.scenario_disk_hits += 1
                         self._scenarios[key] = hit
@@ -562,7 +542,7 @@ class Session:
                     for entry in unsaved_solos:
                         self.store.put_solo(*entry)
                     for key, res in fresh:
-                        self._save(*key, res)
+                        self.store.put_scenario(*key, res)
             for i, j in owner.items():
                 results[i] = solved[j]
         return [ScenarioResult(s, r) for s, r in zip(scens, results)], tiers

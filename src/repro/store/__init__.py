@@ -5,9 +5,10 @@ die with the process; this package is their on-disk continuation plus
 the sweep-campaign results database:
 
 * :class:`ResultStore` — a fingerprint-keyed solo/scenario cache
-  (plain pairs in its ``corun/`` section, every other scenario shape
-  in ``scenario/``) kept in per-process append-only segment logs under
-  a versioned schema.  A session
+  kept in per-process append-only segment logs under a versioned
+  schema.  The store alone decides where a scenario lives: a plain
+  pair in its ``corun/`` section under its pair key, every other shape
+  in ``scenario/``; callers hand it any cacheable scenario.  A session
   constructed with ``Session(config, store=ResultStore(".repro-store"))``
   (or CLI ``repro --store .repro-store ...``) reads through the store
   and writes behind it, so a *cold process over a warm store* costs

@@ -29,8 +29,8 @@ first so a scan reads it at a fixed offset.  ``SHAPE`` holds what is not
 a number: ``{"apps": [[name, threads, [region, ...]], ...], "timeline":
 [name, ...]}``.  ``NUMBERS`` is every number of the result, as
 little-endian float64 in base64: the result's own scalars
-(``fg_solo_runtime_s`` then the background rates; a pair's
-``bg_relative_rate``; none for a solo run), then per app its
+(``fg_solo_runtime_s`` then the background rates, for a pair as for
+any scenario; none for a solo run), then per app its
 ``runtime_s`` followed by each region's six metrics in
 ``_REGION_FIELDS`` order.  Line 2 is the bandwidth timeline's rows
 (:meth:`~repro.engine.results.LazyTimeline.packed`): each sample's time
@@ -66,7 +66,6 @@ from typing import Any
 from repro.engine.results import (
     AppMetrics,
     BandwidthSample,
-    CoRunResult,
     LazyTimeline,
     RegionMetrics,
     ScenarioRunResult,
@@ -152,22 +151,24 @@ def decode_solo(data: dict[str, Any]) -> SoloRunResult:
     )
 
 
-def encode_corun(res: CoRunResult) -> dict[str, Any]:
+def encode_corun(res: ScenarioRunResult) -> dict[str, Any]:
+    """The JSON form of a 2-app result as schema 1 stored a pair."""
+    fg, bg = res.apps
+    (rate,) = res.bg_relative_rates
     return {
-        "fg": encode_app_metrics(res.fg),
-        "bg": encode_app_metrics(res.bg),
+        "fg": encode_app_metrics(fg),
+        "bg": encode_app_metrics(bg),
         "fg_solo_runtime_s": res.fg_solo_runtime_s,
-        "bg_relative_rate": res.bg_relative_rate,
+        "bg_relative_rate": rate,
         "timeline": encode_timeline(res.timeline),
     }
 
 
-def decode_corun(data: dict[str, Any]) -> CoRunResult:
-    return CoRunResult(
-        fg=decode_app_metrics(data["fg"]),
-        bg=decode_app_metrics(data["bg"]),
+def decode_corun(data: dict[str, Any]) -> ScenarioRunResult:
+    return ScenarioRunResult(
+        apps=[decode_app_metrics(data["fg"]), decode_app_metrics(data["bg"])],
         fg_solo_runtime_s=data["fg_solo_runtime_s"],
-        bg_relative_rate=data["bg_relative_rate"],
+        bg_relative_rates=[data["bg_relative_rate"]],
         timeline=decode_timeline(data["timeline"]),
     )
 
@@ -231,8 +232,6 @@ def _parts(kind: str, result: Any) -> tuple[list[float], list[AppMetrics]]:
     """A result's own scalars and its apps, in packing order."""
     if kind == "solo":
         return [], [result.metrics]
-    if kind == "corun":
-        return [result.fg_solo_runtime_s, result.bg_relative_rate], [result.fg, result.bg]
     return [result.fg_solo_runtime_s, *result.bg_relative_rates], list(result.apps)
 
 
@@ -318,8 +317,7 @@ def unpack_entry(raw: bytes, kind: str, keyfp: str, key: bytes) -> Any | None:
     timeline = LazyTimeline(line2, names)
     if kind == "solo":
         return SoloRunResult(apps[0], timeline) if own == 0 and len(apps) == 1 else None
-    if kind == "corun":
-        if own != 2 or len(apps) != 2:
-            return None
-        return CoRunResult(apps[0], apps[1], values[0], values[1], timeline)
-    return ScenarioRunResult(apps, values[0], list(values[1:own]), timeline) if own else None
+    # A pair entry (``corun``) holds a 2-app scenario's numbers.
+    if not own or kind == "corun" and (own, len(apps)) != (2, 2):
+        return None
+    return ScenarioRunResult(apps, values[0], list(values[1:own]), timeline)

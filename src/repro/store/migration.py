@@ -12,11 +12,11 @@ segments (:mod:`repro.store.codec`) and then flips ``store.json``.
 An entry migrates when the schema-1 reader would have served it: line 1
 parses, its schema is 1 and its kind is the section's, its line 2
 matches the digest line 1 carries, its key is one this version builds
-(the shard's engine fingerprint, the fields a put writes) and its result
-decodes.  Of several copies of a key, the last one in the segments (in
-name order) that checks out wins, else the per-entry file's, as the
-schema-1 reader served them.  What does not check out was a miss before
-and is dropped.
+for that section (the shard's engine fingerprint, the fields a put
+writes, a scenario the store places there) and its result decodes.  Of
+several copies of a key, the last one in the segments (in name order)
+that checks out wins, else the per-entry file's, as the schema-1 reader
+served them.  What does not check out was a miss before and is dropped.
 
 The whole rewrite runs under the **exclusive** store lock, in three
 steps, so that a run cut short anywhere loses no entry that was
@@ -74,22 +74,22 @@ _DECODERS = {"solo": decode_solo, "corun": decode_corun, "scenario": decode_scen
 def _canonical_key(section: str, engine_fp: str, key: Any) -> dict[str, Any] | None:
     """``key`` as a put of this version builds it (the field order its
     bytes follow), or ``None`` if it is not a key of ``section`` in the
-    shard of ``engine_fp``."""
+    shard of ``engine_fp``: a scenario the store places in another
+    section (a plain pair found under ``scenario/``) is not."""
     try:
         if key["engine_fingerprint"] != engine_fp:
             return None
         if section == "solo":
-            canon = ResultStore._solo_key(engine_fp, key["workload"], key["threads"])
+            home, canon = "solo", ResultStore._solo_key(engine_fp, key["workload"], key["threads"])
         elif section == "corun":
-            canon = ResultStore._corun_key(
-                engine_fp, key["fg"], key["bg"], key["fg_threads"], key["bg_threads"]
-            )
+            home, canon = ResultStore._address(engine_fp, Scenario.pair(
+                key["fg"], key["bg"], threads=key["fg_threads"], bg_threads=key["bg_threads"]
+            ))
         else:
-            scenario = Scenario.from_payload(key["scenario"])
-            canon = ResultStore._scenario_key(engine_fp, scenario)
+            home, canon = ResultStore._address(engine_fp, Scenario.from_payload(key["scenario"]))
     except (KeyError, TypeError, ValueError, ReproError):
         return None
-    return canon if canon == key else None
+    return canon if home == section and canon == key else None
 
 
 def _schema1_entry(raw: bytes, section: str, engine_fp: str) -> tuple[dict[str, Any], Any] | None:

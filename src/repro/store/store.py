@@ -21,7 +21,11 @@ bytes (:func:`~repro.store.codec.entry_key`; the key is
 ``engine_fingerprint x fg x bg x fg_threads x bg_threads`` for plain
 pairs, ``engine_fingerprint x scenario payload`` for every other
 scenario), so a warm store can never serve a result computed under a
-different machine spec or engine configuration.
+different machine spec or engine configuration.  The store alone
+decides whether a scenario is filed as a plain pair or by its payload:
+callers hand :meth:`ResultStore.get_scenario` and
+:meth:`ResultStore.put_scenario` any cacheable scenario, pairs
+included.
 
 Each process appends the entries it writes to its own **segment** in
 the entry's shard, ``<pid>-<token>.jsonl``, opened on its first put
@@ -90,7 +94,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator, NamedTuple
 
-from repro.engine.results import CoRunResult, ScenarioRunResult, SoloRunResult
+from repro.engine.results import ScenarioRunResult, SoloRunResult
 from repro.errors import ScenarioError, StoreError, StoreWarning
 from repro.store.locking import store_lock
 from repro.session.base import fingerprint
@@ -557,8 +561,8 @@ class ResultStore:
     Three roles in one root directory:
 
     * a **solo/scenario cache** (:meth:`get_solo` / :meth:`put_solo`,
-      :meth:`get_corun` / :meth:`put_corun` for plain pairs,
-      :meth:`get_scenario` / :meth:`put_scenario`) that a
+      :meth:`get_scenario` / :meth:`put_scenario` for a scenario of any
+      size, pairs included) that a
       :class:`~repro.session.session.Session` reads through and writes
       behind, making a cold process with a warm store as fast as a warm
       in-memory session.  Puts append to this store's segments, reads
@@ -849,6 +853,20 @@ class ResultStore:
             )
         return {"engine_fingerprint": engine_fp, "scenario": scenario.payload()}
 
+    @staticmethod
+    def _address(engine_fp: str, scenario: Scenario) -> tuple[str, dict[str, Any]]:
+        """The section and key a cacheable scenario's entry lives under.
+
+        A plain pair (:meth:`~repro.session.scenario.Scenario.corun_key`)
+        lives in ``corun/`` under its pair key, where every store
+        written so far keeps it; every other shape lives in
+        ``scenario/`` under its payload.  An uncacheable scenario raises
+        :class:`~repro.errors.ScenarioError`."""
+        pair = scenario.corun_key()
+        if pair is not None:
+            return "corun", ResultStore._corun_key(engine_fp, *pair)
+        return "scenario", ResultStore._scenario_key(engine_fp, scenario)
+
     def get_solo(
         self, engine_fp: str, workload: str, threads: int
     ) -> SoloRunResult | None:
@@ -862,17 +880,16 @@ class ResultStore:
     def get_scenario(
         self, engine_fp: str, scenario: Scenario
     ) -> ScenarioRunResult | None:
-        """Cached scenario result, or ``None``.
-
-        Plain pairs are *not* stored here — the session keeps them in
-        the ``corun/`` section (:meth:`get_corun`).
-        """
-        return self._get("scenario", engine_fp, self._scenario_key(engine_fp, scenario))
+        """Cached result of a cacheable scenario, pairs included, or
+        ``None``; :meth:`_address` decides where it lives."""
+        section, key = self._address(engine_fp, scenario)
+        return self._get(section, engine_fp, key)
 
     def put_scenario(
         self, engine_fp: str, scenario: Scenario, result: ScenarioRunResult
     ) -> None:
-        self._put("scenario", engine_fp, self._scenario_key(engine_fp, scenario), result)
+        section, key = self._address(engine_fp, scenario)
+        self._put(section, engine_fp, key, result)
 
     def scenarios(self) -> list[dict[str, Any]]:
         """Key metadata of every persisted scenario entry (``repro
@@ -899,7 +916,8 @@ class ResultStore:
 
     def get_corun(
         self, engine_fp: str, fg: str, bg: str, fg_threads: int, bg_threads: int
-    ) -> CoRunResult | None:
+    ) -> ScenarioRunResult | None:
+        """The plain pair under its pair key (see :meth:`get_scenario`)."""
         key = self._corun_key(engine_fp, fg, bg, fg_threads, bg_threads)
         return self._get("corun", engine_fp, key)
 
@@ -910,7 +928,7 @@ class ResultStore:
         bg: str,
         fg_threads: int,
         bg_threads: int,
-        result: CoRunResult,
+        result: ScenarioRunResult,
     ) -> None:
         key = self._corun_key(engine_fp, fg, bg, fg_threads, bg_threads)
         self._put("corun", engine_fp, key, result)

@@ -25,7 +25,7 @@ class TestAsymmetricCoRun:
             get_profile("swaptions"), get_profile("nab"),
             threads=6, bg_threads=2,
         )
-        assert res.fg.threads == 6 and res.bg.threads == 2
+        assert [app.threads for app in res.apps] == [6, 2]
 
     def test_over_allocation_rejected(self, engine):
         with pytest.raises(EngineError):

@@ -1,6 +1,6 @@
 """Classification edges: the N-way generalization of Section V's
 taxonomy — threshold boundaries, role flips across rotations, and the
-pair-reduction equivalence ``NWayVerdict(2 apps) == PairVerdict``."""
+2-app case, which is the paper's pair taxonomy."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.sched.classify import (
     NWayVerdict,
     PairClass,
     classify_nway,
-    classify_pair,
 )
 from repro.session import Session
 
@@ -75,32 +74,24 @@ class TestRoles:
         assert v.label == "Victim-Offender (victims: a)"
 
 
-class TestPairReduction:
+class TestPairs:
     @pytest.mark.parametrize(
-        "sa,sb",
+        "sa,sb,relationship,victims,offenders",
         [
-            (1.1, 1.2),      # Harmony
-            (1.9, 1.1),      # Victim-Offender, a victim
-            (1.1, 1.9),      # Victim-Offender, b victim
-            (1.6, 1.7),      # Both-Victim
-            (1.5, 1.0),      # exact threshold
-            (1.5, 1.5),      # both exactly at threshold
+            (1.1, 1.2, PairClass.HARMONY, (), ()),
+            (1.9, 1.1, PairClass.VICTIM_OFFENDER, ("a",), ("b",)),
+            (1.1, 1.9, PairClass.VICTIM_OFFENDER, ("b",), ("a",)),
+            (1.6, 1.7, PairClass.BOTH_VICTIM, ("a", "b"), ()),
+            (1.5, 1.0, PairClass.VICTIM_OFFENDER, ("a",), ("b",)),  # exact threshold
+            (1.5, 1.5, PairClass.BOTH_VICTIM, ("a", "b"), ()),  # both exactly at it
         ],
     )
-    def test_two_app_verdict_equals_pair_verdict(self, sa, sb):
-        nway = classify_nway(("a", "b"), (sa, sb))
-        pair = classify_pair("a", "b", sa, sb)
-        assert nway.to_pair() == pair
-        assert nway.relationship is pair.relationship
-        victims = set(nway.victims)
-        if pair.relationship is PairClass.VICTIM_OFFENDER:
-            assert victims == {pair.victim}
-            assert set(nway.offenders) == {pair.offender}
-
-    def test_to_pair_rejects_larger_verdicts(self):
-        v = classify_nway(("a", "b", "c"), (1.0, 1.0, 1.0))
-        with pytest.raises(ExperimentError):
-            v.to_pair()
+    def test_two_app_verdict_is_the_pair_taxonomy(self, sa, sb, relationship, victims, offenders):
+        """Section V's pair rules: both under 1.5x is Harmony, exactly
+        one at or over it is its victim and the other its offender,
+        both at or over it is Both-Victim."""
+        v = classify_nway(("a", "b"), (sa, sb))
+        assert (v.relationship, v.victims, v.offenders) == (relationship, victims, offenders)
 
 
 class TestRotationAggregation:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ExperimentConfig, PairClass, classify_pair
+from repro.core import ExperimentConfig, PairClass, classify_nway
 from repro.errors import ExperimentError
 from repro.session import Session
 from repro.workloads.calibration import APPLICATIONS
@@ -20,26 +20,28 @@ def fig6():
 
 
 class TestClassifyPair:
+    """A pair is the 2-app case of :func:`classify_nway`."""
+
     def test_harmony(self):
-        v = classify_pair("a", "b", 1.1, 1.2)
+        v = classify_nway(("a", "b"), (1.1, 1.2))
         assert v.relationship is PairClass.HARMONY
-        assert v.victim is None and v.offender is None
+        assert v.victims == () and v.offenders == ()
 
     def test_victim_offender(self):
-        v = classify_pair("a", "b", 1.9, 1.1)
+        v = classify_nway(("a", "b"), (1.9, 1.1))
         assert v.relationship is PairClass.VICTIM_OFFENDER
-        assert v.victim == "a" and v.offender == "b"
+        assert v.victims == ("a",) and v.offenders == ("b",)
 
     def test_both_victim(self):
-        v = classify_pair("a", "b", 1.6, 1.7)
+        v = classify_nway(("a", "b"), (1.6, 1.7))
         assert v.relationship is PairClass.BOTH_VICTIM
 
     def test_threshold_inclusive(self):
-        assert classify_pair("a", "b", 1.5, 1.0).relationship is PairClass.VICTIM_OFFENDER
+        assert classify_nway(("a", "b"), (1.5, 1.0)).relationship is PairClass.VICTIM_OFFENDER
 
     def test_invalid(self):
         with pytest.raises(ExperimentError):
-            classify_pair("a", "b", 0.0, 1.0)
+            classify_nway(("a", "b"), (0.0, 1.0))
 
 
 class TestFig5Shapes:
@@ -72,6 +74,9 @@ class TestFig5Shapes:
         v = matrix.classify("G-CC", "CIFAR")
         assert matrix.value("G-CC", "CIFAR") > 1.3
         assert matrix.value("CIFAR", "G-CC") < matrix.value("G-CC", "CIFAR")
+        # The verdict reads both cells of the pair, A's first.
+        assert v.apps == ("G-CC", "CIFAR")
+        assert v.slowdowns == (matrix.value("G-CC", "CIFAR"), matrix.value("CIFAR", "G-CC"))
 
     def test_gcc_fotonik_strongest(self, matrix):
         # Paper: G-CC goes to ~198% with fotonik3d — worse than CIFAR.

@@ -112,7 +112,7 @@ class TestCoRun:
                              mrc=MissRatioCurve.constant(0.2), footprint=256 * KiB)
         res = engine.co_run(compute_bound, other)
         assert res.normalized_time < 1.1
-        assert res.bg_slowdown < 1.1
+        assert res.bg_slowdowns()[0] < 1.1
 
     def test_stream_bg_hurts_cache_friendly_fg(self, engine, cache_friendly, streaming):
         res = engine.co_run(cache_friendly, streaming)
@@ -138,7 +138,7 @@ class TestCoRun:
         solo_a = engine.solo_run(streaming, threads=4).metrics.avg_bandwidth_bytes
         solo_b = engine.solo_run(bandit_like, threads=4).metrics.avg_bandwidth_bytes
         res = engine.co_run(streaming, bandit_like)
-        pair_bw = res.fg.avg_bandwidth_bytes + res.bg.avg_bandwidth_bytes
+        pair_bw = sum(app.avg_bandwidth_bytes for app in res.apps)
         assert pair_bw <= peak * (1 + 1e-6)
         assert pair_bw <= solo_a + solo_b + 1e-6
 
@@ -219,4 +219,4 @@ class TestEngineDeterminism:
         b = IntervalEngine().co_run(get_profile("G-CC"), get_profile("Stream"))
         assert a.fg.runtime_s == b.fg.runtime_s
         assert a.fg.total.cycles == b.fg.total.cycles
-        assert a.bg_relative_rate == b.bg_relative_rate
+        assert a.bg_relative_rates == b.bg_relative_rates

@@ -152,7 +152,7 @@ class TestPairEquivalence:
         co = legacy_co_run(session, "G-CC", "fotonik3d", 4)
         assert sres.result.fg.runtime_s == co.fg.runtime_s
         assert sres.normalized_time == co.normalized_time
-        assert sres.bg_relative_rates == [co.bg_relative_rate]
+        assert sres.bg_relative_rates == co.bg_relative_rates
         assert sres.result.fg.by_region == co.fg.by_region
         # One simulation total: pairs live in the one scenario tier.
         assert session.stats.scenario_misses == 1
@@ -164,8 +164,8 @@ class TestPairEquivalence:
         fg, bg = get_profile("G-CC"), get_profile("fotonik3d")
         co = engine.co_run(fg, bg, threads=4)
         scn = engine.scenario_run([fg, bg], [4, 4])
-        assert scn.to_corun().fg.runtime_s == co.fg.runtime_s
-        assert scn.to_corun().bg_relative_rate == co.bg_relative_rate
+        assert scn.fg.runtime_s == co.fg.runtime_s
+        assert scn.bg_relative_rates == co.bg_relative_rates
         assert scn.normalized_time == co.normalized_time
 
     def test_fig5_cells_equal_pair_scenarios(self):
@@ -197,7 +197,7 @@ class TestPairEquivalence:
         assert reader.stats.scenario_misses == 0
         assert reader.stats.scenario_disk_hits == 1
         assert sres.result.fg.runtime_s == legacy.fg.runtime_s
-        assert sres.bg_relative_rates == [legacy.bg_relative_rate]
+        assert sres.bg_relative_rates == legacy.bg_relative_rates
         # The fan-out path serves it too, counting the disk hit once.
         fanned = Session(config, store=ResultStore(tmp_path / "st"))
         fanned.run_scenarios([Scenario.pair("G-CC", "fotonik3d", threads=4)] * 2)

@@ -209,6 +209,22 @@ class TestDamage:
         assert ("scenario", json.dumps(key)) not in got
         assert {k: v for k, v in want.items() if k[0] != "scenario"} == got
 
+    def test_a_plain_pair_under_scenario_is_dropped(self, store, want):
+        """The store files a plain pair in ``corun/``, so one found under
+        ``scenario/`` is no key of that section: dropped, not migrated."""
+        fp = Session(make_config()).engine_fingerprint()
+        reader = ResultStore(store)
+        result = reader.get_scenario(fp, PAIR)
+        reader.close()
+        downgrade(store, "segments")
+        (segment,) = Path(store).glob("scenario/*/*.jsonl")
+        key = {"engine_fingerprint": fp, "scenario": PAIR.payload()}
+        with open(segment, "ab") as fh:
+            fh.write(b"".join(schema1_lines("scenario", key, result)))
+        summary = migrate(store)
+        assert (summary["migrated"], summary["dropped"]) == (len(want), 1)
+        assert contents(store) == want
+
     @pytest.mark.parametrize("how", ["missing", "truncated"])
     def test_entry_file_with_a_bad_line_two_is_dropped(self, store, want, how):
         downgrade(store, "two-line")

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.engine.results import (
     AppMetrics,
     BandwidthSample,
-    CoRunResult,
     LazyTimeline,
     RegionMetrics,
     ScenarioRunResult,
@@ -89,8 +88,6 @@ def results(draw):
     timeline = draw(timelines([a.name for a in members]))
     if kind == "solo":
         return kind, SoloRunResult(members[0], timeline)
-    if kind == "corun":
-        return kind, CoRunResult(members[0], members[1], draw(FLOATS), draw(FLOATS), timeline)
     rates = draw(st.lists(FLOATS, min_size=len(members) - 1, max_size=len(members) - 1))
     return kind, ScenarioRunResult(members, draw(FLOATS), rates, timeline)
 
@@ -123,3 +120,18 @@ def test_a_timeline_that_is_not_rectangular_is_refused():
     key, keyfp = entry_key(KEY)
     with pytest.raises(ValueError, match="not rectangular"):
         pack_entry("solo", keyfp, key, SoloRunResult(app, ragged))
+
+
+def test_a_pair_entry_holds_exactly_two_apps():
+    """A ``corun`` entry holds a 2-app scenario's numbers: one that
+    unpacks to any other number of apps is a miss, though the same
+    numbers serve as a ``scenario`` entry."""
+    key, keyfp = entry_key(KEY)
+    for n in (1, 2, 3):
+        result = ScenarioRunResult(
+            [AppMetrics(f"app{i}", 1, 1.0, {}) for i in range(n)], 2.0, [0.5] * (n - 1)
+        )
+        raw = pack_entry("corun", keyfp, key, result)
+        assert (unpack_entry(raw, "corun", keyfp, key) is not None) == (n == 2)
+        raw = pack_entry("scenario", keyfp, key, result)
+        assert unpack_entry(raw, "scenario", keyfp, key) is not None

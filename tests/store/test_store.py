@@ -87,8 +87,7 @@ class TestResultStoreCache:
 
     def test_corun_put_get_roundtrip(self, store):
         session = Session(make_config())
-        co = session.run_scenario(Scenario.pair("G-CC", "fotonik3d", threads=4))
-        co = co.result.to_corun()
+        co = session.run_scenario(Scenario.pair("G-CC", "fotonik3d", threads=4)).result
         fp = session.engine_fingerprint()
         store.put_corun(fp, "G-CC", "fotonik3d", 4, 4, co)
         assert store.get_corun(fp, "G-CC", "fotonik3d", 4, 4) == co
@@ -240,7 +239,7 @@ class TestSessionReadThrough:
         assert warm.stats.scenario_disk_hits == 7
         assert warm.stats.scenario_hits == 0
         assert warm.stats.scenario_misses == 0
-        assert [r.result.to_corun() for r in results] == written
+        assert [r.result for r in results] == written
 
     def test_parallel_sweep_persists_worker_results(self, tmp_path):
         par = Session(

@@ -45,7 +45,7 @@ def keyed_results():
     session = Session(ExperimentConfig(workloads=("G-CC", "swaptions", "fotonik3d"), jitter=0.0))
     solos = [session.solo(w, threads=t) for w in ("G-CC", "swaptions") for t in (1, 2)]
     pairs = [
-        session.run_scenario(Scenario.pair("G-CC", "swaptions", threads=t)).result.to_corun()
+        session.run_scenario(Scenario.pair("G-CC", "swaptions", threads=t)).result
         for t in (1, 2)
     ]
     trio = Scenario.of("G-CC:1", "swaptions:1", "fotonik3d:1")
