@@ -3,9 +3,9 @@
 Every cacheable scenario, the paper's 2-app pairs included, lives in
 one memory map keyed by ``(engine fingerprint, canonical Scenario)``
 and is counted by one ``scenario_{hits,misses,disk_hits}`` triple,
-once per lookup.  On disk, plain pairs stay in the store's ``corun/``
-section (where every store written so far keeps them) and every other
-shape lives in ``scenario/``.
+once per lookup.  On disk, the store alone places each shape: plain
+pairs stay in its ``corun/`` section (where every store written so far
+keeps them) and every other shape lives in ``scenario/``.
 """
 
 import json
@@ -17,6 +17,7 @@ import pytest
 import repro.engine
 from repro.core import ExperimentConfig
 from repro.core.provenance import GEMINI_APPS
+from repro.errors import ScenarioError
 from repro.session import AppPlacement, CacheStats, Scenario, Session
 from repro.store import ResultStore
 from repro.store.codec import encode_scenario_result
@@ -39,6 +40,10 @@ SHAPES = [
     ("pair-pinned", PAIR.with_pinning([(0, 1), None]), "scenario"),
     ("three-way", THREE_WAY, "scenario"),
 ]
+#: A pair with an in-band profile: no stable identity, never cached.
+INBAND = Scenario(
+    (AppPlacement("G-CC", 2), AppPlacement("balloon", 2, profile=get_profile("Stream")))
+)
 
 
 def make_config() -> ExperimentConfig:
@@ -140,6 +145,38 @@ class TestEveryShape:
         assert encoded(again) == encoded(first)
 
 
+class TestStoreRouting:
+    """The store places each shape itself: a caller hands
+    :meth:`ResultStore.put_scenario` / :meth:`ResultStore.get_scenario`
+    any cacheable scenario."""
+
+    @pytest.mark.parametrize(
+        "scenario, section", [s[1:] for s in SHAPES], ids=[s[0] for s in SHAPES]
+    )
+    def test_put_and_get_scenario_place_each_shape(self, tmp_path, scenario, section):
+        session = Session(make_config())
+        engine_fp = session.scenario_identity(scenario)[0]
+        result = session.run_scenario(scenario).result
+        ResultStore(tmp_path / "st").put_scenario(engine_fp, scenario, result)
+        store = ResultStore(tmp_path / "st")
+        assert sections(store) == ((1, 0) if section == "corun" else (0, 1))
+        want = json.dumps(encode_scenario_result(result))
+        assert json.dumps(encode_scenario_result(store.get_scenario(engine_fp, scenario))) == want
+        pair = scenario.corun_key()
+        assert (pair is not None) == (section == "corun")
+        if pair is not None:
+            assert store.get_corun(engine_fp, *pair) == store.get_scenario(engine_fp, scenario)
+
+    def test_an_in_band_scenario_raises_from_both_calls(self, tmp_path):
+        store = ResultStore(tmp_path / "st")
+        result = Session(make_config()).run_scenario(INBAND).result
+        with pytest.raises(ScenarioError):
+            store.get_scenario("feedbeef0001", INBAND)
+        with pytest.raises(ScenarioError):
+            store.put_scenario("feedbeef0001", INBAND, result)
+        assert sections(store) == (0, 0)
+
+
 class TestOneTier:
     def test_default_policy_named_explicitly_shares_the_pair_entry(self, tmp_path):
         session = Session(make_config(), store=ResultStore(tmp_path / "st"))
@@ -169,13 +206,10 @@ class TestOneTier:
         # An in-band profile has no stable identity: such a pair moves
         # no scenario counter, writes no store entry, and simulates on
         # every call (to the same bytes).
-        inband = Scenario(
-            (AppPlacement("G-CC", 2), AppPlacement("balloon", 2, profile=get_profile("Stream")))
-        )
-        assert inband.corun_key() is None
+        assert INBAND.corun_key() is None
         session = Session(make_config(), store=ResultStore(tmp_path / "st"))
-        first = session.run_scenario(inband)
-        second = session.run_scenario(inband)
+        first = session.run_scenario(INBAND)
+        second = session.run_scenario(INBAND)
         assert second.result is not first.result
         assert encoded(second) == encoded(first)
         snap = session.stats.snapshot()
