@@ -56,7 +56,8 @@ def run_ids(manifest: dict) -> dict[str, str]:
 
 
 def _read_back(store, section: str, key: dict):
-    """Encoded result of one entry, read through the store's public API."""
+    """Encoded result of one entry, read through the store's public API
+    the way the Session reads it: pairs are 2-app scenarios."""
     from repro.session import Scenario
     from repro.store.codec import encode_corun, encode_scenario_result, encode_solo
 
@@ -65,9 +66,9 @@ def _read_back(store, section: str, key: dict):
         result = store.get_solo(fp, key["workload"], key["threads"])
         encode = encode_solo
     elif section == "corun":
-        result = store.get_corun(
-            fp, key["fg"], key["bg"], key["fg_threads"], key["bg_threads"]
-        )
+        result = store.get_scenario(fp, Scenario.pair(
+            key["fg"], key["bg"], threads=key["fg_threads"], bg_threads=key["bg_threads"]
+        ))
         encode = encode_corun
     else:
         result = store.get_scenario(fp, Scenario.from_payload(key["scenario"]))
