@@ -58,14 +58,6 @@ class PcmReport:
             return float(np.mean([s.total_bytes_per_s for s in self.samples]))
         return float(self.series(app).mean())
 
-    def peak_bytes_per_s(self, app: str | None = None) -> float:
-        """Peak observed bandwidth."""
-        if not self.samples:
-            return 0.0
-        if app is None:
-            return float(max(s.total_bytes_per_s for s in self.samples))
-        return float(self.series(app).max())
-
     def average_gb_s(self, app: str | None = None) -> float:
         """Average bandwidth in PCM's GB/s units (Table III)."""
         return self.average_bytes_per_s(app) / GB

@@ -1,7 +1,7 @@
-"""Unit helpers used across the package.
+"""Unit constants used across the package.
 
 The hardware model works internally in bytes, CPU cycles and seconds.
-These helpers keep call-sites legible (``20 * MiB`` instead of
+These constants keep call-sites legible (``20 * MiB`` instead of
 ``20 * 1024 * 1024``) and centralize the GB/s convention used by the
 paper: Intel PCM reports decimal gigabytes per second, so bandwidth
 figures use ``GB = 1e9`` while cache capacities use binary ``KiB/MiB``.
@@ -20,27 +20,3 @@ GB: int = 1_000_000_000
 
 #: Size of one cache line on the modelled Sandy Bridge machine.
 CACHE_LINE: int = 64
-
-
-def bytes_to_mb_s(byte_rate: float) -> float:
-    """Convert a byte/s rate into the MB/s figure Fig 3 of the paper plots."""
-    return byte_rate / MB
-
-
-def bytes_to_gb_s(byte_rate: float) -> float:
-    """Convert a byte/s rate into the GB/s figure Table III reports."""
-    return byte_rate / GB
-
-
-def cycles_to_seconds(cycles: float, freq_hz: float) -> float:
-    """Convert a cycle count into wall-clock seconds at ``freq_hz``."""
-    if freq_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {freq_hz}")
-    return cycles / freq_hz
-
-
-def seconds_to_cycles(seconds: float, freq_hz: float) -> float:
-    """Convert wall-clock seconds into cycles at ``freq_hz``."""
-    if freq_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {freq_hz}")
-    return seconds * freq_hz

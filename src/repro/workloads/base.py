@@ -176,13 +176,6 @@ class WorkloadProfile:
         if len(set(names)) != len(names):
             raise WorkloadError(f"{self.name}: duplicate region names {names}")
 
-    def region_by_name(self, name: str) -> RegionProfile:
-        """Look up a phase by its region name."""
-        for r in self.regions:
-            if r.region.name == name:
-                return r
-        raise WorkloadError(f"{self.name}: no region named {name!r}")
-
     @property
     def dominant_region(self) -> RegionProfile:
         """The phase with the largest instruction share (hotspot)."""
