@@ -917,7 +917,6 @@ class ResultStore:
     def get_corun(
         self, engine_fp: str, fg: str, bg: str, fg_threads: int, bg_threads: int
     ) -> ScenarioRunResult | None:
-        """The plain pair under its pair key (see :meth:`get_scenario`)."""
         key = self._corun_key(engine_fp, fg, bg, fg_threads, bg_threads)
         return self._get("corun", engine_fp, key)
 

@@ -36,7 +36,11 @@ SCENARIOS = (
         Scenario.pair("fotonik3d", "swaptions", threads=2, bg_threads=1, llc_policy="even"),
         "corun",
     ),
-    ("pair-way-masks", Scenario.pair("G-CC", "swaptions", threads=2).with_ways([0xF0, 0x0F]), "scenario"),
+    (
+        "pair-way-masks",
+        Scenario.pair("G-CC", "swaptions", threads=2).with_ways([0xF0, 0x0F]),
+        "scenario",
+    ),
     ("three-way", Scenario.of("G-CC:1", "fotonik3d:1", "swaptions:1"), "scenario"),
 )
 

@@ -8,7 +8,9 @@ an ``even``-policy pair with uneven threads, a way-masked pair and a
 hit with no miss, and decode to the result that version returned.  A
 fresh write of the same cells must give the fixture's entries byte for
 byte, so a change to a pair's section, kind, key bytes or packed
-numbers fails here even when reads and writes change together.
+numbers fails here even when reads and writes change together.  After a
+deliberate model change (``scripts/pin_golden.py --bump``), rebuild the
+fixture with ``build_schema2.py``.
 """
 
 import hashlib
