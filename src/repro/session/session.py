@@ -309,42 +309,14 @@ class Session:
         name, and only registry-resolved profiles are guaranteed stable
         under one engine fingerprint.
         """
-        unsaved: "list[tuple[str, str, int, SoloRunResult]]" = []
-        res = self._solo(name, threads, engine_config, profile, spec, unsaved)
-        for entry in unsaved:
-            self.store.put_solo(*entry)
-        return res
-
-    def _solo(
-        self,
-        name: str,
-        threads: int,
-        engine_config: EngineConfig | None,
-        profile: WorkloadProfile | None,
-        spec: MachineSpec | None,
-        unsaved: "list[tuple[str, str, int, SoloRunResult]]",
-    ) -> SoloRunResult:
-        """:meth:`solo`, leaving a fresh result's store put in
-        ``unsaved`` for the caller to write."""
-        engine_fp = self.engine_fingerprint(engine_config, spec)
-        key = (engine_fp, name, threads)
-        hit = self._solos.get(key)
-        if hit is not None:
-            self.stats.solo_hits += 1
-            return hit
-        if self.store is not None and profile is None:
-            disk = self.store.get_solo(engine_fp, name, threads)
-            if disk is not None:
-                self.stats.solo_disk_hits += 1
-                self._solos[key] = disk
-                return disk
-        self.stats.solo_misses += 1
-        prof = profile if profile is not None else get_profile(name)
-        res = self.engine(engine_config, spec).solo_run(prof, threads=threads)
-        self._solos[key] = res
-        if self.store is not None and profile is None:
-            unsaved.append((engine_fp, name, threads, res))
-        return res
+        pending: "dict[tuple[str, str, int], tuple]" = {}
+        key = self._plan_solo(name, threads, engine_config, profile, spec, pending)
+        if pending:
+            unsaved: "list[tuple[str, str, int, SoloRunResult]]" = []
+            self._solve_solos(pending, unsaved)
+            for entry in unsaved:
+                self.store.put_solo(*entry)
+        return self._solos[key]
 
     def solo_runtime(
         self,
@@ -392,29 +364,109 @@ class Session:
         )
         return self.engine_fingerprint(cfg, spec_override), cfg, spec_override, canon
 
-    def _scenario_solo_refs(
+    def _plan_solo(
+        self,
+        name: str,
+        threads: int,
+        engine_config: EngineConfig | None,
+        profile: WorkloadProfile | None,
+        spec: MachineSpec | None,
+        pending: "dict[tuple[str, str, int], tuple]",
+    ) -> tuple[str, str, int]:
+        """Look one solo reference up for a pass and count the lookup as
+        :meth:`solo` would: memory (a reference the pass already
+        queued included), then the store, else a miss queued in
+        ``pending`` for the pass to solve.  Returns its cache key."""
+        engine_fp = self.engine_fingerprint(engine_config, spec)
+        key = (engine_fp, name, threads)
+        if key in self._solos or key in pending:
+            self.stats.solo_hits += 1
+            return key
+        if self.store is not None and profile is None:
+            disk = self.store.get_solo(engine_fp, name, threads)
+            if disk is not None:
+                self.stats.solo_disk_hits += 1
+                self._solos[key] = disk
+                return key
+        self.stats.solo_misses += 1
+        pending[key] = (profile, engine_config, spec)
+        return key
+
+    def _plan_solo_refs(
         self,
         scenario: Scenario,
         engine_config: EngineConfig,
         spec: MachineSpec | None,
-        unsaved: "list[tuple[str, str, int, SoloRunResult]]",
-    ) -> tuple[float, tuple[float, ...]]:
-        """Resolve a scenario's solo references through the shared cache
-        (honouring per-placement overrides), so serial loops and pool
-        workers all see identical floats.  Fresh solo results are left
-        in ``unsaved`` for the pass to write."""
-        fg = scenario.placements[0]
-        fg_runtime = self._solo(
-            fg.workload, fg.threads, engine_config, fg.profile, spec, unsaved
-        ).runtime_s
-        rates: list[float] = []
-        for p in scenario.placements[1:]:
-            if p.solo_rate_override is not None:
-                rates.append(p.solo_rate_override)
+        pending: "dict[tuple[str, str, int], tuple]",
+    ) -> "list[tuple[str, str, int] | float]":
+        """A scenario's solo references, each as its cache key (see
+        :meth:`_plan_solo`) or a background's rate override."""
+        refs: "list[tuple[str, str, int] | float]" = []
+        for i, p in enumerate(scenario.placements):
+            if i and p.solo_rate_override is not None:
+                refs.append(p.solo_rate_override)
                 continue
-            solo = self._solo(p.workload, p.threads, engine_config, p.profile, spec, unsaved)
+            refs.append(
+                self._plan_solo(p.workload, p.threads, engine_config, p.profile, spec, pending)
+            )
+        return refs
+
+    def _solve_solos(
+        self,
+        pending: "dict[tuple[str, str, int], tuple]",
+        unsaved: "list[tuple[str, str, int, SoloRunResult]]",
+    ) -> None:
+        """Solve the solo references a pass queued and cache them,
+        leaving the store puts in ``unsaved`` in queue order.  With
+        :attr:`engine_batch`, the references of one engine are solved
+        together, as the 1-app cells of one
+        :func:`repro.engine.solve_batch` call (a solo run is the
+        1-app scenario, bit for bit); a lone one, or every one
+        without :attr:`engine_batch`, runs through the scalar
+        :meth:`IntervalEngine.solo_run`."""
+        groups: "dict[str, list[tuple[str, str, int]]]" = {}
+        for key in pending:
+            groups.setdefault(key[0], []).append(key)
+        for keys in groups.values():
+            _, engine_config, spec = pending[keys[0]]
+            engine = self.engine(engine_config, spec)
+            runs = [
+                (pending[key][0] or get_profile(key[1]), key[2]) for key in keys
+            ]
+            if self.engine_batch and len(runs) > 1:
+                from repro.engine import BatchCell, solve_batch
+
+                # A solo run needs no reference of its own.
+                cells = [
+                    BatchCell((prof,), (threads,), fg_solo_runtime_s=0.0, bg_solo_rates=())
+                    for prof, threads in runs
+                ]
+                solved = [
+                    SoloRunResult(res.apps[0], res.timeline)
+                    for res in solve_batch(engine, cells)
+                ]
+            else:
+                solved = [engine.solo_run(prof, threads=threads) for prof, threads in runs]
+            for key, res in zip(keys, solved):
+                self._solos[key] = res
+        if self.store is not None:
+            unsaved.extend(
+                (*key, self._solos[key]) for key, (profile, _, _) in pending.items()
+                if profile is None
+            )
+
+    def _task(
+        self, scenario: Scenario, refs: "list[tuple[str, str, int] | float]"
+    ) -> _ScenarioTask:
+        """A planned scenario with its solo references resolved."""
+        rates: list[float] = []
+        for ref in refs[1:]:
+            if not isinstance(ref, tuple):
+                rates.append(ref)
+                continue
+            solo = self._solos[ref]
             rates.append(solo.metrics.total.instructions / solo.runtime_s)
-        return fg_runtime, tuple(rates)
+        return _ScenarioTask(scenario, self._solos[refs[0]].runtime_s, tuple(rates))
 
     def scenario_identity(self, scenario: Scenario) -> tuple[str, str, str]:
         """``(engine_fingerprint, scenario_fingerprint, cache_tier)`` —
@@ -490,11 +542,12 @@ class Session:
         served it (``memory``, ``disk`` or ``engine``)."""
         results: "list[ScenarioRunResult | None]" = [None] * len(scens)
         tiers = ["engine"] * len(scens)
-        tasks: list[_ScenarioTask] = []
+        misses: "list[tuple[Scenario, list]]" = []
         parts: "list[tuple[str, EngineConfig, MachineSpec | None]]" = []
         keys: "list[tuple[str, Scenario] | None]" = []
         planned: dict[tuple[str, Scenario], int] = {}
         owner: dict[int, int] = {}  # cell index -> task index
+        pending_solos: "dict[tuple[str, str, int], tuple]" = {}
         unsaved_solos: "list[tuple[str, str, int, SoloRunResult]]" = []
         for i, s in enumerate(scens):
             engine_fp, engine_config, spec, canon = self._scenario_parts(s)
@@ -517,13 +570,15 @@ class Session:
                         results[i] = hit
                         tiers[i] = "disk"
                         continue
-                planned[key] = len(tasks)
-            fg_runtime, rates = self._scenario_solo_refs(s, engine_config, spec, unsaved_solos)
-            owner[i] = len(tasks)
-            tasks.append(_ScenarioTask(s, fg_runtime, rates))
+                planned[key] = len(misses)
+            owner[i] = len(misses)
+            misses.append((s, self._plan_solo_refs(s, engine_config, spec, pending_solos)))
             parts.append((engine_fp, engine_config, spec))
             keys.append(key)
-        if tasks:
+        if misses:
+            if pending_solos:
+                self._solve_solos(pending_solos, unsaved_solos)
+            tasks = [self._task(s, refs) for s, refs in misses]
             if self.engine_batch and len(tasks) > 1:
                 solved = self._solve_tasks_batched(tasks, [fp for fp, _, _ in parts])
             else:

@@ -114,7 +114,13 @@ class MissRatioCurve:
     def miss_ratios(self, capacities_bytes: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`miss_ratio`."""
         caps = np.maximum(np.asarray(capacities_bytes, dtype=np.float64), 1.0)
-        return np.interp(np.log2(caps), self._log2_caps, self.ratios)
+        return self.miss_ratios_log2(np.log2(caps))
+
+    def miss_ratios_log2(self, log2_caps: np.ndarray) -> np.ndarray:
+        """:meth:`miss_ratios` of capacities given as
+        ``log2(max(capacity, 1))``, so a caller can take the logarithm
+        of many curves' capacities in one call."""
+        return np.interp(log2_caps, self._log2_caps, self.ratios)
 
     @property
     def compulsory_ratio(self) -> float:

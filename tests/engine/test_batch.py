@@ -188,7 +188,7 @@ class TestSlotSums:
     @given(_slot_rows())
     def test_accumulate_equals_python_sum_bit_for_bit(self, rows_mask):
         rows, mask = rows_mask
-        got = _seq_sum(np.array(rows, dtype=np.float64), np.array(mask)).tolist()
+        got = _seq_sum(np.array(rows, dtype=np.float64).T, np.array(mask).T).tolist()
         want = [
             float(sum(v for v, live in zip(row, live_row) if live))
             for row, live_row in zip(rows, mask)

@@ -80,14 +80,22 @@ class TestCounters:
         )
 
     def test_a_lone_miss_is_solved_by_the_scalar_engine(self, monkeypatch):
-        def no_batch(*args, **kwargs):
-            raise AssertionError("one missing cell went to solve_batch")
+        # The pair's two missing solo references are solved together,
+        # as one batch of 1-app cells; the one missing cell itself never
+        # reaches solve_batch.
+        solve_batch = repro.engine.solve_batch
+        widths = []
 
-        monkeypatch.setattr(repro.engine, "solve_batch", no_batch)
+        def recording(engine, cells):
+            widths.append([len(cell.profiles) for cell in cells])
+            return solve_batch(engine, cells)
+
+        monkeypatch.setattr(repro.engine, "solve_batch", recording)
         session = Session(make_config())
         fanned = session.run_scenarios([PAIR, PAIR])
         assert (session.stats.scenario_misses, session.stats.scenario_hits) == (1, 1)
         assert fanned[0].result is fanned[1].result
+        assert widths == [[1, 1]]
 
 
 @pytest.fixture
