@@ -3,7 +3,7 @@
 :func:`solve_batch` runs a whole set of consolidation scenarios
 ("cells") through the interval model at once.  Per-app region state —
 CPI stacks, MLP, miss-ratio-curve lookups, LLC pressure allocation and
-bus contention — is stacked into ``(cells, slots)`` numpy arrays and a
+bus contention — is stacked into ``(slots, cells)`` numpy arrays and a
 single fixed-point iteration advances *every* scenario simultaneously,
 masking cells whose fixed point already converged and cells whose
 foreground already finished.

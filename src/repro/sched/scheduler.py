@@ -54,6 +54,7 @@ from repro.sched.score import PlacementEvaluator
 from repro.sched.trace import ArrivalTrace
 from repro.tables import ascii_table
 from repro.telemetry.tracer import get_tracer
+from repro.workloads.registry import list_workloads
 
 logger = logging.getLogger(__name__)
 
@@ -106,7 +107,13 @@ class Scheduler:
         the tenant, its workload and the admit/reject outcome.  The
         span only observes — the decision log stays byte-identical with
         tracing on or off.
+
+        A tenant whose workload has no calibrated profile raises
+        :class:`~repro.errors.SchedError` before anything is decided:
+        the log and the cluster stay as they were.
         """
+        if tenant.workload not in list_workloads():
+            raise SchedError(f"unknown workload {tenant.workload!r}")
         tracer = get_tracer()
         if tracer.enabled:
             with tracer.span(

@@ -481,14 +481,18 @@ class ServeDaemon:
             if default is not None:
                 return default
             raise ServeError(f"arrival/departure body needs {key!r}")
+        raw = body[key]
+        # int() would take a boolean as 0/1 and truncate 2.7 to 2.
+        if kind is int and (
+            isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer())
+        ):
+            raise ServeError(f"bad value for {key!r}: {raw!r}")
         try:
-            value = kind(body[key])
+            value = kind(raw)
         except (TypeError, ValueError, OverflowError):  # int(inf) overflows
-            raise ServeError(
-                f"bad value for {key!r}: {body[key]!r}"
-            ) from None
+            raise ServeError(f"bad value for {key!r}: {raw!r}") from None
         if kind is float and not math.isfinite(value):
-            raise ServeError(f"{key!r} must be finite, got {body[key]!r}")
+            raise ServeError(f"{key!r} must be finite, got {raw!r}")
         return value
 
     async def _admit(self, body: Any) -> dict[str, Any]:

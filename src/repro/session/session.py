@@ -514,10 +514,16 @@ class Session:
         pass solves included), a disk hit, or a miss.  Each distinct
         cacheable miss is solved once (uncacheable cells have no
         identity to deduplicate by, count nothing and are always
-        solved).  With :attr:`engine_batch` (the default) and at least
-        two cells to solve, they go through the batch engine sharded
-        over the executor; otherwise each is solved in process by the
-        scalar :meth:`IntervalEngine.scenario_run`.  Fresh results, and
+        solved).  The solo references the misses need are looked up
+        first, the same way and counted in :attr:`stats`; the missing
+        ones are then solved in process, with :attr:`engine_batch` (the
+        default) as the 1-app cells of one :func:`repro.engine.solve_batch`
+        call per engine, and one alone (or without :attr:`engine_batch`)
+        by the scalar :meth:`IntervalEngine.solo_run`.  With
+        :attr:`engine_batch` and at least two cells to solve, the cells
+        go through the batch engine sharded over the executor;
+        otherwise each is solved in process by the scalar
+        :meth:`IntervalEngine.scenario_run`.  Fresh results, and
         the solo references the pass simulated for them, are cached and
         written behind to the store after the solve, under one hold of
         its shared lock (:meth:`~repro.store.store.ResultStore.writing`).

@@ -178,6 +178,24 @@ class TestReplanActions:
         assert cluster.find("a").name == "m0"
 
 
+class TestUnknownWorkload:
+    def test_rejected_before_deciding_and_nothing_changes(self):
+        # A real evaluator: an unknown name would be priced 1.0 alone
+        # and admitted onto the empty machine, then break every later
+        # arrival that has to score a layout with it.
+        cluster = Cluster.homogeneous(2, SPEC)
+        sched = Scheduler(
+            cluster, get_policy("interference"), PlacementEvaluator(make_session())
+        )
+        sched.arrival(tenant("a"), time_s=0.0)
+        log, state = list(sched.decisions), json.dumps(cluster.payload())
+        with pytest.raises(SchedError, match="unknown workload 'nope'"):
+            sched.arrival(tenant("b", workload="nope"), time_s=1.0)
+        assert sched.decisions == log
+        assert json.dumps(cluster.payload()) == state
+        assert sched.arrival(tenant("c", workload="swaptions"), time_s=2.0).admitted
+
+
 class TestReplanDecisionPayload:
     def test_roundtrip_through_discriminator(self):
         action = ReplanDecision(

@@ -180,6 +180,34 @@ class TestEndpoints:
 
         with_daemon(test)
 
+    def test_unknown_workload_is_400_and_the_next_arrival_admits(self):
+        async def test(daemon, client):
+            with pytest.raises(ServeError, match="unknown workload 'nope'"):
+                await submit(client, "x", workload="nope")
+            assert (await client.decisions())["decisions"] == []
+            assert (await client.state())["homes"] == {}
+            reply = await submit(client, "a")
+            assert reply["decision"]["admitted"] is True
+            assert (await client.state())["homes"] == {"a": "m0"}
+
+        with_daemon(test)
+
+    def test_boolean_or_fractional_threads_are_400(self):
+        async def test(daemon, client):
+            for value in (True, False, 2.7, "2.7"):
+                with pytest.raises(ServeError, match="threads"):
+                    await client._request("POST", "/arrivals", {
+                        "tenant": "b", "workload": "G-CC", "threads": value,
+                    })
+            assert (await client.decisions())["decisions"] == []
+            # An integral float is still a thread count.
+            reply = await client._request("POST", "/arrivals", {
+                "tenant": "a", "workload": "G-CC", "threads": 2.0,
+            })
+            assert reply["decision"]["threads"] == 2
+
+        with_daemon(test)
+
     def test_finite_numeric_strings_still_admitted(self):
         async def test(daemon, client):
             reply = await client._request("POST", "/arrivals", {

@@ -129,6 +129,68 @@ class TestBatchPath:
         assert canon(batched) == canon(scalar)
 
 
+class TestSoloReferences:
+    """A cold pass solves its missing solo references together, as the
+    1-app cells of one ``solve_batch`` call, with the scalar path's
+    counts and store bytes."""
+
+    def test_missing_references_are_one_batch_of_one_app_cells(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.engine
+        from repro.engine.interval import IntervalEngine
+
+        solve_batch = repro.engine.solve_batch
+        widths = []
+
+        def recording(engine, cells):
+            widths.append([len(cell.profiles) for cell in cells])
+            return solve_batch(engine, cells)
+
+        def no_solo_run(*args, **kwargs):
+            raise AssertionError("a solo reference went to the scalar solo_run")
+
+        monkeypatch.setattr(repro.engine, "solve_batch", recording)
+        monkeypatch.setattr(IntervalEngine, "solo_run", no_solo_run)
+        batched = Session(make_config(), store=tmp_path / "a")
+        got = batched.run_scenarios(sweep())
+        monkeypatch.undo()
+
+        # SUBSET at 2 threads for the pairs, its first three at 1
+        # thread for the 3-ways: 7 distinct references.
+        solo_calls = [w for w in widths if set(w) == {1}]
+        assert solo_calls == [[1] * 7]
+        assert widths.index(solo_calls[0]) == 0  # before any cell is solved
+
+        scalar = Session(make_config(), store=tmp_path / "b", engine_batch=False)
+        want = scalar.run_scenarios(sweep())
+        assert canon(got) == canon(want)
+        assert batched.stats.snapshot() == scalar.stats.snapshot()
+        assert batched.stats.solo_misses == 7
+        solo = {}
+        for name in ("a", "b"):
+            store = ResultStore(tmp_path / name)
+            solo[name] = {
+                (entry.engine_fp, entry.keyfp): entry_lines(store.root, entry)
+                for entry in store.cache_entries("solo")
+            }
+        assert len(solo["a"]) == 7
+        assert solo["a"] == solo["b"]
+
+    def test_batched_references_equal_solo_run(self):
+        from repro.store.codec import encode_solo
+
+        pairs = ScenarioSet.pairwise(SUBSET, threads=2)
+        batched = Session(make_config())
+        batched.run_scenarios(pairs)
+        scalar = Session(make_config(), engine_batch=False)
+        for name in SUBSET:
+            assert encode_solo(batched.solo(name, threads=2)) == encode_solo(
+                scalar.solo(name, threads=2)
+            )
+        assert batched.stats.solo_misses == len(SUBSET)
+
+
 class TestEvaluatorBatching:
     def layouts(self):
         return [

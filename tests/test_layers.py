@@ -37,6 +37,7 @@ from repro.serve import ServeClient, drain_trace
 from repro.session import (
     ExperimentConfig,
     Runner,
+    Scenario,
     Session,
     get_runner,
     register_runner,
@@ -256,6 +257,30 @@ class TestWhatEntryPointsLoad:
 
 
 class TestFirstSolve:
+    def test_a_warm_pass_with_every_reference_on_disk_loads_no_solver(self, tmp_path):
+        """Cells and a solo reference that all come from the store: the
+        pass plans no solve, so it loads neither the batch engine (which
+        solves a cold pass's references) nor numpy."""
+        store = tmp_path / "st"
+        config = ExperimentConfig(workloads=SERVE_ROSTER, threads=2)
+        pairs = [Scenario.pair(a, b, threads=2) for a in SERVE_ROSTER for b in SERVE_ROSTER]
+        Session(config, store=store).run_scenarios(pairs)
+        out, modules = run_fresh(
+            "import json\n"
+            "from repro.session import ExperimentConfig, Scenario, Session\n"
+            f"roster = {SERVE_ROSTER!r}\n"
+            "session = Session(ExperimentConfig(workloads=roster, threads=2),"
+            f" store={str(store)!r})\n"
+            "session.run_scenarios("
+            "[Scenario.pair(a, b, threads=2) for a in roster for b in roster])\n"
+            "session.solo('G-CC', threads=2)\n"
+            "print(json.dumps(session.stats.snapshot()))\n"
+        )
+        stats = json.loads(out)
+        assert (stats["scenario_disk_hits"], stats["solo_disk_hits"]) == (4, 1)
+        assert stats["scenario_misses"] == stats["solo_misses"] == 0
+        assert solvers_loaded(modules) == []
+
     def test_two_cold_cells_load_the_solvers_and_give_the_pinned_bytes(self):
         code = (
             "import hashlib, json\n"
