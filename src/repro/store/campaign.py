@@ -299,7 +299,14 @@ def run_campaign(
         # before a sibling dies keep their reports, which is what lets
         # the recovery below know exactly which artifacts are missing.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_campaign_worker, t) for t in tasks]
+            futures = []
+            for t in tasks:
+                try:
+                    futures.append(pool.submit(_campaign_worker, t))
+                except BrokenProcessPool:
+                    # A worker died before the last submit: the pool
+                    # takes no more, and the claims say what is missing.
+                    break
             worker_reports = []
             for future in futures:
                 try:

@@ -104,6 +104,25 @@ class TestCrashedWorkerRecovery:
         reason="the monkeypatched Session.run reaches pool workers only "
         "under the fork start method",
     )
+    def test_a_pool_broken_while_submitting_is_recovered(self, tmp_path, monkeypatch):
+        """A worker can die before the driver has submitted every
+        worker: that submit raises ``BrokenProcessPool``, and the
+        campaign recovers from the claims as for a later death."""
+        import repro.store.campaign as campaign
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BreaksOnSecondSubmit(campaign.ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                if getattr(self, "submitted", 0):
+                    raise BrokenProcessPool("a child process terminated abruptly")
+                self.submitted = 1
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        config = ExperimentConfig(workloads=("G-CC", "swaptions"), jitter=0.0)
+        summary = run_campaign(config, tmp_path / "st", workers=2)
+        assert summary["artifacts"] == sorted(runner_names(artifact_only=False))
+
     def test_killed_worker_is_requeued(self, tmp_path, monkeypatch):
         """A worker that dies mid-claim (here: hard os._exit while
         running its first artifact) no longer fails the campaign — the
